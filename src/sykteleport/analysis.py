@@ -4,8 +4,10 @@ exponential-decay temperature fit."""
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -45,8 +47,12 @@ class SweepSpec:
             grid = getattr(self, name)
             if len(grid) == 0:
                 raise SweepError(f"{name} must be nonempty")
+            if not all(math.isfinite(v) for v in grid):
+                raise SweepError(f"{name} values must be finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise SweepError(f"{name} must be strictly increasing")
+        if self.beta_grid[0] < 0:
+            raise SweepError("beta_grid values must be nonnegative")
         if len(self.seeds) == 0:
             raise SweepError("need at least one seed")
         if self.metric == "bell_stabilizer":
@@ -92,12 +98,8 @@ def _records_for_seed(spec: SweepSpec, seed: int):
             elif spec.metric == "bell_stabilizer":
                 values = eng.curve_bell(beta, t, spec.g_grid)
             else:
-                values = []
-                for g in spec.g_grid:
-                    cfg = replace(base, message="arbitrary", beta=beta, g=g, t=t,
-                                  alpha=1.0 + 0j, beta_msg=0.0 + 0j)
-                    mean, _ = protocol.run_arbitrary_avg(cfg, spec.n_samples, seed)
-                    values.append(mean)
+                values, _ = eng.curve_arbitrary_avg(beta, t, spec.g_grid,
+                                                    spec.n_samples, seed)
             for g, value in zip(spec.g_grid, values):
                 out.append(FidelityRecord(
                     seed=seed, beta=float(beta), g=float(g), t=float(t),
@@ -106,41 +108,22 @@ def _records_for_seed(spec: SweepSpec, seed: int):
     return out
 
 
-def _seed_worker(args):
-    spec_dict, seed = args
-    spec = _spec_from_dict(spec_dict)
-    return _records_for_seed(spec, seed)
-
-
-def _spec_to_dict(spec: SweepSpec) -> dict:
-    d = dict(spec.__dict__)
-    d["base"] = dict(spec.base.__dict__)
-    return d
-
-
-def _spec_from_dict(d: dict) -> SweepSpec:
-    d = dict(d)
-    d["base"] = protocol.ProtocolConfig(**d["base"])
-    return SweepSpec(**d)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """Evaluate every grid point for every seed.
 
     Output ordering and values are identical for any worker count; work
-    is partitioned by seed and merged with a deterministic sort.
+    is partitioned by seed and merged with a deterministic sort.  The pool
+    never holds more processes than there are seeds or CPUs.
     """
     spec.validate()
-    if workers <= 1 or len(spec.seeds) == 1:
-        records = []
+    workers = min(workers, len(spec.seeds), os.cpu_count() or 1)
+    records = []
+    if workers <= 1:
         for seed in spec.seeds:
             records.extend(_records_for_seed(spec, seed))
     else:
-        spec_dict = _spec_to_dict(spec)
-        records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_seed_worker,
-                                  [(spec_dict, s) for s in spec.seeds]):
+            for chunk in pool.map(_records_for_seed, repeat(spec), spec.seeds):
                 records.extend(chunk)
     records.sort(key=FidelityRecord.sort_key)
     return records

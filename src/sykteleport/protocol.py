@@ -13,6 +13,26 @@ left qubit(s).  At beta > 0 the readout expectation is taken in the
 Boltzmann-reweighted final state exp(-beta H_R/2)|psi_final> (normalized),
 matching the thermal traces the sweep figures are built from; the bare
 expectation is available via thermal_readout=False.
+
+Every metric is evaluated by one staged pipeline in `Engine`; each stage
+is cached by the sweep axes it depends on:
+
+* realization (Engine construction): the side eigensystems, the
+  size-operator eigenbasis B and the INSERT matrix;
+* beta: the thermofield double, built by `tfd.build_tfd` from the cached
+  left eigensystem;
+* t: the side evolutions U_L, U_R, and the right-hand map
+  (I (x) W_R(beta) U_R) B folded into one block matrix per (beta, t),
+  where W_R(beta) = exp(-beta H_R/2) is the thermal readout weight;
+* g: `Engine.finish` takes a whole array of couplings, multiplies the
+  dressed state (everything before the coupling, in the size eigenbasis)
+  by the phases exp(i g n) for every g at once, maps all (g, message)
+  rows through the folded matrix in one matmul and normalizes each row.
+
+The metrics reduce over the leading g axis.  A single g is a batch of
+one, so `run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the
+sweeps in `analysis` share this code.  The dense `wormhole_unitary` is
+the reference the pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -87,6 +107,9 @@ class ProtocolConfig:
             norm = abs(self.alpha) ** 2 + abs(self.beta_msg) ** 2
             if abs(norm - 1.0) > 1e-10:
                 raise ConfigError("arbitrary message amplitudes must be normalized")
+        for name in ("g", "t", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
         reg = self.register
@@ -178,17 +201,7 @@ class InsertOperator:
     """Unitary encoding the message qubit(s) into the left block."""
 
     matrix: np.ndarray = field(repr=False)
-    pauli_form: tuple = ()
     site_pairs: tuple = ()
-
-    def reconstruct_from_paulis(self, n_qubits: int) -> np.ndarray:
-        out = np.eye(2 ** n_qubits, dtype=complex)
-        for table in self.pauli_form:
-            term = np.zeros((2 ** n_qubits, 2 ** n_qubits), dtype=complex)
-            for ps, coeff in table:
-                term += coeff * ps.to_matrix()
-            out = term @ out
-        return out
 
 
 def _fermionic_swap(register: layout.RegisterLayout, msg_site: int, left_site: int) -> np.ndarray:
@@ -212,15 +225,13 @@ def build_insert(cfg: ProtocolConfig) -> InsertOperator:
     if len({s for p in pairs for s in p}) < 2 * len(pairs):
         raise ConfigError("swap site collision")
     mat = np.eye(reg.dim, dtype=complex)
-    tables = []
     for (a, b) in pairs:
         if cfg.fermionic_insert:
             step = _fermionic_swap(reg, a, b)
         else:
             step = qop.swap_matrix(reg.n_qubits, a, b)
         mat = step @ mat
-        tables.append(tuple(qop.swap_pauli_decomposition(reg.n_qubits, a, b)))
-    return InsertOperator(matrix=mat, pauli_form=tuple(tables), site_pairs=pairs)
+    return InsertOperator(matrix=mat, site_pairs=pairs)
 
 
 def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperator,
@@ -242,11 +253,14 @@ def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperato
 
 
 class Engine:
-    """Cached per-realization machinery for fast protocol evaluation.
+    """Staged, cached evaluation of the protocol for one realization.
 
-    All heavy objects (side eigensystems, the size-operator eigenbasis,
-    insert matrices) depend only on (model, seed, j_scale, variant
-    geometry), so sweeps over (beta, g, t) reuse them.
+    The realization stage (side eigensystems, the size-operator
+    eigenbasis, the insert matrix) depends only on (model, seed, j_scale,
+    variant geometry) and is built here.  The beta and t stages are built
+    on first use; each keeps its latest value, which is what a sweep
+    revisits (beta is the outer loop, t the inner one) and what repeated
+    calls at one (beta, t) need.  Every metric takes a whole g array.
     """
 
     def __init__(self, cfg: ProtocolConfig):
@@ -276,22 +290,34 @@ class Engine:
         self.size = build_size_operator(self.reg, cfg.resolved_size_modes())
         self.insert = build_insert(cfg)
         self.readout = cfg.resolved_readout()
+        # the size spectrum has few distinct levels: one exp per level and g
+        self._levels, self._level_index = np.unique(self.size.eigenvalues,
+                                                    return_inverse=True)
+        self._latest: dict = {}  # stage name -> (key, value)
 
-    # -- building blocks -------------------------------------------------
+    def _cached(self, stage: str, key, build):
+        """The value of a stage at key, rebuilt by build() when the key
+        differs from the stage's latest one."""
+        latest = self._latest.get(stage)
+        if latest is None or latest[0] != key:
+            latest = self._latest[stage] = (key, build())
+        return latest[1]
+
+    # -- beta and t stages ------------------------------------------------
     def tfd_vector(self, beta: float) -> np.ndarray:
-        if self.cfg.model == "syk":
-            return tfd.build_tfd(self.h_left_local, beta, self.reg,
-                                 right_basis=self.cfg.right_basis).state
-        # Floquet model: weight the pair vacuum with quasi-energies
-        w = tfd.boltzmann_weights(self.eig_left.values, beta)
-        weight = (self.eig_left.vectors * w) @ self.eig_left.vectors.conj().T
-        vec = qop.apply_matrix_on_sites(
-            layout.bell_vacuum(self.cfg.n_side), 2 * self.cfg.n_side,
-            weight, 0, self.cfg.n_side)
-        return vec / np.linalg.norm(vec)
+        """Thermofield double at beta from the cached left eigensystem."""
+        def build():
+            state = tfd.build_tfd(self.eig_left, beta, self.reg,
+                                  right_basis=self.cfg.right_basis).state
+            state.setflags(write=False)
+            return state
+        return self._cached("tfd", beta, build)
 
     def side_evolution(self, t: float):
         """(U_L, U_R) forward one-step matrices exp(-i H t) on each factor."""
+        return self._cached("side", t, lambda: self._evolve_sides(t))
+
+    def _evolve_sides(self, t: float):
         if self.cfg.model == "syk":
             ul = qop.evolve(self.h_left_local, t, -1, eig=self.eig_left)
             ur = qop.evolve(self.h_right_local, t, -1, eig=self.eig_right)
@@ -305,6 +331,18 @@ class Engine:
     def thermal_weight_right(self, beta: float) -> np.ndarray:
         w = np.exp(-0.5 * beta * (self.eig_right.values - self.eig_right.values.min()))
         return (self.eig_right.vectors * w) @ self.eig_right.vectors.conj().T
+
+    def _right_map(self, beta: float, t: float) -> np.ndarray:
+        """(I (x) W_R(beta) U_R) B on the block: from the size eigenbasis
+        to the (thermally weighted) final state."""
+        def build():
+            _, ur = self.side_evolution(t)
+            if self.cfg.thermal_readout and beta > 0:
+                ur = self.thermal_weight_right(beta) @ ur
+            # (I (x) A) B: A acts on the right-factor part of B's row index
+            d = 2 ** self.reg.n_side
+            return (ur @ self.size.basis.reshape(d, d, -1)).reshape(d * d, -1)
+        return self._cached("right", (beta, t), build)
 
     def message_vector(self) -> np.ndarray:
         if self.cfg.message == "bell_phi_plus":
@@ -329,24 +367,24 @@ class Engine:
         return qop.apply_matrix_on_sites(
             psi, reg.n_qubits, self.size.basis.conj().T, n_msg, 2 * n_side)
 
-    def finish(self, dressed: np.ndarray, beta: float, g: float, t: float,
+    def finish(self, dressed: np.ndarray, beta: float, g_values, t: float,
                normalize: bool = True) -> np.ndarray:
-        """Apply the coupling phases, right evolution and thermal weight."""
-        reg = self.reg
-        n_msg, n_side = reg.n_message, reg.n_side
-        block = reg.block_dim
-        phases = np.exp(1j * g * self.size.eigenvalues)
-        psi = (dressed.reshape(2 ** n_msg, block) * phases).reshape(-1)
-        psi = qop.apply_matrix_on_sites(psi, reg.n_qubits, self.size.basis, n_msg,
-                                        2 * n_side)
-        _, ur = self.side_evolution(t)
-        right0 = n_msg + n_side
-        psi = qop.apply_matrix_on_sites(psi, reg.n_qubits, ur, right0, n_side)
-        if self.cfg.thermal_readout and beta > 0:
-            w = self.thermal_weight_right(beta)
-            psi = qop.apply_matrix_on_sites(psi, reg.n_qubits, w, right0, n_side)
+        """Coupling phases, right evolution and thermal weight for every g.
+
+        `dressed` has shape (..., dim); the result has shape
+        (len(g_values), ..., dim), each final state normalized unless
+        normalize=False.
+        """
+        g = np.asarray(g_values, dtype=float).reshape(-1)
+        if not (np.isfinite(g).all() and math.isfinite(beta) and math.isfinite(t)):
+            raise ConfigError("g, t and beta must be finite")
+        block = self.reg.block_dim
+        phases = np.exp(1j * g[:, None] * self._levels)[:, self._level_index]
+        rows = dressed.reshape(-1, block)
+        psi = (rows * phases[:, None, :]).reshape(-1, block) @ self._right_map(beta, t).T
+        psi = psi.reshape(g.shape + dressed.shape)
         if normalize:
-            psi = psi / np.linalg.norm(psi)
+            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
         return psi
 
     def final_state(self, beta: float | None = None, g: float | None = None,
@@ -356,30 +394,67 @@ class Engine:
         g = cfg.g if g is None else g
         t = cfg.t if t is None else t
         dressed = self.dressed_state(self.message_vector(), beta, t)
-        return self.finish(dressed, beta, g, t)
+        return self.finish(dressed, beta, (g,), t)[0]
+
+    def branch_states(self, beta: float, t: float, g_values) -> np.ndarray:
+        """Unnormalized weighted final states for the |0> and |1> message
+        inputs, shape (len(g_values), 2, dim)."""
+        dressed = np.stack([self.dressed_state(e, beta, t)
+                            for e in np.eye(2, dtype=complex)])
+        return self.finish(dressed, beta, g_values, t, normalize=False)
 
     # -- metrics ----------------------------------------------------------
-    def basis_z_value(self, psi: np.ndarray) -> float:
+    def basis_z_value(self, psi: np.ndarray):
+        """<Z> on the readout site; a float for one state, an array over
+        the leading axis for a stack of states."""
         site = self.readout[0]
         z = 1.0 - 2.0 * (
             (np.arange(self.reg.dim) >> (self.reg.n_qubits - 1 - site)) & 1)
-        return float((np.abs(psi) ** 2) @ z)
+        values = (np.abs(np.atleast_2d(psi)) ** 2) @ z
+        return float(values[0]) if np.ndim(psi) == 1 else values
 
-    def bell_value(self, psi: np.ndarray) -> float:
+    def bell_value(self, psi: np.ndarray):
+        """Stabilizer fidelity of the readout pair; float or array as
+        basis_z_value."""
         rho = qop.reduced_density(psi, self.reg.n_qubits, list(self.readout))
         return stabilizer_fidelity(rho)
 
+    def arbitrary_fidelity(self, beta: float, t: float, g_values, messages) -> np.ndarray:
+        """<m| rho_out(m) |m> for every g and every message m = (alpha,
+        beta_msg) in `messages`; shape (len(g_values), len(messages)).
+
+        rho_out(m) is assembled from the two basis-input branches, so any
+        number of messages costs one protocol run per branch.
+        """
+        phi = self.branch_states(beta, t, g_values)
+        n_g = len(phi)
+        # the branch index as one extra leading qubit: blocks
+        # r[g, (a, i), (b, j)] = Tr_rest |phi_a><phi_b| on the readout site
+        r = qop.reduced_density(phi.reshape(n_g, -1), self.reg.n_qubits + 1,
+                                [0, self.readout[0] + 1])
+        c = np.asarray(messages, dtype=complex).reshape(-1, 2)
+        u = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # c_a conj(c_i)
+        overlap = np.einsum("gxy,sx,sy->gs", r, u, u.conj())
+        norm2 = np.einsum("gaibi,sa,sb->gs", r.reshape(n_g, 2, 2, 2, 2), c, c.conj())
+        return (overlap / norm2).real
+
     def curve_basis_z(self, beta: float, t: float, g_values) -> np.ndarray:
         dressed = self.dressed_state(self.message_vector(), beta, t)
-        return np.array([
-            self.basis_z_value(self.finish(dressed, beta, g, t)) for g in g_values
-        ])
+        return self.basis_z_value(self.finish(dressed, beta, g_values, t))
 
     def curve_bell(self, beta: float, t: float, g_values) -> np.ndarray:
         dressed = self.dressed_state(self.message_vector(), beta, t)
-        return np.array([
-            self.bell_value(self.finish(dressed, beta, g, t)) for g in g_values
-        ])
+        return self.bell_value(self.finish(dressed, beta, g_values, t))
+
+    def curve_arbitrary_avg(self, beta: float, t: float, g_values, n_s: int = 100,
+                            seed: int = 0):
+        """Mean and standard error over n_s Haar-random messages, per g."""
+        if n_s < 1:
+            raise ConfigError("need at least one sample")
+        values = self.arbitrary_fidelity(beta, t, g_values, _haar_samples(seed, n_s))
+        if n_s == 1:
+            return values[:, 0], np.zeros(len(values))
+        return values.mean(axis=1), values.std(axis=1, ddof=1) / math.sqrt(n_s)
 
 
 @lru_cache(maxsize=8)
@@ -391,9 +466,13 @@ def get_engine(cfg: ProtocolConfig) -> Engine:
     """Engine shared across calls with the same structural parameters.
 
     The sweep axes (g, t, beta) and the message amplitudes are
-    canonicalized away so one cached engine serves a whole grid.
+    canonicalized away so one cached engine serves a whole grid; the
+    arbitrary message shares the engine of the basis message, since its
+    fidelities are built from the two basis-input branches.
     """
-    base = replace(cfg, g=0.0, t=0.0 if cfg.model == "tfim" else DEFAULT_T_SINGLE,
+    message = "basis_zero" if cfg.message == "arbitrary" else cfg.message
+    base = replace(cfg, message=message, g=0.0,
+                   t=0.0 if cfg.model == "tfim" else DEFAULT_T_SINGLE,
                    beta=0.0, alpha=1.0 + 0j, beta_msg=0.0 + 0j)
     key = tuple(sorted((k, v) for k, v in base.__dict__.items()))
     try:
@@ -406,39 +485,38 @@ def run_single_qubit(cfg: ProtocolConfig) -> float:
     """<Z> on the readout qubit for the |0> message; in [-1, 1]."""
     if cfg.message != "basis_zero":
         raise ConfigError("run_single_qubit expects the basis_zero message")
-    eng = get_engine(cfg)
-    return eng.basis_z_value(eng.final_state(cfg.beta, cfg.g, cfg.t))
+    cfg.validate()
+    return float(get_engine(cfg).curve_basis_z(cfg.beta, cfg.t, (cfg.g,))[0])
 
 
-def stabilizer_fidelity(rho2: np.ndarray) -> float:
-    """(1 + <XX> + <ZZ> + <YY>)/2 on a two-qubit density matrix."""
+_STABILIZERS = tuple(qop.kron(p, p) for p in (qop.PAULI_X, qop.PAULI_Z, qop.PAULI_Y))
+
+
+def stabilizer_fidelity(rho2: np.ndarray):
+    """(1 + <XX> + <ZZ> + <YY>)/2 on a two-qubit density matrix.
+
+    A stack of density matrices (..., 4, 4) gives an array of fidelities;
+    every matrix in it must pass the density-matrix checks.
+    """
     rho2 = np.asarray(rho2, dtype=complex)
-    if rho2.shape != (4, 4):
+    if rho2.shape[-2:] != (4, 4):
         raise qop.QopError("stabilizer fidelity needs a 4x4 density matrix")
-    if abs(np.trace(rho2) - 1.0) > 1e-8 or not qop.is_hermitian(rho2, 1e-8):
+    trace = np.trace(rho2, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace - 1.0) > 1e-8) or not qop.is_hermitian(rho2, 1e-8):
         raise qop.QopError("input is not a density matrix")
     val = 1.0
-    for p in (qop.PAULI_X, qop.PAULI_Z, qop.PAULI_Y):
-        val += float(np.real(np.trace(rho2 @ qop.kron(p, p))))
-    return 0.5 * val
+    for pp in _STABILIZERS:
+        val = val + np.trace(rho2 @ pp, axis1=-2, axis2=-1).real
+    val = 0.5 * val
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def run_bell(cfg: ProtocolConfig) -> float:
     """Stabilizer fidelity of the readout pair for the Bell message."""
     if cfg.message != "bell_phi_plus" or cfg.swap_variant != "bell_sequential":
         raise ConfigError("run_bell expects the Bell message with sequential swaps")
-    eng = get_engine(cfg)
-    return eng.bell_value(eng.final_state(cfg.beta, cfg.g, cfg.t))
-
-
-def _branch_states(cfg: ProtocolConfig):
-    """Unnormalized weighted final states for |0> and |1> inputs."""
-    eng = get_engine(cfg)
-    outs = []
-    for amp in (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)):
-        dressed = eng.dressed_state(amp, cfg.beta, cfg.t)
-        outs.append(eng.finish(dressed, cfg.beta, cfg.g, cfg.t, normalize=False))
-    return eng, outs[0], outs[1]
+    cfg.validate()
+    return float(get_engine(cfg).curve_bell(cfg.beta, cfg.t, (cfg.g,))[0])
 
 
 def run_single_qubit_arbitrary(cfg: ProtocolConfig) -> float:
@@ -451,16 +529,9 @@ def run_single_qubit_arbitrary(cfg: ProtocolConfig) -> float:
     if cfg.message != "arbitrary":
         raise ConfigError("run_single_qubit_arbitrary expects the arbitrary message")
     cfg.validate()
-    eng, phi0, phi1 = _branch_states(cfg)
-    return _arbitrary_fidelity(eng, phi0, phi1, cfg.alpha, cfg.beta_msg)
-
-
-def _arbitrary_fidelity(eng: Engine, phi0, phi1, alpha, beta_msg) -> float:
-    psi = alpha * phi0 + beta_msg * phi1
-    norm2 = float(np.vdot(psi, psi).real)
-    rho = qop.reduced_density(psi, eng.reg.n_qubits, [eng.readout[0]]) / norm2
-    msg_in = np.array([alpha, beta_msg], dtype=complex)
-    return float(np.real(np.vdot(msg_in, rho @ msg_in)))
+    values = get_engine(cfg).arbitrary_fidelity(
+        cfg.beta, cfg.t, (cfg.g,), [(cfg.alpha, cfg.beta_msg)])
+    return float(values[0, 0])
 
 
 def haar_qubit(seed: int, index: int):
@@ -473,20 +544,21 @@ def haar_qubit(seed: int, index: int):
     return math.cos(theta / 2), math.sin(theta / 2) * complex(math.cos(phi), math.sin(phi))
 
 
+@lru_cache(maxsize=16)
+def _haar_samples(seed: int, n_s: int) -> np.ndarray:
+    """The first n_s Haar messages of a seed as a read-only (n_s, 2) array."""
+    out = np.array([haar_qubit(seed, i) for i in range(n_s)], dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 def run_arbitrary_avg(cfg: ProtocolConfig, n_s: int = 100, seed: int = 0):
     """Mean and standard error of the fidelity over Haar-random inputs."""
-    if n_s < 1:
-        raise ConfigError("need at least one sample")
     base = replace(cfg, message="arbitrary", alpha=1.0 + 0j, beta_msg=0.0 + 0j)
     base.validate()
-    eng, phi0, phi1 = _branch_states(base)
-    vals = np.empty(n_s)
-    for i in range(n_s):
-        a, b = haar_qubit(seed, i)
-        vals[i] = _arbitrary_fidelity(eng, phi0, phi1, a, b)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_s)) if n_s > 1 else 0.0
-    return mean, stderr
+    mean, stderr = get_engine(base).curve_arbitrary_avg(
+        base.beta, base.t, (base.g,), n_s, seed)
+    return float(mean[0]), float(stderr[0])
 
 
 @dataclass(frozen=True)

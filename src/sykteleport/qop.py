@@ -79,8 +79,11 @@ def majorana(n_modes: int, k: int) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """True when every matrix over the last two axes of m is Hermitian
+    within tol, relative to its largest entry."""
     m = np.asarray(m)
-    return bool(np.abs(m - m.conj().T).max() <= tol * max(1.0, np.abs(m).max()))
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return bool(np.all(dev <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))))
 
 
 @dataclass(frozen=True)
@@ -168,14 +171,22 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
 
 
 def reduced_density(state: np.ndarray, n_qubits: int, keep) -> np.ndarray:
-    """Reduced density matrix of a pure state on the qubits in `keep`."""
+    """Reduced density matrix of a pure state on the qubits in `keep`.
+
+    Leading axes of `state` are batch axes: (..., 2**n) gives
+    (..., 2**k, 2**k) with k = len(keep).
+    """
     keep = list(keep)
     if len(set(keep)) != len(keep) or any(not 0 <= s < n_qubits for s in keep):
         raise QopError(f"invalid site list {keep}")
     rest = [s for s in range(n_qubits) if s not in keep]
-    t = state.reshape((2,) * n_qubits)
-    t = np.transpose(t, keep + rest).reshape(2 ** len(keep), -1)
-    return t @ t.conj().T
+    state = np.asarray(state)
+    lead = state.shape[:-1]
+    nb = len(lead)
+    t = state.reshape(lead + (2,) * n_qubits)
+    t = np.transpose(t, list(range(nb)) + [nb + s for s in keep + rest])
+    t = t.reshape(lead + (2 ** len(keep), -1))
+    return t @ t.conj().swapaxes(-1, -2)
 
 
 def expectation(state: np.ndarray, op: np.ndarray):

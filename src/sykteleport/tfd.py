@@ -58,11 +58,13 @@ class TfdState:
         return int(round(math.log2(self.state.size)))
 
 
-def build_tfd(h_side: np.ndarray, beta: float, register: layout.RegisterLayout,
+def build_tfd(h_side, beta: float, register: layout.RegisterLayout,
               right_basis: str = "paired") -> TfdState:
     """Thermofield double of a side Hamiltonian at inverse temperature beta.
 
-    `h_side` is the left-factor matrix on n_side qubits.  The default
+    `h_side` is the left-factor matrix on n_side qubits, or its
+    `qop.EigenSystem` when the caller already holds one (the Floquet
+    baseline passes its quasi-energy spectrum this way).  The default
     construction applies exp(-beta H/2) to the left half of the
     infinite-temperature pair state and normalizes:
 
@@ -81,10 +83,16 @@ def build_tfd(h_side: np.ndarray, beta: float, register: layout.RegisterLayout,
     if right_basis not in RIGHT_BASES:
         raise ValueError(f"right_basis must be one of {RIGHT_BASES}")
     n_side = register.n_side
-    h_side = np.asarray(h_side, dtype=complex)
-    if h_side.shape != (2 ** n_side, 2 ** n_side):
-        raise ValueError("side Hamiltonian does not match the register")
-    eig = qop.hermitian_eig(h_side)
+    dim = 2 ** n_side
+    if isinstance(h_side, qop.EigenSystem):
+        eig = h_side
+        if eig.vectors.shape != (dim, dim):
+            raise ValueError("side eigensystem does not match the register")
+    else:
+        h_side = np.asarray(h_side, dtype=complex)
+        if h_side.shape != (dim, dim):
+            raise ValueError("side Hamiltonian does not match the register")
+        eig = qop.hermitian_eig(h_side)
     w = boltzmann_weights(eig.values, beta)
     if right_basis == "paired":
         weight = (eig.vectors * w) @ eig.vectors.conj().T

@@ -58,6 +58,43 @@ class TestRunSweep:
         with pytest.raises(analysis.SweepError):
             tiny_spec(metric="bell_stabilizer").validate()
 
+    def test_rejects_non_finite_grids(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("g_grid", "t_grid", "beta_grid"):
+                with pytest.raises(analysis.SweepError, match="finite"):
+                    tiny_spec(**{name: (0.0, bad)}).validate()
+        with pytest.raises(analysis.SweepError, match="nonnegative"):
+            tiny_spec(beta_grid=(-1.0, 0.0)).validate()
+        with pytest.raises(protocol.ConfigError):
+            tiny_spec(base=protocol.ProtocolConfig(beta=math.nan)).validate()
+
+    @pytest.mark.parametrize("workers, cpus, want", [
+        (64, 3, [3]), (64, None, []), (2, 8, [2]), (8, 8, [5]), (1, 8, [])])
+    def test_worker_pool_is_clamped(self, monkeypatch, workers, cpus, want):
+        seen = []
+
+        class RecordingPool:
+            """Records max_workers and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        spec = tiny_spec(seeds=(0, 1, 2, 3, 4))
+        records = analysis.run_sweep(spec, workers=workers)
+        assert seen == want
+        assert records == analysis.run_sweep(spec, workers=1)
+
     def test_arbitrary_avg_metric(self):
         spec = tiny_spec(metric="arbitrary_avg")
         spec = replace(spec, n_samples=5)

@@ -148,6 +148,18 @@ class TestMain:
         cfg.write_text("[sweep]\nmetric = nope\n")
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "[sweep]\ng_grid = [0.0, nan]\nseeds = [0]\n",
+        "[sweep]\nt_grid = [inf]\nseeds = [0]\n",
+        "[sweep]\nbeta_grid = [0, inf]\nseeds = [0]\n",
+        "[sweep]\nseeds = [0]\n[protocol]\nbeta = inf\n",
+    ])
+    def test_non_finite_config_exit_code(self, tmp_path, text):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "missing.cfg"),
                          "--out", str(tmp_path)]) == 3

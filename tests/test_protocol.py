@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, expm
 
 from sykteleport import analysis, layout, models, protocol, qop, tfd
 
@@ -39,6 +40,12 @@ class TestConfig:
     def test_tfim_integer_steps(self):
         with pytest.raises(protocol.ConfigError):
             protocol.ProtocolConfig(model="tfim", t=1.5).validate()
+
+    def test_non_finite_axes_rejected(self):
+        for name in ("g", "t", "beta"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(protocol.ConfigError, match="finite"):
+                    protocol.ProtocolConfig(**{name: bad}).validate()
 
     def test_default_readout_is_partner_of_insertion(self):
         cfg = protocol.ProtocolConfig()
@@ -116,11 +123,17 @@ class TestInsert:
             want[idx] = 1 / math.sqrt(2)
         assert np.abs(out - want).max() <= 1e-12
 
-    def test_pauli_form_reconstructs_plain_swap(self):
-        cfg = protocol.ProtocolConfig()
-        ins = protocol.build_insert(cfg)
-        recon = ins.reconstruct_from_paulis(REG1.n_qubits)
-        assert np.abs(recon - ins.matrix).max() <= 1e-12
+    def test_plain_insert_is_swap_product(self):
+        # the Pauli expansion of each swap is checked in test_qop
+        for cfg in (protocol.ProtocolConfig(),
+                    protocol.ProtocolConfig(swap_variant="delta02"),
+                    protocol.ProtocolConfig(message="bell_phi_plus",
+                                            swap_variant="bell_sequential")):
+            n = cfg.register.n_qubits
+            want = np.eye(2 ** n)
+            for a, b in cfg.swap_site_pairs():
+                want = qop.swap_matrix(n, a, b) @ want
+            assert np.array_equal(protocol.build_insert(cfg).matrix, want)
 
     def test_fermionic_insert_is_signed_swap(self):
         plain = protocol.build_insert(protocol.ProtocolConfig())
@@ -178,6 +191,110 @@ class TestWormholeUnitary:
         assert np.abs(u @ psi0 - eng.final_state()).max() <= 1e-10
 
 
+class TestPipelineAgainstDense:
+    """The staged, g-batched Engine against the dense protocol unitary on
+    random (seed, beta <= 20, g, t).  Larger beta is left out: there the
+    thermal renormalization amplifies round-off of either route."""
+
+    @staticmethod
+    def _dense_states(cfg, messages):
+        """Thermally weighted, unnormalized W_R U |m> (x) |TFD> per message,
+        from dense matrix exponentials on the full register."""
+        reg = cfg.register
+        n_side = reg.n_side
+        c = models.sample_syk_couplings(2 * n_side, 4, cfg.j_scale, cfg.seed)
+        h_l = models.build_syk_hamiltonian(c, "left", reg)
+        h_r = models.build_syk_hamiltonian(c, "right", reg)
+        h_side = models.build_syk_side_matrix(c, "left", n_side)
+        shift = np.linalg.eigvalsh(h_side).min() * np.eye(2 ** n_side)
+        weight = expm(-0.5 * cfg.beta * (h_side - shift))
+        vac = np.kron(weight, np.eye(2 ** n_side)) @ layout.bell_vacuum(n_side)
+        tfd_state = vac / np.linalg.norm(vac)
+        ins = np.eye(reg.dim)
+        for a, b in cfg.swap_site_pairs():
+            ins = qop.swap_matrix(reg.n_qubits, a, b) @ ins
+        modes = cfg.resolved_size_modes()
+        mat = sum(layout.pair_number_op(n_side, j) for j in modes).astype(complex)
+        values, basis = eigh(mat)
+        size = protocol.SizeOperator(n_side=n_side, modes=modes, matrix=mat,
+                                     eigenvalues=values, basis=basis)
+        u = protocol.wormhole_unitary(h_l, h_r, protocol.InsertOperator(matrix=ins),
+                                      size, cfg.g, cfg.t, reg)
+        e_min = np.linalg.eigvalsh(h_r).min()
+        w_r = expm(-0.5 * cfg.beta * (h_r - e_min * np.eye(reg.dim)))
+        return [w_r @ u @ np.kron(m, tfd_state) for m in messages]
+
+    def _cases(self, n=6):
+        rng = np.random.default_rng(20250)
+        for _ in range(n):
+            yield (int(rng.integers(0, 10 ** 6)), float(rng.uniform(0.0, 20.0)),
+                   float(rng.uniform(0.0, 4 * math.pi)), float(rng.uniform(0.0, 3.0)))
+
+    def test_basis_z(self):
+        for seed, beta, g, t in self._cases():
+            for variant in ("delta01", "delta02"):
+                cfg = protocol.ProtocolConfig(seed=seed, beta=beta, g=g, t=t,
+                                              swap_variant=variant)
+                (psi,) = self._dense_states(cfg, [np.array([1, 0], dtype=complex)])
+                psi = psi / np.linalg.norm(psi)
+                z = qop.pauli_on(cfg.register.n_qubits, cfg.resolved_readout()[0], "Z")
+                want = float(np.real(qop.expectation(psi, z)))
+                assert abs(protocol.run_single_qubit(cfg) - want) <= 1e-12
+
+    def test_bell(self):
+        for seed, beta, g, t in self._cases():
+            cfg = protocol.ProtocolConfig(message="bell_phi_plus",
+                                          swap_variant="bell_sequential",
+                                          seed=seed, beta=beta, g=g, t=t)
+            (psi,) = self._dense_states(cfg, [BELLS["phi_plus"]])
+            psi = psi / np.linalg.norm(psi)
+            n = cfg.register.n_qubits
+            a, b = cfg.resolved_readout()
+            stab = 0.5 * (np.eye(2 ** n) + sum(
+                qop.pauli_on(n, a, p) @ qop.pauli_on(n, b, p) for p in "XYZ"))
+            want = float(np.real(qop.expectation(psi, stab)))
+            assert abs(protocol.run_bell(cfg) - want) <= 1e-12
+
+    def test_arbitrary_branches(self):
+        for seed, beta, g, t in self._cases():
+            for variant in ("delta01", "delta02"):
+                cfg = protocol.ProtocolConfig(seed=seed, beta=beta, g=g, t=t,
+                                              swap_variant=variant)
+                want = self._dense_states(cfg, np.eye(2, dtype=complex))
+                got = protocol.get_engine(cfg).branch_states(beta, t, [g])[0]
+                for branch in (0, 1):
+                    assert np.abs(got[branch] - want[branch]).max() <= 1e-12
+                # the fidelity of a superposition assembled from the branches
+                a, b = protocol.haar_qubit(seed, 0)
+                msg = np.array([a, b], dtype=complex)
+                psi = a * want[0] + b * want[1]
+                psi = psi / np.linalg.norm(psi)
+                n, site = cfg.register.n_qubits, cfg.resolved_readout()[0]
+                proj = qop.kron_all([np.outer(msg, msg.conj()) if k == site else qop.I2
+                                     for k in range(n)])
+                fid = float(np.real(qop.expectation(psi, proj)))
+                arb = replace(cfg, message="arbitrary", alpha=a, beta_msg=b)
+                assert abs(protocol.run_single_qubit_arbitrary(arb) - fid) <= 1e-12
+
+    def test_batch_matches_single_points(self):
+        gs = np.linspace(0.0, 4 * math.pi, 9)
+        cfg = protocol.ProtocolConfig(seed=3, beta=7.0, t=1.2)
+        eng = protocol.get_engine(cfg)
+        curve = eng.curve_basis_z(cfg.beta, cfg.t, gs)
+        single = [protocol.run_single_qubit(replace(cfg, g=float(g))) for g in gs]
+        assert np.abs(curve - single).max() <= 1e-13
+        mean, _ = eng.curve_arbitrary_avg(cfg.beta, cfg.t, gs, 20, 1)
+        single = [protocol.run_arbitrary_avg(replace(cfg, g=float(g)), 20, 1)[0]
+                  for g in gs]
+        assert np.abs(mean - single).max() <= 1e-13
+        cfgb = protocol.ProtocolConfig(message="bell_phi_plus",
+                                       swap_variant="bell_sequential",
+                                       seed=3, beta=7.0, t=2.0)
+        curve = protocol.get_engine(cfgb).curve_bell(cfgb.beta, cfgb.t, gs)
+        single = [protocol.run_bell(replace(cfgb, g=float(g))) for g in gs]
+        assert np.abs(curve - single).max() <= 1e-13
+
+
 class TestSingleQubit:
     def test_uncoupled_point_reads_zero(self):
         val = protocol.run_single_qubit(
@@ -222,6 +339,18 @@ class TestSingleQubit:
         with pytest.raises(protocol.ConfigError):
             protocol.run_single_qubit(
                 protocol.ProtocolConfig(message="arbitrary"))
+
+    def test_non_finite_inputs_raise(self):
+        with pytest.raises(protocol.ConfigError):
+            protocol.run_single_qubit(protocol.ProtocolConfig(g=math.nan))
+        with pytest.raises(protocol.ConfigError):
+            protocol.run_single_qubit(protocol.ProtocolConfig(beta=math.inf))
+        with pytest.raises(protocol.ConfigError):
+            protocol.run_arbitrary_avg(protocol.ProtocolConfig(t=math.nan), 5)
+        # a NaN entry of a batched g axis must not silently fill its row
+        eng = protocol.get_engine(protocol.ProtocolConfig())
+        with pytest.raises(protocol.ConfigError):
+            eng.curve_basis_z(0.0, 1.0, [0.5, math.nan])
 
 
 class TestArbitraryState:
@@ -290,6 +419,26 @@ class TestArbitraryAverage:
         cfg = protocol.ProtocolConfig(seed=1, beta=2.0, g=1.0, t=1.0)
         assert (protocol.run_arbitrary_avg(cfg, 20, seed=5)
                 == protocol.run_arbitrary_avg(cfg, 20, seed=5))
+
+    def test_channel_average_matches_closed_form(self):
+        # where the readout map is a channel E (beta = 0, or no thermal
+        # reweighting), the Bloch-sphere average is exactly
+        # F_avg = (2 F_e + 1)/3 with the entanglement fidelity
+        # F_e = (1/4) sum_ab <a|E(|a><b|)|b> = ||phi_0[r=0] + phi_1[r=1]||^2 / 4
+        for seed, beta, thermal, variant in ((4, 0.0, True, "delta01"),
+                                             (5, 6.0, False, "delta02")):
+            cfg = protocol.ProtocolConfig(seed=seed, beta=beta, g=1.3, t=1.0,
+                                          thermal_readout=thermal,
+                                          swap_variant=variant)
+            eng = protocol.get_engine(cfg)
+            phi = eng.branch_states(cfg.beta, cfg.t, [cfg.g])[0]
+            n, site = eng.reg.n_qubits, eng.readout[0]
+            parts = [np.moveaxis(p.reshape((2,) * n), site, 0).reshape(2, -1)
+                     for p in phi]
+            f_e = 0.25 * np.linalg.norm(parts[0][0] + parts[1][1]) ** 2
+            mean, stderr = protocol.run_arbitrary_avg(cfg, 100, seed=3)
+            assert stderr > 0
+            assert abs(mean - (2 * f_e + 1) / 3) <= 4 * stderr
 
 
 class TestStabilizerFidelity:
@@ -362,6 +511,12 @@ class TestBell:
     def test_wrong_config_rejected(self):
         with pytest.raises(protocol.ConfigError):
             protocol.run_bell(protocol.ProtocolConfig())
+
+    def test_infinite_beta_rejected(self):
+        with pytest.raises(protocol.ConfigError):
+            protocol.run_bell(protocol.ProtocolConfig(
+                message="bell_phi_plus", swap_variant="bell_sequential",
+                beta=math.inf))
 
 
 class TestOverlapTable:
