@@ -88,23 +88,25 @@ class FidelityRecord:
 
 
 def _records_for_seed(spec: SweepSpec, seed: int):
+    """Every record of one seed: one engine call per beta covers the
+    whole (t, g) grid."""
     out = []
     base = replace(spec.base, seed=seed)
     eng = protocol.get_engine(base)
     for beta in spec.beta_grid:
-        for t in spec.t_grid:
-            if spec.metric == "basis_z":
-                values = eng.curve_basis_z(beta, t, spec.g_grid)
-            elif spec.metric == "bell_stabilizer":
-                values = eng.curve_bell(beta, t, spec.g_grid)
-            else:
-                values, _ = eng.curve_arbitrary_avg(beta, t, spec.g_grid,
-                                                    spec.n_samples, seed)
-            for g, value in zip(spec.g_grid, values):
+        if spec.metric == "basis_z":
+            values = eng.curve_basis_z(beta, spec.t_grid, spec.g_grid)
+        elif spec.metric == "bell_stabilizer":
+            values = eng.curve_bell(beta, spec.t_grid, spec.g_grid)
+        else:
+            values, _ = eng.curve_arbitrary_avg(beta, spec.t_grid, spec.g_grid,
+                                                spec.n_samples, seed)
+        for t, row in zip(spec.t_grid, values.tolist()):
+            for g, value in zip(spec.g_grid, row):
                 out.append(FidelityRecord(
                     seed=seed, beta=float(beta), g=float(g), t=float(t),
                     metric=spec.metric, variant=spec.base.swap_variant,
-                    value=float(value)))
+                    value=value))
     return out
 
 
@@ -130,18 +132,29 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
 
 
 def ensemble_mean(records, group_by=("beta", "g", "t")):
-    """Mean and standard error per group; stderr is 0 for singletons."""
-    groups: dict = {}
-    for rec in records:
-        key = tuple(getattr(rec, a) for a in group_by)
-        groups.setdefault(key, []).append(rec.value)
-    if not groups:
+    """Mean and standard error per group, keyed by ascending group key;
+    stderr is 0 for singletons.
+
+    One stable sort by the group_by columns lays each group's values out
+    contiguously, in record order.
+    """
+    recs = list(records)
+    if not recs:
         raise SweepError("no records to aggregate")
+    columns = [np.array([getattr(r, a) for r in recs]) for a in group_by]
+    order = np.lexsort(columns[::-1])
+    values = np.array([r.value for r in recs])[order]
+    same = np.ones(len(recs) - 1, dtype=bool)  # record i + 1 joins i's group
+    for col in columns:
+        col = col[order]
+        same &= col[1:] == col[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
     out = {}
-    for key, vals in groups.items():
-        arr = np.asarray(vals)
-        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        out[key] = (float(arr.mean()), stderr, len(arr))
+    for i, members in zip(order[starts], np.split(values, starts[1:])):
+        n = len(members)
+        stderr = float(members.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        out[tuple(getattr(recs[i], a) for a in group_by)] = (
+            float(members.mean()), stderr, n)
     return out
 
 
@@ -221,17 +234,6 @@ def fit_beta_c(points, lo: float = 0.1, hi: float = 1000.0,
                      residual=math.sqrt(resid / len(betas)), trace=tuple(trace))
 
 
-def peak_over_g(records):
-    """Per (seed, beta, t): maximum value over the g grid."""
-    groups: dict = {}
-    for rec in records:
-        key = (rec.seed, rec.beta, rec.t)
-        cur = groups.get(key)
-        if cur is None or rec.value > cur:
-            groups[key] = rec.value
-    return groups
-
-
 def peak_statistics(records, beta: float):
     """Ensemble mean and stderr of the per-seed peak over (g, t) at beta."""
     per_seed: dict = {}
@@ -274,12 +276,11 @@ def heatmap(records, x_axis: str, y_axis: str):
     means = ensemble_mean(records, group_by=(y_axis, x_axis))
     ys = sorted({k[0] for k in means})
     xs = sorted({k[1] for k in means})
-    grid = np.full((len(ys), len(xs)), np.nan)
-    for (y, x), (mean, _, _) in means.items():
-        grid[ys.index(y), xs.index(x)] = mean
-    if np.isnan(grid).any():
+    if len(means) != len(ys) * len(xs):
         raise SweepError("heatmap grid has missing cells")
-    return np.array(xs), np.array(ys), grid
+    # the keys ascend in (y, x), so a complete grid is the means row-major
+    grid = np.array([mean for mean, _, _ in means.values()])
+    return np.array(xs), np.array(ys), grid.reshape(len(ys), len(xs))
 
 
 def size_spectral_gap(size_op) -> float:
@@ -301,7 +302,7 @@ def fixed_point_temperature_curve(records):
     betas = sorted({k[0] for k in means})
     b0 = betas[0]
     best = None
-    for (b, t, g), (mean, _, _) in sorted(means.items()):
+    for (b, t, g), (mean, _, _) in means.items():
         if b == b0 and (best is None or mean > best[0] + 1e-15):
             best = (mean, t, g)
     _, t_star, g_star = best
@@ -315,13 +316,13 @@ def optimal_g(records, beta: float, t: float | None = None):
     """The g maximizing the ensemble-mean curve at one beta (and t)."""
     means = ensemble_mean(records, group_by=("beta", "t", "g"))
     best_g, best_v = None, -math.inf
-    for (b, tt, g), (mean, _, _) in sorted(means.items()):
+    for (b, tt, g), (value, _, _) in means.items():
         if b != beta:
             continue
         if t is not None and tt != t:
             continue
-        if mean > best_v + 1e-15:
-            best_g, best_v = g, mean
+        if value > best_v + 1e-15:
+            best_g, best_v = g, value
     if best_g is None:
         raise SweepError(f"no records at beta={beta}")
     return float(best_g)

@@ -14,25 +14,31 @@ Boltzmann-reweighted final state exp(-beta H_R/2)|psi_final> (normalized),
 matching the thermal traces the sweep figures are built from; the bare
 expectation is available via thermal_readout=False.
 
-Every metric is evaluated by one staged pipeline in `Engine`; each stage
-is cached by the sweep axes it depends on:
+Every metric is evaluated by one staged pipeline in `Engine`:
 
 * realization (Engine construction): the side eigensystems, the
-  size-operator eigenbasis B and the INSERT matrix;
-* beta: the thermofield double, built by `tfd.build_tfd` from the cached
-  left eigensystem;
-* t: the side evolutions U_L, U_R, and the right-hand map
-  (I (x) W_R(beta) U_R) B folded into one block matrix per (beta, t),
-  where W_R(beta) = exp(-beta H_R/2) is the thermal readout weight;
-* g: `Engine.finish` takes a whole array of couplings, multiplies the
-  dressed state (everything before the coupling, in the size eigenbasis)
-  by the phases exp(i g n) for every g at once, maps all (g, message)
-  rows through the folded matrix in one matmul and normalizes each row.
+  size-operator eigenbasis B and the INSERT matrix (shared by every
+  engine of one register geometry);
+* beta (cached per beta): the thermofield double, built by
+  `tfd.build_tfd` from the cached left eigensystem, and the thermal
+  readout weight W_R(beta) = exp(-beta H_R/2);
+* t (a batched axis): U_L and U_R for a whole t array from one
+  exponentiated eigenvalue array exp(-i E t) and one stacked matmul;
+  `Engine.dressed_state` (everything before the coupling, in the size
+  eigenbasis) and the right-hand map (I (x) W_R(beta) U_R) B are stacks
+  with a leading t axis;
+* g (a batched axis): `Engine.finish` multiplies the dressed rows by the
+  phases exp(i g n) for every g at once, maps every (t, g, message) row
+  through the right-hand map of its t in one stacked matmul and
+  normalizes each row.
 
-The metrics reduce over the leading g axis.  A single g is a batch of
-one, so `run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the
-sweeps in `analysis` share this code.  The dense `wormhole_unitary` is
-the reference the pipeline is tested against.
+The metrics reduce over the (t, g) rows, each row keeping its own
+density-matrix checks.  The t axis is cut into chunks of at most
+MAX_BATCH_ROWS (t, g) rows, which bounds the memory of any one call.  A
+scalar t or a single g is a batch of one through the same code, so
+`run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
+`analysis` share it.  The dense `wormhole_unitary` is the reference the
+pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ DEFAULT_J_SCALE = 5.0
 DEFAULT_T_SINGLE = 1.0
 DEFAULT_T_BELL = 2.0
 DEFAULT_TFIM_STEPS = 1
+# most (t, g) rows one pipeline call evaluates at once: one default g grid
+# and some headroom; the t axis is chunked to stay under it
+MAX_BATCH_ROWS = 256
 
 MESSAGES = ("basis_zero", "arbitrary", "bell_phi_plus")
 VARIANTS = ("delta01", "delta02", "bell_sequential")
@@ -121,8 +130,8 @@ class ProtocolConfig:
         if self.readout_sites is not None:
             if any(s not in reg.right_sites for s in self.readout_sites):
                 raise ConfigError("readout sites must lie in the right block")
-        if self.model == "tfim" and abs(self.t - round(self.t)) > 1e-9:
-            raise ConfigError("tfim evolution takes integer step counts")
+        if self.model == "tfim":
+            _check_step_counts(self.t)
         return self
 
     def swap_site_pairs(self) -> tuple:
@@ -144,6 +153,16 @@ class ProtocolConfig:
         return self.register.default_readout()
 
 
+def _check_step_counts(t) -> None:
+    """Kicked-Ising evolution takes nonnegative integer step counts; t is
+    a scalar or an array of them."""
+    t = np.asarray(t, dtype=float)
+    if np.abs(t - np.round(t)).max() > 1e-9:
+        raise ConfigError("tfim evolution takes integer step counts")
+    if (np.round(t) < 0).any():
+        raise ConfigError("negative step count")
+
+
 def default_size_modes(n_majorana: int) -> tuple:
     """All paired modes except the last one (the farthest from insertion)."""
     return tuple(range(n_majorana - 1))
@@ -162,9 +181,6 @@ class SizeOperator:
     def exp_ig(self, g: float) -> np.ndarray:
         phases = np.exp(1j * g * self.eigenvalues)
         return (self.basis * phases) @ self.basis.conj().T
-
-    def embed(self, register: layout.RegisterLayout) -> np.ndarray:
-        return qop.kron(np.eye(2 ** register.n_message), self.matrix)
 
     def exp_ig_embedded(self, register: layout.RegisterLayout, g: float) -> np.ndarray:
         return qop.kron(np.eye(2 ** register.n_message), self.exp_ig(g))
@@ -234,6 +250,23 @@ def build_insert(cfg: ProtocolConfig) -> InsertOperator:
     return InsertOperator(matrix=mat, site_pairs=pairs)
 
 
+@lru_cache(maxsize=None)
+def _shared_insert(message: str, swap_variant: str, n_side: int, fermionic_insert: bool):
+    """build_insert for one register geometry, read-only and built once,
+    with its gather form: INSERT is a signed permutation, so
+    INSERT @ v = sign * v[source]."""
+    ins = build_insert(ProtocolConfig(message=message, swap_variant=swap_variant,
+                                      n_side=n_side, fermionic_insert=fermionic_insert))
+    mat = ins.matrix
+    source = np.argmax(np.abs(mat), axis=1)
+    sign = mat[np.arange(len(mat)), source]
+    if (np.count_nonzero(mat, axis=1) != 1).any() or (np.abs(sign) != 1).any():
+        raise qop.QopError("INSERT is not a signed permutation")
+    for a in (mat, source, sign):
+        a.setflags(write=False)
+    return ins, source, sign
+
+
 def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperator,
                      size: SizeOperator, g: float, t: float,
                      register: layout.RegisterLayout) -> np.ndarray:
@@ -257,10 +290,11 @@ class Engine:
 
     The realization stage (side eigensystems, the size-operator
     eigenbasis, the insert matrix) depends only on (model, seed, j_scale,
-    variant geometry) and is built here.  The beta and t stages are built
-    on first use; each keeps its latest value, which is what a sweep
-    revisits (beta is the outer loop, t the inner one) and what repeated
-    calls at one (beta, t) need.  Every metric takes a whole g array.
+    variant geometry) and is built here.  The beta stages (TFD, thermal
+    weight) are built on first use and keep their latest value, which is
+    what a sweep revisits (beta is its outer loop).  Nothing with a t or g
+    axis is kept: every metric takes a whole t array and a whole g array
+    and evaluates them in chunks of at most MAX_BATCH_ROWS (t, g) rows.
     """
 
     def __init__(self, cfg: ProtocolConfig):
@@ -275,8 +309,6 @@ class Engine:
             b = models.build_syk_side_matrix(self.couplings, "right", n_side)
             self.eig_left = qop.hermitian_eig(a)
             self.eig_right = qop.hermitian_eig(b)
-            self.h_left_local = a
-            self.h_right_local = b
         else:
             params = models.TfimParams.sample(n_side, cfg.seed)
             u1 = models.build_tfim_floquet(params)
@@ -288,12 +320,13 @@ class Engine:
             self.eig_left = qop.EigenSystem(values=ev, vectors=vec)
             self.eig_right = qop.EigenSystem(values=evr, vectors=vecr)
         self.size = build_size_operator(self.reg, cfg.resolved_size_modes())
-        self.insert = build_insert(cfg)
+        self.insert, self._insert_source, self._insert_sign = _shared_insert(
+            cfg.message, cfg.swap_variant, n_side, cfg.fermionic_insert)
         self.readout = cfg.resolved_readout()
         # the size spectrum has few distinct levels: one exp per level and g
         self._levels, self._level_index = np.unique(self.size.eigenvalues,
                                                     return_inverse=True)
-        self._latest: dict = {}  # stage name -> (key, value)
+        self._latest: dict = {}  # beta stage name -> (beta, value)
 
     def _cached(self, stage: str, key, build):
         """The value of a stage at key, rebuilt by build() when the key
@@ -303,7 +336,7 @@ class Engine:
             latest = self._latest[stage] = (key, build())
         return latest[1]
 
-    # -- beta and t stages ------------------------------------------------
+    # -- beta stage -------------------------------------------------------
     def tfd_vector(self, beta: float) -> np.ndarray:
         """Thermofield double at beta from the cached left eigensystem."""
         def build():
@@ -313,36 +346,52 @@ class Engine:
             return state
         return self._cached("tfd", beta, build)
 
-    def side_evolution(self, t: float):
-        """(U_L, U_R) forward one-step matrices exp(-i H t) on each factor."""
-        return self._cached("side", t, lambda: self._evolve_sides(t))
-
-    def _evolve_sides(self, t: float):
-        if self.cfg.model == "syk":
-            ul = qop.evolve(self.h_left_local, t, -1, eig=self.eig_left)
-            ur = qop.evolve(self.h_right_local, t, -1, eig=self.eig_right)
-            return ul, ur
-        k = int(round(t))
-        if k < 0:
-            raise ConfigError("negative step count")
-        return (np.linalg.matrix_power(self.u_left_step, k),
-                np.linalg.matrix_power(self.u_right_step, k))
-
     def thermal_weight_right(self, beta: float) -> np.ndarray:
-        w = np.exp(-0.5 * beta * (self.eig_right.values - self.eig_right.values.min()))
-        return (self.eig_right.vectors * w) @ self.eig_right.vectors.conj().T
-
-    def _right_map(self, beta: float, t: float) -> np.ndarray:
-        """(I (x) W_R(beta) U_R) B on the block: from the size eigenbasis
-        to the (thermally weighted) final state."""
+        """W_R(beta) = exp(-beta (H_R - E_min)/2) on the right factor."""
         def build():
-            _, ur = self.side_evolution(t)
-            if self.cfg.thermal_readout and beta > 0:
-                ur = self.thermal_weight_right(beta) @ ur
-            # (I (x) A) B: A acts on the right-factor part of B's row index
-            d = 2 ** self.reg.n_side
-            return (ur @ self.size.basis.reshape(d, d, -1)).reshape(d * d, -1)
-        return self._cached("right", (beta, t), build)
+            e = self.eig_right.values
+            w = np.exp(-0.5 * beta * (e - e.min()))
+            weight = (self.eig_right.vectors * w) @ self.eig_right.vectors.conj().T
+            weight.setflags(write=False)
+            return weight
+        return self._cached("weight", beta, build)
+
+    # -- t stage ----------------------------------------------------------
+    # The public entry points (the curves, arbitrary_fidelity,
+    # branch_states, final_state) check t once with _t_axis; the stages
+    # below take the checked 1-D array.
+    def _t_axis(self, t) -> np.ndarray:
+        """A scalar or 1-D t as a checked 1-D float array."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1 or t.size == 0:
+            raise ConfigError("t must be a scalar or a nonempty 1-D array")
+        t = t.reshape(-1)
+        if not np.isfinite(t).all():
+            raise ConfigError("t must be finite")
+        if self.cfg.model == "tfim":
+            _check_step_counts(t)
+        return t
+
+    def side_evolution(self, t_values: np.ndarray, side: str) -> np.ndarray:
+        """Forward evolution exp(-i H t) on the "left" or "right" factor for
+        every t, shape (n_t, d, d)."""
+        if self.cfg.model == "syk":
+            eig = self.eig_left if side == "left" else self.eig_right
+            phases = np.exp(-1j * t_values[:, None] * eig.values)
+            return (eig.vectors * phases[:, None, :]) @ eig.vectors.conj().T
+        step = self.u_left_step if side == "left" else self.u_right_step
+        return np.stack([np.linalg.matrix_power(step, int(round(k))) for k in t_values])
+
+    def _right_map(self, beta: float, t_values: np.ndarray) -> np.ndarray:
+        """(I (x) W_R(beta) U_R(t)) B per t, shape (n_t, 64, 64): from the
+        size eigenbasis to the (thermally weighted) final state."""
+        ur = self.side_evolution(t_values, "right")
+        if self.cfg.thermal_readout and beta > 0:
+            ur = self.thermal_weight_right(beta) @ ur
+        # (I (x) A) B: A acts on the right-factor part of B's row index
+        d = 2 ** self.reg.n_side
+        basis = self.size.basis.reshape(d, d, -1)
+        return (ur[:, None] @ basis[None]).reshape(len(ur), d * d, -1)
 
     def message_vector(self) -> np.ndarray:
         if self.cfg.message == "bell_phi_plus":
@@ -354,35 +403,46 @@ class Engine:
         return np.array([1, 0], dtype=complex)
 
     # -- pipeline ---------------------------------------------------------
-    def dressed_state(self, msg: np.ndarray, beta: float, t: float) -> np.ndarray:
+    def dressed_state(self, msgs, beta: float, t_values: np.ndarray) -> np.ndarray:
         """Everything left of the coupling: insert between backward and
-        forward left evolution, expressed in the size-operator eigenbasis."""
-        reg = self.reg
-        n_msg, n_side = reg.n_message, reg.n_side
-        ul, _ = self.side_evolution(t)
-        psi = np.kron(msg, self.tfd_vector(beta))
-        psi = qop.apply_matrix_on_sites(psi, reg.n_qubits, ul.conj().T, n_msg, n_side)
-        psi = self.insert.matrix @ psi
-        psi = qop.apply_matrix_on_sites(psi, reg.n_qubits, ul, n_msg, n_side)
-        return qop.apply_matrix_on_sites(
-            psi, reg.n_qubits, self.size.basis.conj().T, n_msg, 2 * n_side)
+        forward left evolution, expressed in the size-operator eigenbasis.
 
-    def finish(self, dressed: np.ndarray, beta: float, g_values, t: float,
+        `msgs` is one message vector or a stack (n_in, 2^n_msg) of them;
+        the result has shape (n_t, n_in, 2^n_msg, 64).
+        """
+        d = 2 ** self.reg.n_side
+        m = 2 ** self.reg.n_message
+        msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
+        ul = self.side_evolution(t_values, "left")
+        n_t, n_in = len(ul), len(msgs)
+        # the backward left evolution acts on the TFD factor alone
+        back = ul.conj().transpose(0, 2, 1) @ self.tfd_vector(beta).reshape(d, d)
+        psi = msgs[None, :, :, None] * back.reshape(n_t, 1, 1, d * d)
+        psi = psi.reshape(n_t * n_in, -1)[:, self._insert_source] * self._insert_sign
+        psi = ul[:, None] @ psi.reshape(n_t, n_in * m, d, d)
+        psi = psi.reshape(-1, d * d) @ self.size.basis.conj()
+        return psi.reshape(n_t, n_in, m, d * d)
+
+    def finish(self, dressed: np.ndarray, beta: float, g_values, t_values: np.ndarray,
                normalize: bool = True) -> np.ndarray:
-        """Coupling phases, right evolution and thermal weight for every g.
+        """Coupling phases, right evolution and thermal weight for every
+        (t, g).
 
-        `dressed` has shape (..., dim); the result has shape
-        (len(g_values), ..., dim), each final state normalized unless
-        normalize=False.
+        `dressed` is the (n_t, n_in, 2^n_msg, 64) output of dressed_state
+        at the same t_values; the result has shape (n_t, n_g, n_in, dim),
+        each final state normalized unless normalize=False.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
-        if not (np.isfinite(g).all() and math.isfinite(beta) and math.isfinite(t)):
-            raise ConfigError("g, t and beta must be finite")
-        block = self.reg.block_dim
-        phases = np.exp(1j * g[:, None] * self._levels)[:, self._level_index]
-        rows = dressed.reshape(-1, block)
-        psi = (rows * phases[:, None, :]).reshape(-1, block) @ self._right_map(beta, t).T
-        psi = psi.reshape(g.shape + dressed.shape)
+        if not (np.isfinite(g).all() and math.isfinite(beta)):
+            raise ConfigError("g and beta must be finite")
+        n_t, n_in, m, block = dressed.shape
+        right = self._right_map(beta, t_values).transpose(0, 2, 1)
+        # take, unlike [:, index], keeps the phases (and so the phased rows)
+        # C-ordered, so the reshape below is a view and not a copy
+        phases = np.exp(1j * g[:, None] * self._levels).take(self._level_index, axis=1)
+        psi = (dressed.reshape(n_t, 1, -1, block) * phases[None, :, None, :]
+               ).reshape(n_t, -1, block) @ right
+        psi = psi.reshape(n_t, len(g), n_in, m * block)
         if normalize:
             psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
         return psi
@@ -392,21 +452,33 @@ class Engine:
         cfg = self.cfg
         beta = cfg.beta if beta is None else beta
         g = cfg.g if g is None else g
-        t = cfg.t if t is None else t
-        dressed = self.dressed_state(self.message_vector(), beta, t)
-        return self.finish(dressed, beta, (g,), t)[0]
+        t_values = self._t_axis(cfg.t if t is None else t)
+        dressed = self.dressed_state(self.message_vector(), beta, t_values)
+        return self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
 
-    def branch_states(self, beta: float, t: float, g_values) -> np.ndarray:
+    def _branches(self, beta: float, t_values: np.ndarray, g_values) -> np.ndarray:
+        dressed = self.dressed_state(np.eye(2, dtype=complex), beta, t_values)
+        return self.finish(dressed, beta, g_values, t_values, normalize=False)
+
+    def branch_states(self, beta: float, t, g_values) -> np.ndarray:
         """Unnormalized weighted final states for the |0> and |1> message
-        inputs, shape (len(g_values), 2, dim)."""
-        dressed = np.stack([self.dressed_state(e, beta, t)
-                            for e in np.eye(2, dtype=complex)])
-        return self.finish(dressed, beta, g_values, t, normalize=False)
+        inputs, shape np.shape(t) + (n_g, 2, dim)."""
+        phi = self._branches(beta, self._t_axis(t), g_values)
+        return phi.reshape(np.shape(t) + phi.shape[1:])
+
+    def _over_t(self, t, g_values, evaluate) -> np.ndarray:
+        """evaluate(t_chunk) over chunks of the t axis of at most
+        MAX_BATCH_ROWS (t, g) rows, joined to np.shape(t) + trailing."""
+        t_values = self._t_axis(t)
+        step = max(1, MAX_BATCH_ROWS // max(1, np.size(g_values)))
+        out = np.concatenate([evaluate(t_values[i:i + step])
+                              for i in range(0, len(t_values), step)])
+        return out.reshape(np.shape(t) + out.shape[1:])
 
     # -- metrics ----------------------------------------------------------
     def basis_z_value(self, psi: np.ndarray):
         """<Z> on the readout site; a float for one state, an array over
-        the leading axis for a stack of states."""
+        the leading axes for a stack of states."""
         site = self.readout[0]
         z = 1.0 - 2.0 * (
             (np.arange(self.reg.dim) >> (self.reg.n_qubits - 1 - site)) & 1)
@@ -419,42 +491,54 @@ class Engine:
         rho = qop.reduced_density(psi, self.reg.n_qubits, list(self.readout))
         return stabilizer_fidelity(rho)
 
-    def arbitrary_fidelity(self, beta: float, t: float, g_values, messages) -> np.ndarray:
-        """<m| rho_out(m) |m> for every g and every message m = (alpha,
-        beta_msg) in `messages`; shape (len(g_values), len(messages)).
+    def _curve(self, beta: float, t, g_values, metric) -> np.ndarray:
+        msg = self.message_vector()
+
+        def evaluate(t_chunk):
+            dressed = self.dressed_state(msg, beta, t_chunk)
+            return metric(self.finish(dressed, beta, g_values, t_chunk)[:, :, 0])
+        return self._over_t(t, g_values, evaluate)
+
+    def curve_basis_z(self, beta: float, t, g_values) -> np.ndarray:
+        """<Z> per (t, g), shape np.shape(t) + (n_g,)."""
+        return self._curve(beta, t, g_values, self.basis_z_value)
+
+    def curve_bell(self, beta: float, t, g_values) -> np.ndarray:
+        """Bell stabilizer fidelity per (t, g), shape np.shape(t) + (n_g,)."""
+        return self._curve(beta, t, g_values, self.bell_value)
+
+    def arbitrary_fidelity(self, beta: float, t, g_values, messages) -> np.ndarray:
+        """<m| rho_out(m) |m> for every (t, g) and every message m = (alpha,
+        beta_msg) in `messages`; shape np.shape(t) + (n_g, len(messages)).
 
         rho_out(m) is assembled from the two basis-input branches, so any
         number of messages costs one protocol run per branch.
         """
-        phi = self.branch_states(beta, t, g_values)
-        n_g = len(phi)
-        # the branch index as one extra leading qubit: blocks
-        # r[g, (a, i), (b, j)] = Tr_rest |phi_a><phi_b| on the readout site
-        r = qop.reduced_density(phi.reshape(n_g, -1), self.reg.n_qubits + 1,
-                                [0, self.readout[0] + 1])
         c = np.asarray(messages, dtype=complex).reshape(-1, 2)
         u = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # c_a conj(c_i)
-        overlap = np.einsum("gxy,sx,sy->gs", r, u, u.conj())
-        norm2 = np.einsum("gaibi,sa,sb->gs", r.reshape(n_g, 2, 2, 2, 2), c, c.conj())
-        return (overlap / norm2).real
 
-    def curve_basis_z(self, beta: float, t: float, g_values) -> np.ndarray:
-        dressed = self.dressed_state(self.message_vector(), beta, t)
-        return self.basis_z_value(self.finish(dressed, beta, g_values, t))
+        def evaluate(t_chunk):
+            phi = self._branches(beta, t_chunk, g_values)
+            lead = phi.shape[:2]
+            # the branch index as one extra leading qubit: blocks
+            # r[row, (a, i), (b, j)] = Tr_rest |phi_a><phi_b| on the readout site
+            r = qop.reduced_density(phi.reshape(lead[0] * lead[1], -1),
+                                    self.reg.n_qubits + 1, [0, self.readout[0] + 1])
+            overlap = np.einsum("gxy,sx,sy->gs", r, u, u.conj())
+            norm2 = np.einsum("gaibi,sa,sb->gs", r.reshape(-1, 2, 2, 2, 2), c, c.conj())
+            return (overlap / norm2).real.reshape(lead + (-1,))
+        return self._over_t(t, g_values, evaluate)
 
-    def curve_bell(self, beta: float, t: float, g_values) -> np.ndarray:
-        dressed = self.dressed_state(self.message_vector(), beta, t)
-        return self.bell_value(self.finish(dressed, beta, g_values, t))
-
-    def curve_arbitrary_avg(self, beta: float, t: float, g_values, n_s: int = 100,
+    def curve_arbitrary_avg(self, beta: float, t, g_values, n_s: int = 100,
                             seed: int = 0):
-        """Mean and standard error over n_s Haar-random messages, per g."""
+        """Mean and standard error over n_s Haar-random messages per
+        (t, g), each of shape np.shape(t) + (n_g,)."""
         if n_s < 1:
             raise ConfigError("need at least one sample")
         values = self.arbitrary_fidelity(beta, t, g_values, _haar_samples(seed, n_s))
         if n_s == 1:
-            return values[:, 0], np.zeros(len(values))
-        return values.mean(axis=1), values.std(axis=1, ddof=1) / math.sqrt(n_s)
+            return values[..., 0], np.zeros(values.shape[:-1])
+        return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n_s)
 
 
 @lru_cache(maxsize=8)

@@ -68,6 +68,36 @@ class TestRunSweep:
         with pytest.raises(protocol.ConfigError):
             tiny_spec(base=protocol.ProtocolConfig(beta=math.nan)).validate()
 
+    def test_multi_t_matches_scalar_t_calls(self):
+        # one engine call per (seed, beta) over the whole t grid gives the
+        # records of one call per (seed, beta, t), bit for bit
+        bell = protocol.ProtocolConfig(message="bell_phi_plus",
+                                       swap_variant="bell_sequential")
+        for metric, base in (("basis_z", protocol.ProtocolConfig()),
+                             ("bell_stabilizer", bell),
+                             ("arbitrary_avg", protocol.ProtocolConfig())):
+            spec = tiny_spec(base=base, metric=metric, n_samples=7,
+                             g_grid=(0.0, 1.0, 2.5), t_grid=(0.5, 1.0, 2.0, 3.5),
+                             beta_grid=(0.0, 5.0), seeds=(0, 1))
+            want = []
+            for seed in spec.seeds:
+                eng = protocol.get_engine(replace(base, seed=seed))
+                for beta in spec.beta_grid:
+                    for t in spec.t_grid:
+                        if metric == "basis_z":
+                            values = eng.curve_basis_z(beta, t, spec.g_grid)
+                        elif metric == "bell_stabilizer":
+                            values = eng.curve_bell(beta, t, spec.g_grid)
+                        else:
+                            values, _ = eng.curve_arbitrary_avg(beta, t, spec.g_grid,
+                                                                spec.n_samples, seed)
+                        want.extend(analysis.FidelityRecord(
+                            seed=seed, beta=beta, g=g, t=t, metric=metric,
+                            variant=base.swap_variant, value=float(v))
+                            for g, v in zip(spec.g_grid, values))
+            want.sort(key=analysis.FidelityRecord.sort_key)
+            assert analysis.run_sweep(spec) == want
+
     @pytest.mark.parametrize("workers, cpus, want", [
         (64, 3, [3]), (64, None, []), (2, 8, [2]), (8, 8, [5]), (1, 8, [])])
     def test_worker_pool_is_clamped(self, monkeypatch, workers, cpus, want):
@@ -125,6 +155,31 @@ class TestEnsembleMean:
         recs = synth_records([({"seed": s}, float(v)) for s, v in enumerate(vals)])
         ((mean, stderr, _),) = analysis.ensemble_mean(recs).values()
         assert abs(mean - truth) <= 3.0 * stderr
+
+
+    @staticmethod
+    def _dict_of_lists(records, group_by):
+        groups = {}
+        for rec in records:
+            groups.setdefault(tuple(getattr(rec, a) for a in group_by), []).append(rec.value)
+        return {key: (float(np.mean(v)),
+                      float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0,
+                      len(v))
+                for key, v in groups.items()}
+
+    def test_matches_per_group_arrays(self):
+        rng = np.random.default_rng(3)
+        recs = synth_records([({"seed": s, "beta": b, "g": g}, float(rng.normal()))
+                              for s in range(7) for b in (5.0, 0.0, 1.0)
+                              for g in (2.0, 0.0)])
+        rng.shuffle(recs)
+        ragged = recs[:-5]
+        for records in (recs, ragged):
+            for group_by in (("beta", "g"), ("g",), ("seed", "beta"), ("beta", "g", "t")):
+                got = analysis.ensemble_mean(records, group_by)
+                want = self._dict_of_lists(records, group_by)
+                assert got == want
+                assert list(got) == sorted(want)
 
 
 class TestRecoveryTime:

@@ -295,6 +295,171 @@ class TestPipelineAgainstDense:
         assert np.abs(curve - single).max() <= 1e-13
 
 
+def _bell_cfg(**kw):
+    return protocol.ProtocolConfig(message="bell_phi_plus",
+                                   swap_variant="bell_sequential", **kw)
+
+
+class TestTBatching:
+    """A t array through the pipeline against one scalar-t call per t."""
+
+    # 30 t x 10 g = 300 (t, g) rows: more than one chunk
+    T_GRID = np.linspace(0.0, 7.0, 30)
+    G_GRID = np.linspace(0.0, 4 * math.pi, 10)
+
+    def _check(self, cfg, curve):
+        ts, gs = self.T_GRID, self.G_GRID
+        if cfg.model == "tfim":
+            ts = np.arange(len(ts), dtype=float)
+        assert len(ts) * len(gs) > protocol.MAX_BATCH_ROWS
+        eng = protocol.get_engine(cfg)
+        for beta in (0.0, 6.0):
+            batched = curve(eng, beta, ts, gs)
+            assert batched.shape == (len(ts), len(gs))
+            single = np.stack([curve(eng, beta, float(t), gs) for t in ts])
+            assert np.abs(batched - single).max() <= 1e-13
+
+    def test_basis_z(self):
+        for cfg in (protocol.ProtocolConfig(seed=4),
+                    protocol.ProtocolConfig(seed=5, thermal_readout=False),
+                    protocol.ProtocolConfig(seed=6, model="tfim", t=1.0)):
+            self._check(cfg, protocol.Engine.curve_basis_z)
+
+    def test_bell(self):
+        for cfg in (_bell_cfg(seed=4), _bell_cfg(seed=5, thermal_readout=False)):
+            self._check(cfg, protocol.Engine.curve_bell)
+
+    def test_arbitrary_avg(self):
+        def mean(eng, beta, t, gs):
+            return eng.curve_arbitrary_avg(beta, t, gs, 10, 2)[0]
+        for cfg in (protocol.ProtocolConfig(seed=4, swap_variant="delta02"),
+                    protocol.ProtocolConfig(seed=5, thermal_readout=False),
+                    protocol.ProtocolConfig(seed=6, model="tfim", t=1.0)):
+            self._check(cfg, mean)
+
+    def test_scalar_t_shapes(self):
+        gs = self.G_GRID
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
+        engb = protocol.get_engine(_bell_cfg(seed=1))
+        msgs = [protocol.haar_qubit(0, i) for i in range(3)]
+        assert eng.curve_basis_z(2.0, 1.0, gs).shape == (len(gs),)
+        assert engb.curve_bell(2.0, 2.0, gs).shape == (len(gs),)
+        assert eng.arbitrary_fidelity(2.0, 1.0, gs, msgs).shape == (len(gs), 3)
+        mean, stderr = eng.curve_arbitrary_avg(2.0, 1.0, gs, 5)
+        assert mean.shape == stderr.shape == (len(gs),)
+        assert eng.branch_states(2.0, 1.0, gs).shape == (len(gs), 2, eng.reg.dim)
+        assert eng.final_state(2.0, 0.5, 1.0).shape == (eng.reg.dim,)
+        # a 1-D t of one value keeps its axis
+        assert eng.curve_basis_z(2.0, [1.0], gs).shape == (1, len(gs))
+        assert eng.arbitrary_fidelity(2.0, [1.0, 2.0], gs, msgs).shape == (2, len(gs), 3)
+
+    def test_non_finite_t_in_array_raises(self):
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
+        engb = protocol.get_engine(_bell_cfg(seed=1))
+        calls = (lambda t: eng.curve_basis_z(0.0, t, [0.5]),
+                 lambda t: engb.curve_bell(0.0, t, [0.5]),
+                 lambda t: eng.curve_arbitrary_avg(0.0, t, [0.5], 5),
+                 lambda t: eng.branch_states(0.0, t, [0.5]))
+        for call in calls:
+            for bad in ([1.0, math.nan], [math.inf, 1.0], [[1.0, 2.0]], []):
+                with pytest.raises(protocol.ConfigError):
+                    call(bad)
+
+    def test_tfim_takes_integer_steps(self):
+        eng = protocol.get_engine(protocol.ProtocolConfig(model="tfim", t=1.0))
+        for bad in ([1.0, 1.5], [-1.0]):
+            with pytest.raises(protocol.ConfigError):
+                eng.curve_basis_z(0.0, bad, [0.5])
+
+    def test_only_beta_stages_are_kept(self):
+        eng = protocol.Engine(protocol.ProtocolConfig(seed=2))
+        eng.curve_basis_z(3.0, self.T_GRID, self.G_GRID)
+        assert set(eng._latest) == {"tfd", "weight"}
+
+
+class TestSharedInsert:
+    def test_one_read_only_matrix_per_geometry(self):
+        a = protocol.Engine(protocol.ProtocolConfig(seed=1))
+        b = protocol.Engine(protocol.ProtocolConfig(seed=2, model="tfim", t=1.0))
+        assert a.insert is b.insert
+        assert not a.insert.matrix.flags.writeable
+        assert np.array_equal(a.insert.matrix,
+                              protocol.build_insert(protocol.ProtocolConfig()).matrix)
+        for cfg in (protocol.ProtocolConfig(swap_variant="delta02"),
+                    protocol.ProtocolConfig(fermionic_insert=True),
+                    _bell_cfg()):
+            eng = protocol.Engine(cfg)
+            assert eng.insert is not a.insert
+            assert np.array_equal(eng.insert.matrix, protocol.build_insert(cfg).matrix)
+
+
+    def test_fermionic_insert_matches_dense_path(self):
+        cfg = protocol.ProtocolConfig(seed=3, beta=4.0, g=1.3, t=0.9,
+                                      thermal_readout=False, fermionic_insert=True)
+        eng = protocol.Engine(cfg)
+        h_l = models.build_syk_hamiltonian(eng.couplings, "left", REG1)
+        h_r = models.build_syk_hamiltonian(eng.couplings, "right", REG1)
+        u = protocol.wormhole_unitary(h_l, h_r, eng.insert, eng.size, cfg.g, cfg.t, REG1)
+        psi0 = np.kron(np.array([1, 0], dtype=complex), eng.tfd_vector(cfg.beta))
+        assert np.abs(u @ psi0 - eng.final_state()).max() <= 1e-10
+
+
+def _rotate_degenerate(eig, rng):
+    """The eigensystem with each degenerate block of eigenvectors rotated
+    by a random unitary; returns it and the block sizes."""
+    values, vectors = eig.values, eig.vectors.copy()
+    sizes, start = [], 0
+    while start < len(values):
+        stop = start + 1
+        while stop < len(values) and abs(values[stop] - values[start]) <= 1e-9:
+            stop += 1
+        k = stop - start
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        vectors[:, start:stop] = vectors[:, start:stop] @ q
+        sizes.append(k)
+        start = stop
+    return qop.EigenSystem(values=values, vectors=vectors), sizes
+
+
+class TestDegeneracyInvariance:
+    """Outputs are functions of the Hamiltonian alone: a rotation inside a
+    degenerate eigenspace must not move them.  Only right_basis="paired"
+    is checked: "literal" reuses the eigenvector components themselves,
+    so it depends on the basis the eigensolver picks inside each block
+    (it moves by about 0.1 between LAPACK drivers)."""
+
+    T_GRID = np.linspace(0.0, 6.0, 13)
+    G_GRID = np.linspace(0.0, 2 * math.pi, 9)
+
+    def _pair(self, cfg, rng):
+        ref, rot = protocol.Engine(cfg), protocol.Engine(cfg)
+        rot.eig_left, left = _rotate_degenerate(ref.eig_left, rng)
+        rot.eig_right, right = _rotate_degenerate(ref.eig_right, rng)
+        # every level of the N = 6 model is twofold degenerate
+        assert left == right == [2, 2, 2, 2]
+        assert np.abs(rot.eig_left.vectors - ref.eig_left.vectors).max() > 0.1
+        return ref, rot
+
+    def test_tfd_and_curves(self):
+        rng = np.random.default_rng(7)
+        msgs = [protocol.haar_qubit(1, i) for i in range(4)]
+        ts, gs = self.T_GRID, self.G_GRID
+        for seed in (0, 3):
+            for variant in ("delta01", "delta02"):
+                ref, rot = self._pair(
+                    protocol.ProtocolConfig(seed=seed, swap_variant=variant), rng)
+                for beta in (0.0, 5.0, 20.0):
+                    assert np.abs(rot.tfd_vector(beta) - ref.tfd_vector(beta)).max() <= 1e-12
+                    assert np.abs(rot.curve_basis_z(beta, ts, gs)
+                                  - ref.curve_basis_z(beta, ts, gs)).max() <= 1e-12
+                    assert np.abs(rot.arbitrary_fidelity(beta, ts, gs, msgs)
+                                  - ref.arbitrary_fidelity(beta, ts, gs, msgs)).max() <= 1e-12
+            ref, rot = self._pair(_bell_cfg(seed=seed), rng)
+            for beta in (0.0, 5.0, 20.0):
+                assert np.abs(rot.curve_bell(beta, ts, gs)
+                              - ref.curve_bell(beta, ts, gs)).max() <= 1e-12
+
+
 class TestSingleQubit:
     def test_uncoupled_point_reads_zero(self):
         val = protocol.run_single_qubit(
