@@ -14,14 +14,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, layout, protocol, qop
-
-FIGURES = ("sq1", "sq2", "isingvssyk", "fig6", "fig7", "fig34", "timeevol",
-           "cffit", "heatmap-g", "heatmap-t", "neofidelity")
 
 CSV_HEADER = "seed,beta,g,t,metric,variant,value,value_unit_interval"
 
@@ -49,7 +47,7 @@ _SWEEP_KEYS = {
 }
 _PROTOCOL_KEYS = {
     "j_scale", "size_modes", "readout_sites", "thermal_readout",
-    "fermionic_insert", "right_basis", "g", "t", "beta",
+    "fermionic_insert", "g", "t", "beta",
 }
 _OUTPUT_KEYS = {"directory"}
 _SECTIONS = {"sweep": _SWEEP_KEYS, "protocol": _PROTOCOL_KEYS, "output": _OUTPUT_KEYS}
@@ -141,7 +139,6 @@ def spec_from_config(values: dict, master_seed: int) -> analysis.SweepSpec:
         readout_sites=readout,
         thermal_readout=bool(proto.pop("thermal_readout", True)),
         fermionic_insert=bool(proto.pop("fermionic_insert", False)),
-        right_basis=str(proto.pop("right_basis", "paired")),
         g=float(proto.pop("g", 0.0)),
         t=float(proto.pop("t", t_default)),
         beta=float(proto.pop("beta", 0.0)),
@@ -294,17 +291,16 @@ def _seeds(manifest: RunManifest, n: int):
     return tuple(substream_seed(manifest.master_seed, "disorder", i) for i in range(n))
 
 
-def _single_spec(variant: str, manifest: RunManifest, metric="basis_z",
-                 n_seeds=20, **overrides):
-    base = protocol.ProtocolConfig(
-        message="bell_phi_plus" if variant == "bell_sequential" else "basis_zero",
-        swap_variant=variant)
+def _single_spec(variant: str, manifest: RunManifest, n_seeds=20, **overrides):
+    """The g-sweep of one swap variant: basis_z for the single-qubit
+    variants, the stabilizer fidelity for the Bell one."""
+    bell = variant == "bell_sequential"
     spec = analysis.SweepSpec(
-        base=base,
-        t_grid=((protocol.DEFAULT_T_BELL,) if variant == "bell_sequential"
-                else (protocol.DEFAULT_T_SINGLE,)),
+        base=protocol.ProtocolConfig(
+            message="bell_phi_plus" if bell else "basis_zero", swap_variant=variant),
+        t_grid=(protocol.DEFAULT_T_BELL if bell else protocol.DEFAULT_T_SINGLE,),
         seeds=_seeds(manifest, n_seeds),
-        metric=metric,
+        metric="bell_stabilizer" if bell else "basis_z",
     )
     return replace(spec, **overrides)
 
@@ -323,75 +319,97 @@ def _recovery_records(spec: analysis.SweepSpec, manifest: RunManifest,
     return records
 
 
+# Each preset writes <name>.csv (and, for some, <name>.json) into out.
+
+def _gsweep_figure(variant, name, manifest, out, workers):
+    spec = _single_spec(variant, manifest)
+    emit_csv(analysis.run_sweep(spec, workers), out / f"{name}.csv", manifest, spec)
+
+
+def _recovery_figure(variant, name, manifest, out, workers):
+    spec = _single_spec(variant, manifest)
+    emit_csv(_recovery_records(spec, manifest, workers=workers),
+             out / f"{name}.csv", manifest, spec)
+
+
+def _ising_vs_syk_figure(name, manifest, out, workers):
+    spec_syk = _single_spec("delta01", manifest, beta_grid=(0.0,))
+    steps = float(protocol.DEFAULT_TFIM_STEPS)
+    spec_tfim = replace(spec_syk, base=replace(spec_syk.base, model="tfim", t=steps),
+                        t_grid=(steps,))
+    comp = analysis.compare_models(spec_syk, spec_tfim, workers=workers)
+    emit_csv(comp["syk"]["records"] + comp["tfim"]["records"],
+             out / f"{name}.csv", manifest, spec_syk)
+    emit_json({k: {kk: vv for kk, vv in v.items() if kk != "records"}
+               if isinstance(v, dict) else v for k, v in comp.items()},
+              out / f"{name}.json", manifest)
+
+
+def _cffit_figure(name, manifest, out, workers):
+    spec = _single_spec("bell_sequential", manifest)
+    records = analysis.run_sweep(spec, workers)
+    emit_csv(records, out / f"{name}.csv", manifest, spec)
+    points, g_star, t_star = analysis.fixed_point_temperature_curve(records)
+    fit = analysis.fit_beta_c(points)
+    emit_json({"a": fit.a, "b": fit.b, "beta_c": fit.beta_c,
+               "residual": fit.residual, "points": points,
+               "g_star": g_star, "t_star": t_star},
+              out / f"{name}.json", manifest)
+
+
+def _heatmap_g_figure(name, manifest, out, workers):
+    spec = _single_spec("bell_sequential", manifest)
+    records = analysis.run_sweep(spec, workers)
+    xs, ys, grid = analysis.heatmap(records, "g", "beta")
+    emit_csv(records, out / f"{name}.csv", manifest, spec)
+    emit_json({"x_g": xs.tolist(), "y_beta": ys.tolist(),
+               "grid": grid.tolist()}, out / f"{name}.json", manifest)
+
+
+def _heatmap_t_figure(name, manifest, out, workers):
+    spec = _single_spec("bell_sequential", manifest)
+    gsweep = analysis.run_sweep(replace(spec, beta_grid=(0.0,)), workers)
+    g_star = analysis.optimal_g(gsweep, 0.0)
+    tspec = replace(spec, g_grid=(g_star,), t_grid=analysis.BELL_T_WINDOW)
+    records = analysis.run_sweep(tspec, workers)
+    xs, ys, grid = analysis.heatmap(records, "t", "beta")
+    emit_csv(records, out / f"{name}.csv", manifest, tspec)
+    emit_json({"x_t": xs.tolist(), "y_beta": ys.tolist(),
+               "grid": grid.tolist()}, out / f"{name}.json", manifest)
+
+
+def _neofidelity_figure(name, manifest, out, workers):
+    for variant in ("delta01", "delta02"):
+        spec = _single_spec(variant, manifest, metric="arbitrary_avg",
+                            beta_grid=(0.0, 20.0), n_seeds=10)
+        emit_csv(analysis.run_sweep(spec, workers),
+                 out / f"{name}_{variant}.csv", manifest, spec)
+
+
+_PRESETS = {
+    "sq1": partial(_gsweep_figure, "delta01"),
+    "sq2": partial(_gsweep_figure, "delta02"),
+    "isingvssyk": _ising_vs_syk_figure,
+    "fig6": partial(_recovery_figure, "delta01"),
+    "fig7": partial(_recovery_figure, "delta02"),
+    "fig34": partial(_gsweep_figure, "bell_sequential"),
+    "timeevol": partial(_recovery_figure, "bell_sequential"),
+    "cffit": _cffit_figure,
+    "heatmap-g": _heatmap_g_figure,
+    "heatmap-t": _heatmap_t_figure,
+    "neofidelity": _neofidelity_figure,
+}
+FIGURES = tuple(_PRESETS)
+
+
 def run_figure(name: str, manifest: RunManifest, workers: int = 1):
     """Produce the records (and fits) behind one preset figure."""
+    preset = _PRESETS.get(name)
+    if preset is None:
+        raise CliError(f"unknown figure {name!r}")
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if name == "sq1":
-        spec = _single_spec("delta01", manifest)
-        emit_csv(analysis.run_sweep(spec, workers), out / "sq1.csv", manifest, spec)
-    elif name == "sq2":
-        spec = _single_spec("delta02", manifest)
-        emit_csv(analysis.run_sweep(spec, workers), out / "sq2.csv", manifest, spec)
-    elif name == "isingvssyk":
-        spec_syk = _single_spec("delta01", manifest, beta_grid=(0.0,), n_seeds=20)
-        spec_tfim = replace(
-            spec_syk,
-            base=replace(spec_syk.base, model="tfim", t=float(protocol.DEFAULT_TFIM_STEPS)),
-            t_grid=(float(protocol.DEFAULT_TFIM_STEPS),))
-        comp = analysis.compare_models(spec_syk, spec_tfim, workers=workers)
-        emit_csv(comp["syk"]["records"] + comp["tfim"]["records"],
-                 out / "isingvssyk.csv", manifest, spec_syk)
-        emit_json({k: {kk: vv for kk, vv in v.items() if kk != "records"}
-                   if isinstance(v, dict) else v for k, v in comp.items()},
-                  out / "isingvssyk.json", manifest)
-    elif name in ("fig6", "fig7"):
-        variant = "delta01" if name == "fig6" else "delta02"
-        spec = _single_spec(variant, manifest)
-        emit_csv(_recovery_records(spec, manifest, workers=workers),
-                 out / f"{name}.csv", manifest, spec)
-    elif name == "fig34":
-        spec = _single_spec("bell_sequential", manifest, metric="bell_stabilizer")
-        emit_csv(analysis.run_sweep(spec, workers), out / "fig34.csv", manifest, spec)
-    elif name == "timeevol":
-        spec = _single_spec("bell_sequential", manifest, metric="bell_stabilizer")
-        emit_csv(_recovery_records(spec, manifest, workers=workers),
-                 out / "timeevol.csv", manifest, spec)
-    elif name == "cffit":
-        spec = _single_spec("bell_sequential", manifest, metric="bell_stabilizer")
-        records = analysis.run_sweep(spec, workers)
-        emit_csv(records, out / "cffit.csv", manifest, spec)
-        points, g_star, t_star = analysis.fixed_point_temperature_curve(records)
-        fit = analysis.fit_beta_c(points)
-        emit_json({"a": fit.a, "b": fit.b, "beta_c": fit.beta_c,
-                   "residual": fit.residual, "points": points,
-                   "g_star": g_star, "t_star": t_star},
-                  out / "cffit.json", manifest)
-    elif name == "heatmap-g":
-        spec = _single_spec("bell_sequential", manifest, metric="bell_stabilizer")
-        records = analysis.run_sweep(spec, workers)
-        xs, ys, grid = analysis.heatmap(records, "g", "beta")
-        emit_csv(records, out / "heatmap-g.csv", manifest, spec)
-        emit_json({"x_g": xs.tolist(), "y_beta": ys.tolist(),
-                   "grid": grid.tolist()}, out / "heatmap-g.json", manifest)
-    elif name == "heatmap-t":
-        spec = _single_spec("bell_sequential", manifest, metric="bell_stabilizer")
-        gsweep = analysis.run_sweep(replace(spec, beta_grid=(0.0,)), workers)
-        g_star = analysis.optimal_g(gsweep, 0.0)
-        tspec = replace(spec, g_grid=(g_star,), t_grid=analysis.BELL_T_WINDOW)
-        records = analysis.run_sweep(tspec, workers)
-        xs, ys, grid = analysis.heatmap(records, "t", "beta")
-        emit_csv(records, out / "heatmap-t.csv", manifest, tspec)
-        emit_json({"x_t": xs.tolist(), "y_beta": ys.tolist(),
-                   "grid": grid.tolist()}, out / "heatmap-t.json", manifest)
-    elif name == "neofidelity":
-        for variant in ("delta01", "delta02"):
-            spec = _single_spec(variant, manifest, metric="arbitrary_avg",
-                                beta_grid=(0.0, 20.0), n_seeds=10)
-            emit_csv(analysis.run_sweep(spec, workers),
-                     out / f"neofidelity_{variant}.csv", manifest, spec)
-    else:
-        raise CliError(f"unknown figure {name!r}")
+    preset(name, manifest, out, workers)
 
 
 # -- entry point ---------------------------------------------------------

@@ -39,21 +39,9 @@ class RegisterLayout:
         return 2 * self.n_side
 
     @property
-    def block_dim(self) -> int:
-        return 4 ** self.n_side
-
-    @property
     def n_majorana(self) -> int:
         """Majorana modes per side."""
         return 2 * self.n_side
-
-    @property
-    def message_sites(self) -> tuple:
-        return tuple(range(self.n_message))
-
-    @property
-    def left_sites(self) -> tuple:
-        return tuple(range(self.n_message, self.n_message + self.n_side))
 
     @property
     def right_sites(self) -> tuple:
@@ -72,6 +60,20 @@ class RegisterLayout:
         if self.n_message == 1:
             return (self.n_qubits - 1,)
         return (self.n_qubits - 2, self.n_qubits - 1)
+
+
+@lru_cache(maxsize=None)
+def mirror_index(n_side: int) -> np.ndarray:
+    """Basis-index permutation reversing the qubit order of one factor.
+
+    This is the mirrored storage of the right block: a left-factor vector
+    v reads v[mirror] on the right factor, and a left-factor matrix A
+    reads A[mirror][:, mirror].
+    """
+    index = np.array([int(format(x, f"0{n_side}b")[::-1], 2)
+                      for x in range(2 ** n_side)])
+    index.setflags(write=False)
+    return index
 
 
 def left_majorana_block(n_side: int, j: int) -> np.ndarray:

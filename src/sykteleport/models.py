@@ -56,23 +56,6 @@ class SykCouplings:
             math.factorial(self.q - 1) / self.n_majorana ** (self.q - 1)
         )
 
-    def to_text(self) -> str:
-        lines = ["# i j k l value"]
-        for quad in sorted(self.entries):
-            lines.append("%d %d %d %d %.17g" % (*quad, self.entries[quad]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, n_majorana: int, q: int, j_scale: float, seed: int = 0):
-        entries = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            entries[tuple(int(p) for p in parts[:4])] = float(parts[4])
-        return cls(n_majorana=n_majorana, q=q, j_scale=j_scale, entries=entries, seed=seed)
-
 
 def sample_syk_couplings(n: int, q: int, j_scale: float, seed: int) -> SykCouplings:
     """Draw the Gaussian coupling table for one disorder realization.

@@ -16,9 +16,10 @@ expectation is available via thermal_readout=False.
 
 Every metric is evaluated by one staged pipeline in `Engine`:
 
-* realization (Engine construction): the side eigensystems, the
-  size-operator eigenbasis B and the INSERT matrix (shared by every
-  engine of one register geometry);
+* realization (Engine construction): the side eigensystems (for the
+  kicked-Ising baseline the Floquet quasi-energies, which make integer t
+  a step count), the size-operator eigenbasis B and the INSERT matrix
+  (shared by every engine of one register geometry);
 * beta (cached per beta): the thermofield double, built by
   `tfd.build_tfd` from the cached left eigensystem, and the thermal
   readout weight W_R(beta) = exp(-beta H_R/2);
@@ -85,7 +86,7 @@ class ProtocolConfig:
     readout_sites: tuple | None = None    # None -> last right site(s)
     thermal_readout: bool = True
     fermionic_insert: bool = False
-    right_basis: str = "paired"
+    right_basis: str = "paired"           # TFD level pairing; only "paired"
     alpha: complex = 1.0 + 0j             # arbitrary-message amplitudes
     beta_msg: complex = 0.0 + 0j
 
@@ -104,8 +105,8 @@ class ProtocolConfig:
             raise ConfigError(f"unknown swap variant {self.swap_variant!r}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.right_basis not in tfd.RIGHT_BASES:
-            raise ConfigError(f"unknown right basis {self.right_basis!r}")
+        if self.right_basis != "paired":
+            raise ConfigError(f"right_basis must be 'paired', got {self.right_basis!r}")
         bell_msg = self.message == "bell_phi_plus"
         bell_swap = self.swap_variant == "bell_sequential"
         if bell_msg != bell_swap:
@@ -311,14 +312,11 @@ class Engine:
             self.eig_right = qop.hermitian_eig(b)
         else:
             params = models.TfimParams.sample(n_side, cfg.seed)
-            u1 = models.build_tfim_floquet(params)
-            mirror = tfd._bit_reversal(n_side)
-            self.u_left_step = u1
-            self.u_right_step = mirror @ u1 @ mirror.T
-            ev, vec = models.floquet_effective_spectrum(u1)
-            evr, vecr = models.floquet_effective_spectrum(self.u_right_step)
+            ev, vec = models.floquet_effective_spectrum(models.build_tfim_floquet(params))
+            # the right factor runs the same chain on the mirrored sites
             self.eig_left = qop.EigenSystem(values=ev, vectors=vec)
-            self.eig_right = qop.EigenSystem(values=evr, vectors=vecr)
+            self.eig_right = qop.EigenSystem(
+                values=ev, vectors=vec[layout.mirror_index(n_side)])
         self.size = build_size_operator(self.reg, cfg.resolved_size_modes())
         self.insert, self._insert_source, self._insert_sign = _shared_insert(
             cfg.message, cfg.swap_variant, n_side, cfg.fermionic_insert)
@@ -340,8 +338,7 @@ class Engine:
     def tfd_vector(self, beta: float) -> np.ndarray:
         """Thermofield double at beta from the cached left eigensystem."""
         def build():
-            state = tfd.build_tfd(self.eig_left, beta, self.reg,
-                                  right_basis=self.cfg.right_basis).state
+            state = tfd.build_tfd(self.eig_left, beta, self.reg)
             state.setflags(write=False)
             return state
         return self._cached("tfd", beta, build)
@@ -370,17 +367,16 @@ class Engine:
             raise ConfigError("t must be finite")
         if self.cfg.model == "tfim":
             _check_step_counts(t)
+            t = np.round(t)
         return t
 
     def side_evolution(self, t_values: np.ndarray, side: str) -> np.ndarray:
         """Forward evolution exp(-i H t) on the "left" or "right" factor for
-        every t, shape (n_t, d, d)."""
-        if self.cfg.model == "syk":
-            eig = self.eig_left if side == "left" else self.eig_right
-            phases = np.exp(-1j * t_values[:, None] * eig.values)
-            return (eig.vectors * phases[:, None, :]) @ eig.vectors.conj().T
-        step = self.u_left_step if side == "left" else self.u_right_step
-        return np.stack([np.linalg.matrix_power(step, int(round(k))) for k in t_values])
+        every t, shape (n_t, d, d); for the kicked-Ising model t counts
+        Floquet periods."""
+        eig = self.eig_left if side == "left" else self.eig_right
+        phases = np.exp(-1j * t_values[:, None] * eig.values)
+        return (eig.vectors * phases[:, None, :]) @ eig.vectors.conj().T
 
     def _right_map(self, beta: float, t_values: np.ndarray) -> np.ndarray:
         """(I (x) W_R(beta) U_R(t)) B per t, shape (n_t, 64, 64): from the
@@ -657,10 +653,6 @@ class OverlapTable:
     variant: str
     beta: float
     values: np.ndarray = field(repr=False)
-    alpha_nm: np.ndarray | None = field(default=None, repr=False)
-
-    def magnitude_mean(self) -> float:
-        return float(np.abs(self.values).mean())
 
     def coherent_mean(self) -> complex:
         return complex(self.values.mean())
@@ -683,41 +675,25 @@ def paired_right_basis(eig_left: qop.EigenSystem, n_side: int) -> np.ndarray:
 
 
 def overlap_coefficients(eig_left: qop.EigenSystem, variant: str, beta: float,
-                         n_side: int = 3, t: float | None = None) -> OverlapTable:
-    """Boltzmann-weighted eigenstate-pair overlap coefficients.
+                         n_side: int = 3) -> OverlapTable:
+    """Boltzmann-weighted eigenstate-pair overlap coefficients of a
+    single-qubit variant ("delta01" or "delta02").
 
-    Single-qubit variants: with gL the first Majorana of the inserted
-    left qubit and gR the (string-dressed) first Majorana of the readout
-    partner qubit,
+    With gL the first Majorana of the inserted left qubit and gR the
+    (string-dressed) first Majorana of the readout partner qubit,
 
         C[n, m] = c_n c_m <n|gL|m> <n~|gR|m~>,
 
     where c_n = exp(-beta E_n/2)/sqrt(Z) and |n~> is the paired right
     eigenvector.  The table sums to the two-sided thermal correlator, so
     the matched variant keeps a coherent mean of unit scale while the
-    mismatched one interferes destructively to ~0.
-
-    Bell variant: the 16x16 table over two-qubit Pauli pairs on the
-    insertion qubits, C[n, m] = sum_k w_k <k|P_n|k> <k|P_m|k>, which is
-    real and symmetric.
+    mismatched one interferes destructively to ~0.  The single entries
+    depend on the eigenvectors chosen inside a degenerate level; the
+    coherent sum and mean do not.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
+    if variant not in ("delta01", "delta02"):
+        raise ConfigError(f"overlap table needs a single-qubit variant, got {variant!r}")
     c = tfd.boltzmann_weights(eig_left.values, beta)
-    if variant == "bell_sequential":
-        w = c ** 2
-        paulis = []
-        for la in "IXYZ":
-            for lb in "IXYZ":
-                letters = la + lb + "I" * (n_side - 2)
-                paulis.append(qop.PauliString(letters).to_matrix())
-        diag = np.array([
-            np.real(np.einsum("ik,ij,jk->k", eig_left.vectors.conj(), p,
-                              eig_left.vectors))
-            for p in paulis
-        ])
-        values = (diag * w) @ diag.T
-        return OverlapTable(variant=variant, beta=beta, values=values)
     qubit = 0 if variant == "delta01" else 1
     g_left = layout.left_majorana_local(n_side, 2 * qubit)
     string = qop.kron_all([qop.PAULI_Z] * n_side)
@@ -726,14 +702,11 @@ def overlap_coefficients(eig_left: qop.EigenSystem, variant: str, beta: float,
     a = eig_left.vectors.conj().T @ g_left @ eig_left.vectors
     b = v_pair.conj().T @ g_right @ v_pair
     values = np.outer(c, c) * a * b
-    alpha_nm = None
-    if t is not None:
-        alpha_nm = np.diag(np.exp(-1j * eig_left.values * t))
-    return OverlapTable(variant=variant, beta=beta, values=values, alpha_nm=alpha_nm)
+    return OverlapTable(variant=variant, beta=beta, values=values)
 
 
 def thermal_majorana_correlation(i: int, j: int, beta: float, h_side: np.ndarray,
-                                 n_side: int = 3, right_basis: str = "paired") -> complex:
+                                 n_side: int = 3) -> complex:
     """Two-sided Majorana correlator in the thermofield double.
 
     <TFD(beta)| gL_i gR_j |TFD(beta)> computed on the doubled block; at
@@ -741,6 +714,6 @@ def thermal_majorana_correlation(i: int, j: int, beta: float, h_side: np.ndarray
     pairs are suppressed.
     """
     reg = layout.RegisterLayout(n_message=1, n_side=n_side)
-    state = tfd.build_tfd(h_side, beta, reg, right_basis=right_basis).state
+    state = tfd.build_tfd(h_side, beta, reg)
     op = layout.left_majorana_block(n_side, i) @ layout.right_majorana_block(n_side, j)
     return complex(qop.expectation(state, op))

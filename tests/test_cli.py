@@ -31,6 +31,9 @@ class TestConfigParsing:
     def test_unknown_key_is_named(self):
         with pytest.raises(cli.CliError, match="frobnicate"):
             cli.parse_config("[sweep]\nfrobnicate = 1\n", master_seed=0)
+        # the thermofield double has one pairing, so it is not a setting
+        with pytest.raises(cli.CliError, match="right_basis"):
+            cli.parse_config("[protocol]\nright_basis = literal\n", master_seed=0)
 
     def test_syntax_error_reports_line(self):
         with pytest.raises(cli.CliError, match="line 2"):
@@ -159,6 +162,11 @@ class TestMain:
         cfg.write_text(text)
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unknown_figure_raises(self, tmp_path):
+        with pytest.raises(cli.CliError, match="sq3"):
+            cli.run_figure("sq3", manifest(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "missing.cfg"),

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, expm, logm
 
 from sykteleport import analysis, layout, models, protocol, qop, tfd
 
@@ -36,6 +36,12 @@ class TestConfig:
     def test_readout_must_be_right_block(self):
         with pytest.raises(protocol.ConfigError):
             protocol.ProtocolConfig(readout_sites=(1,)).validate()
+
+    def test_right_basis_must_be_paired(self):
+        protocol.ProtocolConfig(right_basis="paired").validate()
+        for bad in ("literal", "conjugate", "nope"):
+            with pytest.raises(protocol.ConfigError, match="paired"):
+                protocol.ProtocolConfig(right_basis=bad).validate()
 
     def test_tfim_integer_steps(self):
         with pytest.raises(protocol.ConfigError):
@@ -423,10 +429,9 @@ def _rotate_degenerate(eig, rng):
 
 class TestDegeneracyInvariance:
     """Outputs are functions of the Hamiltonian alone: a rotation inside a
-    degenerate eigenspace must not move them.  Only right_basis="paired"
-    is checked: "literal" reuses the eigenvector components themselves,
-    so it depends on the basis the eigensolver picks inside each block
-    (it moves by about 0.1 between LAPACK drivers)."""
+    degenerate eigenspace must not move them.  That covers the thermofield
+    double, every curve and the coherent aggregates of the overlap table
+    (its single entries do depend on the eigenvectors)."""
 
     T_GRID = np.linspace(0.0, 6.0, 13)
     G_GRID = np.linspace(0.0, 2 * math.pi, 9)
@@ -458,6 +463,18 @@ class TestDegeneracyInvariance:
             for beta in (0.0, 5.0, 20.0):
                 assert np.abs(rot.curve_bell(beta, ts, gs)
                               - ref.curve_bell(beta, ts, gs)).max() <= 1e-12
+
+    def test_overlap_aggregates(self):
+        rng = np.random.default_rng(11)
+        for seed in (0, 3):
+            ref, rot = self._pair(protocol.ProtocolConfig(seed=seed), rng)
+            for variant in ("delta01", "delta02"):
+                for beta in (0.0, 5.0):
+                    a = protocol.overlap_coefficients(ref.eig_left, variant, beta)
+                    b = protocol.overlap_coefficients(rot.eig_left, variant, beta)
+                    assert np.abs(a.values - b.values).max() > 1e-3
+                    assert abs(a.coherent_sum() - b.coherent_sum()) <= 1e-12
+                    assert abs(a.coherent_mean() - b.coherent_mean()) <= 1e-12
 
 
 class TestSingleQubit:
@@ -728,17 +745,10 @@ class TestOverlapTable:
             ratios.append(abs(far.coherent_mean()) / abs(near.coherent_mean()))
         assert np.mean(ratios) < 0.3
 
-    def test_bell_table_symmetry(self):
+    def test_bell_variant_rejected(self):
         eig, _ = self._eig(2)
-        table = protocol.overlap_coefficients(eig, "bell_sequential", 4.0)
-        assert table.values.shape == (16, 16)
-        assert np.abs(table.values - table.values.conj().T).max() <= 1e-12
-
-    def test_alpha_phases(self):
-        eig, _ = self._eig(3)
-        table = protocol.overlap_coefficients(eig, "delta01", 1.0, t=2.0)
-        want = np.exp(-1j * eig.values * 2.0)
-        assert np.abs(np.diag(table.alpha_nm) - want).max() <= 1e-12
+        with pytest.raises(protocol.ConfigError):
+            protocol.overlap_coefficients(eig, "bell_sequential", 4.0)
 
 
 class TestThermalCorrelation:
@@ -767,7 +777,7 @@ class TestThermalCorrelation:
         beta = 6.0
         got = protocol.thermal_majorana_correlation(0, 2, beta, h)
         reg = layout.RegisterLayout(n_message=1, n_side=3)
-        state = tfd.build_tfd(h, beta, reg).state
+        state = tfd.build_tfd(h, beta, reg)
         op = layout.left_majorana_block(3, 0) @ layout.right_majorana_block(3, 2)
         want = np.vdot(state, op @ state)
         assert abs(got - want) <= 1e-12
@@ -802,3 +812,35 @@ class TestTfimModel:
                 protocol.ProtocolConfig(model="tfim", seed=seed, t=1.0))
             peaks.append(eng.curve_basis_z(0.0, 1.0, gs).max())
         assert np.mean(peaks) < 0.3
+
+    @pytest.mark.parametrize("thermal", [True, False])
+    def test_pipeline_matches_floquet_steps(self, thermal):
+        # dense route: k Floquet periods as matrix powers on the full
+        # register; the right factor runs the chain with its sites reversed
+        mirror = qop.swap_matrix(3, 0, 2)
+        i8 = np.eye(8)
+        for seed in (0, 1):
+            u1 = models.build_tfim_floquet(models.TfimParams.sample(3, seed))
+            u_l = qop.kron_all([qop.I2, u1, i8])
+            u_r = qop.kron_all([qop.I2, i8, mirror @ u1 @ mirror])
+            h1 = 1j * logm(u1)          # u1 = exp(-i H1), principal branch
+            h1 = 0.5 * (h1 + h1.conj().T) - np.linalg.eigvalsh(h1).min() * i8
+            ins = qop.swap_matrix(REG1.n_qubits, 0, 1)
+            eng = protocol.Engine(protocol.ProtocolConfig(
+                model="tfim", seed=seed, thermal_readout=thermal))
+            for beta in (0.0, 5.0):
+                vac = np.kron(expm(-0.5 * beta * h1), i8) @ layout.bell_vacuum(3)
+                psi0 = np.kron([1.0, 0.0], vac / np.linalg.norm(vac))
+                w_r = qop.kron_all([qop.I2, i8, mirror @ expm(-0.5 * beta * h1) @ mirror])
+                for k in range(5):
+                    for g in (0.0, 1.3):
+                        ul_k = np.linalg.matrix_power(u_l, k)
+                        u = (np.linalg.matrix_power(u_r, k)
+                             @ eng.size.exp_ig_embedded(REG1, g)
+                             @ ul_k @ ins @ ul_k.conj().T)
+                        want = u @ psi0
+                        if thermal:
+                            want = w_r @ want
+                        want /= np.linalg.norm(want)
+                        got = eng.final_state(beta=beta, g=g, t=float(k))
+                        assert np.abs(got - want).max() <= 1e-12
