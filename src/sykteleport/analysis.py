@@ -7,7 +7,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import product, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,9 @@ class SweepSpec:
             raise SweepError("beta_grid values must be nonnegative")
         if len(self.seeds) == 0:
             raise SweepError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            # a repeated seed would weigh one realization twice in ensemble_mean
+            raise SweepError("seeds must not repeat")
         if self.metric == "bell_stabilizer":
             if self.base.message != "bell_phi_plus":
                 raise SweepError("bell_stabilizer needs the Bell message")
@@ -64,8 +68,7 @@ class SweepSpec:
         return self
 
 
-@dataclass(frozen=True)
-class FidelityRecord:
+class FidelityRecord(NamedTuple):
     """One evaluated grid point."""
 
     seed: int
@@ -77,7 +80,7 @@ class FidelityRecord:
     value: float
 
     def sort_key(self):
-        return (self.seed, self.beta, self.g, self.t)
+        return self[:4]  # (seed, beta, g, t)
 
     def unit_interval_value(self) -> float:
         """[0, 1] companion column: recovery probability for <Z>, the raw
@@ -88,46 +91,48 @@ class FidelityRecord:
 
 
 def _records_for_seed(spec: SweepSpec, seed: int):
-    """Every record of one seed: one engine call per beta covers the
-    whole (t, g) grid."""
+    """Every record of one seed in key order (beta, g, t): one engine call
+    per beta covers the whole (t, g) grid."""
     out = []
     base = replace(spec.base, seed=seed)
     eng = protocol.get_engine(base)
+    metric, variant = spec.metric, spec.base.swap_variant
+    g_grid = [float(g) for g in spec.g_grid]
+    t_grid = [float(t) for t in spec.t_grid]
     for beta in spec.beta_grid:
-        if spec.metric == "basis_z":
+        if metric == "basis_z":
             values = eng.curve_basis_z(beta, spec.t_grid, spec.g_grid)
-        elif spec.metric == "bell_stabilizer":
+        elif metric == "bell_stabilizer":
             values = eng.curve_bell(beta, spec.t_grid, spec.g_grid)
         else:
             values, _ = eng.curve_arbitrary_avg(beta, spec.t_grid, spec.g_grid,
                                                 spec.n_samples, seed)
-        for t, row in zip(spec.t_grid, values.tolist()):
-            for g, value in zip(spec.g_grid, row):
-                out.append(FidelityRecord(
-                    seed=seed, beta=float(beta), g=float(g), t=float(t),
-                    metric=spec.metric, variant=spec.base.swap_variant,
-                    value=value))
+        beta = float(beta)
+        out.extend([FidelityRecord(seed, beta, g, t, metric, variant, value)
+                    for (g, t), value in zip(product(g_grid, t_grid),
+                                             values.T.ravel().tolist())])
     return out
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """Evaluate every grid point for every seed.
 
-    Output ordering and values are identical for any worker count; work
-    is partitioned by seed and merged with a deterministic sort.  The pool
-    never holds more processes than there are seeds or CPUs.
+    Records come in key order (seed, beta, g, t) for any worker count:
+    seeds are visited in ascending order, each one's records are already
+    ordered (the grids are strictly increasing), and no seed repeats.  The
+    pool never holds more processes than there are seeds or CPUs.
     """
     spec.validate()
     workers = min(workers, len(spec.seeds), os.cpu_count() or 1)
+    seeds = sorted(spec.seeds)
     records = []
     if workers <= 1:
-        for seed in spec.seeds:
+        for seed in seeds:
             records.extend(_records_for_seed(spec, seed))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_records_for_seed, repeat(spec), spec.seeds):
+            for chunk in pool.map(_records_for_seed, repeat(spec), seeds):
                 records.extend(chunk)
-    records.sort(key=FidelityRecord.sort_key)
     return records
 
 

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -171,6 +172,9 @@ def _fmt(value: float) -> str:
     return "%.12g" % value
 
 
+_FLOAT_BITS = struct.Struct("<d").pack
+
+
 def _grid_hash(*grids) -> str:
     h = hashlib.sha256()
     for grid in grids:
@@ -188,12 +192,23 @@ def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec | None = N
             "# grids " + _grid_hash(spec.g_grid, spec.t_grid, spec.beta_grid, spec.seeds)
         )
     lines.append(CSV_HEADER)
+    grid_text = {}
+
+    def grid_fmt(value: float) -> str:
+        """_fmt of a grid column value, which repeats from row to row; keyed
+        by the float's bits, so -0.0 and 0.0 stay apart."""
+        key = _FLOAT_BITS(value)
+        text = grid_text.get(key)
+        if text is None:
+            text = grid_text[key] = _fmt(value)
+        return text
+
+    # stable: records of two sweeps with equal keys (isingvssyk) keep their order
     for rec in sorted(records, key=analysis.FidelityRecord.sort_key):
-        lines.append(",".join([
-            str(rec.seed), _fmt(rec.beta), _fmt(rec.g), _fmt(rec.t),
-            rec.metric, rec.variant, _fmt(rec.value),
-            _fmt(rec.unit_interval_value()),
-        ]))
+        seed, beta, g, t, metric, variant, value = rec
+        # .12g gives the digits of _fmt without a call per field
+        lines.append(f"{seed},{grid_fmt(beta)},{grid_fmt(g)},{grid_fmt(t)},"
+                     f"{metric},{variant},{value:.12g},{rec.unit_interval_value():.12g}")
     return "\n".join(lines) + "\n"
 
 
@@ -234,8 +249,9 @@ def emit_json(obj, path, manifest: RunManifest):
 # -- sanity suite -------------------------------------------------------
 
 def sanity_suite(majorana_fn=None):
-    """Fast self-test: stabilizer table, anticommutation, periodicity and
-    the infinite-temperature pair structure.  Returns (ok, checks)."""
+    """Fast self-test: stabilizer table, anticommutation, periodicity, the
+    infinite-temperature pair structure and the size-level projectors
+    (complete, idempotent and mutually orthogonal).  Returns (ok, checks)."""
     if majorana_fn is None:
         majorana_fn = qop.majorana
     checks = []
@@ -272,6 +288,14 @@ def sanity_suite(majorana_fn=None):
         purity = float(np.real(np.trace(rho @ rho)))
         pair_dev = max(pair_dev, abs(purity - 1.0))
     checks.append(("infinite_temperature_pairs", pair_dev <= 1e-10, pair_dev))
+
+    # the pipeline applies exp(i g upsilon) as sum_p exp(i g p) Pi_p
+    proj = protocol.build_size_operator(reg).projectors()
+    proj_dev = float(np.abs(proj.sum(axis=0) - np.eye(proj.shape[-1])).max())
+    for p, pp in enumerate(proj):
+        for q, pq in enumerate(proj):
+            proj_dev = max(proj_dev, float(np.abs(pp @ pq - (pp if p == q else 0.0)).max()))
+    checks.append(("size_level_projectors", proj_dev <= 1e-12, proj_dev))
 
     cfg = protocol.ProtocolConfig(seed=0, beta=5.0, t=1.0)
     eng = protocol.get_engine(cfg)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -98,17 +99,24 @@ def build_syk_hamiltonian(couplings: SykCouplings, side: str,
     return qop.kron_all([np.eye(2 ** (n_msg + n_side)), h_local])
 
 
+@lru_cache(maxsize=None)
+def _side_majoranas(side: str, n_side: int) -> tuple:
+    """The 2 n_side Majorana matrices of one side on its own factor,
+    read-only and built once per (side, n_side)."""
+    local = layout.left_majorana_local if side == "left" else layout.right_majorana_local
+    gammas = tuple(local(n_side, j) for j in range(2 * n_side))
+    for gamma in gammas:
+        gamma.setflags(write=False)
+    return gammas
+
+
 def build_syk_side_matrix(couplings: SykCouplings, side: str, n_side: int) -> np.ndarray:
     """The side Hamiltonian restricted to its own n_side-qubit factor."""
     if couplings.n_majorana != 2 * n_side:
         raise ValueError("coupling table does not match the register side size")
-    if side == "left":
-        gammas = [layout.left_majorana_local(n_side, j) for j in range(2 * n_side)]
-    elif side == "right":
-        gammas = [layout.right_majorana_local(n_side, j) for j in range(2 * n_side)]
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _quartic_from_gammas(gammas, couplings)
+    return _quartic_from_gammas(_side_majoranas(side, n_side), couplings)
 
 
 @dataclass(frozen=True)

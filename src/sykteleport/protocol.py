@@ -18,20 +18,23 @@ Every metric is evaluated by one staged pipeline in `Engine`:
 
 * realization (Engine construction): the side eigensystems (for the
   kicked-Ising baseline the Floquet quasi-energies, which make integer t
-  a step count), the size-operator eigenbasis B and the INSERT matrix
-  (shared by every engine of one register geometry);
+  a step count), the size-operator eigenbasis B split into its L distinct
+  levels p (L = 6 at n_side = 3; the columns S_p of one level are
+  contiguous, which is checked) and the INSERT matrix (shared by every
+  engine of one register geometry);
 * beta (cached per beta): the thermofield double, built by
   `tfd.build_tfd` from the cached left eigensystem, and the thermal
   readout weight W_R(beta) = exp(-beta H_R/2);
 * t (a batched axis): U_L and U_R for a whole t array from one
   exponentiated eigenvalue array exp(-i E t) and one stacked matmul;
   `Engine.dressed_state` (everything before the coupling, in the size
-  eigenbasis) and the right-hand map (I (x) W_R(beta) U_R) B are stacks
-  with a leading t axis;
-* g (a batched axis): `Engine.finish` multiplies the dressed rows by the
-  phases exp(i g n) for every g at once, maps every (t, g, message) row
-  through the right-hand map of its t in one stacked matmul and
-  normalizes each row.
+  eigenbasis) is a stack with a leading t axis;
+* g (a batched axis): `Engine.finish` applies the coupling as
+  exp(i g upsilon) = sum_p exp(i g p) Pi_p.  It splits every dressed row
+  d once into its level components y_p = B[:, S_p] d[S_p], combines them
+  for every g at once with one (n_g, L) phase matrix, applies
+  W_R(beta) U_R(t) as an 8x8 map on the right-factor index of each row
+  and normalizes each row.
 
 The metrics reduce over the (t, g) rows, each row keeping its own
 density-matrix checks.  The t axis is cut into chunks of at most
@@ -183,6 +186,25 @@ class SizeOperator:
         phases = np.exp(1j * g * self.eigenvalues)
         return (self.basis * phases) @ self.basis.conj().T
 
+    def levels(self) -> tuple:
+        """(p, columns) per distinct eigenvalue p, ascending, where
+        basis[:, columns] spans level p.  hermitian_eig sorts the
+        eigenvalues, so every level's columns are contiguous; this is
+        checked, not assumed."""
+        values = self.eigenvalues
+        if (np.diff(values) < 0).any():
+            raise qop.QopError("size eigenvalues are not in ascending order")
+        levels, starts = np.unique(values, return_index=True)
+        stops = np.append(starts[1:], len(values))
+        return tuple((int(p), slice(int(a), int(b)))
+                     for p, a, b in zip(levels, starts, stops))
+
+    def projectors(self) -> np.ndarray:
+        """Spectral projectors Pi_p = B_p B_p^dagger, one per level,
+        shape (L, d, d): exp(i g upsilon) = sum_p exp(i g p) Pi_p."""
+        return np.stack([self.basis[:, cols] @ self.basis[:, cols].conj().T
+                         for _, cols in self.levels()])
+
     def exp_ig_embedded(self, register: layout.RegisterLayout, g: float) -> np.ndarray:
         return qop.kron(np.eye(2 ** register.n_message), self.exp_ig(g))
 
@@ -321,9 +343,13 @@ class Engine:
         self.insert, self._insert_source, self._insert_sign = _shared_insert(
             cfg.message, cfg.swap_variant, n_side, cfg.fermionic_insert)
         self.readout = cfg.resolved_readout()
-        # the size spectrum has few distinct levels: one exp per level and g
-        self._levels, self._level_index = np.unique(self.size.eigenvalues,
-                                                    return_inverse=True)
+        # exp(i g upsilon) = sum_p exp(i g p) Pi_p over the few distinct size
+        # levels p; each level keeps its eigenbasis columns as rows, which
+        # maps a row's level coefficients back to the computational basis
+        levels = self.size.levels()
+        self._levels = np.array([p for p, _ in levels])
+        self._level_rows = tuple((cols, np.ascontiguousarray(self.size.basis[:, cols].T))
+                                 for _, cols in levels)
         self._latest: dict = {}  # beta stage name -> (beta, value)
 
     def _cached(self, stage: str, key, build):
@@ -378,17 +404,6 @@ class Engine:
         phases = np.exp(-1j * t_values[:, None] * eig.values)
         return (eig.vectors * phases[:, None, :]) @ eig.vectors.conj().T
 
-    def _right_map(self, beta: float, t_values: np.ndarray) -> np.ndarray:
-        """(I (x) W_R(beta) U_R(t)) B per t, shape (n_t, 64, 64): from the
-        size eigenbasis to the (thermally weighted) final state."""
-        ur = self.side_evolution(t_values, "right")
-        if self.cfg.thermal_readout and beta > 0:
-            ur = self.thermal_weight_right(beta) @ ur
-        # (I (x) A) B: A acts on the right-factor part of B's row index
-        d = 2 ** self.reg.n_side
-        basis = self.size.basis.reshape(d, d, -1)
-        return (ur[:, None] @ basis[None]).reshape(len(ur), d * d, -1)
-
     def message_vector(self) -> np.ndarray:
         if self.cfg.message == "bell_phi_plus":
             v = np.zeros(4, dtype=complex)
@@ -432,12 +447,22 @@ class Engine:
         if not (np.isfinite(g).all() and math.isfinite(beta)):
             raise ConfigError("g and beta must be finite")
         n_t, n_in, m, block = dressed.shape
-        right = self._right_map(beta, t_values).transpose(0, 2, 1)
-        # take, unlike [:, index], keeps the phases (and so the phased rows)
-        # C-ordered, so the reshape below is a view and not a copy
-        phases = np.exp(1j * g[:, None] * self._levels).take(self._level_index, axis=1)
-        psi = (dressed.reshape(n_t, 1, -1, block) * phases[None, :, None, :]
-               ).reshape(n_t, -1, block) @ right
+        d = 2 ** self.reg.n_side
+        rows = dressed.reshape(-1, block)
+        # level components y_p = B[:, S_p] d[S_p] of every (t, input) row,
+        # level-major so each level's matmul fills one contiguous block
+        parts = np.empty((len(self._levels),) + rows.shape, dtype=complex)
+        for part, (cols, vectors) in zip(parts, self._level_rows):
+            np.matmul(rows[:, cols], vectors, out=part)
+        # exp(i g upsilon) d = sum_p exp(i g p) y_p for every g at once; the
+        # (g, t) -> (t, g) swap only copies when both axes are longer than 1
+        phases = np.exp(1j * g[:, None] * self._levels)
+        psi = (phases @ parts.reshape(len(parts), -1)).reshape(len(g), n_t, -1).swapaxes(0, 1)
+        # W_R(beta) U_R(t) acts on the right-factor index, the last of each block
+        right = self.side_evolution(t_values, "right")
+        if self.cfg.thermal_readout and beta > 0:
+            right = self.thermal_weight_right(beta) @ right
+        psi = psi.reshape(n_t, -1, d) @ right.transpose(0, 2, 1)
         psi = psi.reshape(n_t, len(g), n_in, m * block)
         if normalize:
             psi /= np.linalg.norm(psi, axis=-1, keepdims=True)

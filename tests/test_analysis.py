@@ -58,6 +58,27 @@ class TestRunSweep:
         with pytest.raises(analysis.SweepError):
             tiny_spec(metric="bell_stabilizer").validate()
 
+    def test_rejects_repeated_seeds(self):
+        # a repeated seed would count one realization twice in ensemble_mean
+        for seeds in ((0, 0), (3, 1, 3)):
+            with pytest.raises(analysis.SweepError, match="repeat"):
+                tiny_spec(seeds=seeds).validate()
+            with pytest.raises(analysis.SweepError, match="repeat"):
+                analysis.run_sweep(tiny_spec(seeds=seeds))
+
+    def test_records_come_in_key_order(self):
+        spec = tiny_spec(g_grid=(-1.0, 0.0, 2.5), t_grid=(0.5, 1.5),
+                         beta_grid=(0.0, 3.0), seeds=(7, 2, 5))
+        for workers in (1, 2):
+            records = analysis.run_sweep(spec, workers=workers)
+            assert [r.sort_key() for r in records] == sorted(r.sort_key() for r in records)
+            assert [r.seed for r in records[::12]] == [2, 5, 7]
+        rec = records[0]
+        assert rec == analysis.FidelityRecord(seed=2, beta=0.0, g=-1.0, t=0.5,
+                                              metric="basis_z", variant="delta01",
+                                              value=rec.value)
+        assert rec.unit_interval_value() == 0.5 * (1.0 + rec.value)
+
     def test_rejects_non_finite_grids(self):
         for bad in (math.nan, math.inf, -math.inf):
             for name in ("g_grid", "t_grid", "beta_grid"):

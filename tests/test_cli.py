@@ -96,6 +96,24 @@ class TestCsvEmission:
             assert a.sort_key() == b.sort_key()
             assert a.value == pytest.approx(b.value, rel=1e-11)
 
+    def test_bytes_match_per_field_writer(self, tmp_path):
+        # the memoized grid columns keep -0.0 and 0.0 apart, and the stable
+        # sort keeps records with equal keys in their given order
+        rng = np.random.default_rng(3)
+        records = [analysis.FidelityRecord(seed=s, beta=b, g=g, t=1.0, metric=m,
+                                           variant="delta01", value=float(rng.normal()))
+                   for m in ("basis_z", "bell_stabilizer")
+                   for s in (4, 1) for b in (5.0, 0.0) for g in (0.0, -0.0, 0.1, 1 / 3)]
+        lines = [cli.CSV_HEADER]
+        for rec in sorted(records, key=analysis.FidelityRecord.sort_key):
+            lines.append(",".join([str(rec.seed), cli._fmt(rec.beta), cli._fmt(rec.g),
+                                   cli._fmt(rec.t), rec.metric, rec.variant,
+                                   cli._fmt(rec.value),
+                                   cli._fmt(rec.unit_interval_value())]))
+        text = cli.csv_text(records, manifest(tmp_path))
+        assert text.endswith("\n".join(lines) + "\n")
+        assert ",-0," in text and ",0," in text
+
     def test_unwritable_path(self, tmp_path):
         man = manifest(tmp_path)
         with pytest.raises(cli.CliError) as err:
@@ -109,7 +127,8 @@ class TestSanitySuite:
         assert ok
         assert {name for name, _, _ in checks} == {
             "majorana_anticommutation", "stabilizer_table",
-            "infinite_temperature_pairs", "coupling_periodicity"}
+            "infinite_temperature_pairs", "size_level_projectors",
+            "coupling_periodicity"}
 
     def test_negative_control(self):
         def broken_majorana(n_modes, k):
@@ -161,6 +180,13 @@ class TestMain:
         cfg = tmp_path / "nonfinite.cfg"
         cfg.write_text(text)
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_repeated_seed_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text("[sweep]\ng_grid = [0.0]\nbeta_grid = [0]\nseeds = [1, 0, 1]\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "repeat" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_unknown_figure_raises(self, tmp_path):

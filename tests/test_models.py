@@ -80,6 +80,22 @@ class TestSykHamiltonian:
             ev_r = np.linalg.eigvalsh(models.build_syk_side_matrix(c, "right", 3))
             assert np.abs(ev_l - ev_r).max() <= 1e-9
 
+    def test_cached_majoranas_give_identical_bits(self):
+        # the side matrix from the cached Majoranas equals a build from
+        # freshly made ones, bit for bit
+        local = {"left": layout.left_majorana_local, "right": layout.right_majorana_local}
+        for seed in (0, 1, 5):
+            c = models.sample_syk_couplings(6, 4, 1.0, seed=seed)
+            for side, build in local.items():
+                fresh = models._quartic_from_gammas([build(3, j) for j in range(6)], c)
+                assert np.array_equal(models.build_syk_side_matrix(c, side, 3), fresh)
+        for side in local:
+            gammas = models._side_majoranas(side, 3)
+            assert gammas is models._side_majoranas(side, 3)
+            assert not any(g.flags.writeable for g in gammas)
+        with pytest.raises(ValueError, match="side"):
+            models.build_syk_side_matrix(c, "middle", 3)
+
     def test_pair_vacuum_is_shared_null_direction(self):
         # (H_L - H_R)|vac> = 0: both sides act identically on the pair vacuum
         c = models.sample_syk_couplings(6, 4, 1.0, seed=7)

@@ -301,6 +301,65 @@ class TestPipelineAgainstDense:
         assert np.abs(curve - single).max() <= 1e-13
 
 
+class TestLevelFactoredCoupling:
+    """exp(i g upsilon) = sum_p exp(i g p) Pi_p over the distinct size
+    levels, the form Engine.finish applies."""
+
+    G_BATCHES = (np.array([1.7]), np.array([0.4, 2.9, 7.1]),
+                 np.linspace(0.0, 4 * math.pi, 201))
+
+    def test_projectors_resolve_the_coupling(self):
+        for reg, modes in ((REG1, None), (REG2, None), (REG1, (0, 3, 5))):
+            size = protocol.build_size_operator(reg, modes)
+            levels = size.levels()
+            assert [p for p, _ in levels] == sorted(set(size.eigenvalues.tolist()))
+            for p, cols in levels:
+                assert (size.eigenvalues[cols] == p).all()
+            proj = size.projectors()
+            assert len(proj) == len(levels)
+            assert np.abs(proj.sum(axis=0) - np.eye(size.matrix.shape[0])).max() <= 1e-13
+            for g in (0.0, 0.8, -2.3, 11.0):
+                phased = sum(np.exp(1j * g * p) * pp for (p, _), pp in zip(levels, proj))
+                assert np.abs(phased - size.exp_ig(g)).max() <= 1e-13
+
+    def test_unsorted_levels_rejected(self, monkeypatch):
+        size = protocol.build_size_operator(REG1)
+        order = np.random.default_rng(0).permutation(len(size.eigenvalues))
+        shuffled = protocol.SizeOperator(
+            n_side=size.n_side, modes=size.modes, matrix=size.matrix,
+            eigenvalues=size.eigenvalues[order], basis=size.basis[:, order])
+        # the spectrum and the coupling are unchanged, the column order is not
+        assert np.abs(shuffled.exp_ig(1.3) - size.exp_ig(1.3)).max() <= 1e-13
+        with pytest.raises(qop.QopError, match="ascending"):
+            shuffled.levels()
+        monkeypatch.setattr(protocol, "build_size_operator", lambda reg, modes: shuffled)
+        with pytest.raises(qop.QopError, match="ascending"):
+            protocol.Engine(protocol.ProtocolConfig(seed=1))
+
+    def _check_rows(self, eng, msgs, beta, normalize):
+        ts = np.array([0.7, 1.9])
+        dressed = eng.dressed_state(msgs, beta, ts)
+        for gs in self.G_BATCHES:
+            batch = eng.finish(dressed, beta, gs, ts, normalize=normalize)
+            assert batch.shape == (len(ts), len(gs)) + dressed.shape[1:2] + (eng.reg.dim,)
+            for j, g in enumerate(gs):
+                single = eng.finish(dressed, beta, (g,), ts, normalize=normalize)[:, 0]
+                assert np.abs(batch[:, j] - single).max() <= 1e-13
+
+    def test_g_batches_match_scalar_g(self):
+        for beta in (0.0, 6.0):
+            eng = protocol.get_engine(protocol.ProtocolConfig(seed=2))
+            self._check_rows(eng, eng.message_vector(), beta, True)
+            # the two arbitrary-message branches, unnormalized
+            self._check_rows(eng, np.eye(2, dtype=complex), beta, False)
+            engb = protocol.get_engine(_bell_cfg(seed=2))
+            self._check_rows(engb, engb.message_vector(), beta, True)
+            gs = self.G_BATCHES[2]
+            curve = engb.curve_bell(beta, 2.0, gs)
+            single = [engb.curve_bell(beta, 2.0, (g,))[0] for g in gs]
+            assert np.abs(curve - single).max() <= 1e-13
+
+
 def _bell_cfg(**kw):
     return protocol.ProtocolConfig(message="bell_phi_plus",
                                    swap_variant="bell_sequential", **kw)
