@@ -7,7 +7,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +69,7 @@ class SweepSpec:
 
 
 class FidelityRecord(NamedTuple):
-    """One evaluated grid point."""
+    """One evaluated grid point: the row view of a RecordTable."""
 
     seed: int
     beta: float
@@ -90,50 +90,138 @@ class FidelityRecord(NamedTuple):
         return self.value
 
 
-def _records_for_seed(spec: SweepSpec, seed: int):
-    """Every record of one seed in key order (beta, g, t): one engine call
+KEY_COLUMNS = ("seed", "beta", "g", "t")
+_COLUMNS = KEY_COLUMNS + ("value",)
+
+
+def _seed_column(seeds) -> np.ndarray:
+    """Seeds as int64, or as Python ints where one does not fit in 64 bits."""
+    try:
+        return np.array(seeds, dtype=np.int64)
+    except OverflowError:
+        return np.array(seeds, dtype=object)
+
+
+class RecordTable:
+    """Evaluated grid points as columns of equal length.
+
+    `seed`, `beta`, `g`, `t` and `value` are 1-D arrays.  Row i has the
+    (metric, variant) pair `kinds[kind[i]]`: a table of one sweep holds a
+    single kind and its `kind` column is a zero-stride view, while tables
+    joined with `+` may mix kinds.  Iterating, or indexing with an integer,
+    yields FidelityRecord rows; a slice or index array yields a table.
+    """
+
+    __slots__ = _COLUMNS + ("kind", "kinds")
+
+    def __init__(self, seed, beta, g, t, value, kind, kinds):
+        self.seed, self.beta, self.g, self.t, self.value = seed, beta, g, t, value
+        self.kind, self.kinds = kind, tuple(kinds)
+
+    @classmethod
+    def single_kind(cls, seed, beta, g, t, value, metric: str, variant: str):
+        """A table whose rows all have one (metric, variant)."""
+        kind = np.broadcast_to(np.intp(0), np.shape(value))
+        return cls(seed, beta, g, t, value, kind, ((metric, variant),))
+
+    @classmethod
+    def from_rows(cls, rows) -> "RecordTable":
+        """A table of an iterable of rows with the FidelityRecord fields; a
+        RecordTable is returned as it is."""
+        if isinstance(rows, RecordTable):
+            return rows
+        rows = list(rows)
+        kinds: dict = {}
+        kind = [kinds.setdefault((r.metric, r.variant), len(kinds)) for r in rows]
+        return cls(_seed_column([r.seed for r in rows]),
+                   *(np.array([getattr(r, c) for r in rows], dtype=float)
+                     for c in _COLUMNS[1:]),
+                   np.array(kind, dtype=np.intp), kinds)
+
+    @classmethod
+    def concat(cls, tables) -> "RecordTable":
+        """The rows of every table, in order."""
+        tables = [cls.from_rows(t) for t in tables]
+        kinds: dict = {}
+        kind = [np.array([kinds.setdefault(k, len(kinds)) for k in tab.kinds],
+                         dtype=np.intp)[tab.kind] for tab in tables]
+        return cls(*(np.concatenate([getattr(tab, c) for tab in tables]) for c in _COLUMNS),
+                   np.concatenate(kind), kinds)
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self):
+        kinds = self.kinds
+        for seed, beta, g, t, kind, value in zip(
+                self.seed.tolist(), self.beta.tolist(), self.g.tolist(), self.t.tolist(),
+                self.kind.tolist(), self.value.tolist()):
+            yield FidelityRecord(seed, beta, g, t, *kinds[kind], value)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice) and np.ndim(index) == 0:
+            return next(iter(self[[index]]))
+        return RecordTable(*(getattr(self, c)[index] for c in _COLUMNS),
+                           self.kind[index], self.kinds)
+
+    def __add__(self, other) -> "RecordTable":
+        return RecordTable.concat((self, other))
+
+    def __eq__(self, other):
+        """Row-wise equality with another table or a list of rows."""
+        if isinstance(other, (RecordTable, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def sorted(self) -> "RecordTable":
+        """The rows in (seed, beta, g, t) order; the sort is stable, so rows
+        with equal keys keep their order."""
+        return self[np.lexsort((self.t, self.g, self.beta, self.seed))]
+
+    def unit_interval_value(self) -> np.ndarray:
+        """FidelityRecord.unit_interval_value of every row."""
+        basis_z = np.array([metric == "basis_z" for metric, _ in self.kinds], dtype=bool)
+        return np.where(basis_z[self.kind], 0.5 * (1.0 + self.value), self.value)
+
+
+def _seed_values(spec: SweepSpec, seed: int) -> np.ndarray:
+    """Every value of one seed in key order (beta, g, t): one engine call
     per beta covers the whole (t, g) grid."""
-    out = []
-    base = replace(spec.base, seed=seed)
-    eng = protocol.get_engine(base)
-    metric, variant = spec.metric, spec.base.swap_variant
-    g_grid = [float(g) for g in spec.g_grid]
-    t_grid = [float(t) for t in spec.t_grid]
-    for beta in spec.beta_grid:
-        if metric == "basis_z":
+    eng = protocol.get_engine(replace(spec.base, seed=seed))
+    out = np.empty((len(spec.beta_grid), len(spec.g_grid), len(spec.t_grid)))
+    for block, beta in zip(out, spec.beta_grid):
+        if spec.metric == "basis_z":
             values = eng.curve_basis_z(beta, spec.t_grid, spec.g_grid)
-        elif metric == "bell_stabilizer":
+        elif spec.metric == "bell_stabilizer":
             values = eng.curve_bell(beta, spec.t_grid, spec.g_grid)
         else:
             values, _ = eng.curve_arbitrary_avg(beta, spec.t_grid, spec.g_grid,
                                                 spec.n_samples, seed)
-        beta = float(beta)
-        out.extend([FidelityRecord(seed, beta, g, t, metric, variant, value)
-                    for (g, t), value in zip(product(g_grid, t_grid),
-                                             values.T.ravel().tolist())])
-    return out
+        block[...] = values.T
+    return out.reshape(-1)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1):
+def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     """Evaluate every grid point for every seed.
 
-    Records come in key order (seed, beta, g, t) for any worker count:
-    seeds are visited in ascending order, each one's records are already
-    ordered (the grids are strictly increasing), and no seed repeats.  The
-    pool never holds more processes than there are seeds or CPUs.
+    Rows come in key order (seed, beta, g, t) for any worker count: seeds
+    are visited in ascending order, the key columns are the grids broadcast
+    in that order (the grids are strictly increasing), and no seed repeats.
+    A worker returns one seed's value array.  The pool never holds more
+    processes than there are seeds or CPUs.
     """
     spec.validate()
     workers = min(workers, len(spec.seeds), os.cpu_count() or 1)
     seeds = sorted(spec.seeds)
-    records = []
     if workers <= 1:
-        for seed in seeds:
-            records.extend(_records_for_seed(spec, seed))
+        values = [_seed_values(spec, seed) for seed in seeds]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_records_for_seed, repeat(spec), seeds):
-                records.extend(chunk)
-    return records
+            values = list(pool.map(_seed_values, repeat(spec), seeds))
+    keys = np.meshgrid(_seed_column(seeds), *(np.array(grid, dtype=float) for grid in
+                       (spec.beta_grid, spec.g_grid, spec.t_grid)), indexing="ij")
+    return RecordTable.single_kind(*(k.reshape(-1) for k in keys), np.concatenate(values),
+                                   spec.metric, spec.base.swap_variant)
 
 
 def ensemble_mean(records, group_by=("beta", "g", "t")):
@@ -143,38 +231,44 @@ def ensemble_mean(records, group_by=("beta", "g", "t")):
     One stable sort by the group_by columns lays each group's values out
     contiguously, in record order.
     """
-    recs = list(records)
-    if not recs:
+    table = RecordTable.from_rows(records)
+    if not len(table):
         raise SweepError("no records to aggregate")
-    columns = [np.array([getattr(r, a) for r in recs]) for a in group_by]
+    if not set(group_by) <= set(KEY_COLUMNS):
+        raise SweepError(f"group_by must name key columns {KEY_COLUMNS}")
+    columns = [getattr(table, a) for a in group_by]
     order = np.lexsort(columns[::-1])
-    values = np.array([r.value for r in recs])[order]
-    same = np.ones(len(recs) - 1, dtype=bool)  # record i + 1 joins i's group
+    values = table.value[order]
+    columns = [col[order] for col in columns]
+    same = np.ones(len(table) - 1, dtype=bool)  # record i + 1 joins i's group
     for col in columns:
-        col = col[order]
         same &= col[1:] == col[:-1]
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    keys = zip(*(col[starts].tolist() for col in columns))
     out = {}
-    for i, members in zip(order[starts], np.split(values, starts[1:])):
+    for key, members in zip(keys, np.split(values, starts[1:])):
         n = len(members)
         stderr = float(members.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        out[tuple(getattr(recs[i], a) for a in group_by)] = (
-            float(members.mean()), stderr, n)
+        out[key] = (float(members.mean()), stderr, n)
     return out
 
 
 def recovery_time(records) -> float:
     """The t maximizing the fidelity; ties resolve to the smallest t."""
-    recs = list(records)
-    if not recs:
+    table = RecordTable.from_rows(records)
+    if not len(table):
         raise SweepError("no records")
-    for a in ("seed", "beta", "g", "metric", "variant"):
-        if len({getattr(r, a) for r in recs}) > 1:
+    kinds = [table.kinds[k] for k in np.unique(table.kind).tolist()]
+    columns = {a: getattr(table, a) for a in ("seed", "beta", "g")}
+    columns.update(metric=[m for m, _ in kinds], variant=[v for _, v in kinds])
+    for a, column in columns.items():
+        if len(np.unique(column)) > 1:
             raise SweepError(f"records differ in {a}; recovery_time needs a pure t-sweep")
+    order = np.argsort(table.t, kind="stable")
     best_t, best_v = None, -math.inf
-    for rec in sorted(recs, key=lambda r: r.t):
-        if rec.value > best_v + 1e-15:
-            best_t, best_v = rec.t, rec.value
+    for t, value in zip(table.t[order].tolist(), table.value[order].tolist()):
+        if value > best_v + 1e-15:
+            best_t, best_v = t, value
     return float(best_t)
 
 
@@ -240,16 +334,17 @@ def fit_beta_c(points, lo: float = 0.1, hi: float = 1000.0,
 
 
 def peak_statistics(records, beta: float):
-    """Ensemble mean and stderr of the per-seed peak over (g, t) at beta."""
-    per_seed: dict = {}
-    for rec in records:
-        if rec.beta != beta:
-            continue
-        if rec.seed not in per_seed or rec.value > per_seed[rec.seed]:
-            per_seed[rec.seed] = rec.value
-    if not per_seed:
+    """Ensemble mean and stderr of the per-seed peak over (g, t) at beta;
+    seeds are taken in the order they first appear."""
+    table = RecordTable.from_rows(records)
+    at_beta = table.beta == beta
+    if not at_beta.any():
         raise SweepError(f"no records at beta={beta}")
-    arr = np.array(list(per_seed.values()))
+    seeds, values = table.seed[at_beta], table.value[at_beta]
+    _, first, group = np.unique(seeds, return_index=True, return_inverse=True)
+    peaks = np.full(len(first), -math.inf)
+    np.maximum.at(peaks, group, values)
+    arr = peaks[np.argsort(first)]
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return float(arr.mean()), stderr
 
@@ -319,11 +414,13 @@ def fixed_point_temperature_curve(records):
 
 def optimal_g(records, beta: float, t: float | None = None):
     """The g maximizing the ensemble-mean curve at one beta (and t)."""
-    means = ensemble_mean(records, group_by=("beta", "t", "g"))
+    table = RecordTable.from_rows(records)
+    at_beta = table[table.beta == beta]  # only these rows enter the means
+    if not len(at_beta):
+        raise SweepError(f"no records at beta={beta}")
+    means = ensemble_mean(at_beta, group_by=("beta", "t", "g"))
     best_g, best_v = None, -math.inf
-    for (b, tt, g), (value, _, _) in means.items():
-        if b != beta:
-            continue
+    for (_, tt, g), (value, _, _) in means.items():
         if t is not None and tt != t:
             continue
         if value > best_v + 1e-15:

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import struct
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -168,11 +167,11 @@ def substream_seed(master_seed: int, label: str, index: int) -> int:
 
 # -- output -------------------------------------------------------------
 
+_FORMAT = "%.12g"
+
+
 def _fmt(value: float) -> str:
-    return "%.12g" % value
-
-
-_FLOAT_BITS = struct.Struct("<d").pack
+    return _FORMAT % value
 
 
 def _grid_hash(*grids) -> str:
@@ -180,6 +179,19 @@ def _grid_hash(*grids) -> str:
     for grid in grids:
         h.update(repr(tuple(grid)).encode())
     return h.hexdigest()[:16]
+
+
+def _column_text(column: np.ndarray, fmt) -> list:
+    """fmt of every entry of column, called once per distinct entry and
+    gathered by index.  Floats are told apart by their bits, so -0.0 and
+    0.0 keep their own text."""
+    if column.dtype == float:
+        keys = np.ascontiguousarray(column).view(np.uint64)
+    else:
+        keys = column
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([fmt(v) for v in column[first].tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec | None = None) -> str:
@@ -192,23 +204,15 @@ def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec | None = N
             "# grids " + _grid_hash(spec.g_grid, spec.t_grid, spec.beta_grid, spec.seeds)
         )
     lines.append(CSV_HEADER)
-    grid_text = {}
-
-    def grid_fmt(value: float) -> str:
-        """_fmt of a grid column value, which repeats from row to row; keyed
-        by the float's bits, so -0.0 and 0.0 stay apart."""
-        key = _FLOAT_BITS(value)
-        text = grid_text.get(key)
-        if text is None:
-            text = grid_text[key] = _fmt(value)
-        return text
-
-    # stable: records of two sweeps with equal keys (isingvssyk) keep their order
-    for rec in sorted(records, key=analysis.FidelityRecord.sort_key):
-        seed, beta, g, t, metric, variant, value = rec
-        # .12g gives the digits of _fmt without a call per field
-        lines.append(f"{seed},{grid_fmt(beta)},{grid_fmt(g)},{grid_fmt(t)},"
-                     f"{metric},{variant},{value:.12g},{rec.unit_interval_value():.12g}")
+    # stable: rows of two sweeps with equal keys (isingvssyk) keep their order
+    table = analysis.RecordTable.from_rows(records).sorted()
+    kinds = np.array([f"{metric},{variant}" for metric, variant in table.kinds], dtype=object)
+    columns = [_column_text(table.seed, str)]
+    columns += [_column_text(getattr(table, c), _fmt) for c in ("beta", "g", "t")]
+    columns.append(kinds[table.kind].tolist())
+    for values in (table.value, table.unit_interval_value()):
+        columns.append(list(map(_FORMAT.__mod__, values.tolist())))
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -334,13 +338,12 @@ def _recovery_records(spec: analysis.SweepSpec, manifest: RunManifest,
     """Two-stage time sweeps: pick g* per beta from the g-sweep ensemble
     mean, then sweep t at that coupling."""
     gsweep = analysis.run_sweep(spec, workers=workers)
-    records = []
+    tables = []
     for beta in spec.beta_grid:
         g_star = analysis.optimal_g(gsweep, beta)
         tspec = replace(spec, g_grid=(g_star,), beta_grid=(beta,), t_grid=tuple(t_grid))
-        records.extend(analysis.run_sweep(tspec, workers=workers))
-    records.sort(key=analysis.FidelityRecord.sort_key)
-    return records
+        tables.append(analysis.run_sweep(tspec, workers=workers))
+    return analysis.RecordTable.concat(tables).sorted()
 
 
 # Each preset writes <name>.csv (and, for some, <name>.json) into out.

@@ -9,7 +9,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import layout, qop
 
@@ -31,9 +30,90 @@ def split_uniform(seed: int, stream: int, index: int) -> float:
     return (raw + 0.5) / float(1 << 53)
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989; http://www.netlib.org/cephes/): rational approximations
+# P/Q, with Q's leading coefficient 1 left out, on three ranges of y; the
+# upper tail y > 1 - exp(-2) is evaluated at 1 - y
+_NDTRI_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_NDTRI_EXPM2 = 0.13533528323661269189  # exp(-2)
+# the central range exp(-2) < y <= 1 - exp(-2), in (y - 1/2)^2
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+# z = 1/sqrt(-2 log y) for sqrt(-2 log y) in [2, 8)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# the same for sqrt(-2 log y) in [8, 64]
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Cephes polevl: the polynomial with coefficients coef, highest
+    degree first, by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """Cephes p1evl: as _polevl with a leading coefficient 1 prepended."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Inverse of the standard normal CDF on [0, 1], operation for
+    operation the Cephes routine, so bit for bit scipy.special.ndtri."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        raise ValueError(f"ndtri needs 0 <= y <= 1, got {y!r}")
+    upper = y > 1.0 - _NDTRI_EXPM2
+    if upper:
+        y = 1.0 - y
+    if y > _NDTRI_EXPM2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
 def gaussian_draw(seed: int, stream: int, index: int, sigma: float) -> float:
     """Deterministic N(0, sigma^2) draw via the inverse normal CDF."""
-    return float(sigma * ndtri(split_uniform(seed, stream, index)))
+    return sigma * _ndtri(split_uniform(seed, stream, index))
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ Every metric is evaluated by one staged pipeline in `Engine`:
   exp(i g upsilon) = sum_p exp(i g p) Pi_p.  It splits every dressed row
   d once into its level components y_p = B[:, S_p] d[S_p], combines them
   for every g at once with one (n_g, L) phase matrix, applies
-  W_R(beta) U_R(t) as an 8x8 map on the right-factor index of each row
-  and normalizes each row.
+  W_R(beta) U_R(t) as a 2^n_side x 2^n_side map on the right-factor
+  index of each row and normalizes each row.
 
 The metrics reduce over the (t, g) rows, each row keeping its own
 density-matrix checks.  The t axis is cut into chunks of at most
@@ -48,8 +48,9 @@ pipeline is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -419,7 +420,7 @@ class Engine:
         forward left evolution, expressed in the size-operator eigenbasis.
 
         `msgs` is one message vector or a stack (n_in, 2^n_msg) of them;
-        the result has shape (n_t, n_in, 2^n_msg, 64).
+        the result has shape (n_t, n_in, 2^n_msg, 4^n_side).
         """
         d = 2 ** self.reg.n_side
         m = 2 ** self.reg.n_message
@@ -439,7 +440,7 @@ class Engine:
         """Coupling phases, right evolution and thermal weight for every
         (t, g).
 
-        `dressed` is the (n_t, n_in, 2^n_msg, 64) output of dressed_state
+        `dressed` is the (n_t, n_in, 2^n_msg, 4^n_side) output of dressed_state
         at the same t_values; the result has shape (n_t, n_g, n_in, dim),
         each final state normalized unless normalize=False.
         """
@@ -492,8 +493,8 @@ class Engine:
         MAX_BATCH_ROWS (t, g) rows, joined to np.shape(t) + trailing."""
         t_values = self._t_axis(t)
         step = max(1, MAX_BATCH_ROWS // max(1, np.size(g_values)))
-        out = np.concatenate([evaluate(t_values[i:i + step])
-                              for i in range(0, len(t_values), step)])
+        chunks = [evaluate(t_values[i:i + step]) for i in range(0, len(t_values), step)]
+        out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return out.reshape(np.shape(t) + out.shape[1:])
 
     # -- metrics ----------------------------------------------------------
@@ -562,28 +563,36 @@ class Engine:
         return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n_s)
 
 
+# the ProtocolConfig fields an Engine depends on, message first: all but
+# the sweep axes and the message amplitudes
+_ENGINE_FIELDS = ("message",) + tuple(
+    f.name for f in fields(ProtocolConfig)
+    if f.name not in ("message", "g", "t", "beta", "alpha", "beta_msg"))
+_engine_key = attrgetter(*_ENGINE_FIELDS)
+
+
 @lru_cache(maxsize=8)
 def _engine_cached(key: tuple) -> Engine:
-    return Engine(ProtocolConfig(**dict(key)))
+    structure = dict(zip(_ENGINE_FIELDS, key))
+    t = 0.0 if structure["model"] == "tfim" else DEFAULT_T_SINGLE
+    return Engine(ProtocolConfig(t=t, **structure))
 
 
 def get_engine(cfg: ProtocolConfig) -> Engine:
     """Engine shared across calls with the same structural parameters.
 
-    The sweep axes (g, t, beta) and the message amplitudes are
-    canonicalized away so one cached engine serves a whole grid; the
-    arbitrary message shares the engine of the basis message, since its
-    fidelities are built from the two basis-input branches.
+    The sweep axes (g, t, beta) and the message amplitudes are not part
+    of the key, so one cached engine serves a whole grid; the arbitrary
+    message shares the engine of the basis message, since its fidelities
+    are built from the two basis-input branches.
     """
-    message = "basis_zero" if cfg.message == "arbitrary" else cfg.message
-    base = replace(cfg, message=message, g=0.0,
-                   t=0.0 if cfg.model == "tfim" else DEFAULT_T_SINGLE,
-                   beta=0.0, alpha=1.0 + 0j, beta_msg=0.0 + 0j)
-    key = tuple(sorted((k, v) for k, v in base.__dict__.items()))
+    key = _engine_key(cfg)
+    if key[0] == "arbitrary":
+        key = ("basis_zero",) + key[1:]
     try:
         return _engine_cached(key)
-    except TypeError:
-        return Engine(base)
+    except TypeError:  # an unhashable field, such as a list of size modes
+        return _engine_cached.__wrapped__(key)
 
 
 def run_single_qubit(cfg: ProtocolConfig) -> float:
@@ -658,11 +667,12 @@ def _haar_samples(seed: int, n_s: int) -> np.ndarray:
 
 
 def run_arbitrary_avg(cfg: ProtocolConfig, n_s: int = 100, seed: int = 0):
-    """Mean and standard error of the fidelity over Haar-random inputs."""
-    base = replace(cfg, message="arbitrary", alpha=1.0 + 0j, beta_msg=0.0 + 0j)
-    base.validate()
-    mean, stderr = get_engine(base).curve_arbitrary_avg(
-        base.beta, base.t, (base.g,), n_s, seed)
+    """Mean and standard error of the fidelity over Haar-random inputs;
+    cfg carries a single-qubit message, whose amplitudes are not used."""
+    if cfg.message == "bell_phi_plus":
+        raise ConfigError("run_arbitrary_avg expects a single-qubit message")
+    cfg.validate()
+    mean, stderr = get_engine(cfg).curve_arbitrary_avg(cfg.beta, cfg.t, (cfg.g,), n_s, seed)
     return float(mean[0]), float(stderr[0])
 
 

@@ -156,6 +156,58 @@ class TestRunSweep:
         assert rec.value == mean
 
 
+class TestRecordTable:
+    def test_run_sweep_columns_match_per_point_construction(self):
+        spec = tiny_spec(g_grid=(-0.5, 0.0, 1.5), t_grid=(0.5, 2.0),
+                         beta_grid=(0.0, 4.0), seeds=(9, 3))
+        want = []
+        for seed in (3, 9):
+            eng = protocol.get_engine(replace(spec.base, seed=seed))
+            for beta in spec.beta_grid:
+                curve = eng.curve_basis_z(beta, spec.t_grid, spec.g_grid)
+                for j, g in enumerate(spec.g_grid):
+                    for i, t in enumerate(spec.t_grid):
+                        want.append(analysis.FidelityRecord(seed, beta, g, t, "basis_z",
+                                                            "delta01", float(curve[i, j])))
+        for workers in (1, 2):
+            table = analysis.run_sweep(spec, workers=workers)
+            assert isinstance(table, analysis.RecordTable)
+            assert table == want
+            for name in analysis.KEY_COLUMNS + ("value",):
+                assert getattr(table, name).tolist() == [getattr(r, name) for r in want]
+            assert table.kinds == (("basis_z", "delta01"),)
+
+    def test_row_view(self):
+        table = analysis.run_sweep(tiny_spec(g_grid=(0.5, 1.0)))
+        rows = list(table)
+        assert len(rows) == len(table) == 2
+        for i, row in enumerate(rows):
+            assert isinstance(row, analysis.FidelityRecord)
+            assert (row.seed, row.beta, row.g, row.t) == (0, 0.0, (0.5, 1.0)[i], 1.0)
+            assert row.value == table.value[i]
+            assert type(row.seed) is int and type(row.value) is float
+            assert row == table[i]
+        assert table[-1] == rows[-1]
+        assert list(table[::-1]) == rows[::-1]
+
+    def test_concatenation_keeps_order_of_equal_keys(self):
+        left = synth_records([({"g": 1.0}, 0.1), ({"g": 0.0}, 0.2)])
+        right = synth_records([({"g": 1.0}, 0.3), ({"g": 0.0}, 0.4)],
+                              metric="bell_stabilizer", variant="bell_sequential")
+        joined = analysis.RecordTable.from_rows(left) + analysis.RecordTable.from_rows(right)
+        assert list(joined) == left + right
+        assert [r.value for r in joined.sorted()] == [0.2, 0.4, 0.1, 0.3]
+        assert len(joined.kinds) == 2
+        assert joined == left + right
+        assert analysis.RecordTable.from_rows(left) != right
+
+    def test_unit_interval_column_matches_rows(self):
+        rows = synth_records([({"g": 0.0}, -0.25)]) + synth_records(
+            [({"g": 0.0}, 0.75)], metric="bell_stabilizer", variant="bell_sequential")
+        table = analysis.RecordTable.from_rows(rows)
+        assert table.unit_interval_value().tolist() == [r.unit_interval_value() for r in rows]
+
+
 class TestEnsembleMean:
     def test_single_record_convention(self):
         recs = synth_records([({}, 0.7)])

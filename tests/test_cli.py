@@ -114,6 +114,41 @@ class TestCsvEmission:
         assert text.endswith("\n".join(lines) + "\n")
         assert ",-0," in text and ",0," in text
 
+    def test_table_bytes_match_per_field_writer(self, tmp_path):
+        # a table joined from two metrics: -0.0 and 0.0 keep their own text,
+        # and rows with equal keys keep the order of the join
+        rng = np.random.default_rng(4)
+        tables = []
+        for metric, variant in (("basis_z", "delta01"), ("bell_stabilizer", "bell_sequential")):
+            keys = np.meshgrid([4, 1], [5.0, 0.0], [0.0, -0.0, 0.1, 1 / 3], [1.0, 0.5],
+                               indexing="ij")
+            tables.append(analysis.RecordTable.single_kind(
+                *(k.reshape(-1) for k in keys), rng.normal(size=32), metric, variant))
+        table = tables[0] + tables[1]
+        lines = [cli.CSV_HEADER]
+        for rec in sorted(table, key=analysis.FidelityRecord.sort_key):
+            lines.append(",".join([str(rec.seed), cli._fmt(rec.beta), cli._fmt(rec.g),
+                                   cli._fmt(rec.t), rec.metric, rec.variant,
+                                   cli._fmt(rec.value),
+                                   cli._fmt(rec.unit_interval_value())]))
+        text = cli.csv_text(table, manifest(tmp_path))
+        assert text.endswith("\n".join(lines) + "\n")
+        assert ",-0," in text and ",0," in text
+        assert text == cli.csv_text(list(table), manifest(tmp_path))
+
+    def test_table_round_trip(self, tmp_path):
+        spec = analysis.SweepSpec(base=protocol.ProtocolConfig(seed=0),
+                                  g_grid=(-0.25, 0.0, 1.0), t_grid=(0.5, 1.0),
+                                  beta_grid=(0.0, 5.0), seeds=(3, 1))
+        table = analysis.run_sweep(spec)
+        path = tmp_path / "sweep.csv"
+        cli.emit_csv(table, path, manifest(tmp_path), spec)
+        back = analysis.RecordTable.from_rows(cli.read_csv(path))
+        for name in analysis.KEY_COLUMNS:
+            assert np.array_equal(getattr(back, name), getattr(table, name))
+        assert back.kinds == table.kinds
+        assert np.allclose(back.value, table.value, rtol=1e-11, atol=0.0)
+
     def test_unwritable_path(self, tmp_path):
         man = manifest(tmp_path)
         with pytest.raises(cli.CliError) as err:

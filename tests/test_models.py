@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import ndtri
 
 from sykteleport import layout, models, qop
 
@@ -165,6 +171,49 @@ class TestStreamSplitting:
         for i in range(200):
             u = models.split_uniform(3, models.STREAM_SYK, i)
             assert 0.0 < u < 1.0
+
+
+class TestInverseNormalCdf:
+    def test_matches_scipy_bit_for_bit(self):
+        # every branch: the central range, both tails with
+        # sqrt(-2 log y) below and above 8, the branch edges at exp(-2),
+        # the ends, subnormals and the split_uniform lattice edges
+        edge = 0.13533528323661269189
+        y = np.concatenate([
+            np.linspace(0.0, 1.0, 20001),
+            np.random.default_rng(5).random(20000),
+            np.logspace(-323, -0.5, 20000), 1.0 - np.logspace(-16.5, -0.5, 20000),
+            np.nextafter(edge, [0.0, 1.0]), np.nextafter(1.0 - edge, [0.0, 1.0]),
+            [edge, 1.0 - edge, 0.5, 5e-324],
+            (np.arange(64) + 0.5) / float(1 << 53), 1.0 - (np.arange(64) + 0.5) / float(1 << 53),
+        ])
+        got = np.array([models._ndtri(v) for v in y.tolist()])
+        assert np.array_equal(got, ndtri(y))
+        assert np.signbit(got).tolist() == np.signbit(ndtri(y)).tolist()
+
+    def test_rejects_values_outside_unit_interval(self):
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                models._ndtri(bad)
+
+    def test_couplings_match_scipy_route(self):
+        for seed in range(20):
+            c = models.sample_syk_couplings(6, 4, 5.0, seed)
+            scipy_route = [c.sigma * ndtri(models.split_uniform(seed, models.STREAM_SYK, i))
+                           for i in range(len(c.entries))]
+            assert np.array_equal(list(c.entries.values()), scipy_route)
+            h = models.TfimParams.sample(3, seed).h_fields
+            assert np.array_equal(h, [0.5 * ndtri(models.split_uniform(seed, models.STREAM_TFIM, i))
+                                      for i in range(3)])
+
+
+def test_cli_import_leaves_scipy_special_and_linalg_unloaded():
+    code = ("import sys, sykteleport.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(models.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMajoranaEmbeddings:

@@ -236,22 +236,22 @@ class TestPipelineAgainstDense:
             yield (int(rng.integers(0, 10 ** 6)), float(rng.uniform(0.0, 20.0)),
                    float(rng.uniform(0.0, 4 * math.pi)), float(rng.uniform(0.0, 3.0)))
 
-    def test_basis_z(self):
-        for seed, beta, g, t in self._cases():
+    def _check_basis_z(self, cases, n_side=3):
+        for seed, beta, g, t in cases:
             for variant in ("delta01", "delta02"):
                 cfg = protocol.ProtocolConfig(seed=seed, beta=beta, g=g, t=t,
-                                              swap_variant=variant)
+                                              swap_variant=variant, n_side=n_side)
                 (psi,) = self._dense_states(cfg, [np.array([1, 0], dtype=complex)])
                 psi = psi / np.linalg.norm(psi)
                 z = qop.pauli_on(cfg.register.n_qubits, cfg.resolved_readout()[0], "Z")
                 want = float(np.real(qop.expectation(psi, z)))
                 assert abs(protocol.run_single_qubit(cfg) - want) <= 1e-12
 
-    def test_bell(self):
-        for seed, beta, g, t in self._cases():
+    def _check_bell(self, cases, n_side=3):
+        for seed, beta, g, t in cases:
             cfg = protocol.ProtocolConfig(message="bell_phi_plus",
                                           swap_variant="bell_sequential",
-                                          seed=seed, beta=beta, g=g, t=t)
+                                          seed=seed, beta=beta, g=g, t=t, n_side=n_side)
             (psi,) = self._dense_states(cfg, [BELLS["phi_plus"]])
             psi = psi / np.linalg.norm(psi)
             n = cfg.register.n_qubits
@@ -260,6 +260,20 @@ class TestPipelineAgainstDense:
                 qop.pauli_on(n, a, p) @ qop.pauli_on(n, b, p) for p in "XYZ"))
             want = float(np.real(qop.expectation(psi, stab)))
             assert abs(protocol.run_bell(cfg) - want) <= 1e-12
+
+    def test_basis_z(self):
+        self._check_basis_z(self._cases())
+
+    def test_bell(self):
+        self._check_bell(self._cases())
+
+    @pytest.mark.parametrize("n_side", [2, 4])
+    def test_other_side_sizes(self, n_side):
+        # 4 and 8 size levels; at n_side 4 the dense register has 2^9 and
+        # 2^10 states, so one point there
+        cases = list(self._cases(3 if n_side == 2 else 1))
+        self._check_basis_z(cases, n_side)
+        self._check_bell(cases, n_side)
 
     def test_arbitrary_branches(self):
         for seed, beta, g, t in self._cases():
@@ -655,6 +669,24 @@ class TestArbitraryAverage:
         mean, stderr = protocol.run_arbitrary_avg(cfg, n_s=50, seed=1)
         assert 0.0 <= mean <= 1.0
         assert stderr >= 0.0
+
+    def test_rejects_the_bell_message(self):
+        bell = protocol.ProtocolConfig(message="bell_phi_plus", swap_variant="bell_sequential")
+        with pytest.raises(protocol.ConfigError):
+            protocol.run_arbitrary_avg(bell, 5)
+
+    def test_engine_key_leaves_out_sweep_axes_and_amplitudes(self):
+        cfg = protocol.ProtocolConfig(seed=6, swap_variant="delta02")
+        eng = protocol.get_engine(cfg)
+        assert protocol.get_engine(replace(cfg, g=2.0, t=3.0, beta=7.0)) is eng
+        assert protocol.get_engine(replace(cfg, message="arbitrary", alpha=0.6 + 0j,
+                                           beta_msg=0.8j)) is eng
+        assert eng.cfg.message == "basis_zero" and eng.cfg.t == protocol.DEFAULT_T_SINGLE
+        assert protocol.get_engine(replace(cfg, seed=7)) is not eng
+        # an unhashable field still builds an engine, uncached
+        listed = protocol.get_engine(replace(cfg, size_modes=[0, 1, 2]))
+        assert listed is not protocol.get_engine(replace(cfg, size_modes=[0, 1, 2]))
+        assert listed.cfg.size_modes == [0, 1, 2]
 
     def test_deterministic_per_seed(self):
         cfg = protocol.ProtocolConfig(seed=1, beta=2.0, g=1.0, t=1.0)
