@@ -14,34 +14,50 @@ Boltzmann-reweighted final state exp(-beta H_R/2)|psi_final> (normalized),
 matching the thermal traces the sweep figures are built from; the bare
 expectation is available via thermal_readout=False.
 
-Every metric is evaluated by one staged pipeline in `Engine`:
+Every metric is evaluated by one staged pipeline in `Engine`.  V_L and
+V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
 
 * realization (Engine construction): the side eigensystems (for the
   kicked-Ising baseline the Floquet quasi-energies, which make integer t
-  a step count), the size-operator eigenbasis B split into its L distinct
-  levels p (L = 6 at n_side = 3; the columns S_p of one level are
-  contiguous, which is checked) and the INSERT matrix (shared by every
-  engine of one register geometry);
-* beta (cached per beta): the thermofield double, built by
-  `tfd.build_tfd` from the cached left eigensystem, and the thermal
-  readout weight W_R(beta) = exp(-beta H_R/2);
-* t (a batched axis): U_L and U_R for a whole t array from one
-  exponentiated eigenvalue array exp(-i E t) and one stacked matmul;
-  `Engine.dressed_state` (everything before the coupling, in the size
-  eigenbasis) is a stack with a leading t axis;
-* g (a batched axis): `Engine.finish` applies the coupling as
-  exp(i g upsilon) = sum_p exp(i g p) Pi_p.  It splits every dressed row
-  d once into its level components y_p = B[:, S_p] d[S_p], combines them
-  for every g at once with one (n_g, L) phase matrix, applies
-  W_R(beta) U_R(t) as a 2^n_side x 2^n_side map on the right-factor
-  index of each row and normalizes each row.
+  a step count), the distinct size levels p (L = 6 at n_side = 3) and
+  the INSERT matrix with its factor F on the message and left sites
+  (INSERT = F (x) I_right, checked exactly).  INSERT, F and the size
+  eigenbasis B are shared by every engine of one register geometry; F in
+  the left eigenbasis and C (below) are derived from V_L, V_R on first
+  use;
+* beta (cached per beta): the thermofield double T, built by
+  `tfd.build_tfd` from the cached left eigensystem and kept as
+  K(beta) = V_L^dagger T V_R^*, and the thermal readout weights
+  exp(-beta (E_R - E_min)/2), diagonal in V_R;
+* t (a batched axis, side eigenbases): U_L and U_R are the phase arrays
+  exp(-i E t).  `Engine.dressed_state` (everything before the coupling)
+  is two phase multiplies of K and two small GEMMs (messages into F,
+  then F onto K), a stack with a leading t axis whose rows are indexed
+  by (left eigenvector, right eigenvector);
+* g (a batched axis): `Engine.finish` applies the coupling,
+  exp(i g upsilon) = B diag(exp(i g p_j)) B^dagger with p_j the level of
+  size eigenvector j, in one of three orders, picked from the call's
+  n_rows (t, message) rows and n_g values of g.  Every row is taken to
+  the size eigenbasis by the engine's C = (V_L (x) V_R)^T B^* and back by
+  B^T and V_R^* on the right index (rows over (left site, right
+  eigenvector)).  "phases" (at most L/2 values of g, few rows): each row
+  through C, one phase per eigenvector for each g, each g back.  "maps"
+  (at most L/2 values of g and n_rows > n_g 4^n_side): the same product
+  associated the other way, one 4^n_side-square map C diag(phases) B^T
+  per g, so each row is one product with it.  "levels" (more than L/2
+  values of g, the g sweeps): each row through C and back split into its
+  L level components Pi_p x, which one (n_g, L) phase matrix combines
+  for every g.  W_R(beta) U_R(t) is one diagonal multiply in the right
+  eigenbasis followed by a GEMM by V_R^T (in the level order on each
+  level component, before the g combination), and each row is scaled by
+  its reciprocal norm.  The orders agree to round-off, not bit for bit.
 
 The metrics reduce over the (t, g) rows, each row keeping its own
 density-matrix checks.  The t axis is cut into chunks of at most
 MAX_BATCH_ROWS (t, g) rows, which bounds the memory of any one call.  A
-scalar t or a single g is a batch of one through the same code, so
-`run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
-`analysis` share it.  The dense `wormhole_unitary` is the reference the
+scalar t or a single g is a batch of one through the same stages (the g
+stage picks its order by size), so `run_single_qubit`, `run_bell`,
+`run_arbitrary_avg` and the sweeps in `analysis` share them.  The dense `wormhole_unitary` is the reference the
 pipeline is tested against.
 """
 
@@ -49,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -274,21 +290,30 @@ def build_insert(cfg: ProtocolConfig) -> InsertOperator:
     return InsertOperator(matrix=mat, site_pairs=pairs)
 
 
+def _message_left_factor(matrix: np.ndarray, register: layout.RegisterLayout) -> np.ndarray:
+    """The factor F on the message and left sites with matrix = F (x) I_right
+    exactly, shape (2^n_msg 2^n_side, 2^n_msg 2^n_side); raises when the
+    matrix acts on a right site."""
+    d = 2 ** register.n_side
+    md = register.dim // d
+    factor = np.ascontiguousarray(np.asarray(matrix).reshape(md, d, md, d)[:, 0, :, 0])
+    if not np.array_equal(qop.kron(factor, np.eye(d)), matrix):
+        raise qop.QopError("INSERT does not act on the message and left sites alone")
+    return factor
+
+
 @lru_cache(maxsize=None)
 def _shared_insert(message: str, swap_variant: str, n_side: int, fermionic_insert: bool):
     """build_insert for one register geometry, read-only and built once,
-    with its gather form: INSERT is a signed permutation, so
-    INSERT @ v = sign * v[source]."""
-    ins = build_insert(ProtocolConfig(message=message, swap_variant=swap_variant,
-                                      n_side=n_side, fermionic_insert=fermionic_insert))
-    mat = ins.matrix
-    source = np.argmax(np.abs(mat), axis=1)
-    sign = mat[np.arange(len(mat)), source]
-    if (np.count_nonzero(mat, axis=1) != 1).any() or (np.abs(sign) != 1).any():
-        raise qop.QopError("INSERT is not a signed permutation")
-    for a in (mat, source, sign):
+    with its factor F on the message and left sites (INSERT = F (x) I_right,
+    checked once here)."""
+    cfg = ProtocolConfig(message=message, swap_variant=swap_variant,
+                         n_side=n_side, fermionic_insert=fermionic_insert)
+    ins = build_insert(cfg)
+    factor = _message_left_factor(ins.matrix, cfg.register)
+    for a in (ins.matrix, factor):
         a.setflags(write=False)
-    return ins, source, sign
+    return ins, factor
 
 
 def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperator,
@@ -312,13 +337,23 @@ def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperato
 class Engine:
     """Staged, cached evaluation of the protocol for one realization.
 
-    The realization stage (side eigensystems, the size-operator
-    eigenbasis, the insert matrix) depends only on (model, seed, j_scale,
-    variant geometry) and is built here.  The beta stages (TFD, thermal
-    weight) are built on first use and keep their latest value, which is
-    what a sweep revisits (beta is its outer loop).  Nothing with a t or g
-    axis is kept: every metric takes a whole t array and a whole g array
-    and evaluates them in chunks of at most MAX_BATCH_ROWS (t, g) rows.
+    The realization stage (side eigensystems, the size levels, the insert
+    matrix and its message (x) left factor) depends only on (model, seed,
+    j_scale, variant geometry) and is built here; the tensors derived from
+    `eig_left`/`eig_right` are built from them on first use.  The beta
+    stages (K(beta) = V_L^dagger T V_R^*, the diagonal thermal weights) are
+    built on first use and keep their latest value, which is what a sweep
+    revisits (beta is its outer loop).  Nothing with a t or g axis is kept:
+    every metric takes a whole t array and a whole g array and evaluates
+    them in chunks of at most MAX_BATCH_ROWS (t, g) rows.
+
+    The t stage works in the side eigenbases V_L, V_R and the g stage in
+    the order the call's row and g counts select (see the module
+    docstring).  An engine holds 2^n_side-sized arrays, the INSERT factor
+    in its left eigenbasis and, from its first g stage, the 4^n_side-square
+    C: 72 KB (basis message) and 84 KB (Bell) at n_side 3, 1.03 MB and
+    1.08 MB at n_side 4.  INSERT, its factor and the size eigenbasis are
+    shared per register geometry.
     """
 
     def __init__(self, cfg: ProtocolConfig):
@@ -341,17 +376,31 @@ class Engine:
             self.eig_right = qop.EigenSystem(
                 values=ev, vectors=vec[layout.mirror_index(n_side)])
         self.size = build_size_operator(self.reg, cfg.resolved_size_modes())
-        self.insert, self._insert_source, self._insert_sign = _shared_insert(
+        self.insert, self._insert_factor = _shared_insert(
             cfg.message, cfg.swap_variant, n_side, cfg.fermionic_insert)
         self.readout = cfg.resolved_readout()
         # exp(i g upsilon) = sum_p exp(i g p) Pi_p over the few distinct size
-        # levels p; each level keeps its eigenbasis columns as rows, which
-        # maps a row's level coefficients back to the computational basis
+        # levels p
         levels = self.size.levels()
         self._levels = np.array([p for p, _ in levels])
-        self._level_rows = tuple((cols, np.ascontiguousarray(self.size.basis[:, cols].T))
-                                 for _, cols in levels)
+        self._level_columns = tuple(cols for _, cols in levels)
+        self._column_levels = np.concatenate(
+            [np.full(cols.stop - cols.start, p) for p, cols in levels])
         self._latest: dict = {}  # beta stage name -> (beta, value)
+
+    @cached_property
+    def _insert_left(self) -> np.ndarray:
+        """F~ = (I (x) V_L)^dagger F (I (x) V_L), the INSERT factor in the left
+        eigenbasis, laid out (input message, (output message, output
+        eigenvector), input eigenvector) as a (2^n_msg, 2^n_msg 4^n_side)
+        matrix, so that messages @ it is INSERT on each message."""
+        m = 2 ** self.reg.n_message
+        d = 2 ** self.reg.n_side
+        v = self.eig_left.vectors
+        # I (x) V_L on the input index, then its adjoint on the output index
+        factor = (self._insert_factor.reshape(-1, d) @ v).reshape(m, d, m * d)
+        factor = (v.conj().T @ factor).reshape(m, d, m, d)
+        return np.ascontiguousarray(factor.transpose(2, 0, 1, 3)).reshape(m, -1)
 
     def _cached(self, stage: str, key, build):
         """The value of a stage at key, rebuilt by build() when the key
@@ -363,19 +412,26 @@ class Engine:
 
     # -- beta stage -------------------------------------------------------
     def tfd_vector(self, beta: float) -> np.ndarray:
-        """Thermofield double at beta from the cached left eigensystem."""
+        """Thermofield double at beta from the left eigensystem."""
+        return tfd.build_tfd(self.eig_left, beta, self.reg)
+
+    def _tfd_eigen(self, beta: float) -> np.ndarray:
+        """K(beta) = V_L^dagger T V_R^*: the thermofield double's
+        coefficients over (left eigenvector, right eigenvector)."""
         def build():
-            state = tfd.build_tfd(self.eig_left, beta, self.reg)
-            state.setflags(write=False)
-            return state
-        return self._cached("tfd", beta, build)
+            d = 2 ** self.reg.n_side
+            state = self.tfd_vector(beta).reshape(d, d)
+            k = self.eig_left.vectors.conj().T @ state @ self.eig_right.vectors.conj()
+            k.setflags(write=False)
+            return k
+        return self._cached("tfd_eigen", beta, build)
 
     def thermal_weight_right(self, beta: float) -> np.ndarray:
-        """W_R(beta) = exp(-beta (H_R - E_min)/2) on the right factor."""
+        """W_R(beta) = exp(-beta (H_R - E_min)/2) in the right eigenbasis:
+        its diagonal, one weight per right eigenvector."""
         def build():
             e = self.eig_right.values
-            w = np.exp(-0.5 * beta * (e - e.min()))
-            weight = (self.eig_right.vectors * w) @ self.eig_right.vectors.conj().T
+            weight = np.exp(-0.5 * beta * (e - e.min()))
             weight.setflags(write=False)
             return weight
         return self._cached("weight", beta, build)
@@ -398,12 +454,11 @@ class Engine:
         return t
 
     def side_evolution(self, t_values: np.ndarray, side: str) -> np.ndarray:
-        """Forward evolution exp(-i H t) on the "left" or "right" factor for
-        every t, shape (n_t, d, d); for the kicked-Ising model t counts
-        Floquet periods."""
+        """Forward evolution exp(-i H t) on the "left" or "right" factor in
+        its eigenbasis: the phases exp(-i E t), shape (n_t, 2^n_side); for
+        the kicked-Ising model t counts Floquet periods."""
         eig = self.eig_left if side == "left" else self.eig_right
-        phases = np.exp(-1j * t_values[:, None] * eig.values)
-        return (eig.vectors * phases[:, None, :]) @ eig.vectors.conj().T
+        return np.exp(-1j * t_values[:, None] * eig.values)
 
     def message_vector(self) -> np.ndarray:
         if self.cfg.message == "bell_phi_plus":
@@ -416,8 +471,9 @@ class Engine:
 
     # -- pipeline ---------------------------------------------------------
     def dressed_state(self, msgs, beta: float, t_values: np.ndarray) -> np.ndarray:
-        """Everything left of the coupling: insert between backward and
-        forward left evolution, expressed in the size-operator eigenbasis.
+        """Everything left of the coupling, U_L INSERT U_L^dagger |m>|TFD>,
+        in the side eigenbases: each row is indexed by (left eigenvector,
+        right eigenvector).
 
         `msgs` is one message vector or a stack (n_in, 2^n_msg) of them;
         the result has shape (n_t, n_in, 2^n_msg, 4^n_side).
@@ -425,15 +481,54 @@ class Engine:
         d = 2 ** self.reg.n_side
         m = 2 ** self.reg.n_message
         msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
-        ul = self.side_evolution(t_values, "left")
-        n_t, n_in = len(ul), len(msgs)
-        # the backward left evolution acts on the TFD factor alone
-        back = ul.conj().transpose(0, 2, 1) @ self.tfd_vector(beta).reshape(d, d)
-        psi = msgs[None, :, :, None] * back.reshape(n_t, 1, 1, d * d)
-        psi = psi.reshape(n_t * n_in, -1)[:, self._insert_source] * self._insert_sign
-        psi = ul[:, None] @ psi.reshape(n_t, n_in * m, d, d)
-        psi = psi.reshape(-1, d * d) @ self.size.basis.conj()
-        return psi.reshape(n_t, n_in, m, d * d)
+        phases = self.side_evolution(t_values, "left")
+        n_t, n_in = len(phases), len(msgs)
+        # U_L^dagger on the TFD's left index: exp(+i E_a t) K[a, k], laid
+        # out (a, (t, k))
+        back = self._tfd_eigen(beta)[:, None, :] * phases.T.conj()[:, :, None]
+        # INSERT on each message, then on every t at once: rows
+        # (input, message, a'), columns (t, k)
+        ins = (msgs @ self._insert_left).reshape(n_in * m * d, d)
+        psi = (ins @ back.reshape(d, n_t * d)).reshape(n_in, m, d, n_t, d)
+        # U_L on the left index, moving t to the front
+        out = np.empty((n_t, n_in, m, d, d), dtype=complex)
+        np.multiply(psi.transpose(3, 0, 1, 2, 4), phases[:, None, None, :, None], out=out)
+        return out.reshape(n_t, n_in, m, d * d)
+
+    @cached_property
+    def _to_size(self) -> np.ndarray:
+        """C = (V_L (x) V_R)^T B^*, shape (4^n_side, 4^n_side): a row over the
+        side eigenbases (a, k') times C is the row of its size-eigenbasis
+        coefficients."""
+        d = 2 ** self.reg.n_side
+        conj = self.size.basis.conj().reshape(d, d, -1)
+        # V_R^T on the right-site index, then V_L^T on the left-site index
+        out = (self.eig_right.vectors.T @ conj).reshape(d, -1)
+        return (self.eig_left.vectors.T @ out).reshape(d * d, -1)
+
+    def _right_eigen(self, sites: np.ndarray) -> np.ndarray:
+        """Rows over (left site, right site) to rows over (left site, right
+        eigenvector k): V_R^* on the right index."""
+        d = 2 ** self.reg.n_side
+        return (sites.reshape(-1, d) @ self.eig_right.vectors.conj()).reshape(sites.shape)
+
+    def _coupling_order(self, n_rows: int, n_g: int) -> str:
+        """The order in which finish applies exp(i g upsilon) to n_rows rows
+        for n_g values of g (see the module docstring): "levels" for more
+        than L/2 values of g; else "maps" when the rows outnumber
+        n_g 4^n_side (building a map is one 4^n_side-square product, about
+        what 4^n_side rows cost through the size eigenbasis), and "phases"
+        otherwise."""
+        if 2 * n_g > len(self._levels):
+            return "levels"
+        return "maps" if n_rows > n_g * 4 ** self.reg.n_side else "phases"
+
+    def _right_stage(self, psi: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """W_R(beta) U_R(t) on (lead, n_t, rows, k) states over the right
+        eigenbasis: one diagonal multiply by `right` (n_t, 2^n_side), then
+        V_R^T back to the right sites."""
+        psi = psi * right[:, None, :]
+        return (psi.reshape(-1, psi.shape[-1]) @ self.eig_right.vectors.T).reshape(psi.shape)
 
     def finish(self, dressed: np.ndarray, beta: float, g_values, t_values: np.ndarray,
                normalize: bool = True) -> np.ndarray:
@@ -441,32 +536,44 @@ class Engine:
         (t, g).
 
         `dressed` is the (n_t, n_in, 2^n_msg, 4^n_side) output of dressed_state
-        at the same t_values; the result has shape (n_t, n_g, n_in, dim),
-        each final state normalized unless normalize=False.
+        at the same t_values; the result has shape (n_t, n_g, n_in, dim) in
+        the computational basis, each final state normalized unless
+        normalize=False.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
         if not (np.isfinite(g).all() and math.isfinite(beta)):
             raise ConfigError("g and beta must be finite")
         n_t, n_in, m, block = dressed.shape
         d = 2 ** self.reg.n_side
-        rows = dressed.reshape(-1, block)
-        # level components y_p = B[:, S_p] d[S_p] of every (t, input) row,
-        # level-major so each level's matmul fills one contiguous block
-        parts = np.empty((len(self._levels),) + rows.shape, dtype=complex)
-        for part, (cols, vectors) in zip(parts, self._level_rows):
-            np.matmul(rows[:, cols], vectors, out=part)
-        # exp(i g upsilon) d = sum_p exp(i g p) y_p for every g at once; the
-        # (g, t) -> (t, g) swap only copies when both axes are longer than 1
-        phases = np.exp(1j * g[:, None] * self._levels)
-        psi = (phases @ parts.reshape(len(parts), -1)).reshape(len(g), n_t, -1).swapaxes(0, 1)
-        # W_R(beta) U_R(t) acts on the right-factor index, the last of each block
         right = self.side_evolution(t_values, "right")
         if self.cfg.thermal_readout and beta > 0:
-            right = self.thermal_weight_right(beta) @ right
-        psi = psi.reshape(n_t, -1, d) @ right.transpose(0, 2, 1)
-        psi = psi.reshape(n_t, len(g), n_in, m * block)
+            right = right * self.thermal_weight_right(beta)
+        rows = dressed.reshape(-1, block)
+        basis = self.size.basis
+        order = self._coupling_order(len(rows), len(g))
+        if order == "levels":
+            # each row's level components Pi_p x (right stage on each),
+            # combined for every g
+            coeffs = rows @ self._to_size
+            parts = np.empty((len(self._levels), len(rows), block), dtype=complex)
+            for part, cols in zip(parts, self._level_columns):
+                np.matmul(coeffs[:, cols], basis[:, cols].T, out=part)
+            parts = self._right_eigen(parts).reshape(len(self._levels), n_t, -1, d)
+            parts = self._right_stage(parts, right)
+            phases = np.exp(1j * g[:, None] * self._levels)
+            psi = phases @ parts.reshape(len(parts), -1)
+        else:
+            # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
+            phases = np.exp(1j * g[:, None, None] * self._column_levels)
+            if order == "maps":
+                psi = rows @ self._right_eigen((self._to_size * phases) @ basis.T)
+            else:
+                psi = self._right_eigen(((rows @ self._to_size) * phases) @ basis.T)
+            psi = self._right_stage(psi.reshape(len(g), n_t, -1, d), right)
+        # (g, t) -> (t, g) only copies when both axes are longer than 1
+        psi = psi.reshape(len(g), n_t, -1).swapaxes(0, 1).reshape(n_t, len(g), n_in, m * block)
         if normalize:
-            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+            psi *= 1.0 / np.linalg.norm(psi, axis=-1, keepdims=True)
         return psi
 
     def final_state(self, beta: float | None = None, g: float | None = None,
@@ -603,11 +710,14 @@ def run_single_qubit(cfg: ProtocolConfig) -> float:
     return float(get_engine(cfg).curve_basis_z(cfg.beta, cfg.t, (cfg.g,))[0])
 
 
-_STABILIZERS = tuple(qop.kron(p, p) for p in (qop.PAULI_X, qop.PAULI_Z, qop.PAULI_Y))
+# XX + YY + ZZ as the vector v with Tr(rho (XX + YY + ZZ)) = rho.ravel() @ v;
+# the sum is real, so only Re(rho) contributes
+_STABILIZER_VECTOR = sum(qop.kron(p, p) for p in (qop.PAULI_X, qop.PAULI_Y, qop.PAULI_Z)
+                         ).real.T.reshape(16)
 
 
 def stabilizer_fidelity(rho2: np.ndarray):
-    """(1 + <XX> + <ZZ> + <YY>)/2 on a two-qubit density matrix.
+    """(1 + <XX> + <YY> + <ZZ>)/2 on a two-qubit density matrix.
 
     A stack of density matrices (..., 4, 4) gives an array of fidelities;
     every matrix in it must pass the density-matrix checks.
@@ -618,10 +728,7 @@ def stabilizer_fidelity(rho2: np.ndarray):
     trace = np.trace(rho2, axis1=-2, axis2=-1)
     if np.any(np.abs(trace - 1.0) > 1e-8) or not qop.is_hermitian(rho2, 1e-8):
         raise qop.QopError("input is not a density matrix")
-    val = 1.0
-    for pp in _STABILIZERS:
-        val = val + np.trace(rho2 @ pp, axis1=-2, axis2=-1).real
-    val = 0.5 * val
+    val = 0.5 * (1.0 + rho2.reshape(rho2.shape[:-2] + (16,)).real @ _STABILIZER_VECTOR)
     return float(val) if np.ndim(val) == 0 else val
 
 

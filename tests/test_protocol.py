@@ -206,6 +206,14 @@ class TestPipelineAgainstDense:
     def _dense_states(cfg, messages):
         """Thermally weighted, unnormalized W_R U |m> (x) |TFD> per message,
         from dense matrix exponentials on the full register."""
+        h_l, h_r, ins, size, w_r, tfd_state = TestPipelineAgainstDense._dense_pieces(cfg)
+        u = protocol.wormhole_unitary(h_l, h_r, ins, size, cfg.g, cfg.t, cfg.register)
+        return [w_r @ u @ np.kron(m, tfd_state) for m in messages]
+
+    @staticmethod
+    def _dense_pieces(cfg):
+        """Full-register H_L, H_R, INSERT, size operator and W_R, and the
+        TFD, all built without the Engine's helpers."""
         reg = cfg.register
         n_side = reg.n_side
         c = models.sample_syk_couplings(2 * n_side, 4, cfg.j_scale, cfg.seed)
@@ -224,11 +232,24 @@ class TestPipelineAgainstDense:
         values, basis = eigh(mat)
         size = protocol.SizeOperator(n_side=n_side, modes=modes, matrix=mat,
                                      eigenvalues=values, basis=basis)
-        u = protocol.wormhole_unitary(h_l, h_r, protocol.InsertOperator(matrix=ins),
-                                      size, cfg.g, cfg.t, reg)
         e_min = np.linalg.eigvalsh(h_r).min()
         w_r = expm(-0.5 * cfg.beta * (h_r - e_min * np.eye(reg.dim)))
-        return [w_r @ u @ np.kron(m, tfd_state) for m in messages]
+        return h_l, h_r, protocol.InsertOperator(matrix=ins), size, w_r, tfd_state
+
+    @staticmethod
+    def _dense_g_batch(cfg, message, g_values):
+        """Normalized W_R U(g) |m> (x) |TFD> for every g from one dense
+        wormhole_unitary at g = 0: U(g) = U_R exp(i g upsilon) U_R^dagger U(0)."""
+        reg = cfg.register
+        h_l, h_r, ins, size, w_r, tfd_state = TestPipelineAgainstDense._dense_pieces(cfg)
+        u0 = protocol.wormhole_unitary(h_l, h_r, ins, size, 0.0, cfg.t, reg)
+        u_r = qop.evolve(h_r, cfg.t, -1)
+        before = u_r.conj().T @ (u0 @ np.kron(message, tfd_state))
+        states = []
+        for g in g_values:
+            psi = w_r @ (u_r @ (size.exp_ig_embedded(reg, g) @ before))
+            states.append(psi / np.linalg.norm(psi))
+        return states
 
     def _cases(self, n=6):
         rng = np.random.default_rng(20250)
@@ -274,6 +295,43 @@ class TestPipelineAgainstDense:
         cases = list(self._cases(3 if n_side == 2 else 1))
         self._check_basis_z(cases, n_side)
         self._check_bell(cases, n_side)
+
+    @pytest.mark.parametrize("n_side, n_levels", [(2, 4), (3, 6), (4, 8)])
+    def test_g_batches_in_every_coupling_order(self, n_side, n_levels, monkeypatch):
+        # 1, L/2, L/2 + 1, L - 1 and L values of g, each in the order finish
+        # picks (phases up to L/2, the level split above) and forced into
+        # each of the three orders; basis_z and Bell against the dense unitary
+        rng = np.random.default_rng(31 + n_side)
+        gs = rng.uniform(0.0, 4 * math.pi, n_levels)
+        counts = (1, n_levels // 2, n_levels // 2 + 1, n_levels - 1, n_levels)
+        for seed, beta, _, t in self._cases(1 if n_side == 4 else 2):
+            cfg = protocol.ProtocolConfig(seed=seed, beta=beta, t=t, n_side=n_side)
+            bell = replace(cfg, message="bell_phi_plus", swap_variant="bell_sequential")
+            n = cfg.register.n_qubits
+            z = qop.pauli_on(n, cfg.resolved_readout()[0], "Z")
+            a, b = bell.resolved_readout()
+            stab = 0.5 * (np.eye(2 ** (n + 1)) + sum(
+                qop.pauli_on(n + 1, a, p) @ qop.pauli_on(n + 1, b, p) for p in "XYZ"))
+            want_z = [float(np.real(qop.expectation(psi, z))) for psi in
+                      self._dense_g_batch(cfg, np.array([1, 0], dtype=complex), gs)]
+            want_bell = [float(np.real(qop.expectation(psi, stab))) for psi in
+                         self._dense_g_batch(bell, BELLS["phi_plus"], gs)]
+            eng, engb = protocol.get_engine(cfg), protocol.get_engine(bell)
+            assert len(eng._levels) == len(engb._levels) == n_levels
+            for order in (None, "maps", "phases", "levels"):
+                if order is None:
+                    monkeypatch.undo()
+                    orders = _record_coupling_orders(monkeypatch)
+                else:
+                    _force_coupling_order(monkeypatch, order)
+                for k in counts:
+                    got_z = eng.curve_basis_z(beta, t, gs[:k])
+                    got_bell = engb.curve_bell(beta, t, gs[:k])
+                    assert np.abs(got_z - want_z[:k]).max() <= 1e-12
+                    assert np.abs(got_bell - want_bell[:k]).max() <= 1e-12
+                if order is None:
+                    assert orders == [o for o in ("phases",) * 2 + ("levels",) * 3
+                                      for _ in (0, 1)]
 
     def test_arbitrary_branches(self):
         for seed, beta, g, t in self._cases():
@@ -374,6 +432,25 @@ class TestLevelFactoredCoupling:
             assert np.abs(curve - single).max() <= 1e-13
 
 
+def _force_coupling_order(monkeypatch, order: str):
+    """Make Engine.finish take one coupling order ("maps", "phases" or
+    "levels"), whatever the call's size."""
+    monkeypatch.setattr(protocol.Engine, "_coupling_order",
+                        lambda self, n_rows, n_g: order)
+
+
+def _record_coupling_orders(monkeypatch) -> list:
+    """A list that collects the coupling order of every Engine.finish call."""
+    orders = []
+    pick = protocol.Engine._coupling_order
+
+    def recorded(self, n_rows, n_g):
+        orders.append(pick(self, n_rows, n_g))
+        return orders[-1]
+    monkeypatch.setattr(protocol.Engine, "_coupling_order", recorded)
+    return orders
+
+
 def _bell_cfg(**kw):
     return protocol.ProtocolConfig(message="bell_phi_plus",
                                    swap_variant="bell_sequential", **kw)
@@ -450,10 +527,44 @@ class TestTBatching:
             with pytest.raises(protocol.ConfigError):
                 eng.curve_basis_z(0.0, bad, [0.5])
 
+    def test_bell_window_at_one_g(self):
+        # the heatmap-t shape: 73 t at one g, one coupling map for all rows
+        ts = np.array(analysis.BELL_T_WINDOW)
+        assert len(ts) == 73
+        eng = protocol.get_engine(_bell_cfg(seed=8))
+        for beta in (0.0, 10.0):
+            batched = eng.curve_bell(beta, ts, [1.9])
+            single = np.stack([eng.curve_bell(beta, float(t), [1.9]) for t in ts])
+            assert batched.shape == single.shape == (len(ts), 1)
+            assert np.abs(batched - single).max() <= 1e-13
+
+    def test_one_g_over_several_chunks(self, monkeypatch):
+        # 300 t at one g is two chunks, each through one coupling map; one t
+        # at a time takes the rows through the size eigenbasis
+        ts = np.linspace(0.0, 7.0, 300)
+        msgs = [protocol.haar_qubit(3, i) for i in range(3)]
+        orders = _record_coupling_orders(monkeypatch)
+        for cfg, curve in (
+                (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z),
+                (_bell_cfg(seed=9), protocol.Engine.curve_bell),
+                (protocol.ProtocolConfig(seed=9, swap_variant="delta02"),
+                 lambda eng, beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs))):
+            eng = protocol.get_engine(cfg)
+            for beta in (0.0, 6.0):
+                orders.clear()
+                batched = curve(eng, beta, ts, [2.3])
+                assert orders == ["maps", "maps"]
+                orders.clear()
+                single = np.stack([curve(eng, beta, float(t), [2.3]) for t in ts])
+                assert orders == ["phases"] * len(ts)
+                assert np.abs(batched - single).max() <= 1e-13
+
     def test_only_beta_stages_are_kept(self):
+        # K(beta) = V_L^dagger T V_R^* and the diagonal thermal weights;
+        # nothing with a t or g axis is cached
         eng = protocol.Engine(protocol.ProtocolConfig(seed=2))
         eng.curve_basis_z(3.0, self.T_GRID, self.G_GRID)
-        assert set(eng._latest) == {"tfd", "weight"}
+        assert set(eng._latest) == {"tfd_eigen", "weight"}
 
 
 class TestSharedInsert:
@@ -471,6 +582,22 @@ class TestSharedInsert:
             assert eng.insert is not a.insert
             assert np.array_equal(eng.insert.matrix, protocol.build_insert(cfg).matrix)
 
+    def test_factor_rebuilds_the_insert(self):
+        for fermionic in (False, True):
+            for cfg in (protocol.ProtocolConfig(fermionic_insert=fermionic),
+                        protocol.ProtocolConfig(swap_variant="delta02",
+                                                fermionic_insert=fermionic),
+                        _bell_cfg(fermionic_insert=fermionic)):
+                eng = protocol.Engine(cfg)
+                assert not eng._insert_factor.flags.writeable
+                rebuilt = np.kron(eng._insert_factor, np.eye(2 ** cfg.n_side))
+                assert np.array_equal(rebuilt, protocol.build_insert(cfg).matrix)
+
+    def test_factor_check_rejects_a_right_site(self):
+        for reg in (REG1, REG2):
+            swap = qop.swap_matrix(reg.n_qubits, 0, reg.right_sites[0])
+            with pytest.raises(qop.QopError, match="left sites"):
+                protocol._message_left_factor(swap, reg)
 
     def test_fermionic_insert_matches_dense_path(self):
         cfg = protocol.ProtocolConfig(seed=3, beta=4.0, g=1.3, t=0.9,
@@ -548,6 +675,34 @@ class TestDegeneracyInvariance:
                     assert np.abs(a.values - b.values).max() > 1e-3
                     assert abs(a.coherent_sum() - b.coherent_sum()) <= 1e-12
                     assert abs(a.coherent_mean() - b.coherent_mean()) <= 1e-12
+
+
+class TestCouplingOrdersUnderDegeneracy:
+    """TestDegeneracyInvariance's 9-value g grid takes the level split;
+    here each coupling order sees eigenvectors rotated inside the
+    degenerate levels, with one g and with L - 1 values of g."""
+
+    T_GRID = np.linspace(0.0, 6.0, 13)
+
+    @pytest.mark.parametrize("order", ["maps", "phases", "levels"])
+    def test_curves(self, order, monkeypatch):
+        _force_coupling_order(monkeypatch, order)
+        rng = np.random.default_rng(17)
+        msgs = [protocol.haar_qubit(2, i) for i in range(4)]
+        ts = self.T_GRID
+        pair = TestDegeneracyInvariance()._pair
+        for seed, variant in ((0, "delta01"), (3, "delta02")):
+            ref, rot = pair(protocol.ProtocolConfig(seed=seed, swap_variant=variant), rng)
+            refb, rotb = pair(_bell_cfg(seed=seed), rng)
+            n_levels = len(ref._levels)
+            for gs in (np.array([1.1]), np.linspace(0.3, 5.0, n_levels - 1)):
+                for beta in (0.0, 5.0, 20.0):
+                    assert np.abs(rot.curve_basis_z(beta, ts, gs)
+                                  - ref.curve_basis_z(beta, ts, gs)).max() <= 1e-12
+                    assert np.abs(rot.arbitrary_fidelity(beta, ts, gs, msgs)
+                                  - ref.arbitrary_fidelity(beta, ts, gs, msgs)).max() <= 1e-12
+                    assert np.abs(rotb.curve_bell(beta, ts, gs)
+                                  - refb.curve_bell(beta, ts, gs)).max() <= 1e-12
 
 
 class TestSingleQubit:
