@@ -383,14 +383,6 @@ def heatmap(records, x_axis: str, y_axis: str):
     return np.array(xs), np.array(ys), grid.reshape(len(ys), len(xs))
 
 
-def size_spectral_gap(size_op) -> float:
-    """Gap between the two smallest distinct nonzero occupation levels."""
-    distinct = sorted(set(int(v) for v in size_op.eigenvalues) - {0})
-    if len(distinct) < 2:
-        raise SweepError("size operator has fewer than two nonzero levels")
-    return float(distinct[1] - distinct[0])
-
-
 def fixed_point_temperature_curve(records):
     """F(beta) of the ensemble-mean fidelity at one fixed (g*, t*).
 

@@ -1,9 +1,18 @@
 """Model builders: random quartic Majorana (SYK) Hamiltonians and the
-self-dual Floquet transverse-field Ising baseline."""
+self-dual Floquet transverse-field Ising baseline.
+
+Every random number comes from a counter-based substream keyed by (seed,
+stream, index), and each drawn quantity is one batched call over its index
+array.  The draw of a key equals numpy 2.4's first
+Generator(PCG64(SeedSequence((seed, stream, index)))).integers(0, 2^53),
+but the scheme is pinned by the code here, not by numpy's Generator, whose
+streams NEP 19 does not keep stable across numpy versions.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -17,17 +26,102 @@ STREAM_SYK = 101
 STREAM_TFIM = 202
 STREAM_HAAR = 303
 
+# The draw of key (seed, stream, index), for a whole index array at once:
+# numpy's SeedSequence mixing of the words (seed mod 2^64, stream, index)
+# into a 4-word pool, as uint32 arithmetic (carried in uint64 and masked),
+# then PCG64's seeding step and first XSL-RR output (O'Neill, 2014) in
+# Python ints.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
-def split_uniform(seed: int, stream: int, index: int) -> float:
-    """One uniform draw in (0, 1) from the (seed, stream, index) substream.
 
-    Each quantity gets its own counter-based substream, so tables are
-    identical no matter how the sampling work is batched or parallelized.
+def _hash_constants(init: int, mult: int, n: int) -> tuple:
+    """SeedSequence's running hash constant: init, then n times * mult."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+# the constants of the 16 hashes that mix the pool and of the 8 that
+# draw the state from it
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64 from (initstate, initseq): the state is set to inc = 2 initseq + 1,
+# stepped, added initstate to and stepped again; the first draw steps once
+# more, so the state it outputs is initstate M^2 + inc (M^2 + M + 1)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_STATE = _PCG_MULT * _PCG_MULT & _MASK128
+_PCG_INC = (_PCG_STATE + _PCG_MULT + 1) & _MASK128
+
+
+def _seed_state(words: list) -> list:
+    """SeedSequence(words).generate_state(4, uint64) for at most 4 entropy
+    words, each a Python int or a uint64 array of 32-bit values (one per
+    key); the 4 state words in the same form."""
+    pool = list(words) + [0] * (4 - len(words))
+    for k in range(4):
+        value = (pool[k] ^ _HASH_A[k]) * _HASH_A[k + 1] & _MASK32
+        pool[k] = value ^ (value >> 16)
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = (pool[src] ^ _HASH_A[k]) * _HASH_A[k + 1] & _MASK32
+                k += 1
+                mixed = (_MIX_L * pool[dst] - _MIX_R * (value ^ (value >> 16))) & _MASK32
+                pool[dst] = mixed ^ (mixed >> 16)
+    state = []
+    for k in range(8):
+        value = (pool[k % 4] ^ _HASH_B[k]) * _HASH_B[k + 1] & _MASK32
+        state.append(value ^ (value >> 16))
+    return [state[k] | state[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _pcg_first_draws(state: list) -> list:
+    """The uniform of each key from the PCG64 its 4 state words seed (as
+    Python ints, one list per word): the first 64-bit XSL-RR output >> 11,
+    which is what Generator.integers(0, 2^53) returns, on the midpoint
+    lattice in (0, 1)."""
+    out = []
+    for s0, s1, s2, s3 in zip(*state):
+        x = ((s0 << 64 | s1) * _PCG_STATE + ((s2 << 64 | s3) << 1 | 1) * _PCG_INC) & _MASK128
+        rot = x >> 122
+        word = ((x >> 64) ^ x) & _MASK64
+        raw = ((word >> rot) | (word << (64 - rot))) & _MASK64
+        out.append(((raw >> 11) + 0.5) / float(1 << 53))
+    return out
+
+
+def split_uniform(seed: int, stream: int, index):
+    """Uniform draws in (0, 1) from the (seed, stream, index) substreams.
+
+    Each quantity gets its own counter-based substream (Salmon et al.,
+    SC'11), so tables are identical no matter how the sampling work is
+    batched or parallelized.  `index` is an int, giving a float, or a 1-D
+    integer array, giving one draw per index with the same bits; every
+    index must lie in [0, 2^32) and so must the stream.
     """
-    ss = np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, stream, index))
-    gen = np.random.Generator(np.random.PCG64(ss))
-    raw = int(gen.integers(0, 1 << 53))
-    return (raw + 0.5) / float(1 << 53)
+    seed = int(seed) & _MASK64
+    stream = operator.index(stream)
+    if not 0 <= stream <= _MASK32:
+        raise ValueError(f"stream must lie in [0, 2^32), got {stream}")
+    # SeedSequence's little-endian 32-bit words of (seed, stream)
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [stream]
+    if np.ndim(index) == 0:
+        index = operator.index(index)
+        if not 0 <= index <= _MASK32:
+            raise ValueError(f"index must lie in [0, 2^32), got {index}")
+        return _pcg_first_draws([[w] for w in _seed_state(words + [index])])[0]
+    index = np.asarray(index)
+    if index.ndim != 1 or not (index.dtype.kind in "iu" or index.size == 0):
+        raise ValueError("index must be an int or a 1-D integer array")
+    if index.size and (index.min() < 0 or index.max() > _MASK32):
+        raise ValueError("every index must lie in [0, 2^32)")
+    state = _seed_state(words + [index.astype(np.uint64)])
+    return np.array(_pcg_first_draws([w.tolist() for w in state]))
 
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
@@ -111,9 +205,14 @@ def _ndtri(y: float) -> float:
     return x if upper else -x
 
 
-def gaussian_draw(seed: int, stream: int, index: int, sigma: float) -> float:
-    """Deterministic N(0, sigma^2) draw via the inverse normal CDF."""
-    return sigma * _ndtri(split_uniform(seed, stream, index))
+def gaussian_draw(seed: int, stream: int, index, sigma: float):
+    """Deterministic N(0, sigma^2) draws via the inverse normal CDF; a
+    float for an int index, an array for a 1-D index array (see
+    split_uniform)."""
+    u = split_uniform(seed, stream, index)
+    if np.ndim(u) == 0:
+        return sigma * _ndtri(u)
+    return np.array([sigma * _ndtri(v) for v in u.tolist()])
 
 
 @dataclass(frozen=True)
@@ -149,19 +248,10 @@ def sample_syk_couplings(n: int, q: int, j_scale: float, seed: int) -> SykCoupli
     if n < q:
         raise ValueError(f"need at least q={q} Majorana modes, got {n}")
     sigma = j_scale * math.sqrt(math.factorial(q - 1) / n ** (q - 1))
-    entries = {}
-    for index, quad in enumerate(combinations(range(n), q)):
-        entries[quad] = gaussian_draw(seed, STREAM_SYK, index, sigma)
+    quads = list(combinations(range(n), q))
+    draws = gaussian_draw(seed, STREAM_SYK, np.arange(len(quads)), sigma)
+    entries = dict(zip(quads, draws.tolist()))
     return SykCouplings(n_majorana=n, q=q, j_scale=j_scale, entries=entries, seed=seed)
-
-
-def _quartic_from_gammas(gammas, couplings: SykCouplings) -> np.ndarray:
-    dim = gammas[0].shape[0]
-    h = np.zeros((dim, dim), dtype=complex)
-    pref = 1.0 / math.factorial(couplings.q)
-    for (i, j, k, l), val in couplings.entries.items():
-        h -= (pref * val) * (gammas[i] @ gammas[j] @ gammas[k] @ gammas[l])
-    return h
 
 
 def build_syk_hamiltonian(couplings: SykCouplings, side: str,
@@ -190,13 +280,32 @@ def _side_majoranas(side: str, n_side: int) -> tuple:
     return gammas
 
 
+@lru_cache(maxsize=None)
+def _side_quartics(side: str, n_side: int) -> dict:
+    """g_i g_j g_k g_l for every i < j < k < l of one side, keyed by the
+    quadruple: C(2 n_side, 4) read-only matrices, built once per (side,
+    n_side) (15 KB at n_side 3, 287 KB at 4).  Their entries are 0, +-1 or
+    +-i, so each product is exact whatever the order of multiplication."""
+    gammas = _side_majoranas(side, n_side)
+    quads = list(combinations(range(2 * n_side), 4))
+    products = np.stack([gammas[i] @ gammas[j] @ gammas[k] @ gammas[l]
+                         for i, j, k, l in quads])
+    products.setflags(write=False)
+    return dict(zip(quads, products))
+
+
 def build_syk_side_matrix(couplings: SykCouplings, side: str, n_side: int) -> np.ndarray:
     """The side Hamiltonian restricted to its own n_side-qubit factor."""
     if couplings.n_majorana != 2 * n_side:
         raise ValueError("coupling table does not match the register side size")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _quartic_from_gammas(_side_majoranas(side, n_side), couplings)
+    products = _side_quartics(side, n_side)
+    h = np.zeros((2 ** n_side, 2 ** n_side), dtype=complex)
+    pref = 1.0 / math.factorial(couplings.q)
+    for quad, val in couplings.entries.items():
+        h -= (pref * val) * products[quad]
+    return h
 
 
 @dataclass(frozen=True)
@@ -215,9 +324,7 @@ class TfimParams:
     def sample(cls, n_sites: int, seed: int, j_coupling: float = math.pi / 4,
                b_field: float = math.pi / 4, h_width: float = 0.5,
                periodic: bool = False) -> "TfimParams":
-        hs = tuple(
-            gaussian_draw(seed, STREAM_TFIM, i, h_width) for i in range(n_sites)
-        )
+        hs = tuple(gaussian_draw(seed, STREAM_TFIM, np.arange(n_sites), h_width).tolist())
         return cls(n_sites=n_sites, j_coupling=j_coupling, b_field=b_field,
                    h_fields=hs, h_width=h_width, seed=seed, periodic=periodic)
 

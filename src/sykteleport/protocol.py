@@ -17,14 +17,18 @@ expectation is available via thermal_readout=False.
 Every metric is evaluated by one staged pipeline in `Engine`.  V_L and
 V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
 
-* realization (Engine construction): the side eigensystems (for the
-  kicked-Ising baseline the Floquet quasi-energies, which make integer t
-  a step count), the distinct size levels p (L = 6 at n_side = 3) and
-  the INSERT matrix with its factor F on the message and left sites
-  (INSERT = F (x) I_right, checked exactly).  INSERT, F and the size
-  eigenbasis B are shared by every engine of one register geometry; F in
-  the left eigenbasis and C (below) are derived from V_L, V_R on first
-  use;
+* realization (Engine construction): the coupling table and the side
+  eigensystems (for the kicked-Ising baseline the Floquet quasi-energies,
+  which make integer t a step count), shared read-only by the engines of
+  one (model, seed, j_scale, n_side); the distinct size levels p (L = 6 at
+  n_side = 3) and the factor F of INSERT on the message and left sites
+  (INSERT = F (x) I_right, checked exactly once, after which the dense
+  INSERT is dropped).  F and the size eigenbasis B are shared by every
+  engine of one register geometry; F in the left eigenbasis and C (below)
+  are derived from V_L, V_R on first use.  The random draws behind a
+  realization and behind the Haar messages are one batched
+  `models.split_uniform` call per quantity; their scheme is pinned by
+  `models`, not by numpy's Generator (see there);
 * beta (cached per beta): the thermofield double T, built by
   `tfd.build_tfd` from the cached left eigensystem and kept as
   K(beta) = V_L^dagger T V_R^*, and the thermal readout weights
@@ -79,6 +83,8 @@ DEFAULT_TFIM_STEPS = 1
 # most (t, g) rows one pipeline call evaluates at once: one default g grid
 # and some headroom; the t axis is chunked to stay under it
 MAX_BATCH_ROWS = 256
+# engines kept by get_engine, and realizations they share
+ENGINE_CACHE_SIZE = 8
 
 MESSAGES = ("basis_zero", "arbitrary", "bell_phi_plus")
 VARIANTS = ("delta01", "delta02", "bell_sequential")
@@ -303,17 +309,40 @@ def _message_left_factor(matrix: np.ndarray, register: layout.RegisterLayout) ->
 
 
 @lru_cache(maxsize=None)
-def _shared_insert(message: str, swap_variant: str, n_side: int, fermionic_insert: bool):
-    """build_insert for one register geometry, read-only and built once,
-    with its factor F on the message and left sites (INSERT = F (x) I_right,
-    checked once here)."""
+def _shared_insert_factor(message: str, swap_variant: str, n_side: int,
+                          fermionic_insert: bool) -> np.ndarray:
+    """The factor F on the message and left sites of build_insert for one
+    register geometry, read-only and built once; INSERT = F (x) I_right is
+    checked here, and the dense INSERT is not kept."""
     cfg = ProtocolConfig(message=message, swap_variant=swap_variant,
                          n_side=n_side, fermionic_insert=fermionic_insert)
-    ins = build_insert(cfg)
-    factor = _message_left_factor(ins.matrix, cfg.register)
-    for a in (ins.matrix, factor):
-        a.setflags(write=False)
-    return ins, factor
+    factor = _message_left_factor(build_insert(cfg).matrix, cfg.register)
+    factor.setflags(write=False)
+    return factor
+
+
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _realization(model: str, seed: int, j_scale: float, n_side: int) -> tuple:
+    """(couplings, eig_left, eig_right) of one disorder realization, with
+    read-only eigensystems: the SYK coupling table (None for the kicked
+    Ising baseline) and the side eigensystems (the Floquet quasi-energies
+    for the baseline).  Engines that differ only in message, swap variant
+    or insert share it."""
+    couplings = None
+    if model == "syk":
+        couplings = models.sample_syk_couplings(2 * n_side, 4, j_scale, seed)
+        eig_left = qop.hermitian_eig(models.build_syk_side_matrix(couplings, "left", n_side))
+        eig_right = qop.hermitian_eig(models.build_syk_side_matrix(couplings, "right", n_side))
+    else:
+        params = models.TfimParams.sample(n_side, seed)
+        ev, vec = models.floquet_effective_spectrum(models.build_tfim_floquet(params))
+        # the right factor runs the same chain on the mirrored sites
+        eig_left = qop.EigenSystem(values=ev, vectors=vec)
+        eig_right = qop.EigenSystem(values=ev, vectors=vec[layout.mirror_index(n_side)])
+    for eig in (eig_left, eig_right):
+        eig.values.setflags(write=False)
+        eig.vectors.setflags(write=False)
+    return couplings, eig_left, eig_right
 
 
 def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperator,
@@ -337,9 +366,10 @@ def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperato
 class Engine:
     """Staged, cached evaluation of the protocol for one realization.
 
-    The realization stage (side eigensystems, the size levels, the insert
-    matrix and its message (x) left factor) depends only on (model, seed,
-    j_scale, variant geometry) and is built here; the tensors derived from
+    The realization stage (couplings and side eigensystems, shared with
+    the engines of the same (model, seed, j_scale, n_side); the size
+    levels; the message (x) left factor of INSERT, shared per register
+    geometry) is looked up or built here; the tensors derived from
     `eig_left`/`eig_right` are built from them on first use.  The beta
     stages (K(beta) = V_L^dagger T V_R^*, the diagonal thermal weights) are
     built on first use and keep their latest value, which is what a sweep
@@ -352,7 +382,7 @@ class Engine:
     docstring).  An engine holds 2^n_side-sized arrays, the INSERT factor
     in its left eigenbasis and, from its first g stage, the 4^n_side-square
     C: 72 KB (basis message) and 84 KB (Bell) at n_side 3, 1.03 MB and
-    1.08 MB at n_side 4.  INSERT, its factor and the size eigenbasis are
+    1.08 MB at n_side 4.  The INSERT factor and the size eigenbasis are
     shared per register geometry.
     """
 
@@ -360,24 +390,11 @@ class Engine:
         cfg.validate()
         self.cfg = cfg
         self.reg = cfg.register
-        n_side = cfg.n_side
-        if cfg.model == "syk":
-            self.couplings = models.sample_syk_couplings(
-                2 * n_side, 4, cfg.j_scale, cfg.seed)
-            a = models.build_syk_side_matrix(self.couplings, "left", n_side)
-            b = models.build_syk_side_matrix(self.couplings, "right", n_side)
-            self.eig_left = qop.hermitian_eig(a)
-            self.eig_right = qop.hermitian_eig(b)
-        else:
-            params = models.TfimParams.sample(n_side, cfg.seed)
-            ev, vec = models.floquet_effective_spectrum(models.build_tfim_floquet(params))
-            # the right factor runs the same chain on the mirrored sites
-            self.eig_left = qop.EigenSystem(values=ev, vectors=vec)
-            self.eig_right = qop.EigenSystem(
-                values=ev, vectors=vec[layout.mirror_index(n_side)])
+        self.couplings, self.eig_left, self.eig_right = _realization(
+            cfg.model, cfg.seed, cfg.j_scale, cfg.n_side)
         self.size = build_size_operator(self.reg, cfg.resolved_size_modes())
-        self.insert, self._insert_factor = _shared_insert(
-            cfg.message, cfg.swap_variant, n_side, cfg.fermionic_insert)
+        self._insert_factor = _shared_insert_factor(
+            cfg.message, cfg.swap_variant, cfg.n_side, cfg.fermionic_insert)
         self.readout = cfg.resolved_readout()
         # exp(i g upsilon) = sum_p exp(i g p) Pi_p over the few distinct size
         # levels p
@@ -644,7 +661,9 @@ class Engine:
         number of messages costs one protocol run per branch.
         """
         c = np.asarray(messages, dtype=complex).reshape(-1, 2)
-        u = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # c_a conj(c_i)
+        cc = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # c_a conj(c_b)
+        # u_x conj(u_y) over x = (a, i), y = (b, j), with u_(a, i) = c_a conj(c_i)
+        uu = (cc[:, :, None] * cc.conj()[:, None, :]).reshape(-1, 16)
 
         def evaluate(t_chunk):
             phi = self._branches(beta, t_chunk, g_values)
@@ -653,8 +672,10 @@ class Engine:
             # r[row, (a, i), (b, j)] = Tr_rest |phi_a><phi_b| on the readout site
             r = qop.reduced_density(phi.reshape(lead[0] * lead[1], -1),
                                     self.reg.n_qubits + 1, [0, self.readout[0] + 1])
-            overlap = np.einsum("gxy,sx,sy->gs", r, u, u.conj())
-            norm2 = np.einsum("gaibi,sa,sb->gs", r.reshape(-1, 2, 2, 2, 2), c, c.conj())
+            overlap = r.reshape(-1, 16) @ uu.T
+            # the branch blocks traced over the readout site: (a, b)
+            r = r.reshape(-1, 2, 2, 2, 2)
+            norm2 = (r[:, :, 0, :, 0] + r[:, :, 1, :, 1]).reshape(-1, 4) @ cc.T
             return (overlap / norm2).real.reshape(lead + (-1,))
         return self._over_t(t, g_values, evaluate)
 
@@ -678,7 +699,7 @@ _ENGINE_FIELDS = ("message",) + tuple(
 _engine_key = attrgetter(*_ENGINE_FIELDS)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _engine_cached(key: tuple) -> Engine:
     structure = dict(zip(_ENGINE_FIELDS, key))
     t = 0.0 if structure["model"] == "tfim" else DEFAULT_T_SINGLE
@@ -755,20 +776,29 @@ def run_single_qubit_arbitrary(cfg: ProtocolConfig) -> float:
     return float(values[0, 0])
 
 
-def haar_qubit(seed: int, index: int):
-    """Bloch-sphere uniform (alpha, beta) from the per-iteration substream."""
-    u_phi = models.split_uniform(seed, models.STREAM_HAAR, 2 * index)
-    u_cos = models.split_uniform(seed, models.STREAM_HAAR, 2 * index + 1)
+def _bloch_message(u_phi: float, u_cos: float):
+    """(alpha, beta) at azimuth 2 pi u_phi and cos(theta) = 2 u_cos - 1."""
     phi = 2 * math.pi * u_phi
     cos_theta = 2 * u_cos - 1
     theta = math.acos(cos_theta)
     return math.cos(theta / 2), math.sin(theta / 2) * complex(math.cos(phi), math.sin(phi))
 
 
+def haar_qubit(seed: int, index: int):
+    """Bloch-sphere uniform (alpha, beta) from the per-iteration substream."""
+    return _bloch_message(models.split_uniform(seed, models.STREAM_HAAR, 2 * index),
+                          models.split_uniform(seed, models.STREAM_HAAR, 2 * index + 1))
+
+
 @lru_cache(maxsize=16)
 def _haar_samples(seed: int, n_s: int) -> np.ndarray:
-    """The first n_s Haar messages of a seed as a read-only (n_s, 2) array."""
-    out = np.array([haar_qubit(seed, i) for i in range(n_s)], dtype=complex)
+    """The first n_s Haar messages of a seed as a read-only (n_s, 2) array,
+    from one draw of all 2 n_s uniforms; bit for bit haar_qubit(seed, i)
+    for i < n_s (scalar math calls, not numpy ufuncs, whose last bit can
+    differ)."""
+    u = models.split_uniform(seed, models.STREAM_HAAR, np.arange(2 * n_s)).tolist()
+    out = np.array([_bloch_message(u[2 * i], u[2 * i + 1]) for i in range(n_s)],
+                   dtype=complex)
     out.setflags(write=False)
     return out
 

@@ -27,10 +27,6 @@ class QopError(ValueError):
     """Raised on invalid operator/state inputs."""
 
 
-class EigenSolverError(QopError):
-    """Raised when the Hermitian eigensolver cannot produce a result."""
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a's index major."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -113,7 +109,7 @@ def hermitian_eig(h: np.ndarray) -> EigenSystem:
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenSolverError(f"eigensolver failed to converge: {exc}") from exc
+        raise QopError(f"eigensolver failed to converge: {exc}") from exc
     vectors = vectors.copy()
     for j in range(vectors.shape[1]):
         col = vectors[:, j]

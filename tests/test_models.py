@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ndtri
 
-from sykteleport import layout, models, qop
+from sykteleport import layout, models, protocol, qop
 
 REG = layout.RegisterLayout(n_message=1, n_side=3)
 
@@ -87,20 +87,27 @@ class TestSykHamiltonian:
             assert np.abs(ev_l - ev_r).max() <= 1e-9
 
     def test_cached_majoranas_give_identical_bits(self):
-        # the side matrix from the cached Majoranas equals a build from
-        # freshly made ones, bit for bit
+        # the side matrix from the cached quartic products equals the
+        # four-fold product loop over freshly made Majoranas, bit for bit
         local = {"left": layout.left_majorana_local, "right": layout.right_majorana_local}
-        for seed in (0, 1, 5):
-            c = models.sample_syk_couplings(6, 4, 1.0, seed=seed)
-            for side, build in local.items():
-                fresh = models._quartic_from_gammas([build(3, j) for j in range(6)], c)
-                assert np.array_equal(models.build_syk_side_matrix(c, side, 3), fresh)
-        for side in local:
-            gammas = models._side_majoranas(side, 3)
-            assert gammas is models._side_majoranas(side, 3)
-            assert not any(g.flags.writeable for g in gammas)
+        for n_side in (2, 3, 4):
+            for seed in (0, 1, 5):
+                c = models.sample_syk_couplings(2 * n_side, 4, 1.0, seed=seed)
+                for side, build in local.items():
+                    g = [build(n_side, j) for j in range(2 * n_side)]
+                    fresh = np.zeros((2 ** n_side, 2 ** n_side), dtype=complex)
+                    for (i, j, k, l), val in c.entries.items():
+                        fresh -= (1.0 / 24 * val) * (g[i] @ g[j] @ g[k] @ g[l])
+                    assert np.array_equal(models.build_syk_side_matrix(c, side, n_side), fresh)
+            for side in local:
+                products = models._side_quartics(side, n_side)
+                assert products is models._side_quartics(side, n_side)
+                assert len(products) == math.comb(2 * n_side, 4)
+                assert not any(p.flags.writeable for p in products.values())
+                gammas = models._side_majoranas(side, n_side)
+                assert not any(g.flags.writeable for g in gammas)
         with pytest.raises(ValueError, match="side"):
-            models.build_syk_side_matrix(c, "middle", 3)
+            models.build_syk_side_matrix(c, "middle", 4)
 
     def test_pair_vacuum_is_shared_null_direction(self):
         # (H_L - H_R)|vac> = 0: both sides act identically on the pair vacuum
@@ -171,6 +178,70 @@ class TestStreamSplitting:
         for i in range(200):
             u = models.split_uniform(3, models.STREAM_SYK, i)
             assert 0.0 < u < 1.0
+
+
+class TestBatchedDraws:
+    SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, -1, 8350510533860217964)
+    STREAMS = (models.STREAM_SYK, models.STREAM_TFIM, models.STREAM_HAAR)
+    INDICES = tuple(range(210)) + (2 ** 31, 2 ** 32 - 1)
+
+    @staticmethod
+    def _numpy_draw(seed, stream, index):
+        ss = np.random.SeedSequence((seed & 2 ** 64 - 1, stream, index))
+        raw = int(np.random.Generator(np.random.PCG64(ss)).integers(0, 2 ** 53))
+        return (raw + 0.5) / float(1 << 53)
+
+    def test_matches_numpy_generator_bit_for_bit(self):
+        for seed in self.SEEDS:
+            for stream in self.STREAMS:
+                want = [self._numpy_draw(seed, stream, i) for i in self.INDICES]
+                got = models.split_uniform(seed, stream, np.array(self.INDICES))
+                assert got.tolist() == want
+
+    def test_scheme_is_pinned(self):
+        # fixed values, so a change of numpy's own chain cannot move a table
+        # unnoticed
+        pinned = {
+            (0, 101): ("0x1.c1a51bc0b250bp-2", "0x1.b844efd3e52a0p-1", "0x1.81a4d869a4da7p-2"),
+            (8350510533860217964, 303): ("0x1.2f0e891a1e8c8p-5", "0x1.d06390f2a27acp-1",
+                                         "0x1.8d76245a47f6cp-1"),
+            (-1, 202): ("0x1.c08198e16293ap-3", "0x1.350c4ef34f163p-2", "0x1.46f07650f6896p-3"),
+        }
+        for (seed, stream), want in pinned.items():
+            got = models.split_uniform(seed, stream, np.array([0, 1, 2 ** 32 - 1]))
+            assert got.tolist() == [float.fromhex(h) for h in want]
+
+    def test_array_form_equals_scalar_form(self):
+        for seed in (0, 2 ** 32, -1):
+            idx = np.array([5, 0, 2 ** 32 - 1, 5, 17], dtype=np.uint32)
+            got = models.split_uniform(seed, models.STREAM_SYK, idx)
+            assert got.shape == (5,)
+            assert got.tolist() == [models.split_uniform(seed, models.STREAM_SYK, int(i))
+                                    for i in idx]
+            assert isinstance(models.split_uniform(seed, models.STREAM_SYK, 3), float)
+            g = models.gaussian_draw(seed, models.STREAM_TFIM, np.arange(7), 0.5)
+            assert g.tolist() == [models.gaussian_draw(seed, models.STREAM_TFIM, i, 0.5)
+                                  for i in range(7)]
+        assert models.split_uniform(0, models.STREAM_SYK, np.arange(0)).shape == (0,)
+
+    def test_index_outside_the_pool_rejected(self):
+        for bad in (-1, 2 ** 32):
+            with pytest.raises(ValueError):
+                models.split_uniform(0, models.STREAM_SYK, bad)
+            with pytest.raises(ValueError):
+                models.split_uniform(0, models.STREAM_SYK, np.array([0, bad], dtype=np.int64))
+            with pytest.raises(ValueError):
+                models.gaussian_draw(0, models.STREAM_SYK, bad, 1.0)
+            with pytest.raises(ValueError):
+                models.split_uniform(0, bad, 0)
+
+    def test_haar_samples_match_haar_qubit(self):
+        for seed in (0, 7, 2 ** 40 + 3):
+            n = 37
+            samples = protocol._haar_samples(seed, n)
+            want = np.array([protocol.haar_qubit(seed, i) for i in range(n)], dtype=complex)
+            assert np.array_equal(samples.view(np.uint64), want.view(np.uint64))
+            assert not samples.flags.writeable
 
 
 class TestInverseNormalCdf:

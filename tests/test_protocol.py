@@ -88,10 +88,6 @@ class TestSizeOperator:
         with pytest.raises(qop.QopError):
             protocol.build_size_operator(REG1, modes=())
 
-    def test_spectral_gap(self):
-        size = protocol.build_size_operator(REG1)
-        assert analysis.size_spectral_gap(size) == 1.0
-
 
 class TestInsert:
     def test_swap_moves_message(self):
@@ -191,7 +187,7 @@ class TestWormholeUnitary:
         c = eng.couplings
         h_l = models.build_syk_hamiltonian(c, "left", REG1)
         h_r = models.build_syk_hamiltonian(c, "right", REG1)
-        u = protocol.wormhole_unitary(h_l, h_r, eng.insert, eng.size,
+        u = protocol.wormhole_unitary(h_l, h_r, protocol.build_insert(cfg), eng.size,
                                       cfg.g, cfg.t, REG1)
         psi0 = np.kron(np.array([1, 0], dtype=complex), eng.tfd_vector(cfg.beta))
         assert np.abs(u @ psi0 - eng.final_state()).max() <= 1e-10
@@ -569,18 +565,18 @@ class TestTBatching:
 
 class TestSharedInsert:
     def test_one_read_only_matrix_per_geometry(self):
+        # only the message (x) left factor is kept, one per geometry
         a = protocol.Engine(protocol.ProtocolConfig(seed=1))
         b = protocol.Engine(protocol.ProtocolConfig(seed=2, model="tfim", t=1.0))
-        assert a.insert is b.insert
-        assert not a.insert.matrix.flags.writeable
-        assert np.array_equal(a.insert.matrix,
-                              protocol.build_insert(protocol.ProtocolConfig()).matrix)
+        assert a._insert_factor is b._insert_factor
+        assert not a._insert_factor.flags.writeable
+        assert not hasattr(a, "insert")
         for cfg in (protocol.ProtocolConfig(swap_variant="delta02"),
                     protocol.ProtocolConfig(fermionic_insert=True),
                     _bell_cfg()):
             eng = protocol.Engine(cfg)
-            assert eng.insert is not a.insert
-            assert np.array_equal(eng.insert.matrix, protocol.build_insert(cfg).matrix)
+            assert eng._insert_factor is not a._insert_factor
+            assert eng._insert_factor is protocol.Engine(cfg)._insert_factor
 
     def test_factor_rebuilds_the_insert(self):
         for fermionic in (False, True):
@@ -605,7 +601,8 @@ class TestSharedInsert:
         eng = protocol.Engine(cfg)
         h_l = models.build_syk_hamiltonian(eng.couplings, "left", REG1)
         h_r = models.build_syk_hamiltonian(eng.couplings, "right", REG1)
-        u = protocol.wormhole_unitary(h_l, h_r, eng.insert, eng.size, cfg.g, cfg.t, REG1)
+        u = protocol.wormhole_unitary(h_l, h_r, protocol.build_insert(cfg), eng.size,
+                                      cfg.g, cfg.t, REG1)
         psi0 = np.kron(np.array([1, 0], dtype=complex), eng.tfd_vector(cfg.beta))
         assert np.abs(u @ psi0 - eng.final_state()).max() <= 1e-10
 
@@ -867,6 +864,56 @@ class TestArbitraryAverage:
             mean, stderr = protocol.run_arbitrary_avg(cfg, 100, seed=3)
             assert stderr > 0
             assert abs(mean - (2 * f_e + 1) / 3) <= 4 * stderr
+
+    def test_gemm_readout_matches_einsum_formulas(self):
+        # the overlap and norm of every message as the two contractions of
+        # the branch reduced density matrices they are defined by
+        msgs = np.array([protocol.haar_qubit(9, i) for i in range(7)], dtype=complex)
+        ts, gs = np.array([0.4, 1.0, 2.5]), np.linspace(0.0, 2 * math.pi, 11)
+        for variant, thermal in (("delta01", True), ("delta02", False)):
+            eng = protocol.Engine(protocol.ProtocolConfig(
+                seed=4, swap_variant=variant, thermal_readout=thermal))
+            for beta in (0.0, 5.0, 20.0):
+                phi = eng.branch_states(beta, ts, gs)
+                r = qop.reduced_density(phi.reshape(len(ts) * len(gs), -1),
+                                        eng.reg.n_qubits + 1, [0, eng.readout[0] + 1])
+                u = (msgs[:, :, None] * msgs.conj()[:, None, :]).reshape(-1, 4)
+                overlap = np.einsum("gxy,sx,sy->gs", r, u, u.conj())
+                norm2 = np.einsum("gaibi,sa,sb->gs", r.reshape(-1, 2, 2, 2, 2),
+                                  msgs, msgs.conj())
+                want = (overlap / norm2).real.reshape(len(ts), len(gs), -1)
+                got = eng.arbitrary_fidelity(beta, ts, gs, msgs)
+                assert np.abs(got - want).max() <= 1e-14
+
+
+class TestSharedRealization:
+    def test_variants_share_read_only_eigensystems(self):
+        a = protocol.Engine(protocol.ProtocolConfig(seed=13))
+        shared = (protocol.Engine(protocol.ProtocolConfig(seed=13, swap_variant="delta02")),
+                  protocol.Engine(protocol.ProtocolConfig(seed=13, fermionic_insert=True)),
+                  protocol.Engine(_bell_cfg(seed=13)))
+        for eng in shared:
+            assert eng.couplings is a.couplings
+            assert eng.eig_left is a.eig_left and eng.eig_right is a.eig_right
+        for eig in (a.eig_left, a.eig_right):
+            assert not eig.values.flags.writeable
+            assert not eig.vectors.flags.writeable
+        other = protocol.Engine(protocol.ProtocolConfig(seed=14))
+        assert other.eig_left is not a.eig_left
+        scaled = protocol.Engine(protocol.ProtocolConfig(seed=13, j_scale=2.0))
+        assert scaled.couplings is not a.couplings
+        tfim = protocol.Engine(protocol.ProtocolConfig(seed=13, model="tfim", t=1.0))
+        assert tfim.couplings is None
+        assert not tfim.eig_right.vectors.flags.writeable
+
+    def test_shared_eigensystems_match_a_fresh_build(self):
+        eng = protocol.Engine(protocol.ProtocolConfig(seed=13, swap_variant="delta02"))
+        c = models.sample_syk_couplings(6, 4, protocol.DEFAULT_J_SCALE, 13)
+        assert c.entries == eng.couplings.entries
+        for side, eig in (("left", eng.eig_left), ("right", eng.eig_right)):
+            fresh = qop.hermitian_eig(models.build_syk_side_matrix(c, side, 3))
+            assert np.array_equal(fresh.values, eig.values)
+            assert np.array_equal(fresh.vectors, eig.vectors)
 
 
 class TestStabilizerFidelity:
