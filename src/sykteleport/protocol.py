@@ -58,11 +58,16 @@ V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
 
 The metrics reduce over the (t, g) rows, each row keeping its own
 density-matrix checks.  The t axis is cut into chunks of at most
-MAX_BATCH_ROWS (t, g) rows, which bounds the memory of any one call.  A
-scalar t or a single g is a batch of one through the same stages (the g
-stage picks its order by size), so `run_single_qubit`, `run_bell`,
-`run_arbitrary_avg` and the sweeps in `analysis` share them.  The dense `wormhole_unitary` is the reference the
-pipeline is tested against.
+MAX_BATCH_ROWS (t, g) rows.  Each metric is passed to `Engine.finish` as
+its reduction: in the level order the g axis is built, normalized and
+reduced one block of at most G_BLOCK_BYTES of final states at a time,
+and only the per-(t, g) values are joined, so a call's memory does not
+grow with its g grid beyond arrays of n_g values.  The maps and phases
+orders take at most L/2 values of g and are one block.  A scalar t or a
+single g is a batch of one through the same stages (the g stage picks
+its order by size), so `run_single_qubit`, `run_bell`,
+`run_arbitrary_avg` and the sweeps in `analysis` share them.  The dense
+`wormhole_unitary` is the reference the pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -83,6 +88,15 @@ DEFAULT_TFIM_STEPS = 1
 # most (t, g) rows one pipeline call evaluates at once: one default g grid
 # and some headroom; the t axis is chunked to stay under it
 MAX_BATCH_ROWS = 256
+# bytes of final states in one g block of Engine.finish's level order, so
+# g values per block = G_BLOCK_BYTES // (16 n_t n_in 2^n_msg 4^n_side): 64
+# on the sq1 sweep (201 g, one t, one message at n_side 3), 16 for the
+# basis message at n_side 4.  Chosen as the largest power of two that
+# stops the sq1 sweep from handing its heap back to the OS after every
+# finish call and faulting it in again on the next: minor page faults
+# per sq1 run were 33.0k with one block of the whole grid, 33.6k with
+# 256 KiB blocks, 5.9k with 128 KiB and 5.8k with 64 KiB.
+G_BLOCK_BYTES = 2 ** 17
 # engines kept by get_engine, and realizations they share
 ENGINE_CACHE_SIZE = 8
 
@@ -374,8 +388,10 @@ class Engine:
     stages (K(beta) = V_L^dagger T V_R^*, the diagonal thermal weights) are
     built on first use and keep their latest value, which is what a sweep
     revisits (beta is its outer loop).  Nothing with a t or g axis is kept:
-    every metric takes a whole t array and a whole g array and evaluates
-    them in chunks of at most MAX_BATCH_ROWS (t, g) rows.
+    every metric takes a whole t array and a whole g array, evaluates the
+    t axis in chunks of at most MAX_BATCH_ROWS (t, g) rows and, in the
+    level order, builds and reduces the g axis in blocks of at most
+    G_BLOCK_BYTES of final states (`finish` with a reduction).
 
     The t stage works in the side eigenbases V_L, V_R and the g stage in
     the order the call's row and g counts select (see the module
@@ -547,15 +563,24 @@ class Engine:
         psi = psi * right[:, None, :]
         return (psi.reshape(-1, psi.shape[-1]) @ self.eig_right.vectors.T).reshape(psi.shape)
 
+    def _g_block(self, n_t: int, n_in: int) -> int:
+        """Values of g per block of the level order: as many as keep the
+        block's (n_t, n_in) final states per g within G_BLOCK_BYTES."""
+        return max(1, G_BLOCK_BYTES // (16 * n_t * n_in * self.reg.dim))
+
     def finish(self, dressed: np.ndarray, beta: float, g_values, t_values: np.ndarray,
-               normalize: bool = True) -> np.ndarray:
+               normalize: bool = True, reduce=None) -> np.ndarray:
         """Coupling phases, right evolution and thermal weight for every
         (t, g).
 
         `dressed` is the (n_t, n_in, 2^n_msg, 4^n_side) output of dressed_state
-        at the same t_values; the result has shape (n_t, n_g, n_in, dim) in
-        the computational basis, each final state normalized unless
-        normalize=False.
+        at the same t_values.  Without `reduce` the result is the final
+        states, shape (n_t, n_g, n_in, dim) in the computational basis,
+        each normalized unless normalize=False.  With it, reduce maps the
+        final states of a run of n_b values of g, (n_t, n_b, n_in, dim), to
+        an array with leading axes (n_t, n_b), and the result is those
+        arrays joined over g: the level order then builds, normalizes and
+        reduces one block of _g_block(n_t, n_in) values of g at a time.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
         if not (np.isfinite(g).all() and math.isfinite(beta)):
@@ -567,31 +592,36 @@ class Engine:
             right = right * self.thermal_weight_right(beta)
         rows = dressed.reshape(-1, block)
         basis = self.size.basis
+
+        def done(psi):
+            # (g, t) -> (t, g) only copies when both axes are longer than 1
+            psi = psi.reshape(-1, n_t, n_in * m * block).swapaxes(0, 1)
+            psi = psi.reshape(n_t, -1, n_in, m * block)
+            if normalize:
+                psi *= 1.0 / np.linalg.norm(psi, axis=-1, keepdims=True)
+            return psi if reduce is None else reduce(psi)
+
         order = self._coupling_order(len(rows), len(g))
         if order == "levels":
             # each row's level components Pi_p x (right stage on each),
-            # combined for every g
+            # combined for every g of a block
             coeffs = rows @ self._to_size
             parts = np.empty((len(self._levels), len(rows), block), dtype=complex)
             for part, cols in zip(parts, self._level_columns):
                 np.matmul(coeffs[:, cols], basis[:, cols].T, out=part)
             parts = self._right_eigen(parts).reshape(len(self._levels), n_t, -1, d)
-            parts = self._right_stage(parts, right)
-            phases = np.exp(1j * g[:, None] * self._levels)
-            psi = phases @ parts.reshape(len(parts), -1)
+            parts = self._right_stage(parts, right).reshape(len(parts), -1)
+            step = len(g) if reduce is None else self._g_block(n_t, n_in)
+            out = [done(np.exp(1j * g[i:i + step, None] * self._levels) @ parts)
+                   for i in range(0, len(g), step)]
+            return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+        # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
+        phases = np.exp(1j * g[:, None, None] * self._column_levels)
+        if order == "maps":
+            psi = rows @ self._right_eigen((self._to_size * phases) @ basis.T)
         else:
-            # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
-            phases = np.exp(1j * g[:, None, None] * self._column_levels)
-            if order == "maps":
-                psi = rows @ self._right_eigen((self._to_size * phases) @ basis.T)
-            else:
-                psi = self._right_eigen(((rows @ self._to_size) * phases) @ basis.T)
-            psi = self._right_stage(psi.reshape(len(g), n_t, -1, d), right)
-        # (g, t) -> (t, g) only copies when both axes are longer than 1
-        psi = psi.reshape(len(g), n_t, -1).swapaxes(0, 1).reshape(n_t, len(g), n_in, m * block)
-        if normalize:
-            psi *= 1.0 / np.linalg.norm(psi, axis=-1, keepdims=True)
-        return psi
+            psi = self._right_eigen(((rows @ self._to_size) * phases) @ basis.T)
+        return done(self._right_stage(psi.reshape(len(g), n_t, -1, d), right))
 
     def final_state(self, beta: float | None = None, g: float | None = None,
                     t: float | None = None) -> np.ndarray:
@@ -602,9 +632,11 @@ class Engine:
         dressed = self.dressed_state(self.message_vector(), beta, t_values)
         return self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
 
-    def _branches(self, beta: float, t_values: np.ndarray, g_values) -> np.ndarray:
+    def _branches(self, beta: float, t_values: np.ndarray, g_values,
+                  reduce=None) -> np.ndarray:
         dressed = self.dressed_state(np.eye(2, dtype=complex), beta, t_values)
-        return self.finish(dressed, beta, g_values, t_values, normalize=False)
+        return self.finish(dressed, beta, g_values, t_values, normalize=False,
+                           reduce=reduce)
 
     def branch_states(self, beta: float, t, g_values) -> np.ndarray:
         """Unnormalized weighted final states for the |0> and |1> message
@@ -622,13 +654,16 @@ class Engine:
         return out.reshape(np.shape(t) + out.shape[1:])
 
     # -- metrics ----------------------------------------------------------
+    @cached_property
+    def _readout_z(self) -> np.ndarray:
+        """Z on the readout site as its diagonal of signs, length dim."""
+        shift = self.reg.n_qubits - 1 - self.readout[0]
+        return 1.0 - 2.0 * ((np.arange(self.reg.dim) >> shift) & 1)
+
     def basis_z_value(self, psi: np.ndarray):
         """<Z> on the readout site; a float for one state, an array over
         the leading axes for a stack of states."""
-        site = self.readout[0]
-        z = 1.0 - 2.0 * (
-            (np.arange(self.reg.dim) >> (self.reg.n_qubits - 1 - site)) & 1)
-        values = (np.abs(np.atleast_2d(psi)) ** 2) @ z
+        values = (np.abs(np.atleast_2d(psi)) ** 2) @ self._readout_z
         return float(values[0]) if np.ndim(psi) == 1 else values
 
     def bell_value(self, psi: np.ndarray):
@@ -642,7 +677,8 @@ class Engine:
 
         def evaluate(t_chunk):
             dressed = self.dressed_state(msg, beta, t_chunk)
-            return metric(self.finish(dressed, beta, g_values, t_chunk)[:, :, 0])
+            return self.finish(dressed, beta, g_values, t_chunk,
+                               reduce=lambda psi: metric(psi[:, :, 0]))
         return self._over_t(t, g_values, evaluate)
 
     def curve_basis_z(self, beta: float, t, g_values) -> np.ndarray:
@@ -665,8 +701,7 @@ class Engine:
         # u_x conj(u_y) over x = (a, i), y = (b, j), with u_(a, i) = c_a conj(c_i)
         uu = (cc[:, :, None] * cc.conj()[:, None, :]).reshape(-1, 16)
 
-        def evaluate(t_chunk):
-            phi = self._branches(beta, t_chunk, g_values)
+        def readout(phi):
             lead = phi.shape[:2]
             # the branch index as one extra leading qubit: blocks
             # r[row, (a, i), (b, j)] = Tr_rest |phi_a><phi_b| on the readout site
@@ -677,7 +712,8 @@ class Engine:
             r = r.reshape(-1, 2, 2, 2, 2)
             norm2 = (r[:, :, 0, :, 0] + r[:, :, 1, :, 1]).reshape(-1, 4) @ cc.T
             return (overlap / norm2).real.reshape(lead + (-1,))
-        return self._over_t(t, g_values, evaluate)
+        return self._over_t(t, g_values,
+                            lambda t_chunk: self._branches(beta, t_chunk, g_values, readout))
 
     def curve_arbitrary_avg(self, beta: float, t, g_values, n_s: int = 100,
                             seed: int = 0):
@@ -811,81 +847,3 @@ def run_arbitrary_avg(cfg: ProtocolConfig, n_s: int = 100, seed: int = 0):
     cfg.validate()
     mean, stderr = get_engine(cfg).curve_arbitrary_avg(cfg.beta, cfg.t, (cfg.g,), n_s, seed)
     return float(mean[0]), float(stderr[0])
-
-
-@dataclass(frozen=True)
-class OverlapTable:
-    """Term-by-term decomposition of a two-sided channel correlator.
-
-    Each entry is one eigenstate-pair contribution; the sum of the whole
-    table is the thermal correlator, so destructive interference between
-    entries shows up directly as a vanishing coherent mean.
-    """
-
-    variant: str
-    beta: float
-    values: np.ndarray = field(repr=False)
-
-    def coherent_mean(self) -> complex:
-        return complex(self.values.mean())
-
-    def coherent_sum(self) -> complex:
-        return complex(self.values.sum())
-
-
-def paired_right_basis(eig_left: qop.EigenSystem, n_side: int) -> np.ndarray:
-    """Right-factor eigenbasis matched level-by-level to the left one.
-
-    Column n is the right-side partner of left eigenvector n under the
-    pair structure of the infinite-temperature state; the columns are
-    eigenvectors of the right-side Hamiltonian built from the same
-    couplings, with the degenerate/phase freedom fixed consistently.
-    """
-    d = 2 ** n_side
-    m = layout.bell_vacuum(n_side).reshape(d, d)
-    return math.sqrt(d) * (m.T @ eig_left.vectors.conj())
-
-
-def overlap_coefficients(eig_left: qop.EigenSystem, variant: str, beta: float,
-                         n_side: int = 3) -> OverlapTable:
-    """Boltzmann-weighted eigenstate-pair overlap coefficients of a
-    single-qubit variant ("delta01" or "delta02").
-
-    With gL the first Majorana of the inserted left qubit and gR the
-    (string-dressed) first Majorana of the readout partner qubit,
-
-        C[n, m] = c_n c_m <n|gL|m> <n~|gR|m~>,
-
-    where c_n = exp(-beta E_n/2)/sqrt(Z) and |n~> is the paired right
-    eigenvector.  The table sums to the two-sided thermal correlator, so
-    the matched variant keeps a coherent mean of unit scale while the
-    mismatched one interferes destructively to ~0.  The single entries
-    depend on the eigenvectors chosen inside a degenerate level; the
-    coherent sum and mean do not.
-    """
-    if variant not in ("delta01", "delta02"):
-        raise ConfigError(f"overlap table needs a single-qubit variant, got {variant!r}")
-    c = tfd.boltzmann_weights(eig_left.values, beta)
-    qubit = 0 if variant == "delta01" else 1
-    g_left = layout.left_majorana_local(n_side, 2 * qubit)
-    string = qop.kron_all([qop.PAULI_Z] * n_side)
-    g_right = string @ layout.right_majorana_local(n_side, 0)
-    v_pair = paired_right_basis(eig_left, n_side)
-    a = eig_left.vectors.conj().T @ g_left @ eig_left.vectors
-    b = v_pair.conj().T @ g_right @ v_pair
-    values = np.outer(c, c) * a * b
-    return OverlapTable(variant=variant, beta=beta, values=values)
-
-
-def thermal_majorana_correlation(i: int, j: int, beta: float, h_side: np.ndarray,
-                                 n_side: int = 3) -> complex:
-    """Two-sided Majorana correlator in the thermofield double.
-
-    <TFD(beta)| gL_i gR_j |TFD(beta)> computed on the doubled block; at
-    beta = 0 the matched pair i = j has unit magnitude and mismatched
-    pairs are suppressed.
-    """
-    reg = layout.RegisterLayout(n_message=1, n_side=n_side)
-    state = tfd.build_tfd(h_side, beta, reg)
-    op = layout.left_majorana_block(n_side, i) @ layout.right_majorana_block(n_side, j)
-    return complex(qop.expectation(state, op))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sykteleport import analysis, protocol
 
@@ -274,10 +274,25 @@ class TestRecoveryTime:
     @given(st.lists(st.floats(-1, 1), min_size=2, max_size=12, unique=True),
            st.floats(0.01, 5.0), st.floats(-2.0, 2.0))
     def test_affine_invariance(self, values, scale, shift):
+        # a rise of at most 1e-15 is a tie, so the argmax is invariant only
+        # when the map keeps every two values apart by more than that; a
+        # rounded increasing map keeps their order
+        mapped = [scale * v + shift for v in values]
+        for series in (values, mapped):
+            assume(np.diff(np.sort(series)).min() > 1e-15)
         recs = synth_records([({"t": float(t)}, v) for t, v in enumerate(values)])
-        scaled = synth_records([({"t": float(t)}, scale * v + shift)
-                                for t, v in enumerate(values)])
+        scaled = synth_records([({"t": float(t)}, v) for t, v in enumerate(mapped)])
         assert analysis.recovery_time(recs) == analysis.recovery_time(scaled)
+
+    def test_tie_tolerance_is_absolute(self):
+        # a rise of 1e-14 counts, the same rise scaled by 0.0625 (6.25e-16)
+        # is a tie and resolves to the smaller t
+        values = [0.0, 1e-14]
+        recs = synth_records([({"t": float(t)}, v) for t, v in enumerate(values)])
+        scaled = synth_records([({"t": float(t)}, 0.0625 * v + 0.0)
+                                for t, v in enumerate(values)])
+        assert analysis.recovery_time(recs) == 1.0
+        assert analysis.recovery_time(scaled) == 0.0
 
 
 class TestFitBetaC:

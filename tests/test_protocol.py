@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -351,22 +352,28 @@ class TestPipelineAgainstDense:
                 assert abs(protocol.run_single_qubit_arbitrary(arb) - fid) <= 1e-12
 
     def test_batch_matches_single_points(self):
-        gs = np.linspace(0.0, 4 * math.pi, 9)
-        cfg = protocol.ProtocolConfig(seed=3, beta=7.0, t=1.2)
-        eng = protocol.get_engine(cfg)
-        curve = eng.curve_basis_z(cfg.beta, cfg.t, gs)
-        single = [protocol.run_single_qubit(replace(cfg, g=float(g))) for g in gs]
-        assert np.abs(curve - single).max() <= 1e-13
-        mean, _ = eng.curve_arbitrary_avg(cfg.beta, cfg.t, gs, 20, 1)
-        single = [protocol.run_arbitrary_avg(replace(cfg, g=float(g)), 20, 1)[0]
-                  for g in gs]
-        assert np.abs(mean - single).max() <= 1e-13
-        cfgb = protocol.ProtocolConfig(message="bell_phi_plus",
-                                       swap_variant="bell_sequential",
-                                       seed=3, beta=7.0, t=2.0)
-        curve = protocol.get_engine(cfgb).curve_bell(cfgb.beta, cfgb.t, gs)
-        single = [protocol.run_bell(replace(cfgb, g=float(g))) for g in gs]
-        assert np.abs(curve - single).max() <= 1e-13
+        # 9 g at n_side 3 are one block; at n_side 4 a g block holds 16
+        # values of g for the basis message and 8 for the Bell message and
+        # the two arbitrary-message branches, so 53 g are at least 3 blocks
+        # and a partial one on every curve
+        for n_side, n_g in ((3, 9), (4, 53)):
+            gs = np.linspace(0.0, 4 * math.pi, n_g)
+            cfg = protocol.ProtocolConfig(seed=3, beta=7.0, t=1.2, n_side=n_side)
+            eng = protocol.get_engine(cfg)
+            cfgb = _bell_cfg(seed=3, beta=7.0, t=2.0, n_side=n_side)
+            engb = protocol.get_engine(cfgb)
+            if n_side == 4:
+                assert [eng._g_block(1, 1), eng._g_block(1, 2), engb._g_block(1, 1)] == [16, 8, 8]
+            curve = eng.curve_basis_z(cfg.beta, cfg.t, gs)
+            single = [protocol.run_single_qubit(replace(cfg, g=float(g))) for g in gs]
+            assert np.abs(curve - single).max() <= 1e-13
+            mean, _ = eng.curve_arbitrary_avg(cfg.beta, cfg.t, gs, 20, 1)
+            single = [protocol.run_arbitrary_avg(replace(cfg, g=float(g)), 20, 1)[0]
+                      for g in gs]
+            assert np.abs(mean - single).max() <= 1e-13
+            curve = engb.curve_bell(cfgb.beta, cfgb.t, gs)
+            single = [protocol.run_bell(replace(cfgb, g=float(g))) for g in gs]
+            assert np.abs(curve - single).max() <= 1e-13
 
 
 class TestLevelFactoredCoupling:
@@ -413,8 +420,23 @@ class TestLevelFactoredCoupling:
             for j, g in enumerate(gs):
                 single = eng.finish(dressed, beta, (g,), ts, normalize=normalize)[:, 0]
                 assert np.abs(batch[:, j] - single).max() <= 1e-13
+            # a reduction sees the g axis block by block, joined in order
+            blocks = []
+
+            def keep(psi):
+                blocks.append(psi.shape[1])
+                return psi
+            joined = eng.finish(dressed, beta, gs, ts, normalize=normalize, reduce=keep)
+            assert np.abs(joined - batch).max() <= 1e-13
+            step = eng._g_block(len(ts), len(dressed[0]))
+            if len(gs) > len(eng._levels) // 2:
+                assert blocks == [min(step, len(gs) - i) for i in range(0, len(gs), step)]
 
     def test_g_batches_match_scalar_g(self):
+        # 201 g in blocks of 64 (basis message) and 32 (Bell message, and
+        # the two arbitrary-message branches) at one t: at least 3 blocks
+        # and a partial one on every curve
+        gs = self.G_BATCHES[2]
         for beta in (0.0, 6.0):
             eng = protocol.get_engine(protocol.ProtocolConfig(seed=2))
             self._check_rows(eng, eng.message_vector(), beta, True)
@@ -422,10 +444,42 @@ class TestLevelFactoredCoupling:
             self._check_rows(eng, np.eye(2, dtype=complex), beta, False)
             engb = protocol.get_engine(_bell_cfg(seed=2))
             self._check_rows(engb, engb.message_vector(), beta, True)
-            gs = self.G_BATCHES[2]
+            assert [eng._g_block(1, 1), eng._g_block(1, 2), engb._g_block(1, 1)] == [64, 32, 32]
+            curve = eng.curve_basis_z(beta, 1.0, gs)
+            single = [eng.curve_basis_z(beta, 1.0, (g,))[0] for g in gs]
+            assert np.abs(curve - single).max() <= 1e-13
+            mean, stderr = eng.curve_arbitrary_avg(beta, 1.0, gs, 20, 1)
+            single = np.array([eng.curve_arbitrary_avg(beta, 1.0, (g,), 20, 1)
+                               for g in gs])[:, :, 0]
+            assert np.abs(mean - single[:, 0]).max() <= 1e-13
+            assert np.abs(stderr - single[:, 1]).max() <= 1e-13
             curve = engb.curve_bell(beta, 2.0, gs)
             single = [engb.curve_bell(beta, 2.0, (g,))[0] for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
+
+
+class TestGBlockMemory:
+    """In the level order, finish builds and reduces one block of final
+    states at a time, so the memory of a g-sweep call does not grow with
+    its g grid beyond the (n_g,)-sized inputs and outputs."""
+
+    @pytest.mark.parametrize("n_side", [3, 4])
+    def test_peak_does_not_grow_with_the_g_grid(self, n_side):
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=5, n_side=n_side))
+        engb = protocol.get_engine(_bell_cfg(seed=5, n_side=n_side))
+        for curve in (eng.curve_basis_z, engb.curve_bell):
+            peaks = []
+            for n_g in (201, 1608):
+                gs = np.linspace(0.0, 4 * math.pi, n_g)
+                curve(7.0, 1.0, gs)  # warm: C, K(beta) and W_R are built
+                tracemalloc.start()
+                try:
+                    curve(7.0, 1.0, gs)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.5 * peaks[0]
+            assert max(peaks) < 2 * 2 ** 20
 
 
 def _force_coupling_order(monkeypatch, order: str):
@@ -627,8 +681,7 @@ def _rotate_degenerate(eig, rng):
 class TestDegeneracyInvariance:
     """Outputs are functions of the Hamiltonian alone: a rotation inside a
     degenerate eigenspace must not move them.  That covers the thermofield
-    double, every curve and the coherent aggregates of the overlap table
-    (its single entries do depend on the eigenvectors)."""
+    double and every curve."""
 
     T_GRID = np.linspace(0.0, 6.0, 13)
     G_GRID = np.linspace(0.0, 2 * math.pi, 9)
@@ -660,18 +713,6 @@ class TestDegeneracyInvariance:
             for beta in (0.0, 5.0, 20.0):
                 assert np.abs(rot.curve_bell(beta, ts, gs)
                               - ref.curve_bell(beta, ts, gs)).max() <= 1e-12
-
-    def test_overlap_aggregates(self):
-        rng = np.random.default_rng(11)
-        for seed in (0, 3):
-            ref, rot = self._pair(protocol.ProtocolConfig(seed=seed), rng)
-            for variant in ("delta01", "delta02"):
-                for beta in (0.0, 5.0):
-                    a = protocol.overlap_coefficients(ref.eig_left, variant, beta)
-                    b = protocol.overlap_coefficients(rot.eig_left, variant, beta)
-                    assert np.abs(a.values - b.values).max() > 1e-3
-                    assert abs(a.coherent_sum() - b.coherent_sum()) <= 1e-12
-                    assert abs(a.coherent_mean() - b.coherent_mean()) <= 1e-12
 
 
 class TestCouplingOrdersUnderDegeneracy:
@@ -994,98 +1035,60 @@ class TestBell:
                 beta=math.inf))
 
 
-class TestOverlapTable:
-    def _eig(self, seed):
-        c = models.sample_syk_couplings(6, 4, protocol.DEFAULT_J_SCALE, seed)
-        h = models.build_syk_side_matrix(c, "left", 3)
-        return qop.hermitian_eig(h), h
-
-    def test_weights_normalized(self):
-        eig, _ = self._eig(0)
-        w = tfd.boltzmann_weights(eig.values, 7.0) ** 2
-        assert abs(w.sum() - 1.0) <= 1e-12
-
-    def test_entries_match_brute_force(self):
-        eig, _ = self._eig(0)
-        beta = 3.0
-        table = protocol.overlap_coefficients(eig, "delta01", beta)
-        v_pair = protocol.paired_right_basis(eig, 3)
-        g_left = layout.left_majorana_local(3, 0)
-        g_right = qop.kron_all([qop.PAULI_Z] * 3) @ layout.right_majorana_local(3, 0)
-        c = tfd.boltzmann_weights(eig.values, beta)
-        for n in range(8):
-            for m in range(8):
-                a_nm = eig.vectors[:, n].conj() @ g_left @ eig.vectors[:, m]
-                b_nm = v_pair[:, n].conj() @ g_right @ v_pair[:, m]
-                want = c[n] * c[m] * a_nm * b_nm
-                assert abs(table.values[n, m] - want) <= 1e-12
-
-    def test_table_sums_to_thermal_correlator(self):
-        for variant, i_maj in (("delta01", 0), ("delta02", 2)):
-            for beta in (0.0, 5.0):
-                eig, h = self._eig(1)
-                table = protocol.overlap_coefficients(eig, variant, beta)
-                corr = protocol.thermal_majorana_correlation(i_maj, 0, beta, h)
-                assert abs(table.coherent_sum() - corr) <= 1e-10
-
-    def test_far_swap_interferes_destructively(self):
-        # coherent mean of the mismatched table vanishes at beta = 0
-        ratios = []
-        for seed in range(10):
-            eig, _ = self._eig(seed)
-            near = protocol.overlap_coefficients(eig, "delta01", 0.0)
-            far = protocol.overlap_coefficients(eig, "delta02", 0.0)
-            ratios.append(abs(far.coherent_mean()) / abs(near.coherent_mean()))
-        assert np.mean(ratios) < 0.3
-
-    def test_bell_variant_rejected(self):
-        eig, _ = self._eig(2)
-        with pytest.raises(protocol.ConfigError):
-            protocol.overlap_coefficients(eig, "bell_sequential", 4.0)
+def _two_sided_correlator(i: int, j: int, beta: float, h_side: np.ndarray) -> complex:
+    """<TFD(beta)| gL_i gR_j |TFD(beta)> on the doubled block, the TFD
+    built by tfd.build_tfd from the side Hamiltonian."""
+    reg = layout.RegisterLayout(n_message=1, n_side=3)
+    state = tfd.build_tfd(h_side, beta, reg)
+    op = layout.left_majorana_block(3, i) @ layout.right_majorana_block(3, j)
+    return complex(qop.expectation(state, op))
 
 
 class TestThermalCorrelation:
+    """The two-sided Majorana correlator in the thermofield double: unit
+    magnitude for the matched pair at beta = 0, bounded, and the same from
+    the Engine's TFD coefficients K(beta)."""
+
     def _h(self, seed):
         c = models.sample_syk_couplings(6, 4, protocol.DEFAULT_J_SCALE, seed)
         return models.build_syk_side_matrix(c, "left", 3)
 
     def test_infinite_temperature_uniform_weights(self):
-        # oracle: uniform-weight double sum over raw matrix elements
+        # oracle: uniform-weight double sum over raw matrix elements, with
+        # the right eigenvectors paired to the left ones by the pair vacuum
         h = self._h(0)
         eig = qop.hermitian_eig(h)
-        v_pair = protocol.paired_right_basis(eig, 3)
-        gl = layout.left_majorana_block(3, 1)
-        gr = layout.right_majorana_block(3, 4)
+        v_pair = math.sqrt(8) * (layout.bell_vacuum(3).reshape(8, 8).T @ eig.vectors.conj())
         # restrict block operators to the factors they act on
         a = eig.vectors.conj().T @ layout.left_majorana_local(3, 1) @ eig.vectors
         string = qop.kron_all([qop.PAULI_Z] * 3)
         b = v_pair.conj().T @ (string @ layout.right_majorana_local(3, 4)) @ v_pair
         want = (a * b).sum() / 8.0
-        got = protocol.thermal_majorana_correlation(1, 4, 0.0, h)
+        got = _two_sided_correlator(1, 4, 0.0, h)
         assert abs(got - want) <= 1e-10
 
     def test_eigen_route_matches_state_route(self):
-        # second route: explicit TFD vector and matrix-vector expectation
-        h = self._h(1)
+        # second route: the Engine's K(beta) = V_L^dagger T V_R^* taken back
+        # to the sites, T = V_L K V_R^T
         beta = 6.0
-        got = protocol.thermal_majorana_correlation(0, 2, beta, h)
-        reg = layout.RegisterLayout(n_message=1, n_side=3)
-        state = tfd.build_tfd(h, beta, reg)
+        eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
+        k = eng._tfd_eigen(beta)
+        state = (eng.eig_left.vectors @ k @ eng.eig_right.vectors.T).reshape(-1)
         op = layout.left_majorana_block(3, 0) @ layout.right_majorana_block(3, 2)
         want = np.vdot(state, op @ state)
-        assert abs(got - want) <= 1e-12
+        assert abs(_two_sided_correlator(0, 2, beta, self._h(1)) - want) <= 1e-12
 
     def test_bounded(self):
         h = self._h(2)
         for (i, j) in ((0, 0), (1, 3), (5, 2)):
-            assert abs(protocol.thermal_majorana_correlation(i, j, 4.0, h)) <= 1.0 + 1e-9
+            assert abs(_two_sided_correlator(i, j, 4.0, h)) <= 1.0 + 1e-9
 
     def test_matched_pair_dominates(self):
         diag, far = [], []
         for seed in range(6):
             h = self._h(seed)
-            diag.append(abs(protocol.thermal_majorana_correlation(0, 0, 0.0, h)))
-            far.append(abs(protocol.thermal_majorana_correlation(4, 0, 0.0, h)))
+            diag.append(abs(_two_sided_correlator(0, 0, 0.0, h)))
+            far.append(abs(_two_sided_correlator(4, 0, 0.0, h)))
         assert np.mean(diag) > np.mean(far)
         assert np.mean(diag) == pytest.approx(1.0, abs=1e-10)
 

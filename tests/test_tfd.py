@@ -44,6 +44,13 @@ class TestPartitionFunction:
         with pytest.raises(ValueError):
             tfd.log_partition_function([], 1.0)
 
+    def test_boltzmann_weights_normalized(self):
+        # the TFD amplitudes: their squares are the Gibbs probabilities
+        c = models.sample_syk_couplings(6, 4, 5.0, 0)
+        spectrum = np.linalg.eigvalsh(models.build_syk_side_matrix(c, "left", 3))
+        w = tfd.boltzmann_weights(spectrum, 7.0) ** 2
+        assert abs(w.sum() - 1.0) <= 1e-12
+
 
 class TestVacuumStructure:
     def test_vacuum_is_annihilated(self):
