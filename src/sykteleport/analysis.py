@@ -244,13 +244,19 @@ def ensemble_mean(records, group_by=("beta", "g", "t")):
     for col in columns:
         same &= col[1:] == col[:-1]
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    sizes = np.diff(np.append(starts, len(values)))
+    means, stderrs = np.empty(len(starts)), np.zeros(len(starts))
+    # the groups of one size as the rows of one array: a row's mean and
+    # std have the bits of the same calls on the group alone
+    for n in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == n)
+        groups = values[starts[which, None] + np.arange(n)]
+        means[which] = groups.mean(axis=1)
+        if n > 1:
+            stderrs[which] = groups.std(axis=1, ddof=1) / math.sqrt(n)
     keys = zip(*(col[starts].tolist() for col in columns))
-    out = {}
-    for key, members in zip(keys, np.split(values, starts[1:])):
-        n = len(members)
-        stderr = float(members.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        out[key] = (float(members.mean()), stderr, n)
-    return out
+    return {key: (mean, stderr, n) for key, mean, stderr, n in
+            zip(keys, means.tolist(), stderrs.tolist(), sizes.tolist())}
 
 
 def recovery_time(records) -> float:

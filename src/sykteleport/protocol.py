@@ -50,24 +50,34 @@ V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
   associated the other way, one 4^n_side-square map C diag(phases) B^T
   per g, so each row is one product with it.  "levels" (more than L/2
   values of g, the g sweeps): each row through C and back split into its
-  L level components Pi_p x, which one (n_g, L) phase matrix combines
-  for every g.  W_R(beta) U_R(t) is one diagonal multiply in the right
-  eigenbasis followed by a GEMM by V_R^T (in the level order on each
-  level component, before the g combination), and each row is scaled by
-  its reciprocal norm.  The orders agree to round-off, not bit for bit.
+  L level components Pi_p x.  W_R(beta) U_R(t) is one diagonal multiply in
+  the right eigenbasis followed by a GEMM by V_R^T (in the level order on
+  each level component, before the g combination).  The orders agree to
+  round-off, not bit for bit.
 
-The metrics reduce over the (t, g) rows, each row keeping its own
-density-matrix checks.  The t axis is cut into chunks of at most
-MAX_BATCH_ROWS (t, g) rows.  Each metric is passed to `Engine.finish` as
-its reduction: in the level order the g axis is built, normalized and
-reduced one block of at most G_BLOCK_BYTES of final states at a time,
-and only the per-(t, g) values are joined, so a call's memory does not
-grow with its g grid beyond arrays of n_g values.  The maps and phases
-orders take at most L/2 values of g and are one block.  A scalar t or a
-single g is a batch of one through the same stages (the g stage picks
-its order by size), so `run_single_qubit`, `run_bell`,
-`run_arbitrary_avg` and the sweeps in `analysis` share them.  The dense
-`wormhole_unitary` is the reference the pipeline is tested against.
+Every metric is read from the readout density rho over (input, readout
+sites), which `Engine.finish` hands the metric's reading, one g block at a
+time; each (t, g) keeps its own density-matrix checks.  The maps and
+phases orders build the final states (at most L/2 values of g) and take
+rho from them with `qop.reduced_density`.  The level order builds no final
+state: for each t it lays the level components out as a matrix A =
+(traced sites) x (input, readout value, level) and keeps only its R factor
+from a Householder QR, at most n_in 2^k L rows for k readout sites.  For
+every g, y(g) = R phi(g) with phi_p(g) = exp(i g p) gives rho(g) = y^T y^*,
+since Q is orthonormal.  QR is backward stable, so |R phi| = |A phi| keeps
+the direct sum's eps/norm accuracy at large beta, where the weighted final
+state is far smaller than its O(1) level components (norm about 2e-6 at
+beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
+and is not used.  The g axis is evaluated in blocks of about
+G_BLOCK_BYTES of y(g), and only the per-(t, g) values are joined, so a
+call's memory does not grow with its g grid beyond arrays of n_g values.
+Without a reading, `finish` returns full final states (`final_state`,
+`branch_states`).  The t axis is cut into chunks of at most
+MAX_BATCH_ROWS (t, g) rows.  A scalar t or a single g is a batch of one
+through the same stages (the g stage picks its order by size), so
+`run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
+`analysis` share them.  The dense `wormhole_unitary` is the reference the
+pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -88,15 +98,16 @@ DEFAULT_TFIM_STEPS = 1
 # most (t, g) rows one pipeline call evaluates at once: one default g grid
 # and some headroom; the t axis is chunked to stay under it
 MAX_BATCH_ROWS = 256
-# bytes of final states in one g block of Engine.finish's level order, so
-# g values per block = G_BLOCK_BYTES // (16 n_t n_in 2^n_msg 4^n_side): 64
-# on the sq1 sweep (201 g, one t, one message at n_side 3), 16 for the
-# basis message at n_side 4.  Chosen as the largest power of two that
-# stops the sq1 sweep from handing its heap back to the OS after every
-# finish call and faulting it in again on the next: minor page faults
-# per sq1 run were 33.0k with one block of the whole grid, 33.6k with
-# 256 KiB blocks, 5.9k with 128 KiB and 5.8k with 64 KiB.
-G_BLOCK_BYTES = 2 ** 17
+# bytes of compressed readout coordinates y(g) per g block of
+# Engine.finish's level order (see Engine._g_block): y(g) takes 384 bytes
+# per g for the basis message at n_side 3 and 1536 for the Bell message or
+# the two Haar branches, so a 201-g basis sweep and a 49-g Haar average are
+# one block each and a 201-g Bell sweep is 5.  A block's transient memory
+# is about four times its y(g) (y, its conjugate, one product, the
+# densities and phases).  With 64 KiB the traced peak of a 1608-g call is
+# within 1.25 times that of a 201-g call at n_side 3 and 4; at 128 KiB the
+# 1608-g basis sweep at n_side 3 peaks 1.65 times higher.
+G_BLOCK_BYTES = 2 ** 16
 # engines kept by get_engine, and realizations they share
 ENGINE_CACHE_SIZE = 8
 
@@ -389,9 +400,13 @@ class Engine:
     built on first use and keep their latest value, which is what a sweep
     revisits (beta is its outer loop).  Nothing with a t or g axis is kept:
     every metric takes a whole t array and a whole g array, evaluates the
-    t axis in chunks of at most MAX_BATCH_ROWS (t, g) rows and, in the
-    level order, builds and reduces the g axis in blocks of at most
-    G_BLOCK_BYTES of final states (`finish` with a reduction).
+    t axis in chunks of at most MAX_BATCH_ROWS (t, g) rows and reads its
+    value from the readout density rho (`finish` with a reading).  In the
+    level order (the g sweeps) rho comes from QR-compressed readout
+    coordinates y(g) = R phi(g), in blocks of about G_BLOCK_BYTES of
+    y(g), and no final state is built; the Gram form of the same sum is
+    not used, since at large beta it loses eps/norm^2 where the QR form
+    keeps eps/norm (see `_compressed_readout`).
 
     The t stage works in the side eigenbases V_L, V_R and the g stage in
     the order the call's row and g counts select (see the module
@@ -563,24 +578,61 @@ class Engine:
         psi = psi * right[:, None, :]
         return (psi.reshape(-1, psi.shape[-1]) @ self.eig_right.vectors.T).reshape(psi.shape)
 
-    def _g_block(self, n_t: int, n_in: int) -> int:
-        """Values of g per block of the level order: as many as keep the
-        block's (n_t, n_in) final states per g within G_BLOCK_BYTES."""
-        return max(1, G_BLOCK_BYTES // (16 * n_t * n_in * self.reg.dim))
+    def _g_block(self, n_t: int, n_in: int, n_g: int) -> int:
+        """Values of g per block of the level order with a reading.  The
+        compressed coordinates y(g) take 16 n_t n_in 2^k k_R bytes per g
+        for k readout sites; the n_g values of g are cut into equal blocks,
+        as many as G_BLOCK_BYTES goes into their total, rounded (at least
+        one), so a block holds at most 1.5 G_BLOCK_BYTES of y(g) and a
+        grid a little longer than one block is not split into a full
+        block and a short one."""
+        k = len(self.readout)
+        width = n_in * 2 ** k
+        rank = min(self.reg.dim >> k, width * len(self._levels))
+        n_blocks = max(1, round(16 * n_t * width * rank * n_g / G_BLOCK_BYTES))
+        return -(-n_g // n_blocks)
+
+    def _level_phases(self, z: np.ndarray) -> np.ndarray:
+        """exp(i g p) per level p for the values z = exp(i g), shape (L,
+        n_g): the levels are nonnegative integers, so these are powers of
+        z."""
+        powers = np.empty((self._levels[-1] + 1, len(z)), dtype=complex)
+        powers[0] = 1.0
+        powers[1] = z
+        for k in range(2, len(powers)):
+            np.multiply(powers[k - 1], z, out=powers[k])
+        return powers[self._levels]
+
+    def _readout_factor(self, parts: np.ndarray) -> np.ndarray:
+        """The R factor of the level components laid out as one matrix per
+        t, A = (traced sites) x (input, readout sites, level), from `parts`
+        (L, n_t, n_in, dim); shape (n_t, k_R, n_in 2^k L) with k_R =
+        min(dim / 2^k, n_in 2^k L) for k readout sites."""
+        n_t = parts.shape[1]
+        n = self.reg.n_qubits
+        traced = [s for s in range(n) if s not in self.readout]
+        axes = ([1] + [3 + s for s in traced] + [2] + [3 + s for s in self.readout]
+                + [0])
+        a = parts.reshape(parts.shape[:3] + (2,) * n).transpose(axes)
+        a = a.reshape(n_t, 2 ** len(traced), -1)
+        return np.linalg.qr(a, mode="r")
 
     def finish(self, dressed: np.ndarray, beta: float, g_values, t_values: np.ndarray,
-               normalize: bool = True, reduce=None) -> np.ndarray:
+               normalize: bool = True, reading=None) -> np.ndarray:
         """Coupling phases, right evolution and thermal weight for every
         (t, g).
 
         `dressed` is the (n_t, n_in, 2^n_msg, 4^n_side) output of dressed_state
-        at the same t_values.  Without `reduce` the result is the final
+        at the same t_values.  Without `reading` the result is the final
         states, shape (n_t, n_g, n_in, dim) in the computational basis,
-        each normalized unless normalize=False.  With it, reduce maps the
-        final states of a run of n_b values of g, (n_t, n_b, n_in, dim), to
-        an array with leading axes (n_t, n_b), and the result is those
-        arrays joined over g: the level order then builds, normalizes and
-        reduces one block of _g_block(n_t, n_in) values of g at a time.
+        each normalized unless normalize=False.  With it, reading maps the
+        unnormalized readout densities of a run of n_b values of g, shape
+        (n_t, n_b, n_in 2^k, n_in 2^k) over (input, readout sites) for k
+        readout sites, to an array with leading axes (n_t, n_b), and the
+        result is those arrays joined over g: the level order then reads
+        the densities off the compressed coordinates, one block of
+        _g_block(n_t, n_in, n_g) values of g at a time, and builds no
+        final state.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
         if not (np.isfinite(g).all() and math.isfinite(beta)):
@@ -592,36 +644,83 @@ class Engine:
             right = right * self.thermal_weight_right(beta)
         rows = dressed.reshape(-1, block)
         basis = self.size.basis
-
-        def done(psi):
-            # (g, t) -> (t, g) only copies when both axes are longer than 1
-            psi = psi.reshape(-1, n_t, n_in * m * block).swapaxes(0, 1)
-            psi = psi.reshape(n_t, -1, n_in, m * block)
-            if normalize:
-                psi *= 1.0 / np.linalg.norm(psi, axis=-1, keepdims=True)
-            return psi if reduce is None else reduce(psi)
-
         order = self._coupling_order(len(rows), len(g))
         if order == "levels":
-            # each row's level components Pi_p x (right stage on each),
-            # combined for every g of a block
+            # each row's level components Pi_p x (right stage on each)
             coeffs = rows @ self._to_size
             parts = np.empty((len(self._levels), len(rows), block), dtype=complex)
             for part, cols in zip(parts, self._level_columns):
                 np.matmul(coeffs[:, cols], basis[:, cols].T, out=part)
             parts = self._right_eigen(parts).reshape(len(self._levels), n_t, -1, d)
-            parts = self._right_stage(parts, right).reshape(len(parts), -1)
-            step = len(g) if reduce is None else self._g_block(n_t, n_in)
-            out = [done(np.exp(1j * g[i:i + step, None] * self._levels) @ parts)
-                   for i in range(0, len(g), step)]
-            return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+            parts = self._right_stage(parts, right).reshape(len(parts), n_t, n_in, -1)
+            if reading is None:
+                psi = self._level_phases(np.exp(1j * g)).T @ parts.reshape(len(parts), -1)
+                return self._states(psi, n_t, n_in, normalize)
+            return self._compressed_readout(parts, g, reading)
         # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
         phases = np.exp(1j * g[:, None, None] * self._column_levels)
         if order == "maps":
             psi = rows @ self._right_eigen((self._to_size * phases) @ basis.T)
         else:
             psi = self._right_eigen(((rows @ self._to_size) * phases) @ basis.T)
-        return done(self._right_stage(psi.reshape(len(g), n_t, -1, d), right))
+        psi = self._right_stage(psi.reshape(len(g), n_t, -1, d), right)
+        if reading is None:
+            return self._states(psi, n_t, n_in, normalize)
+        # the input index as leading qubits of one state per (t, g)
+        extra = n_in.bit_length() - 1
+        if n_in != 1 << extra:
+            raise ConfigError("a reading needs a power-of-two number of inputs")
+        psi = psi.reshape(len(g), n_t, -1).swapaxes(0, 1)
+        keep = list(range(extra)) + [s + extra for s in self.readout]
+        return reading(qop.reduced_density(psi, self.reg.n_qubits + extra, keep))
+
+    @staticmethod
+    def _states(psi: np.ndarray, n_t: int, n_in: int, normalize: bool) -> np.ndarray:
+        """Final states laid out (g, t, ...) as (n_t, n_g, n_in, dim), each
+        normalized unless normalize=False."""
+        # (g, t) -> (t, g) only copies when both axes are longer than 1
+        psi = psi.reshape(len(psi), n_t, n_in, -1).swapaxes(0, 1)
+        if normalize:
+            psi *= 1.0 / np.linalg.norm(psi, axis=-1, keepdims=True)
+        return psi
+
+    def _compressed_readout(self, parts: np.ndarray, g: np.ndarray, reading) -> np.ndarray:
+        """reading over the g axis, block by block, from the R factor of the
+        level components `parts` (L, n_t, n_in, dim).
+
+        For one t the final states at g, laid out (traced sites) x (input,
+        readout sites), are sum_p exp(i g p) A_p = Q R phi(g) with A = QR
+        (`_readout_factor`) and phi_p(g) = exp(i g p).  Q is orthonormal,
+        so the readout densities rho(g)[r, s] = sum_j y_rj y*_sj are sums
+        over the k_R coordinates y(g) = R phi(g) alone, and no final state
+        is built.  |R phi| = |A phi| and Householder QR is backward stable,
+        so this keeps the direct sum's accuracy, about eps/norm relative
+        for a weighted final state of norm `norm`.  The Gram form
+        phi^dagger (A^dagger A) phi, or any sum_pq exp(i g (p - q)) M_pq,
+        is not used: at large beta the state is far smaller than its O(1)
+        level components (norm about 2e-6 at beta = 100), and the Gram
+        form loses eps/norm^2 instead (about 5e-5 there).
+        """
+        n_t, n_in = parts.shape[1:3]
+        width = n_in * 2 ** len(self.readout)
+        r = self._readout_factor(parts)
+        # rows (coordinate j, input and readout value c), columns level p
+        r = r.reshape(n_t, -1, len(self._levels))
+        z = np.exp(1j * g)
+        step = self._g_block(n_t, n_in, len(g))
+        out = []
+        for i in range(0, len(g), step):
+            phases = self._level_phases(z[i:i + step])
+            y = (r @ phases).reshape(n_t, -1, width, phases.shape[1])
+            yc, y_ab = y.conj(), np.empty_like(y)
+            # rho[t, a, b, g] = sum_j y[t, j, a, g] y*[t, j, b, g], one row a
+            # at a time: a temporary of all (a, b) would be `width` times y
+            rho = np.empty((n_t, width, width, y.shape[-1]), dtype=complex)
+            for a in range(width):
+                np.multiply(y[:, :, a, None], yc, out=y_ab)
+                np.add.reduce(y_ab, axis=1, out=rho[:, a])
+            out.append(reading(rho.transpose(0, 3, 1, 2)))
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
     def final_state(self, beta: float | None = None, g: float | None = None,
                     t: float | None = None) -> np.ndarray:
@@ -633,10 +732,10 @@ class Engine:
         return self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
 
     def _branches(self, beta: float, t_values: np.ndarray, g_values,
-                  reduce=None) -> np.ndarray:
+                  reading=None) -> np.ndarray:
         dressed = self.dressed_state(np.eye(2, dtype=complex), beta, t_values)
         return self.finish(dressed, beta, g_values, t_values, normalize=False,
-                           reduce=reduce)
+                           reading=reading)
 
     def branch_states(self, beta: float, t, g_values) -> np.ndarray:
         """Unnormalized weighted final states for the |0> and |1> message
@@ -654,40 +753,66 @@ class Engine:
         return out.reshape(np.shape(t) + out.shape[1:])
 
     # -- metrics ----------------------------------------------------------
-    @cached_property
-    def _readout_z(self) -> np.ndarray:
-        """Z on the readout site as its diagonal of signs, length dim."""
-        shift = self.reg.n_qubits - 1 - self.readout[0]
-        return 1.0 - 2.0 * ((np.arange(self.reg.dim) >> shift) & 1)
+    # Each metric is read from the unnormalized readout density rho over
+    # (input, readout sites) that finish hands its reading, in every
+    # coupling order; basis_z_value and bell_value read it off final
+    # states through qop.reduced_density.
+    def _readout_density(self, psi: np.ndarray) -> np.ndarray:
+        return qop.reduced_density(psi, self.reg.n_qubits, list(self.readout))
 
     def basis_z_value(self, psi: np.ndarray):
         """<Z> on the readout site; a float for one state, an array over
         the leading axes for a stack of states."""
-        values = (np.abs(np.atleast_2d(psi)) ** 2) @ self._readout_z
+        values = _z_reading(self._readout_density(np.atleast_2d(psi)))
         return float(values[0]) if np.ndim(psi) == 1 else values
 
     def bell_value(self, psi: np.ndarray):
         """Stabilizer fidelity of the readout pair; float or array as
         basis_z_value."""
-        rho = qop.reduced_density(psi, self.reg.n_qubits, list(self.readout))
-        return stabilizer_fidelity(rho)
+        return _bell_reading(self._readout_density(psi))
 
-    def _curve(self, beta: float, t, g_values, metric) -> np.ndarray:
+    def _curve(self, beta: float, t, g_values, reading) -> np.ndarray:
         msg = self.message_vector()
 
         def evaluate(t_chunk):
             dressed = self.dressed_state(msg, beta, t_chunk)
-            return self.finish(dressed, beta, g_values, t_chunk,
-                               reduce=lambda psi: metric(psi[:, :, 0]))
+            return self.finish(dressed, beta, g_values, t_chunk, reading=reading)
         return self._over_t(t, g_values, evaluate)
 
     def curve_basis_z(self, beta: float, t, g_values) -> np.ndarray:
         """<Z> per (t, g), shape np.shape(t) + (n_g,)."""
-        return self._curve(beta, t, g_values, self.basis_z_value)
+        return self._curve(beta, t, g_values, _z_reading)
 
     def curve_bell(self, beta: float, t, g_values) -> np.ndarray:
         """Bell stabilizer fidelity per (t, g), shape np.shape(t) + (n_g,)."""
-        return self._curve(beta, t, g_values, self.bell_value)
+        return self._curve(beta, t, g_values, _bell_reading)
+
+    def _over_branches(self, beta: float, t, g_values, reading) -> np.ndarray:
+        """reading of the two basis-input branches per (t, g), over chunks
+        of t."""
+        return self._over_t(t, g_values,
+                            lambda t_chunk: self._branches(beta, t_chunk, g_values, reading))
+
+    @staticmethod
+    def _fidelity_reading(messages):
+        """The reading of <m| rho_out(m) |m> for every message m = (alpha,
+        beta_msg) in `messages` from the branch densities r[(a, i), (b, j)]
+        = Tr_rest |phi_a><phi_b| on the readout site, shape (n_t, n_b, 4, 4)
+        -> (n_t, n_b, len(messages))."""
+        c = np.asarray(messages, dtype=complex).reshape(-1, 2)
+        cc = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # c_a conj(c_b)
+        # u_x conj(u_y) over x = (a, i), y = (b, j), with u_(a, i) = c_a conj(c_i)
+        uu = (cc[:, :, None] * cc.conj()[:, None, :]).reshape(-1, 16)
+
+        def reading(r):
+            lead = r.shape[:2]
+            r = r.reshape(-1, 16)
+            overlap = r @ uu.T
+            # the branch blocks traced over the readout site: (a, b)
+            r = r.reshape(-1, 2, 2, 2, 2)
+            norm2 = (r[:, :, 0, :, 0] + r[:, :, 1, :, 1]).reshape(-1, 4) @ cc.T
+            return (overlap / norm2).real.reshape(lead + (-1,))
+        return reading
 
     def arbitrary_fidelity(self, beta: float, t, g_values, messages) -> np.ndarray:
         """<m| rho_out(m) |m> for every (t, g) and every message m = (alpha,
@@ -696,35 +821,38 @@ class Engine:
         rho_out(m) is assembled from the two basis-input branches, so any
         number of messages costs one protocol run per branch.
         """
-        c = np.asarray(messages, dtype=complex).reshape(-1, 2)
-        cc = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # c_a conj(c_b)
-        # u_x conj(u_y) over x = (a, i), y = (b, j), with u_(a, i) = c_a conj(c_i)
-        uu = (cc[:, :, None] * cc.conj()[:, None, :]).reshape(-1, 16)
-
-        def readout(phi):
-            lead = phi.shape[:2]
-            # the branch index as one extra leading qubit: blocks
-            # r[row, (a, i), (b, j)] = Tr_rest |phi_a><phi_b| on the readout site
-            r = qop.reduced_density(phi.reshape(lead[0] * lead[1], -1),
-                                    self.reg.n_qubits + 1, [0, self.readout[0] + 1])
-            overlap = r.reshape(-1, 16) @ uu.T
-            # the branch blocks traced over the readout site: (a, b)
-            r = r.reshape(-1, 2, 2, 2, 2)
-            norm2 = (r[:, :, 0, :, 0] + r[:, :, 1, :, 1]).reshape(-1, 4) @ cc.T
-            return (overlap / norm2).real.reshape(lead + (-1,))
-        return self._over_t(t, g_values,
-                            lambda t_chunk: self._branches(beta, t_chunk, g_values, readout))
+        return self._over_branches(beta, t, g_values, self._fidelity_reading(messages))
 
     def curve_arbitrary_avg(self, beta: float, t, g_values, n_s: int = 100,
                             seed: int = 0):
         """Mean and standard error over n_s Haar-random messages per
-        (t, g), each of shape np.shape(t) + (n_g,)."""
+        (t, g), each of shape np.shape(t) + (n_g,).  Both are taken per g
+        block, so no (t, g, message) array is held."""
         if n_s < 1:
             raise ConfigError("need at least one sample")
-        values = self.arbitrary_fidelity(beta, t, g_values, _haar_samples(seed, n_s))
-        if n_s == 1:
-            return values[..., 0], np.zeros(values.shape[:-1])
-        return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n_s)
+        fidelity = self._fidelity_reading(_haar_samples(seed, n_s))
+
+        def reading(r):
+            values = fidelity(r)
+            if n_s == 1:
+                return np.stack((values[..., 0], np.zeros(values.shape[:-1])), axis=-1)
+            return np.stack((values.mean(axis=-1),
+                             values.std(axis=-1, ddof=1) / math.sqrt(n_s)), axis=-1)
+        out = self._over_branches(beta, t, g_values, reading)
+        return out[..., 0], out[..., 1]
+
+
+def _z_reading(rho: np.ndarray) -> np.ndarray:
+    """<Z> on the readout site from unnormalized densities (..., 2, 2)."""
+    up, down = rho[..., 0, 0].real, rho[..., 1, 1].real
+    return (up - down) / (up + down)
+
+
+def _bell_reading(rho: np.ndarray):
+    """Stabilizer fidelity from unnormalized densities (..., 4, 4); the
+    density-matrix checks run on every one."""
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    return stabilizer_fidelity(rho / trace[..., None, None])
 
 
 # the ProtocolConfig fields an Engine depends on, message first: all but

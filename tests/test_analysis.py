@@ -254,6 +254,23 @@ class TestEnsembleMean:
                 assert got == want
                 assert list(got) == sorted(want)
 
+    def test_same_bits_as_the_per_group_loop(self):
+        # groups of one size are reduced as the rows of one array; every
+        # mean and stderr must equal the 1-D calls on the group's slice
+        rng = np.random.default_rng(11)
+        for sizes in ([2] * 40 + [257] * 3, [1, 2, 3, 5, 8, 64, 129, 257, 2, 1]):
+            recs = [analysis.FidelityRecord(seed=s, beta=0.0, g=float(k), t=0.0,
+                                            metric="basis_z", variant="delta01",
+                                            value=float(rng.normal()))
+                    for k, n in enumerate(sizes) for s in range(n)]
+            got = analysis.ensemble_mean(recs, ("g",))
+            start = 0
+            for k, n in enumerate(sizes):
+                members = np.array([r.value for r in recs[start:start + n]])
+                start += n
+                stderr = float(members.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+                assert got[(float(k),)] == (float(members.mean()), stderr, n)
+
 
 class TestRecoveryTime:
     def test_unimodal(self):

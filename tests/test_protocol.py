@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -351,11 +352,13 @@ class TestPipelineAgainstDense:
                 arb = replace(cfg, message="arbitrary", alpha=a, beta_msg=b)
                 assert abs(protocol.run_single_qubit_arbitrary(arb) - fid) <= 1e-12
 
-    def test_batch_matches_single_points(self):
-        # 9 g at n_side 3 are one block; at n_side 4 a g block holds 16
-        # values of g for the basis message and 8 for the Bell message and
-        # the two arbitrary-message branches, so 53 g are at least 3 blocks
-        # and a partial one on every curve
+    def test_batch_matches_single_points(self, monkeypatch):
+        # with 8 KiB g blocks, 9 g at n_side 3 are one block for the basis
+        # message and two for the others; at n_side 4, 53 g are 3 blocks of
+        # at most 18 for the basis message and 11 blocks of at most 5 for
+        # the Bell message and the two arbitrary-message branches, the last
+        # one partial on every curve
+        monkeypatch.setattr(protocol, "G_BLOCK_BYTES", 2 ** 13)
         for n_side, n_g in ((3, 9), (4, 53)):
             gs = np.linspace(0.0, 4 * math.pi, n_g)
             cfg = protocol.ProtocolConfig(seed=3, beta=7.0, t=1.2, n_side=n_side)
@@ -363,7 +366,8 @@ class TestPipelineAgainstDense:
             cfgb = _bell_cfg(seed=3, beta=7.0, t=2.0, n_side=n_side)
             engb = protocol.get_engine(cfgb)
             if n_side == 4:
-                assert [eng._g_block(1, 1), eng._g_block(1, 2), engb._g_block(1, 1)] == [16, 8, 8]
+                assert [eng._g_block(1, 1, n_g), eng._g_block(1, 2, n_g),
+                        engb._g_block(1, 1, n_g)] == [18, 5, 5]
             curve = eng.curve_basis_z(cfg.beta, cfg.t, gs)
             single = [protocol.run_single_qubit(replace(cfg, g=float(g))) for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
@@ -414,28 +418,38 @@ class TestLevelFactoredCoupling:
     def _check_rows(self, eng, msgs, beta, normalize):
         ts = np.array([0.7, 1.9])
         dressed = eng.dressed_state(msgs, beta, ts)
+        n_in = len(dressed[0])
+        # the input index as leading qubits, then the readout sites
+        extra = n_in.bit_length() - 1
+        keep = list(range(extra)) + [s + extra for s in eng.readout]
         for gs in self.G_BATCHES:
             batch = eng.finish(dressed, beta, gs, ts, normalize=normalize)
-            assert batch.shape == (len(ts), len(gs)) + dressed.shape[1:2] + (eng.reg.dim,)
+            assert batch.shape == (len(ts), len(gs), n_in, eng.reg.dim)
             for j, g in enumerate(gs):
                 single = eng.finish(dressed, beta, (g,), ts, normalize=normalize)[:, 0]
                 assert np.abs(batch[:, j] - single).max() <= 1e-13
-            # a reduction sees the g axis block by block, joined in order
+            # a reading sees the unnormalized readout densities of the g
+            # axis block by block, joined in order
             blocks = []
 
-            def keep(psi):
-                blocks.append(psi.shape[1])
-                return psi
-            joined = eng.finish(dressed, beta, gs, ts, normalize=normalize, reduce=keep)
-            assert np.abs(joined - batch).max() <= 1e-13
-            step = eng._g_block(len(ts), len(dressed[0]))
+            def reading(rho):
+                blocks.append(rho.shape[1])
+                return rho
+            joined = eng.finish(dressed, beta, gs, ts, reading=reading)
+            states = eng.finish(dressed, beta, gs, ts, normalize=False)
+            want = qop.reduced_density(states.reshape(len(ts), len(gs), -1),
+                                       eng.reg.n_qubits + extra, keep)
+            assert joined.shape == want.shape
+            assert np.abs(joined - want).max() <= 1e-13
+            step = eng._g_block(len(ts), n_in, len(gs))
             if len(gs) > len(eng._levels) // 2:
                 assert blocks == [min(step, len(gs) - i) for i in range(0, len(gs), step)]
 
     def test_g_batches_match_scalar_g(self):
-        # 201 g in blocks of 64 (basis message) and 32 (Bell message, and
-        # the two arbitrary-message branches) at one t: at least 3 blocks
-        # and a partial one on every curve
+        # 201 g at one t are one block for the basis message and 5 blocks
+        # of at most 41 for the Bell message and the two arbitrary-message
+        # branches; the two t of _check_rows make 2 and 9 blocks, the last
+        # one partial
         gs = self.G_BATCHES[2]
         for beta in (0.0, 6.0):
             eng = protocol.get_engine(protocol.ProtocolConfig(seed=2))
@@ -444,7 +458,8 @@ class TestLevelFactoredCoupling:
             self._check_rows(eng, np.eye(2, dtype=complex), beta, False)
             engb = protocol.get_engine(_bell_cfg(seed=2))
             self._check_rows(engb, engb.message_vector(), beta, True)
-            assert [eng._g_block(1, 1), eng._g_block(1, 2), engb._g_block(1, 1)] == [64, 32, 32]
+            assert [eng._g_block(1, 1, 201), eng._g_block(1, 2, 201),
+                    engb._g_block(1, 1, 201)] == [201, 41, 41]
             curve = eng.curve_basis_z(beta, 1.0, gs)
             single = [eng.curve_basis_z(beta, 1.0, (g,))[0] for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
@@ -459,15 +474,18 @@ class TestLevelFactoredCoupling:
 
 
 class TestGBlockMemory:
-    """In the level order, finish builds and reduces one block of final
-    states at a time, so the memory of a g-sweep call does not grow with
-    its g grid beyond the (n_g,)-sized inputs and outputs."""
+    """In the level order, finish reads one block of g at a time off the
+    compressed readout coordinates, so the memory of a g-sweep call does
+    not grow with its g grid beyond the (n_g,)-sized inputs and outputs."""
 
     @pytest.mark.parametrize("n_side", [3, 4])
     def test_peak_does_not_grow_with_the_g_grid(self, n_side):
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=5, n_side=n_side))
         engb = protocol.get_engine(_bell_cfg(seed=5, n_side=n_side))
-        for curve in (eng.curve_basis_z, engb.curve_bell):
+        # the Haar average over 100 messages takes its mean and standard
+        # error per g block, so it holds no (t, g, message) array either
+        haar = partial(eng.curve_arbitrary_avg, n_s=100)
+        for curve in (eng.curve_basis_z, engb.curve_bell, haar):
             peaks = []
             for n_g in (201, 1608):
                 gs = np.linspace(0.0, 4 * math.pi, n_g)
