@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
@@ -286,7 +286,6 @@ class FitResult:
     b: float
     beta_c: float
     residual: float
-    trace: tuple = field(default=(), repr=False)
 
 
 class FitError(ValueError):
@@ -320,7 +319,6 @@ def fit_beta_c(points, lo: float = 0.1, hi: float = 1000.0,
     x2 = a + GOLDEN * (b - a)
     _, f1 = _linear_solve(betas, values, x1)
     _, f2 = _linear_solve(betas, values, x2)
-    trace = [min(f1, f2)]
     for _ in range(iterations):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -330,13 +328,12 @@ def fit_beta_c(points, lo: float = 0.1, hi: float = 1000.0,
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             _, f2 = _linear_solve(betas, values, x2)
-        trace.append(min(trace[-1], min(f1, f2)))
         if b - a < 1e-12 * max(1.0, abs(a)):
             break
     beta_c = 0.5 * (a + b)
     coef, resid = _linear_solve(betas, values, beta_c)
     return FitResult(a=float(coef[0]), b=float(coef[1]), beta_c=float(beta_c),
-                     residual=math.sqrt(resid / len(betas)), trace=tuple(trace))
+                     residual=math.sqrt(resid / len(betas)))
 
 
 def peak_statistics(records, beta: float):

@@ -51,10 +51,6 @@ class RegisterLayout:
         """Register site of left qubit k (0-based)."""
         return self.n_message + k
 
-    def right_partner(self, k: int) -> int:
-        """Register site of the right qubit paired with left qubit k."""
-        return self.n_qubits - 1 - k
-
     def default_readout(self) -> tuple:
         """Last right-block site(s): one for a single-qubit message, two for Bell."""
         if self.n_message == 1:

@@ -308,32 +308,34 @@ def build_syk_side_matrix(couplings: SykCouplings, side: str, n_side: int) -> np
     return h
 
 
+# the kicked Ising chain at the self-dual point J = b = pi/4, open, with
+# longitudinal fields drawn from N(0, TFIM_H_WIDTH^2)
+TFIM_J_COUPLING = math.pi / 4
+TFIM_B_FIELD = math.pi / 4
+TFIM_H_WIDTH = 0.5
+
+
 @dataclass(frozen=True)
 class TfimParams:
-    """Kicked transverse-field Ising chain at the self-dual point."""
+    """Kicked transverse-field Ising chain at the self-dual point (the
+    TFIM_* constants) with one longitudinal field per site, none when
+    h_fields is empty."""
 
     n_sites: int
-    j_coupling: float = math.pi / 4
-    b_field: float = math.pi / 4
     h_fields: tuple = ()
-    h_width: float = 0.5
     seed: int = 0
-    periodic: bool = False
 
     @classmethod
-    def sample(cls, n_sites: int, seed: int, j_coupling: float = math.pi / 4,
-               b_field: float = math.pi / 4, h_width: float = 0.5,
-               periodic: bool = False) -> "TfimParams":
-        hs = tuple(gaussian_draw(seed, STREAM_TFIM, np.arange(n_sites), h_width).tolist())
-        return cls(n_sites=n_sites, j_coupling=j_coupling, b_field=b_field,
-                   h_fields=hs, h_width=h_width, seed=seed, periodic=periodic)
+    def sample(cls, n_sites: int, seed: int) -> "TfimParams":
+        hs = tuple(gaussian_draw(seed, STREAM_TFIM, np.arange(n_sites), TFIM_H_WIDTH).tolist())
+        return cls(n_sites=n_sites, h_fields=hs, seed=seed)
 
 
 def build_tfim_floquet(p: TfimParams) -> np.ndarray:
     """One Floquet period: exp(i b sum X) exp(i J sum ZZ + i sum h Z).
 
-    Open boundary by default; the two factors are built in closed form
-    (the transverse part is a product of single-site rotations, the
+    Open boundary; the two factors are built in closed form (the
+    transverse part is a product of single-site rotations, the
     longitudinal part is diagonal).
     """
     n = p.n_sites
@@ -345,12 +347,11 @@ def build_tfim_floquet(p: TfimParams) -> np.ndarray:
     idx = np.arange(2 ** n)
     zbits = np.array([1.0 - 2.0 * ((idx >> (n - 1 - s)) & 1) for s in range(n)])
     diag = np.zeros(2 ** n)
-    bonds = n if p.periodic else n - 1
-    for s in range(bonds):
-        diag += p.j_coupling * zbits[s] * zbits[(s + 1) % n]
+    for s in range(n - 1):
+        diag += TFIM_J_COUPLING * zbits[s] * zbits[s + 1]
     for s in range(n):
         diag += hs[s] * zbits[s]
-    kick = math.cos(p.b_field) * qop.I2 + 1j * math.sin(p.b_field) * qop.PAULI_X
+    kick = math.cos(TFIM_B_FIELD) * qop.I2 + 1j * math.sin(TFIM_B_FIELD) * qop.PAULI_X
     transverse = qop.kron_all([kick] * n)
     return transverse @ np.diag(np.exp(1j * diag))
 

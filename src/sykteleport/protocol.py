@@ -71,8 +71,8 @@ beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
 and is not used.  The g axis is evaluated in blocks of about
 G_BLOCK_BYTES of y(g), and only the per-(t, g) values are joined, so a
 call's memory does not grow with its g grid beyond arrays of n_g values.
-Without a reading, `finish` returns full final states (`final_state`,
-`branch_states`).  The t axis is cut into chunks of at most
+Without a reading, `finish` returns full final states (`final_state`).
+The t axis is cut into chunks of at most
 MAX_BATCH_ROWS (t, g) rows.  A scalar t or a single g is a batch of one
 through the same stages (the g stage picks its order by size), so
 `run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
@@ -168,11 +168,10 @@ class ProtocolConfig:
             norm = abs(self.alpha) ** 2 + abs(self.beta_msg) ** 2
             if abs(norm - 1.0) > 1e-10:
                 raise ConfigError("arbitrary message amplitudes must be normalized")
-        for name in ("g", "t", "beta"):
+        for name in ("g", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if self.beta < 0:
-            raise ConfigError("beta must be nonnegative")
+        _check_beta(self.beta)
         reg = self.register
         if self.size_modes is not None:
             if not self.size_modes:
@@ -182,6 +181,11 @@ class ProtocolConfig:
         if self.readout_sites is not None:
             if any(s not in reg.right_sites for s in self.readout_sites):
                 raise ConfigError("readout sites must lie in the right block")
+            if len(set(self.readout_sites)) != len(self.readout_sites):
+                raise ConfigError("readout sites must not repeat")
+            if len(self.readout_sites) != self.n_message:
+                raise ConfigError(f"the {self.message!r} message needs "
+                                  f"{self.n_message} readout site(s)")
         if self.model == "tfim":
             _check_step_counts(self.t)
         return self
@@ -203,6 +207,14 @@ class ProtocolConfig:
         if self.readout_sites is not None:
             return tuple(self.readout_sites)
         return self.register.default_readout()
+
+
+def _check_beta(beta: float) -> None:
+    """beta must be finite and nonnegative."""
+    if not math.isfinite(beta):
+        raise ConfigError("beta must be finite")
+    if beta < 0:
+        raise ConfigError("beta must be nonnegative")
 
 
 def _check_step_counts(t) -> None:
@@ -288,7 +300,6 @@ class InsertOperator:
     """Unitary encoding the message qubit(s) into the left block."""
 
     matrix: np.ndarray = field(repr=False)
-    site_pairs: tuple = ()
 
 
 def _fermionic_swap(register: layout.RegisterLayout, msg_site: int, left_site: int) -> np.ndarray:
@@ -318,7 +329,7 @@ def build_insert(cfg: ProtocolConfig) -> InsertOperator:
         else:
             step = qop.swap_matrix(reg.n_qubits, a, b)
         mat = step @ mat
-    return InsertOperator(matrix=mat, site_pairs=pairs)
+    return InsertOperator(matrix=mat)
 
 
 def _message_left_factor(matrix: np.ndarray, register: layout.RegisterLayout) -> np.ndarray:
@@ -485,9 +496,9 @@ class Engine:
         return self._cached("weight", beta, build)
 
     # -- t stage ----------------------------------------------------------
-    # The public entry points (the curves, arbitrary_fidelity,
-    # branch_states, final_state) check t once with _t_axis; the stages
-    # below take the checked 1-D array.
+    # The public entry points (the curves, arbitrary_fidelity, final_state)
+    # check beta once with _check_beta and t once with _t_axis, before any
+    # stage is built; the stages below take the checked values.
     def _t_axis(self, t) -> np.ndarray:
         """A scalar or 1-D t as a checked 1-D float array."""
         t = np.asarray(t, dtype=float)
@@ -635,8 +646,8 @@ class Engine:
         final state.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
-        if not (np.isfinite(g).all() and math.isfinite(beta)):
-            raise ConfigError("g and beta must be finite")
+        if not np.isfinite(g).all():
+            raise ConfigError("g must be finite")
         n_t, n_in, m, block = dressed.shape
         d = 2 ** self.reg.n_side
         right = self.side_evolution(t_values, "right")
@@ -727,28 +738,23 @@ class Engine:
         cfg = self.cfg
         beta = cfg.beta if beta is None else beta
         g = cfg.g if g is None else g
+        _check_beta(beta)
         t_values = self._t_axis(cfg.t if t is None else t)
         dressed = self.dressed_state(self.message_vector(), beta, t_values)
         return self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
 
-    def _branches(self, beta: float, t_values: np.ndarray, g_values,
-                  reading=None) -> np.ndarray:
-        dressed = self.dressed_state(np.eye(2, dtype=complex), beta, t_values)
-        return self.finish(dressed, beta, g_values, t_values, normalize=False,
-                           reading=reading)
-
-    def branch_states(self, beta: float, t, g_values) -> np.ndarray:
-        """Unnormalized weighted final states for the |0> and |1> message
-        inputs, shape np.shape(t) + (n_g, 2, dim)."""
-        phi = self._branches(beta, self._t_axis(t), g_values)
-        return phi.reshape(np.shape(t) + phi.shape[1:])
-
-    def _over_t(self, t, g_values, evaluate) -> np.ndarray:
-        """evaluate(t_chunk) over chunks of the t axis of at most
-        MAX_BATCH_ROWS (t, g) rows, joined to np.shape(t) + trailing."""
+    def _curve(self, beta: float, t, g_values, msgs, reading) -> np.ndarray:
+        """reading of the inputs `msgs` per (t, g), joined to np.shape(t) +
+        trailing: the t axis in chunks of at most MAX_BATCH_ROWS (t, g)
+        rows, after beta and t are checked."""
+        _check_beta(beta)
         t_values = self._t_axis(t)
         step = max(1, MAX_BATCH_ROWS // max(1, np.size(g_values)))
-        chunks = [evaluate(t_values[i:i + step]) for i in range(0, len(t_values), step)]
+        chunks = []
+        for i in range(0, len(t_values), step):
+            t_chunk = t_values[i:i + step]
+            dressed = self.dressed_state(msgs, beta, t_chunk)
+            chunks.append(self.finish(dressed, beta, g_values, t_chunk, reading=reading))
         out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return out.reshape(np.shape(t) + out.shape[1:])
 
@@ -771,27 +777,13 @@ class Engine:
         basis_z_value."""
         return _bell_reading(self._readout_density(psi))
 
-    def _curve(self, beta: float, t, g_values, reading) -> np.ndarray:
-        msg = self.message_vector()
-
-        def evaluate(t_chunk):
-            dressed = self.dressed_state(msg, beta, t_chunk)
-            return self.finish(dressed, beta, g_values, t_chunk, reading=reading)
-        return self._over_t(t, g_values, evaluate)
-
     def curve_basis_z(self, beta: float, t, g_values) -> np.ndarray:
         """<Z> per (t, g), shape np.shape(t) + (n_g,)."""
-        return self._curve(beta, t, g_values, _z_reading)
+        return self._curve(beta, t, g_values, self.message_vector(), _z_reading)
 
     def curve_bell(self, beta: float, t, g_values) -> np.ndarray:
         """Bell stabilizer fidelity per (t, g), shape np.shape(t) + (n_g,)."""
-        return self._curve(beta, t, g_values, _bell_reading)
-
-    def _over_branches(self, beta: float, t, g_values, reading) -> np.ndarray:
-        """reading of the two basis-input branches per (t, g), over chunks
-        of t."""
-        return self._over_t(t, g_values,
-                            lambda t_chunk: self._branches(beta, t_chunk, g_values, reading))
+        return self._curve(beta, t, g_values, self.message_vector(), _bell_reading)
 
     @staticmethod
     def _fidelity_reading(messages):
@@ -821,7 +813,8 @@ class Engine:
         rho_out(m) is assembled from the two basis-input branches, so any
         number of messages costs one protocol run per branch.
         """
-        return self._over_branches(beta, t, g_values, self._fidelity_reading(messages))
+        return self._curve(beta, t, g_values, _BRANCH_INPUTS,
+                           self._fidelity_reading(messages))
 
     def curve_arbitrary_avg(self, beta: float, t, g_values, n_s: int = 100,
                             seed: int = 0):
@@ -838,8 +831,14 @@ class Engine:
                 return np.stack((values[..., 0], np.zeros(values.shape[:-1])), axis=-1)
             return np.stack((values.mean(axis=-1),
                              values.std(axis=-1, ddof=1) / math.sqrt(n_s)), axis=-1)
-        out = self._over_branches(beta, t, g_values, reading)
+        out = self._curve(beta, t, g_values, _BRANCH_INPUTS, reading)
         return out[..., 0], out[..., 1]
+
+
+# the |0> and |1> message inputs whose branches arbitrary messages are
+# assembled from
+_BRANCH_INPUTS = np.eye(2, dtype=complex)
+_BRANCH_INPUTS.setflags(write=False)
 
 
 def _z_reading(rho: np.ndarray) -> np.ndarray:

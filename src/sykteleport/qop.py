@@ -139,33 +139,6 @@ def apply_matrix_on_sites(state: np.ndarray, n_qubits: int, op: np.ndarray,
     return np.einsum("ab,ibj->iaj", op, t).reshape(-1)
 
 
-def swap_qubits(state: np.ndarray, n_qubits: int, a: int, b: int) -> np.ndarray:
-    """Exchange two qubits of a state vector."""
-    t = state.reshape((2,) * n_qubits)
-    return np.ascontiguousarray(np.swapaxes(t, a, b)).reshape(-1)
-
-
-def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
-    """Trace out all qubits not listed in `keep` (order of keep preserved)."""
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or any(not 0 <= s < n_qubits for s in keep):
-        raise QopError(f"invalid site list {keep}")
-    rho = np.asarray(rho, dtype=complex)
-    dims = (2,) * n_qubits
-    t = rho.reshape(dims + dims)
-    drop = sorted(s for s in range(n_qubits) if s not in keep)
-    for off, s in enumerate(drop):
-        ax = s - off
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    # remaining axes are in ascending site order; permute to the requested order
-    k = len(keep)
-    asc = sorted(keep)
-    pos = [asc.index(s) for s in keep]
-    t = t.reshape((2,) * (2 * k))
-    t = np.transpose(t, pos + [k + p for p in pos])
-    return t.reshape(2 ** k, 2 ** k)
-
-
 def reduced_density(state: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     """Reduced density matrix of a pure state on the qubits in `keep`.
 
@@ -205,10 +178,6 @@ class PauliString:
     def __post_init__(self):
         if any(ch not in PAULIS for ch in self.letters):
             raise QopError(f"bad Pauli letters {self.letters!r}")
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
 
     def to_matrix(self) -> np.ndarray:
         return self.phase * kron_all([PAULIS[ch] for ch in self.letters])

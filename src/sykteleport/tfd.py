@@ -7,15 +7,6 @@ import numpy as np
 from . import layout, qop
 
 
-def log_partition_function(spectrum, beta: float) -> float:
-    """log Z with Z = sum_n exp(-beta E_n); always finite for finite spectra."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.size == 0:
-        raise ValueError("empty spectrum")
-    shift = spectrum.min()
-    return float(-beta * shift + np.log(np.exp(-beta * (spectrum - shift)).sum()))
-
-
 def boltzmann_weights(spectrum, beta: float) -> np.ndarray:
     """Normalized amplitudes exp(-beta E_n / 2)/sqrt(Z); safe at large beta."""
     spectrum = np.asarray(spectrum, dtype=float)
@@ -61,12 +52,3 @@ def build_tfd(h_side, beta: float, register: layout.RegisterLayout) -> np.ndarra
     )
     return vec / np.linalg.norm(vec)
 
-
-def entanglement_entropy(state: np.ndarray) -> float:
-    """Von Neumann entropy across the left/right cut of a left+right block
-    state (e.g. a thermofield double), in nats."""
-    d = int(round(np.sqrt(state.size)))
-    s = np.linalg.svd(np.reshape(state, (d, d)), compute_uv=False)
-    p = s ** 2
-    p = p[p > 1e-300]
-    return float(-(p * np.log(p)).sum())

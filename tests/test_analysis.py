@@ -337,13 +337,6 @@ class TestFitBetaC:
         with pytest.raises(analysis.FitError):
             analysis.fit_beta_c([(0.0, 1.0), (10.0, 0.5)])
 
-    def test_objective_trace_monotone(self):
-        betas = np.array([0.0, 2.0, 7.0, 15.0, 40.0, 90.0])
-        values = 0.1 + 0.5 * np.exp(-betas / 12.0) + 0.02 * np.sin(betas)
-        fit = analysis.fit_beta_c(list(zip(betas, values)))
-        trace = np.array(fit.trace)
-        assert np.all(np.diff(trace) <= 1e-15)
-
 
 class TestHeatmap:
     def test_synthetic_grid(self):

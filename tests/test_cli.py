@@ -224,6 +224,15 @@ class TestMain:
         assert "repeat" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_readout_site_count_exit_code(self, tmp_path, capsys):
+        # two readout sites for the one-qubit basis message
+        cfg = tmp_path / "readout.cfg"
+        cfg.write_text("[sweep]\ng_grid = [0.5, 1.0]\nbeta_grid = [0]\nseeds = [0]\n"
+                       "[protocol]\nreadout_sites = [5, 6]\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "readout site" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_unknown_figure_raises(self, tmp_path):
         with pytest.raises(cli.CliError, match="sq3"):
             cli.run_figure("sq3", manifest(tmp_path / "out"))

@@ -1,8 +1,9 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -39,6 +40,24 @@ class TestConfig:
         with pytest.raises(protocol.ConfigError):
             protocol.ProtocolConfig(readout_sites=(1,)).validate()
 
+    def test_readout_sites_match_the_message(self):
+        # one distinct right-block site per message qubit: two sites for a
+        # one-qubit message would read a 4x4 density as a 2x2 one
+        for cfg in (protocol.ProtocolConfig(readout_sites=(5, 6)),
+                    protocol.ProtocolConfig(readout_sites=()),
+                    protocol.ProtocolConfig(message="arbitrary", readout_sites=(5, 6)),
+                    _bell_cfg(readout_sites=(7,)),
+                    _bell_cfg(readout_sites=(5, 6, 7))):
+            with pytest.raises(protocol.ConfigError, match="readout site"):
+                cfg.validate()
+        with pytest.raises(protocol.ConfigError, match="repeat"):
+            _bell_cfg(readout_sites=(7, 7)).validate()
+        protocol.ProtocolConfig(readout_sites=(5,)).validate()
+        _bell_cfg(readout_sites=(6, 5)).validate()
+        with pytest.raises(protocol.ConfigError):
+            protocol.run_single_qubit_arbitrary(protocol.ProtocolConfig(
+                message="arbitrary", readout_sites=(5, 6)))
+
     def test_right_basis_must_be_paired(self):
         protocol.ProtocolConfig(right_basis="paired").validate()
         for bad in ("literal", "conjugate", "nope"):
@@ -58,7 +77,12 @@ class TestConfig:
     def test_default_readout_is_partner_of_insertion(self):
         cfg = protocol.ProtocolConfig()
         reg = cfg.register
-        assert cfg.resolved_readout() == (reg.right_partner(0),) == (6,)
+        assert cfg.resolved_readout() == (6,)
+        # the readout site and left qubit 0 form a maximally entangled pair
+        # of the pair vacuum (block sites count from the first left site)
+        pair = [reg.left_site(0) - reg.n_message, 6 - reg.n_message]
+        rho = qop.reduced_density(layout.bell_vacuum(3), 6, pair)
+        assert abs(np.real(np.trace(rho @ rho)) - 1.0) <= 1e-10
         cfgb = protocol.ProtocolConfig(message="bell_phi_plus",
                                        swap_variant="bell_sequential")
         assert cfgb.resolved_readout() == (6, 7)
@@ -102,7 +126,8 @@ class TestInsert:
         rest /= np.linalg.norm(rest)
         psi = np.kron(msg, rest)
         out = ins.matrix @ psi
-        want = qop.swap_qubits(psi, 7, 0, 1)
+        # qubits 0 and 1 exchanged
+        want = np.swapaxes(psi.reshape(2, 2, 32), 0, 1).reshape(-1)
         assert np.abs(out - want).max() <= 1e-12
 
     def test_involution(self):
@@ -195,6 +220,38 @@ class TestWormholeUnitary:
         assert np.abs(u @ psi0 - eng.final_state()).max() <= 1e-10
 
 
+@lru_cache(maxsize=None)
+def _dense_model_pieces(seed: int, beta: float, j_scale: float, n_side: int,
+                        n_message: int) -> tuple:
+    """Full-register H_L, H_R and W_R, and the TFD, of one SYK realization
+    at beta, from dense matrix exponentials; read-only and built once per
+    key, since at n_side 4 each build takes 1024-square eigensolves and
+    exponentials."""
+    reg = layout.RegisterLayout(n_message=n_message, n_side=n_side)
+    c = models.sample_syk_couplings(2 * n_side, 4, j_scale, seed)
+    h_l = models.build_syk_hamiltonian(c, "left", reg)
+    h_r = models.build_syk_hamiltonian(c, "right", reg)
+    h_side = models.build_syk_side_matrix(c, "left", n_side)
+    shift = np.linalg.eigvalsh(h_side).min() * np.eye(2 ** n_side)
+    weight = expm(-0.5 * beta * (h_side - shift))
+    vac = np.kron(weight, np.eye(2 ** n_side)) @ layout.bell_vacuum(n_side)
+    tfd_state = vac / np.linalg.norm(vac)
+    e_min = np.linalg.eigvalsh(h_r).min()
+    w_r = expm(-0.5 * beta * (h_r - e_min * np.eye(reg.dim)))
+    pieces = (h_l, h_r, w_r, tfd_state)
+    for piece in pieces:
+        piece.setflags(write=False)
+    return pieces
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_dense_model_pieces():
+    """The cached pieces take about 60 MB at n_side 4; drop them with the
+    module."""
+    yield
+    _dense_model_pieces.cache_clear()
+
+
 class TestPipelineAgainstDense:
     """The staged, g-batched Engine against the dense protocol unitary on
     random (seed, beta <= 20, g, t).  Larger beta is left out: there the
@@ -214,14 +271,8 @@ class TestPipelineAgainstDense:
         TFD, all built without the Engine's helpers."""
         reg = cfg.register
         n_side = reg.n_side
-        c = models.sample_syk_couplings(2 * n_side, 4, cfg.j_scale, cfg.seed)
-        h_l = models.build_syk_hamiltonian(c, "left", reg)
-        h_r = models.build_syk_hamiltonian(c, "right", reg)
-        h_side = models.build_syk_side_matrix(c, "left", n_side)
-        shift = np.linalg.eigvalsh(h_side).min() * np.eye(2 ** n_side)
-        weight = expm(-0.5 * cfg.beta * (h_side - shift))
-        vac = np.kron(weight, np.eye(2 ** n_side)) @ layout.bell_vacuum(n_side)
-        tfd_state = vac / np.linalg.norm(vac)
+        h_l, h_r, w_r, tfd_state = _dense_model_pieces(
+            cfg.seed, cfg.beta, cfg.j_scale, n_side, reg.n_message)
         ins = np.eye(reg.dim)
         for a, b in cfg.swap_site_pairs():
             ins = qop.swap_matrix(reg.n_qubits, a, b) @ ins
@@ -230,8 +281,6 @@ class TestPipelineAgainstDense:
         values, basis = eigh(mat)
         size = protocol.SizeOperator(n_side=n_side, modes=modes, matrix=mat,
                                      eigenvalues=values, basis=basis)
-        e_min = np.linalg.eigvalsh(h_r).min()
-        w_r = expm(-0.5 * cfg.beta * (h_r - e_min * np.eye(reg.dim)))
         return h_l, h_r, protocol.InsertOperator(matrix=ins), size, w_r, tfd_state
 
     @staticmethod
@@ -337,7 +386,7 @@ class TestPipelineAgainstDense:
                 cfg = protocol.ProtocolConfig(seed=seed, beta=beta, g=g, t=t,
                                               swap_variant=variant)
                 want = self._dense_states(cfg, np.eye(2, dtype=complex))
-                got = protocol.get_engine(cfg).branch_states(beta, t, [g])[0]
+                got = _branch_states(protocol.get_engine(cfg), beta, t, [g])[0, 0]
                 for branch in (0, 1):
                     assert np.abs(got[branch] - want[branch]).max() <= 1e-12
                 # the fidelity of a superposition assembled from the branches
@@ -519,6 +568,14 @@ def _record_coupling_orders(monkeypatch) -> list:
     return orders
 
 
+def _branch_states(eng, beta, t, g_values):
+    """Unnormalized weighted final states for the |0> and |1> message
+    inputs from the state mode of Engine.finish, shape (n_t, n_g, 2, dim)."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    dressed = eng.dressed_state(np.eye(2, dtype=complex), beta, ts)
+    return eng.finish(dressed, beta, g_values, ts, normalize=False)
+
+
 def _bell_cfg(**kw):
     return protocol.ProtocolConfig(message="bell_phi_plus",
                                    swap_variant="bell_sequential", **kw)
@@ -571,7 +628,6 @@ class TestTBatching:
         assert eng.arbitrary_fidelity(2.0, 1.0, gs, msgs).shape == (len(gs), 3)
         mean, stderr = eng.curve_arbitrary_avg(2.0, 1.0, gs, 5)
         assert mean.shape == stderr.shape == (len(gs),)
-        assert eng.branch_states(2.0, 1.0, gs).shape == (len(gs), 2, eng.reg.dim)
         assert eng.final_state(2.0, 0.5, 1.0).shape == (eng.reg.dim,)
         # a 1-D t of one value keeps its axis
         assert eng.curve_basis_z(2.0, [1.0], gs).shape == (1, len(gs))
@@ -583,11 +639,29 @@ class TestTBatching:
         calls = (lambda t: eng.curve_basis_z(0.0, t, [0.5]),
                  lambda t: engb.curve_bell(0.0, t, [0.5]),
                  lambda t: eng.curve_arbitrary_avg(0.0, t, [0.5], 5),
-                 lambda t: eng.branch_states(0.0, t, [0.5]))
+                 lambda t: eng.arbitrary_fidelity(0.0, t, [0.5], [(1.0, 0.0)]))
         for call in calls:
             for bad in ([1.0, math.nan], [math.inf, 1.0], [[1.0, 2.0]], []):
                 with pytest.raises(protocol.ConfigError):
                     call(bad)
+
+    def test_bad_beta_raises_before_any_stage(self):
+        # beta is checked at every public entry point, before the TFD or
+        # the thermal weights are built, so no stage warns on it first
+        eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
+        engb = protocol.Engine(_bell_cfg(seed=1))
+        calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
+                 lambda beta: engb.curve_bell(beta, 2.0, [0.5]),
+                 lambda beta: eng.arbitrary_fidelity(beta, 1.0, [0.5], [(1.0, 0.0)]),
+                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, [0.5], 5),
+                 lambda beta: eng.final_state(beta, 0.5, 1.0))
+        for call in calls:
+            for bad in (-5.0, -1e-300, math.inf, -math.inf, math.nan):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(protocol.ConfigError, match="beta"):
+                        call(bad)
+        assert eng._latest == {} and engb._latest == {}
 
     def test_tfim_takes_integer_steps(self):
         eng = protocol.get_engine(protocol.ProtocolConfig(model="tfim", t=1.0))
@@ -915,7 +989,7 @@ class TestArbitraryAverage:
                                           thermal_readout=thermal,
                                           swap_variant=variant)
             eng = protocol.get_engine(cfg)
-            phi = eng.branch_states(cfg.beta, cfg.t, [cfg.g])[0]
+            phi = _branch_states(eng, cfg.beta, cfg.t, [cfg.g])[0, 0]
             n, site = eng.reg.n_qubits, eng.readout[0]
             parts = [np.moveaxis(p.reshape((2,) * n), site, 0).reshape(2, -1)
                      for p in phi]
@@ -933,7 +1007,7 @@ class TestArbitraryAverage:
             eng = protocol.Engine(protocol.ProtocolConfig(
                 seed=4, swap_variant=variant, thermal_readout=thermal))
             for beta in (0.0, 5.0, 20.0):
-                phi = eng.branch_states(beta, ts, gs)
+                phi = _branch_states(eng, beta, ts, gs)
                 r = qop.reduced_density(phi.reshape(len(ts) * len(gs), -1),
                                         eng.reg.n_qubits + 1, [0, eng.readout[0] + 1])
                 u = (msgs[:, :, None] * msgs.conj()[:, None, :]).reshape(-1, 4)

@@ -210,29 +210,32 @@ def brute_force_partial_trace(rho, n_qubits, keep):
 
 
 class TestPartialTrace:
+    """qop.reduced_density, the partial trace of a pure state."""
+
     def test_bell_pair(self):
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        assert np.abs(qop.partial_trace(rho, 2, [0]) - np.eye(2) / 2).max() <= 1e-12
+        assert np.abs(qop.reduced_density(bell, 2, [0]) - np.eye(2) / 2).max() <= 1e-12
 
     def test_product_state(self):
         rng = np.random.default_rng(21)
         a = random_state(rng, 2)
         b = random_state(rng, 4)
-        rho = np.outer(np.kron(a, b), np.kron(a, b).conj())
-        assert np.abs(qop.partial_trace(rho, 3, [0]) - np.outer(a, a.conj())).max() <= 1e-12
+        got = qop.reduced_density(np.kron(a, b), 3, [0])
+        assert np.abs(got - np.outer(a, a.conj())).max() <= 1e-12
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
         psi = random_state(rng, 16)
         rho = np.outer(psi, psi.conj())
         for keep in ([0, 1], [2, 3], [1, 3], [3, 0]):
-            got = qop.partial_trace(rho, 4, keep)
+            got = qop.reduced_density(psi, 4, keep)
             want = brute_force_partial_trace(rho, 4, keep)
             assert np.abs(got - want).max() <= 1e-12
             assert abs(np.trace(got) - 1.0) <= 1e-12
 
     def test_trace_and_positivity_preserved(self):
+        # a random n-qubit density matrix m m^dagger / tr through its
+        # purification: m as a state of n system and n ancilla qubits
         rng = np.random.default_rng(29)
         for _ in range(100):
             n = int(rng.integers(2, 5))
@@ -241,21 +244,29 @@ class TestPartialTrace:
             rho = m @ m.conj().T
             rho /= np.trace(rho)
             keep = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-            red = qop.partial_trace(rho, n, [int(k) for k in keep])
+            keep = [int(k) for k in keep]
+            red = qop.reduced_density(m.reshape(-1) / np.linalg.norm(m), 2 * n, keep)
+            assert np.abs(red - brute_force_partial_trace(rho, n, keep)).max() <= 1e-12
             assert abs(np.trace(red) - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(red).min() >= -1e-9
 
     def test_invalid_sites(self):
         with pytest.raises(qop.QopError):
-            qop.partial_trace(np.eye(4) / 4, 2, [0, 0])
+            qop.reduced_density(np.eye(4)[0], 2, [0, 0])
+        with pytest.raises(qop.QopError):
+            qop.reduced_density(np.eye(4)[0], 2, [2])
 
     def test_reduced_density_agrees(self):
+        # leading batch axes: one call on a (2, 3) stack of states agrees
+        # with the brute-force partial trace of each state
         rng = np.random.default_rng(31)
-        psi = random_state(rng, 16)
-        rho = np.outer(psi, psi.conj())
+        psi = np.stack([random_state(rng, 16) for _ in range(6)]).reshape(2, 3, 16)
         for keep in ([0], [1, 2], [0, 3]):
-            assert np.abs(qop.reduced_density(psi, 4, keep)
-                          - qop.partial_trace(rho, 4, keep)).max() <= 1e-12
+            batch = qop.reduced_density(psi, 4, keep)
+            assert batch.shape == (2, 3, 2 ** len(keep), 2 ** len(keep))
+            for idx in np.ndindex(2, 3):
+                want = brute_force_partial_trace(np.outer(psi[idx], psi[idx].conj()), 4, keep)
+                assert np.abs(batch[idx] - want).max() <= 1e-12
 
 
 class TestExpectation:

@@ -22,27 +22,34 @@ def gibbs(h, beta):
 
 
 class TestPartitionFunction:
+    """The squared Boltzmann weights are the Gibbs probabilities
+    exp(-beta E_n)/Z."""
+
     def test_two_level_closed_form(self):
-        got = tfd.log_partition_function([0.0, 1.0], math.log(2.0))
-        assert abs(got - math.log(1.5)) <= 1e-12
+        # Z = 1 + 1/2 at beta = log 2
+        got = tfd.boltzmann_weights([0.0, 1.0], math.log(2.0)) ** 2
+        assert np.abs(got - [1 / 1.5, 0.5 / 1.5]).max() <= 1e-12
 
     def test_infinite_temperature(self):
-        assert abs(tfd.log_partition_function(np.zeros(8), 0.0) - math.log(8.0)) <= 1e-12
+        got = tfd.boltzmann_weights(np.zeros(8), 0.0) ** 2
+        assert np.abs(got - 1 / 8).max() <= 1e-12
 
     def test_against_high_precision_sum(self):
         rng = np.random.default_rng(1)
         spectrum = np.sort(rng.normal(size=8))
         beta = 50.0
         with mpmath.workdps(60):
-            want = float(mpmath.log(mpmath.fsum(mpmath.e ** (-beta * mpmath.mpf(e))
-                                                for e in spectrum)))
-        got = tfd.log_partition_function(spectrum, beta)
-        # an absolute error on log Z is the relative error on Z
-        assert abs(got - want) <= 1e-10
+            terms = [mpmath.e ** (-beta * mpmath.mpf(e)) for e in spectrum]
+            z = mpmath.fsum(terms)
+            want = np.array([float(w / z) for w in terms])
+        got = tfd.boltzmann_weights(spectrum, beta) ** 2
+        # the ground state's probability to 1e-12 relative; every other
+        # one is exp(-beta gap) smaller and held to the same absolute error
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_empty_spectrum(self):
         with pytest.raises(ValueError):
-            tfd.log_partition_function([], 1.0)
+            tfd.boltzmann_weights([], 1.0)
 
     def test_boltzmann_weights_normalized(self):
         # the TFD amplitudes: their squares are the Gibbs probabilities
@@ -113,10 +120,11 @@ class TestBuildTfd:
         h = random_hermitian(rng, 8)
         state = tfd.build_tfd(h, 5.0, REG)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+        # the Schmidt probabilities are exp(-beta E_n)/Z with the direct Z
         spectrum = np.linalg.eigvalsh(h)
-        direct = float(np.exp(-5.0 * spectrum).sum())
-        got = tfd.log_partition_function(spectrum, 5.0)
-        assert abs(got - math.log(direct)) <= 1e-10
+        gibbs = np.exp(-5.0 * spectrum) / np.exp(-5.0 * spectrum).sum()
+        schmidt = np.linalg.svd(state.reshape(8, 8), compute_uv=False)
+        assert np.abs(np.sort(schmidt ** 2) - np.sort(gibbs)).max() <= 1e-10
 
     def test_schmidt_coefficients(self):
         rng = np.random.default_rng(12)
@@ -128,10 +136,16 @@ class TestBuildTfd:
         assert np.abs(schmidt - want).max() <= 1e-9
 
     def test_entropy_monotone_in_beta(self):
+        # the entanglement entropy across the left/right cut, in nats
         rng = np.random.default_rng(15)
         h = random_hermitian(rng, 8)
-        entropies = [tfd.entanglement_entropy(tfd.build_tfd(h, b, REG))
-                     for b in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)]
+        entropies = []
+        for b in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
+            state = tfd.build_tfd(h, b, REG)
+            p = np.linalg.svd(state.reshape(8, 8), compute_uv=False) ** 2
+            p = p[p > 1e-300]
+            entropies.append(float(-(p * np.log(p)).sum()))
+        assert abs(entropies[0] - 3 * math.log(2)) <= 1e-12
         assert all(b <= a + 1e-12 for a, b in zip(entropies, entropies[1:]))
 
     def test_extreme_beta_is_finite(self):
