@@ -79,16 +79,6 @@ class FidelityRecord(NamedTuple):
     variant: str
     value: float
 
-    def sort_key(self):
-        return self[:4]  # (seed, beta, g, t)
-
-    def unit_interval_value(self) -> float:
-        """[0, 1] companion column: recovery probability for <Z>, the raw
-        value for metrics already reported on a fidelity scale."""
-        if self.metric == "basis_z":
-            return 0.5 * (1.0 + self.value)
-        return self.value
-
 
 KEY_COLUMNS = ("seed", "beta", "g", "t")
 _COLUMNS = KEY_COLUMNS + ("value",)
@@ -102,27 +92,32 @@ def _seed_column(seeds) -> np.ndarray:
         return np.array(seeds, dtype=object)
 
 
-class RecordTable:
-    """Evaluated grid points as columns of equal length.
+def _one_kind(kinds: set) -> tuple:
+    """The one (metric, variant) pair of a table's input."""
+    if not kinds:
+        raise SweepError("no records")
+    if len(kinds) != 1:
+        raise SweepError("a record table needs rows of one (metric, variant), "
+                         f"got {sorted(kinds)}")
+    return next(iter(kinds))
 
-    `seed`, `beta`, `g`, `t` and `value` are 1-D arrays.  Row i has the
-    (metric, variant) pair `kinds[kind[i]]`: a table of one sweep holds a
-    single kind and its `kind` column is a zero-stride view, while tables
-    joined with `+` may mix kinds.  Iterating, or indexing with an integer,
-    yields FidelityRecord rows; a slice or index array yields a table.
+
+class RecordTable:
+    """Evaluated grid points of one (metric, variant) as columns of equal
+    length.
+
+    `seed`, `beta`, `g`, `t` and `value` are 1-D arrays; `metric` and
+    `variant` hold for every row.  `from_rows`, `concat` and `+` reject
+    empty input and input that mixes kinds.  Iterating, or indexing with an
+    integer, yields FidelityRecord rows; a slice or index array yields a
+    table.
     """
 
-    __slots__ = _COLUMNS + ("kind", "kinds")
+    __slots__ = _COLUMNS + ("metric", "variant")
 
-    def __init__(self, seed, beta, g, t, value, kind, kinds):
+    def __init__(self, seed, beta, g, t, value, metric: str, variant: str):
         self.seed, self.beta, self.g, self.t, self.value = seed, beta, g, t, value
-        self.kind, self.kinds = kind, tuple(kinds)
-
-    @classmethod
-    def single_kind(cls, seed, beta, g, t, value, metric: str, variant: str):
-        """A table whose rows all have one (metric, variant)."""
-        kind = np.broadcast_to(np.intp(0), np.shape(value))
-        return cls(seed, beta, g, t, value, kind, ((metric, variant),))
+        self.metric, self.variant = metric, variant
 
     @classmethod
     def from_rows(cls, rows) -> "RecordTable":
@@ -131,38 +126,34 @@ class RecordTable:
         if isinstance(rows, RecordTable):
             return rows
         rows = list(rows)
-        kinds: dict = {}
-        kind = [kinds.setdefault((r.metric, r.variant), len(kinds)) for r in rows]
+        metric, variant = _one_kind({(r.metric, r.variant) for r in rows})
         return cls(_seed_column([r.seed for r in rows]),
                    *(np.array([getattr(r, c) for r in rows], dtype=float)
-                     for c in _COLUMNS[1:]),
-                   np.array(kind, dtype=np.intp), kinds)
+                     for c in _COLUMNS[1:]), metric, variant)
 
     @classmethod
     def concat(cls, tables) -> "RecordTable":
         """The rows of every table, in order."""
         tables = [cls.from_rows(t) for t in tables]
-        kinds: dict = {}
-        kind = [np.array([kinds.setdefault(k, len(kinds)) for k in tab.kinds],
-                         dtype=np.intp)[tab.kind] for tab in tables]
+        metric, variant = _one_kind({(t.metric, t.variant) for t in tables})
         return cls(*(np.concatenate([getattr(tab, c) for tab in tables]) for c in _COLUMNS),
-                   np.concatenate(kind), kinds)
+                   metric, variant)
 
     def __len__(self) -> int:
         return len(self.value)
 
     def __iter__(self):
-        kinds = self.kinds
-        for seed, beta, g, t, kind, value in zip(
+        kind = (self.metric, self.variant)
+        for seed, beta, g, t, value in zip(
                 self.seed.tolist(), self.beta.tolist(), self.g.tolist(), self.t.tolist(),
-                self.kind.tolist(), self.value.tolist()):
-            yield FidelityRecord(seed, beta, g, t, *kinds[kind], value)
+                self.value.tolist()):
+            yield FidelityRecord(seed, beta, g, t, *kind, value)
 
     def __getitem__(self, index):
         if not isinstance(index, slice) and np.ndim(index) == 0:
             return next(iter(self[[index]]))
         return RecordTable(*(getattr(self, c)[index] for c in _COLUMNS),
-                           self.kind[index], self.kinds)
+                           self.metric, self.variant)
 
     def __add__(self, other) -> "RecordTable":
         return RecordTable.concat((self, other))
@@ -179,9 +170,11 @@ class RecordTable:
         return self[np.lexsort((self.t, self.g, self.beta, self.seed))]
 
     def unit_interval_value(self) -> np.ndarray:
-        """FidelityRecord.unit_interval_value of every row."""
-        basis_z = np.array([metric == "basis_z" for metric, _ in self.kinds], dtype=bool)
-        return np.where(basis_z[self.kind], 0.5 * (1.0 + self.value), self.value)
+        """[0, 1] companion column: recovery probability for <Z>, the raw
+        value for metrics already reported on a fidelity scale."""
+        if self.metric == "basis_z":
+            return 0.5 * (1.0 + self.value)
+        return self.value
 
 
 def _seed_values(spec: SweepSpec, seed: int) -> np.ndarray:
@@ -211,6 +204,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     processes than there are seeds or CPUs.
     """
     spec.validate()
+    if workers < 1:
+        raise SweepError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(spec.seeds), os.cpu_count() or 1)
     seeds = sorted(spec.seeds)
     if workers <= 1:
@@ -220,8 +215,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
             values = list(pool.map(_seed_values, repeat(spec), seeds))
     keys = np.meshgrid(_seed_column(seeds), *(np.array(grid, dtype=float) for grid in
                        (spec.beta_grid, spec.g_grid, spec.t_grid)), indexing="ij")
-    return RecordTable.single_kind(*(k.reshape(-1) for k in keys), np.concatenate(values),
-                                   spec.metric, spec.base.swap_variant)
+    return RecordTable(*(k.reshape(-1) for k in keys), np.concatenate(values),
+                       spec.metric, spec.base.swap_variant)
 
 
 def ensemble_mean(records, group_by=("beta", "g", "t")):
@@ -264,11 +259,8 @@ def recovery_time(records) -> float:
     table = RecordTable.from_rows(records)
     if not len(table):
         raise SweepError("no records")
-    kinds = [table.kinds[k] for k in np.unique(table.kind).tolist()]
-    columns = {a: getattr(table, a) for a in ("seed", "beta", "g")}
-    columns.update(metric=[m for m, _ in kinds], variant=[v for _, v in kinds])
-    for a, column in columns.items():
-        if len(np.unique(column)) > 1:
+    for a in ("seed", "beta", "g"):
+        if len(np.unique(getattr(table, a))) > 1:
             raise SweepError(f"records differ in {a}; recovery_time needs a pure t-sweep")
     order = np.argsort(table.t, kind="stable")
     best_t, best_v = None, -math.inf
@@ -300,12 +292,17 @@ def _linear_solve(betas, values, beta_c):
     return coef, resid
 
 
-def fit_beta_c(points, lo: float = 0.1, hi: float = 1000.0,
-               iterations: int = 200) -> FitResult:
+# the golden-section bracket for beta_c and its most steps
+FIT_BETA_C_BRACKET = (0.1, 1000.0)
+FIT_ITERATIONS = 200
+
+
+def fit_beta_c(points) -> FitResult:
     """Separable least squares for F(beta) = A + B exp(-beta/beta_c).
 
-    Golden-section search over beta_c with the (A, B) pair solved in
-    closed form at every candidate; fully deterministic.
+    Golden-section search over beta_c in FIT_BETA_C_BRACKET with the
+    (A, B) pair solved in closed form at every candidate; fully
+    deterministic.
     """
     pts = sorted((float(b), float(f)) for b, f in points)
     betas = np.array([p[0] for p in pts])
@@ -314,12 +311,12 @@ def fit_beta_c(points, lo: float = 0.1, hi: float = 1000.0,
         raise FitError("need at least three distinct beta values")
     if float(values.std()) < 1e-14:
         raise FitError("constant data: beta_c is not identifiable")
-    a, b = lo, hi
+    a, b = FIT_BETA_C_BRACKET
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     _, f1 = _linear_solve(betas, values, x1)
     _, f2 = _linear_solve(betas, values, x2)
-    for _ in range(iterations):
+    for _ in range(FIT_ITERATIONS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -407,17 +404,15 @@ def fixed_point_temperature_curve(records):
     return points, g_star, t_star
 
 
-def optimal_g(records, beta: float, t: float | None = None):
-    """The g maximizing the ensemble-mean curve at one beta (and t)."""
+def optimal_g(records, beta: float):
+    """The g maximizing the ensemble-mean curve at one beta."""
     table = RecordTable.from_rows(records)
     at_beta = table[table.beta == beta]  # only these rows enter the means
     if not len(at_beta):
         raise SweepError(f"no records at beta={beta}")
     means = ensemble_mean(at_beta, group_by=("beta", "t", "g"))
     best_g, best_v = None, -math.inf
-    for (_, tt, g), (value, _, _) in means.items():
-        if t is not None and tt != t:
-            continue
+    for (_, _, g), (value, _, _) in means.items():
         if value > best_v + 1e-15:
             best_g, best_v = g, value
     if best_g is None:

@@ -155,10 +155,6 @@ def spec_from_config(values: dict, master_seed: int) -> analysis.SweepSpec:
     return spec
 
 
-def parse_config(text: str, master_seed: int) -> analysis.SweepSpec:
-    return spec_from_config(parse_config_text(text), master_seed)
-
-
 def substream_seed(master_seed: int, label: str, index: int) -> int:
     """Stable derived seed: adding seeds never shifts existing ones."""
     payload = f"{master_seed}:{label}:{index}".encode()
@@ -194,29 +190,25 @@ def _column_text(column: np.ndarray, fmt) -> list:
     return text[index].tolist()
 
 
-def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec | None = None) -> str:
+def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
     lines = [
         f"# sykteleport {__version__}",
         f"# master_seed {manifest.master_seed}",
+        "# grids " + _grid_hash(spec.g_grid, spec.t_grid, spec.beta_grid, spec.seeds),
+        CSV_HEADER,
     ]
-    if spec is not None:
-        lines.append(
-            "# grids " + _grid_hash(spec.g_grid, spec.t_grid, spec.beta_grid, spec.seeds)
-        )
-    lines.append(CSV_HEADER)
     # stable: rows of two sweeps with equal keys (isingvssyk) keep their order
     table = analysis.RecordTable.from_rows(records).sorted()
-    kinds = np.array([f"{metric},{variant}" for metric, variant in table.kinds], dtype=object)
     columns = [_column_text(table.seed, str)]
     columns += [_column_text(getattr(table, c), _fmt) for c in ("beta", "g", "t")]
-    columns.append(kinds[table.kind].tolist())
+    columns.append([f"{table.metric},{table.variant}"] * len(table))
     for values in (table.value, table.unit_interval_value()):
         columns.append(list(map(_FORMAT.__mod__, values.tolist())))
     lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(records, path, manifest: RunManifest, spec=None):
+def emit_csv(records, path, manifest: RunManifest, spec: analysis.SweepSpec):
     text = csv_text(records, manifest, spec)
     try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
@@ -333,15 +325,15 @@ def _single_spec(variant: str, manifest: RunManifest, n_seeds=20, **overrides):
     return replace(spec, **overrides)
 
 
-def _recovery_records(spec: analysis.SweepSpec, manifest: RunManifest,
-                      t_grid=analysis.DEFAULT_T_GRID, workers: int = 1):
+def _recovery_records(spec: analysis.SweepSpec, workers: int):
     """Two-stage time sweeps: pick g* per beta from the g-sweep ensemble
-    mean, then sweep t at that coupling."""
+    mean, then sweep t over DEFAULT_T_GRID at that coupling."""
     gsweep = analysis.run_sweep(spec, workers=workers)
     tables = []
     for beta in spec.beta_grid:
         g_star = analysis.optimal_g(gsweep, beta)
-        tspec = replace(spec, g_grid=(g_star,), beta_grid=(beta,), t_grid=tuple(t_grid))
+        tspec = replace(spec, g_grid=(g_star,), beta_grid=(beta,),
+                        t_grid=analysis.DEFAULT_T_GRID)
         tables.append(analysis.run_sweep(tspec, workers=workers))
     return analysis.RecordTable.concat(tables).sorted()
 
@@ -355,7 +347,7 @@ def _gsweep_figure(variant, name, manifest, out, workers):
 
 def _recovery_figure(variant, name, manifest, out, workers):
     spec = _single_spec(variant, manifest)
-    emit_csv(_recovery_records(spec, manifest, workers=workers),
+    emit_csv(_recovery_records(spec, workers),
              out / f"{name}.csv", manifest, spec)
 
 

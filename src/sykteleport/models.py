@@ -205,13 +205,12 @@ def _ndtri(y: float) -> float:
     return x if upper else -x
 
 
-def gaussian_draw(seed: int, stream: int, index, sigma: float):
-    """Deterministic N(0, sigma^2) draws via the inverse normal CDF; a
-    float for an int index, an array for a 1-D index array (see
-    split_uniform)."""
+def gaussian_draw(seed: int, stream: int, index: np.ndarray, sigma: float) -> np.ndarray:
+    """Deterministic N(0, sigma^2) draws via the inverse normal CDF, one
+    per entry of a 1-D index array (see split_uniform)."""
+    if np.ndim(index) != 1:
+        raise ValueError("index must be a 1-D integer array")
     u = split_uniform(seed, stream, index)
-    if np.ndim(u) == 0:
-        return sigma * _ndtri(u)
     return np.array([sigma * _ndtri(v) for v in u.tolist()])
 
 
@@ -228,13 +227,6 @@ class SykCouplings:
     j_scale: float
     entries: dict = field(repr=False)
     seed: int = 0
-
-    @property
-    def sigma(self) -> float:
-        """Std dev of each coupling: j_scale * sqrt((q-1)! / n^(q-1))."""
-        return self.j_scale * math.sqrt(
-            math.factorial(self.q - 1) / self.n_majorana ** (self.q - 1)
-        )
 
 
 def sample_syk_couplings(n: int, q: int, j_scale: float, seed: int) -> SykCouplings:
@@ -318,11 +310,10 @@ TFIM_H_WIDTH = 0.5
 @dataclass(frozen=True)
 class TfimParams:
     """Kicked transverse-field Ising chain at the self-dual point (the
-    TFIM_* constants) with one longitudinal field per site, none when
-    h_fields is empty."""
+    TFIM_* constants) with one longitudinal field per site."""
 
     n_sites: int
-    h_fields: tuple = ()
+    h_fields: tuple
     seed: int = 0
 
     @classmethod
@@ -341,8 +332,7 @@ def build_tfim_floquet(p: TfimParams) -> np.ndarray:
     n = p.n_sites
     if n < 2:
         raise ValueError("need at least two sites")
-    hs = p.h_fields if p.h_fields else (0.0,) * n
-    if len(hs) != n:
+    if len(p.h_fields) != n:
         raise ValueError("h_fields length does not match n_sites")
     idx = np.arange(2 ** n)
     zbits = np.array([1.0 - 2.0 * ((idx >> (n - 1 - s)) & 1) for s in range(n)])
@@ -350,7 +340,7 @@ def build_tfim_floquet(p: TfimParams) -> np.ndarray:
     for s in range(n - 1):
         diag += TFIM_J_COUPLING * zbits[s] * zbits[s + 1]
     for s in range(n):
-        diag += hs[s] * zbits[s]
+        diag += p.h_fields[s] * zbits[s]
     kick = math.cos(TFIM_B_FIELD) * qop.I2 + 1j * math.sin(TFIM_B_FIELD) * qop.PAULI_X
     transverse = qop.kron_all([kick] * n)
     return transverse @ np.diag(np.exp(1j * diag))

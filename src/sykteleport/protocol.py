@@ -71,8 +71,9 @@ beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
 and is not used.  The g axis is evaluated in blocks of about
 G_BLOCK_BYTES of y(g), and only the per-(t, g) values are joined, so a
 call's memory does not grow with its g grid beyond arrays of n_g values.
-Without a reading, `finish` returns full final states (`final_state`).
-The t axis is cut into chunks of at most
+Without a reading, `finish` returns the unnormalized final states, from
+the phases or maps order for any number of g, since the level order has
+no final state to return (`final_state` normalizes its one).  The t axis is cut into chunks of at most
 MAX_BATCH_ROWS (t, g) rows.  A scalar t or a single g is a batch of one
 through the same stages (the g stage picks its order by size), so
 `run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
@@ -108,8 +109,11 @@ MAX_BATCH_ROWS = 256
 # within 1.25 times that of a 201-g call at n_side 3 and 4; at 128 KiB the
 # 1608-g basis sweep at n_side 3 peaks 1.65 times higher.
 G_BLOCK_BYTES = 2 ** 16
-# engines kept by get_engine, and realizations they share
-ENGINE_CACHE_SIZE = 8
+# engines kept by get_engine, and realizations they share: above the 20
+# seeds a two-stage preset revisits, so its second sweep finds every
+# engine.  An engine holds about 72 KB (basis message) or 84 KB (Bell) at
+# n_side 3 and 1.1 MB at n_side 4 (see Engine).
+ENGINE_CACHE_SIZE = 32
 
 MESSAGES = ("basis_zero", "arbitrary", "bell_phi_plus")
 VARIANTS = ("delta01", "delta02", "bell_sequential")
@@ -171,6 +175,8 @@ class ProtocolConfig:
         for name in ("g", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if not (math.isfinite(self.j_scale) and self.j_scale > 0):
+            raise ConfigError("j_scale must be finite and positive")
         _check_beta(self.beta)
         reg = self.register
         if self.size_modes is not None:
@@ -392,9 +398,9 @@ def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperato
     for m in (h_left, h_right):
         if np.asarray(m).shape != (dim, dim):
             raise qop.QopError("Hamiltonian does not match the register")
-    u_fwd_l = qop.evolve(h_left, t, -1)
+    u_fwd_l = qop.evolve(h_left, t)
     u_bwd_l = u_fwd_l.conj().T
-    u_fwd_r = qop.evolve(h_right, t, -1)
+    u_fwd_r = qop.evolve(h_right, t)
     coupling = size.exp_ig_embedded(register, g)
     return u_fwd_r @ coupling @ u_fwd_l @ ins.matrix @ u_bwd_l
 
@@ -574,7 +580,8 @@ class Engine:
     def _coupling_order(self, n_rows: int, n_g: int) -> str:
         """The order in which finish applies exp(i g upsilon) to n_rows rows
         for n_g values of g (see the module docstring): "levels" for more
-        than L/2 values of g; else "maps" when the rows outnumber
+        than L/2 values of g (which finish takes only with a reading, and
+        the phases order without one); else "maps" when the rows outnumber
         n_g 4^n_side (building a map is one 4^n_side-square product, about
         what 4^n_side rows cost through the size eigenbasis), and "phases"
         otherwise."""
@@ -629,21 +636,21 @@ class Engine:
         return np.linalg.qr(a, mode="r")
 
     def finish(self, dressed: np.ndarray, beta: float, g_values, t_values: np.ndarray,
-               normalize: bool = True, reading=None) -> np.ndarray:
+               reading=None) -> np.ndarray:
         """Coupling phases, right evolution and thermal weight for every
         (t, g).
 
         `dressed` is the (n_t, n_in, 2^n_msg, 4^n_side) output of dressed_state
-        at the same t_values.  Without `reading` the result is the final
-        states, shape (n_t, n_g, n_in, dim) in the computational basis,
-        each normalized unless normalize=False.  With it, reading maps the
-        unnormalized readout densities of a run of n_b values of g, shape
-        (n_t, n_b, n_in 2^k, n_in 2^k) over (input, readout sites) for k
-        readout sites, to an array with leading axes (n_t, n_b), and the
-        result is those arrays joined over g: the level order then reads
-        the densities off the compressed coordinates, one block of
-        _g_block(n_t, n_in, n_g) values of g at a time, and builds no
-        final state.
+        at the same t_values.  Without `reading` the result is the
+        unnormalized final states, shape (n_t, n_g, n_in, dim) in the
+        computational basis, from the phases or maps order.  With it,
+        reading maps the unnormalized readout densities of a run of n_b
+        values of g, shape (n_t, n_b, n_in 2^k, n_in 2^k) over (input,
+        readout sites) for k readout sites, to an array with leading axes
+        (n_t, n_b), and the result is those arrays joined over g: the level
+        order then reads the densities off the compressed coordinates, one
+        block of _g_block(n_t, n_in, n_g) values of g at a time, and builds
+        no final state.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
         if not np.isfinite(g).all():
@@ -656,7 +663,7 @@ class Engine:
         rows = dressed.reshape(-1, block)
         basis = self.size.basis
         order = self._coupling_order(len(rows), len(g))
-        if order == "levels":
+        if order == "levels" and reading is not None:
             # each row's level components Pi_p x (right stage on each)
             coeffs = rows @ self._to_size
             parts = np.empty((len(self._levels), len(rows), block), dtype=complex)
@@ -664,9 +671,6 @@ class Engine:
                 np.matmul(coeffs[:, cols], basis[:, cols].T, out=part)
             parts = self._right_eigen(parts).reshape(len(self._levels), n_t, -1, d)
             parts = self._right_stage(parts, right).reshape(len(parts), n_t, n_in, -1)
-            if reading is None:
-                psi = self._level_phases(np.exp(1j * g)).T @ parts.reshape(len(parts), -1)
-                return self._states(psi, n_t, n_in, normalize)
             return self._compressed_readout(parts, g, reading)
         # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
         phases = np.exp(1j * g[:, None, None] * self._column_levels)
@@ -676,7 +680,7 @@ class Engine:
             psi = self._right_eigen(((rows @ self._to_size) * phases) @ basis.T)
         psi = self._right_stage(psi.reshape(len(g), n_t, -1, d), right)
         if reading is None:
-            return self._states(psi, n_t, n_in, normalize)
+            return psi.reshape(len(g), n_t, n_in, -1).swapaxes(0, 1)
         # the input index as leading qubits of one state per (t, g)
         extra = n_in.bit_length() - 1
         if n_in != 1 << extra:
@@ -684,16 +688,6 @@ class Engine:
         psi = psi.reshape(len(g), n_t, -1).swapaxes(0, 1)
         keep = list(range(extra)) + [s + extra for s in self.readout]
         return reading(qop.reduced_density(psi, self.reg.n_qubits + extra, keep))
-
-    @staticmethod
-    def _states(psi: np.ndarray, n_t: int, n_in: int, normalize: bool) -> np.ndarray:
-        """Final states laid out (g, t, ...) as (n_t, n_g, n_in, dim), each
-        normalized unless normalize=False."""
-        # (g, t) -> (t, g) only copies when both axes are longer than 1
-        psi = psi.reshape(len(psi), n_t, n_in, -1).swapaxes(0, 1)
-        if normalize:
-            psi *= 1.0 / np.linalg.norm(psi, axis=-1, keepdims=True)
-        return psi
 
     def _compressed_readout(self, parts: np.ndarray, g: np.ndarray, reading) -> np.ndarray:
         """reading over the g axis, block by block, from the R factor of the
@@ -741,7 +735,8 @@ class Engine:
         _check_beta(beta)
         t_values = self._t_axis(cfg.t if t is None else t)
         dressed = self.dressed_state(self.message_vector(), beta, t_values)
-        return self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
+        psi = self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
+        return psi * (1.0 / np.linalg.norm(psi))
 
     def _curve(self, beta: float, t, g_values, msgs, reading) -> np.ndarray:
         """reading of the inputs `msgs` per (t, g), joined to np.shape(t) +

@@ -119,13 +119,11 @@ def hermitian_eig(h: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def evolve(h: np.ndarray, t: float, sign: int = -1, eig: EigenSystem | None = None) -> np.ndarray:
-    """exp(sign * i * h * t) for Hermitian h via spectral decomposition."""
-    if sign not in (+1, -1):
-        raise QopError("sign must be +1 or -1")
-    if eig is None:
-        eig = hermitian_eig(h)
-    phases = np.exp(1j * sign * eig.values * t)
+def evolve(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for Hermitian h via spectral decomposition; the
+    backward step exp(+i h t) is its adjoint."""
+    eig = hermitian_eig(h)
+    phases = np.exp(-1j * eig.values * t)
     return (eig.vectors * phases) @ eig.vectors.conj().T
 
 
@@ -170,17 +168,16 @@ def expectation(state: np.ndarray, op: np.ndarray):
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of single-qubit Paulis with a scalar phase."""
+    """Tensor product of single-qubit Paulis."""
 
     letters: str
-    phase: complex = 1.0 + 0j
 
     def __post_init__(self):
         if any(ch not in PAULIS for ch in self.letters):
             raise QopError(f"bad Pauli letters {self.letters!r}")
 
     def to_matrix(self) -> np.ndarray:
-        return self.phase * kron_all([PAULIS[ch] for ch in self.letters])
+        return kron_all([PAULIS[ch] for ch in self.letters])
 
 
 def swap_matrix(n_qubits: int, a: int, b: int) -> np.ndarray:

@@ -14,13 +14,12 @@ def boltzmann_weights(spectrum, beta: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def build_tfd(h_side, beta: float, register: layout.RegisterLayout) -> np.ndarray:
+def build_tfd(eig: qop.EigenSystem, beta: float, register: layout.RegisterLayout) -> np.ndarray:
     """Normalized thermofield double of a side Hamiltonian at inverse
     temperature beta, a vector on the 2*n_side-qubit left+right block.
 
-    `h_side` is the left-factor matrix on n_side qubits, or its
-    `qop.EigenSystem` when the caller already holds one (the Floquet
-    baseline passes its quasi-energy spectrum this way).  The state is
+    `eig` is the left factor's `qop.EigenSystem` on n_side qubits (for the
+    Floquet baseline, its quasi-energy spectrum).  The state is
     exp(-beta H/2) applied to the left half of the infinite-temperature
     pair state `layout.bell_vacuum`, normalized:
 
@@ -35,20 +34,11 @@ def build_tfd(h_side, beta: float, register: layout.RegisterLayout) -> np.ndarra
     of every left level.
     """
     n_side = register.n_side
-    dim = 2 ** n_side
-    if isinstance(h_side, qop.EigenSystem):
-        eig = h_side
-        if eig.vectors.shape != (dim, dim):
-            raise ValueError("side eigensystem does not match the register")
-    else:
-        h_side = np.asarray(h_side, dtype=complex)
-        if h_side.shape != (dim, dim):
-            raise ValueError("side Hamiltonian does not match the register")
-        eig = qop.hermitian_eig(h_side)
+    if eig.vectors.shape != (2 ** n_side, 2 ** n_side):
+        raise ValueError("side eigensystem does not match the register")
     w = boltzmann_weights(eig.values, beta)
     weight = (eig.vectors * w) @ eig.vectors.conj().T
     vec = qop.apply_matrix_on_sites(
         layout.bell_vacuum(n_side).copy(), 2 * n_side, weight, 0, n_side
     )
     return vec / np.linalg.norm(vec)
-

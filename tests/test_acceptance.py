@@ -133,7 +133,7 @@ class TestCriterion3:
         # infinite-temperature pair-product identity for a disordered side
         c = models.sample_syk_couplings(6, 4, protocol.DEFAULT_J_SCALE, 0)
         h = models.build_syk_side_matrix(c, "left", 3)
-        state = tfd.build_tfd(h, 0.0, reg)
+        state = tfd.build_tfd(qop.hermitian_eig(h), 0.0, reg)
         total = sum(layout.pair_number_op(3, j) for j in range(6))
         oracle = qop.hermitian_eig(total).vectors[:, 0]
         bell_overlap = abs(np.vdot(oracle, state))
@@ -144,8 +144,8 @@ class TestCriterion3:
         for beta in (0.0, 1.0, 5.0, 20.0, 100.0):
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             h_rand = (m + m.conj().T) / 2
-            state = tfd.build_tfd(h_rand, beta, reg)
             eig = qop.hermitian_eig(h_rand)
+            state = tfd.build_tfd(eig, beta, reg)
             w = np.exp(-beta * (eig.values - eig.values.min()))
             gibbs = (eig.vectors * w) @ eig.vectors.conj().T
             gibbs /= np.trace(gibbs)

@@ -58,6 +58,11 @@ class TestRunSweep:
         with pytest.raises(analysis.SweepError):
             tiny_spec(metric="bell_stabilizer").validate()
 
+    def test_rejects_worker_counts_below_one(self):
+        for workers in (0, -3):
+            with pytest.raises(analysis.SweepError, match="workers"):
+                analysis.run_sweep(tiny_spec(), workers=workers)
+
     def test_rejects_repeated_seeds(self):
         # a repeated seed would count one realization twice in ensemble_mean
         for seeds in ((0, 0), (3, 1, 3)):
@@ -71,13 +76,13 @@ class TestRunSweep:
                          beta_grid=(0.0, 3.0), seeds=(7, 2, 5))
         for workers in (1, 2):
             records = analysis.run_sweep(spec, workers=workers)
-            assert [r.sort_key() for r in records] == sorted(r.sort_key() for r in records)
+            assert [r[:4] for r in records] == sorted(r[:4] for r in records)
             assert [r.seed for r in records[::12]] == [2, 5, 7]
         rec = records[0]
         assert rec == analysis.FidelityRecord(seed=2, beta=0.0, g=-1.0, t=0.5,
                                               metric="basis_z", variant="delta01",
                                               value=rec.value)
-        assert rec.unit_interval_value() == 0.5 * (1.0 + rec.value)
+        assert records.unit_interval_value()[0] == 0.5 * (1.0 + rec.value)
 
     def test_rejects_non_finite_grids(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -116,7 +121,7 @@ class TestRunSweep:
                             seed=seed, beta=beta, g=g, t=t, metric=metric,
                             variant=base.swap_variant, value=float(v))
                             for g, v in zip(spec.g_grid, values))
-            want.sort(key=analysis.FidelityRecord.sort_key)
+            want.sort(key=lambda rec: rec[:4])
             assert analysis.run_sweep(spec) == want
 
     @pytest.mark.parametrize("workers, cpus, want", [
@@ -175,7 +180,7 @@ class TestRecordTable:
             assert table == want
             for name in analysis.KEY_COLUMNS + ("value",):
                 assert getattr(table, name).tolist() == [getattr(r, name) for r in want]
-            assert table.kinds == (("basis_z", "delta01"),)
+            assert (table.metric, table.variant) == ("basis_z", "delta01")
 
     def test_row_view(self):
         table = analysis.run_sweep(tiny_spec(g_grid=(0.5, 1.0)))
@@ -192,20 +197,42 @@ class TestRecordTable:
 
     def test_concatenation_keeps_order_of_equal_keys(self):
         left = synth_records([({"g": 1.0}, 0.1), ({"g": 0.0}, 0.2)])
-        right = synth_records([({"g": 1.0}, 0.3), ({"g": 0.0}, 0.4)],
-                              metric="bell_stabilizer", variant="bell_sequential")
+        right = synth_records([({"g": 1.0, "seed": 1}, 0.3), ({"g": 0.0, "seed": 1}, 0.4),
+                               ({"g": 1.0}, 0.5)])
         joined = analysis.RecordTable.from_rows(left) + analysis.RecordTable.from_rows(right)
         assert list(joined) == left + right
-        assert [r.value for r in joined.sorted()] == [0.2, 0.4, 0.1, 0.3]
-        assert len(joined.kinds) == 2
+        assert [r.value for r in joined.sorted()] == [0.2, 0.1, 0.5, 0.4, 0.3]
+        assert (joined.metric, joined.variant) == ("basis_z", "delta01")
         assert joined == left + right
         assert analysis.RecordTable.from_rows(left) != right
 
+    def test_one_kind_per_table(self):
+        left = synth_records([({"g": 1.0}, 0.1)])
+        right = synth_records([({"g": 1.0}, 0.3)], metric="bell_stabilizer",
+                              variant="bell_sequential")
+        delta02 = synth_records([({"g": 1.0}, 0.3)], variant="delta02")
+        for other in (right, delta02):
+            with pytest.raises(analysis.SweepError, match="one"):
+                analysis.RecordTable.from_rows(left + other)
+            with pytest.raises(analysis.SweepError, match="one"):
+                analysis.RecordTable.concat((left, other))
+            with pytest.raises(analysis.SweepError, match="one"):
+                analysis.RecordTable.from_rows(left) + analysis.RecordTable.from_rows(other)
+        for empty in ([], ()):
+            with pytest.raises(analysis.SweepError, match="no records"):
+                analysis.RecordTable.from_rows(empty)
+            with pytest.raises(analysis.SweepError, match="no records"):
+                analysis.RecordTable.concat(empty)
+
     def test_unit_interval_column_matches_rows(self):
-        rows = synth_records([({"g": 0.0}, -0.25)]) + synth_records(
-            [({"g": 0.0}, 0.75)], metric="bell_stabilizer", variant="bell_sequential")
+        # the recovery probability (1 + <Z>)/2 for basis_z, the value itself
+        # for a metric already on a fidelity scale
+        rows = synth_records([({"g": 0.0}, -0.25), ({"g": 1.0}, 0.5)])
         table = analysis.RecordTable.from_rows(rows)
-        assert table.unit_interval_value().tolist() == [r.unit_interval_value() for r in rows]
+        assert table.unit_interval_value().tolist() == [0.5 * (1.0 + r.value) for r in rows]
+        bell = analysis.RecordTable.from_rows(synth_records(
+            [({"g": 0.0}, 0.75)], metric="bell_stabilizer", variant="bell_sequential"))
+        assert bell.unit_interval_value().tolist() == [r.value for r in bell]
 
 
 class TestEnsembleMean:

@@ -11,42 +11,59 @@ def manifest(tmp_path, **overrides):
     return cli.RunManifest(**fields)
 
 
+def parse(text: str) -> analysis.SweepSpec:
+    return cli.spec_from_config(cli.parse_config_text(text), master_seed=0)
+
+
+# the spec whose grids the header of a hand-made record file hashes
+SPEC = analysis.SweepSpec(base=protocol.ProtocolConfig(), g_grid=(0.5,), t_grid=(1.0,),
+                          beta_grid=(0.0,), seeds=(0,))
+
+
+def per_field_row(rec) -> str:
+    """One CSV row written field by field; the companion column is the
+    recovery probability for <Z> and the value itself otherwise."""
+    unit = 0.5 * (1.0 + rec.value) if rec.metric == "basis_z" else rec.value
+    return ",".join([str(rec.seed), cli._fmt(rec.beta), cli._fmt(rec.g), cli._fmt(rec.t),
+                     rec.metric, rec.variant, cli._fmt(rec.value), cli._fmt(unit)])
+
+
 class TestConfigParsing:
     def test_empty_gives_defaults(self):
-        spec = cli.parse_config("", master_seed=0)
+        spec = parse("")
         assert spec.metric == "basis_z"
         assert spec.g_grid == analysis.DEFAULT_G_GRID
         assert spec.beta_grid == analysis.DEFAULT_BETA_GRID
         assert len(spec.seeds) == len(analysis.DEFAULT_SEEDS)
 
     def test_override_beta_grid(self):
-        spec = cli.parse_config("[sweep]\nbeta_grid = [0, 20]\n", master_seed=0)
+        spec = parse("[sweep]\nbeta_grid = [0, 20]\n")
         assert spec.beta_grid == (0.0, 20.0)
 
     def test_contradictory_variant_and_message(self):
         text = "[sweep]\nvariant = bell_sequential\nmessage = basis_zero\n"
         with pytest.raises(cli.CliError):
-            cli.parse_config(text, master_seed=0)
+            parse(text)
 
     def test_unknown_key_is_named(self):
         with pytest.raises(cli.CliError, match="frobnicate"):
-            cli.parse_config("[sweep]\nfrobnicate = 1\n", master_seed=0)
+            parse("[sweep]\nfrobnicate = 1\n")
         # the thermofield double has one pairing, so it is not a setting
         with pytest.raises(cli.CliError, match="right_basis"):
-            cli.parse_config("[protocol]\nright_basis = literal\n", master_seed=0)
+            parse("[protocol]\nright_basis = literal\n")
 
     def test_syntax_error_reports_line(self):
         with pytest.raises(cli.CliError, match="line 2"):
-            cli.parse_config("[sweep]\nmetric basis_z\n", master_seed=0)
+            parse("[sweep]\nmetric basis_z\n")
 
     def test_unknown_section(self):
         with pytest.raises(cli.CliError, match="plotting"):
-            cli.parse_config("[plotting]\nx = 1\n", master_seed=0)
+            parse("[plotting]\nx = 1\n")
 
     def test_protocol_section(self):
         text = ("[sweep]\nvariant = delta02\ng_grid = [0.0, 1.0]\nseeds = [3]\n"
                 "[protocol]\nj_scale = 2.5\nthermal_readout = false\n")
-        spec = cli.parse_config(text, master_seed=0)
+        spec = parse(text)
         assert spec.base.swap_variant == "delta02"
         assert spec.base.j_scale == 2.5
         assert spec.base.thermal_readout is False
@@ -62,7 +79,7 @@ class TestCsvEmission:
     def test_single_record_layout(self, tmp_path):
         man = manifest(tmp_path)
         path = tmp_path / "one.csv"
-        cli.emit_csv(self._records(), path, man)
+        cli.emit_csv(self._records(), path, man, SPEC)
         lines = path.read_text().splitlines()
         header_rows = [l for l in lines if l.startswith("#")]
         body = [l for l in lines if not l.startswith("#")]
@@ -76,8 +93,8 @@ class TestCsvEmission:
     def test_lf_newlines_and_determinism(self, tmp_path):
         man = manifest(tmp_path)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        cli.emit_csv(self._records(), p1, man)
-        cli.emit_csv(self._records(), p2, man)
+        cli.emit_csv(self._records(), p1, man, SPEC)
+        cli.emit_csv(self._records(), p2, man, SPEC)
         b1 = p1.read_bytes()
         assert b1 == p2.read_bytes()
         assert b"\r" not in b1
@@ -92,49 +109,41 @@ class TestCsvEmission:
         cli.emit_csv(records, path, man, spec)
         back = cli.read_csv(path)
         assert len(back) == len(records)
-        for a, b in zip(back, sorted(records, key=analysis.FidelityRecord.sort_key)):
-            assert a.sort_key() == b.sort_key()
+        for a, b in zip(back, records.sorted()):
+            assert a[:4] == b[:4]
             assert a.value == pytest.approx(b.value, rel=1e-11)
 
     def test_bytes_match_per_field_writer(self, tmp_path):
         # the memoized grid columns keep -0.0 and 0.0 apart, and the stable
         # sort keeps records with equal keys in their given order
         rng = np.random.default_rng(3)
-        records = [analysis.FidelityRecord(seed=s, beta=b, g=g, t=1.0, metric=m,
-                                           variant="delta01", value=float(rng.normal()))
-                   for m in ("basis_z", "bell_stabilizer")
-                   for s in (4, 1) for b in (5.0, 0.0) for g in (0.0, -0.0, 0.1, 1 / 3)]
-        lines = [cli.CSV_HEADER]
-        for rec in sorted(records, key=analysis.FidelityRecord.sort_key):
-            lines.append(",".join([str(rec.seed), cli._fmt(rec.beta), cli._fmt(rec.g),
-                                   cli._fmt(rec.t), rec.metric, rec.variant,
-                                   cli._fmt(rec.value),
-                                   cli._fmt(rec.unit_interval_value())]))
-        text = cli.csv_text(records, manifest(tmp_path))
-        assert text.endswith("\n".join(lines) + "\n")
-        assert ",-0," in text and ",0," in text
+        for metric, variant in (("basis_z", "delta01"), ("bell_stabilizer", "bell_sequential")):
+            records = [analysis.FidelityRecord(seed=s, beta=b, g=g, t=1.0, metric=metric,
+                                               variant=variant, value=float(rng.normal()))
+                       for _ in (0, 1)
+                       for s in (4, 1) for b in (5.0, 0.0) for g in (0.0, -0.0, 0.1, 1 / 3)]
+            lines = [cli.CSV_HEADER]
+            lines += map(per_field_row, sorted(records, key=lambda rec: rec[:4]))
+            text = cli.csv_text(records, manifest(tmp_path), SPEC)
+            assert text.endswith("\n".join(lines) + "\n")
+            assert ",-0," in text and ",0," in text
 
     def test_table_bytes_match_per_field_writer(self, tmp_path):
-        # a table joined from two metrics: -0.0 and 0.0 keep their own text,
-        # and rows with equal keys keep the order of the join
+        # a table joined from two sweeps of one kind, as isingvssyk joins
+        # its two models: -0.0 and 0.0 keep their own text, and rows with
+        # equal keys keep the order of the join
         rng = np.random.default_rng(4)
-        tables = []
-        for metric, variant in (("basis_z", "delta01"), ("bell_stabilizer", "bell_sequential")):
-            keys = np.meshgrid([4, 1], [5.0, 0.0], [0.0, -0.0, 0.1, 1 / 3], [1.0, 0.5],
-                               indexing="ij")
-            tables.append(analysis.RecordTable.single_kind(
-                *(k.reshape(-1) for k in keys), rng.normal(size=32), metric, variant))
+        keys = np.meshgrid([4, 1], [5.0, 0.0], [0.0, -0.0, 0.1, 1 / 3], [1.0, 0.5],
+                           indexing="ij")
+        tables = [analysis.RecordTable(*(k.reshape(-1) for k in keys), rng.normal(size=32),
+                                       "basis_z", "delta01") for _ in (0, 1)]
         table = tables[0] + tables[1]
         lines = [cli.CSV_HEADER]
-        for rec in sorted(table, key=analysis.FidelityRecord.sort_key):
-            lines.append(",".join([str(rec.seed), cli._fmt(rec.beta), cli._fmt(rec.g),
-                                   cli._fmt(rec.t), rec.metric, rec.variant,
-                                   cli._fmt(rec.value),
-                                   cli._fmt(rec.unit_interval_value())]))
-        text = cli.csv_text(table, manifest(tmp_path))
+        lines += map(per_field_row, sorted(table, key=lambda rec: rec[:4]))
+        text = cli.csv_text(table, manifest(tmp_path), SPEC)
         assert text.endswith("\n".join(lines) + "\n")
         assert ",-0," in text and ",0," in text
-        assert text == cli.csv_text(list(table), manifest(tmp_path))
+        assert text == cli.csv_text(list(table), manifest(tmp_path), SPEC)
 
     def test_table_round_trip(self, tmp_path):
         spec = analysis.SweepSpec(base=protocol.ProtocolConfig(seed=0),
@@ -146,13 +155,14 @@ class TestCsvEmission:
         back = analysis.RecordTable.from_rows(cli.read_csv(path))
         for name in analysis.KEY_COLUMNS:
             assert np.array_equal(getattr(back, name), getattr(table, name))
-        assert back.kinds == table.kinds
+        assert (back.metric, back.variant) == (table.metric, table.variant) == (
+            "basis_z", "delta01")
         assert np.allclose(back.value, table.value, rtol=1e-11, atol=0.0)
 
     def test_unwritable_path(self, tmp_path):
         man = manifest(tmp_path)
         with pytest.raises(cli.CliError) as err:
-            cli.emit_csv(self._records(), tmp_path / "nodir" / "x.csv", man)
+            cli.emit_csv(self._records(), tmp_path / "nodir" / "x.csv", man, SPEC)
         assert err.value.code == 3
 
 
@@ -232,6 +242,40 @@ class TestMain:
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "readout site" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2.5"])
+    def test_bad_j_scale_exit_code(self, tmp_path, capsys, value):
+        cfg = tmp_path / "j_scale.cfg"
+        cfg.write_text("[sweep]\ng_grid = [0.5]\nbeta_grid = [0]\nseeds = [0]\n"
+                       f"[protocol]\nj_scale = {value}\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "j_scale" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exit_code(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[sweep]\ng_grid = [0.5]\nbeta_grid = [0]\nseeds = [0]\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                         "--workers", workers]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_timeevol_builds_one_engine_per_seed(self, tmp_path, monkeypatch):
+        # the engine cache holds every seed of a preset, so the t sweeps of
+        # the second stage find the engines of the g sweep
+        protocol._engine_cached.cache_clear()
+        protocol._realization.cache_clear()
+        seeds = []
+        init = protocol.Engine.__init__
+
+        def counted(self, cfg):
+            seeds.append(cfg.seed)
+            init(self, cfg)
+        monkeypatch.setattr(protocol.Engine, "__init__", counted)
+        cli.run_figure("timeevol", manifest(tmp_path, master_seed=0))
+        assert len(seeds) == len(set(seeds)) == 20
+        assert protocol._realization.cache_info().misses == 20
 
     def test_unknown_figure_raises(self, tmp_path):
         with pytest.raises(cli.CliError, match="sq3"):

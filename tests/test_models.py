@@ -24,8 +24,11 @@ class TestCouplingSampling:
 
     def test_variance_parameter(self):
         c = models.sample_syk_couplings(6, 4, 1.0, seed=0)
-        # j_scale 1, q 4, n 6: sigma^2 = 3!/6^3 = 1/36
-        assert abs(c.sigma ** 2 - 1.0 / 36.0) <= 1e-15
+        # j_scale 1, q 4, n 6: sigma^2 = 3!/6^3 = 1/36, the scale of every
+        # entry against its standard normal draw
+        u = models.split_uniform(0, models.STREAM_SYK, np.arange(len(c.entries)))
+        scale = np.array(list(c.entries.values())) / [models._ndtri(v) for v in u.tolist()]
+        assert np.abs(scale ** 2 - 1.0 / 36.0).max() <= 1e-15
 
     def test_disorder_statistics(self):
         # >= 10^4 draws across seeds; mean and variance within 3 sigma
@@ -150,7 +153,7 @@ class TestTfim:
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            models.build_tfim_floquet(models.TfimParams(n_sites=1))
+            models.build_tfim_floquet(models.TfimParams(n_sites=1, h_fields=(0.0,)))
 
     def test_effective_spectrum(self):
         p = models.TfimParams.sample(3, seed=2)
@@ -163,10 +166,9 @@ class TestTfim:
 class TestStreamSplitting:
     def test_substreams_independent_of_order(self):
         sigma = 0.5
-        fwd = [models.gaussian_draw(11, models.STREAM_SYK, i, sigma) for i in range(10)]
-        rev = [models.gaussian_draw(11, models.STREAM_SYK, i, sigma)
-               for i in reversed(range(10))]
-        assert fwd == list(reversed(rev))
+        fwd = models.gaussian_draw(11, models.STREAM_SYK, np.arange(10), sigma)
+        rev = models.gaussian_draw(11, models.STREAM_SYK, np.arange(10)[::-1], sigma)
+        assert fwd.tolist() == rev[::-1].tolist()
 
     def test_streams_distinct(self):
         a = models.split_uniform(0, models.STREAM_SYK, 0)
@@ -220,8 +222,12 @@ class TestBatchedDraws:
                                     for i in idx]
             assert isinstance(models.split_uniform(seed, models.STREAM_SYK, 3), float)
             g = models.gaussian_draw(seed, models.STREAM_TFIM, np.arange(7), 0.5)
-            assert g.tolist() == [models.gaussian_draw(seed, models.STREAM_TFIM, i, 0.5)
+            assert g.tolist() == [models.gaussian_draw(seed, models.STREAM_TFIM,
+                                                       np.array([i]), 0.5)[0]
                                   for i in range(7)]
+        # gaussian_draw takes only an index array
+        with pytest.raises(ValueError):
+            models.gaussian_draw(0, models.STREAM_TFIM, 3, 0.5)
         assert models.split_uniform(0, models.STREAM_SYK, np.arange(0)).shape == (0,)
 
     def test_index_outside_the_pool_rejected(self):
@@ -231,7 +237,8 @@ class TestBatchedDraws:
             with pytest.raises(ValueError):
                 models.split_uniform(0, models.STREAM_SYK, np.array([0, bad], dtype=np.int64))
             with pytest.raises(ValueError):
-                models.gaussian_draw(0, models.STREAM_SYK, bad, 1.0)
+                models.gaussian_draw(0, models.STREAM_SYK, np.array([bad], dtype=np.int64),
+                                     1.0)
             with pytest.raises(ValueError):
                 models.split_uniform(0, bad, 0)
 
@@ -270,7 +277,8 @@ class TestInverseNormalCdf:
     def test_couplings_match_scipy_route(self):
         for seed in range(20):
             c = models.sample_syk_couplings(6, 4, 5.0, seed)
-            scipy_route = [c.sigma * ndtri(models.split_uniform(seed, models.STREAM_SYK, i))
+            sigma = 5.0 * math.sqrt(math.factorial(3) / 6 ** 3)
+            scipy_route = [sigma * ndtri(models.split_uniform(seed, models.STREAM_SYK, i))
                            for i in range(len(c.entries))]
             assert np.array_equal(list(c.entries.values()), scipy_route)
             h = models.TfimParams.sample(3, seed).h_fields

@@ -74,6 +74,17 @@ class TestConfig:
                 with pytest.raises(protocol.ConfigError, match="finite"):
                     protocol.ProtocolConfig(**{name: bad}).validate()
 
+    def test_j_scale_must_be_finite_and_positive(self):
+        # checked up front: a nan scale would otherwise surface from
+        # hermitian_eig as a matrix that is "not Hermitian"
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            cfg = protocol.ProtocolConfig(j_scale=bad)
+            with pytest.raises(protocol.ConfigError, match="j_scale"):
+                cfg.validate()
+            with pytest.raises(protocol.ConfigError, match="j_scale"):
+                protocol.run_single_qubit(cfg)
+        protocol.ProtocolConfig(j_scale=0.5).validate()
+
     def test_default_readout_is_partner_of_insertion(self):
         cfg = protocol.ProtocolConfig()
         reg = cfg.register
@@ -290,7 +301,7 @@ class TestPipelineAgainstDense:
         reg = cfg.register
         h_l, h_r, ins, size, w_r, tfd_state = TestPipelineAgainstDense._dense_pieces(cfg)
         u0 = protocol.wormhole_unitary(h_l, h_r, ins, size, 0.0, cfg.t, reg)
-        u_r = qop.evolve(h_r, cfg.t, -1)
+        u_r = qop.evolve(h_r, cfg.t)
         before = u_r.conj().T @ (u0 @ np.kron(message, tfd_state))
         states = []
         for g in g_values:
@@ -464,7 +475,7 @@ class TestLevelFactoredCoupling:
         with pytest.raises(qop.QopError, match="ascending"):
             protocol.Engine(protocol.ProtocolConfig(seed=1))
 
-    def _check_rows(self, eng, msgs, beta, normalize):
+    def _check_rows(self, eng, msgs, beta):
         ts = np.array([0.7, 1.9])
         dressed = eng.dressed_state(msgs, beta, ts)
         n_in = len(dressed[0])
@@ -472,10 +483,10 @@ class TestLevelFactoredCoupling:
         extra = n_in.bit_length() - 1
         keep = list(range(extra)) + [s + extra for s in eng.readout]
         for gs in self.G_BATCHES:
-            batch = eng.finish(dressed, beta, gs, ts, normalize=normalize)
+            batch = eng.finish(dressed, beta, gs, ts)
             assert batch.shape == (len(ts), len(gs), n_in, eng.reg.dim)
             for j, g in enumerate(gs):
-                single = eng.finish(dressed, beta, (g,), ts, normalize=normalize)[:, 0]
+                single = eng.finish(dressed, beta, (g,), ts)[:, 0]
                 assert np.abs(batch[:, j] - single).max() <= 1e-13
             # a reading sees the unnormalized readout densities of the g
             # axis block by block, joined in order
@@ -485,7 +496,7 @@ class TestLevelFactoredCoupling:
                 blocks.append(rho.shape[1])
                 return rho
             joined = eng.finish(dressed, beta, gs, ts, reading=reading)
-            states = eng.finish(dressed, beta, gs, ts, normalize=False)
+            states = eng.finish(dressed, beta, gs, ts)
             want = qop.reduced_density(states.reshape(len(ts), len(gs), -1),
                                        eng.reg.n_qubits + extra, keep)
             assert joined.shape == want.shape
@@ -502,11 +513,11 @@ class TestLevelFactoredCoupling:
         gs = self.G_BATCHES[2]
         for beta in (0.0, 6.0):
             eng = protocol.get_engine(protocol.ProtocolConfig(seed=2))
-            self._check_rows(eng, eng.message_vector(), beta, True)
-            # the two arbitrary-message branches, unnormalized
-            self._check_rows(eng, np.eye(2, dtype=complex), beta, False)
+            self._check_rows(eng, eng.message_vector(), beta)
+            # the two arbitrary-message branches
+            self._check_rows(eng, np.eye(2, dtype=complex), beta)
             engb = protocol.get_engine(_bell_cfg(seed=2))
-            self._check_rows(engb, engb.message_vector(), beta, True)
+            self._check_rows(engb, engb.message_vector(), beta)
             assert [eng._g_block(1, 1, 201), eng._g_block(1, 2, 201),
                     engb._g_block(1, 1, 201)] == [201, 41, 41]
             curve = eng.curve_basis_z(beta, 1.0, gs)
@@ -573,7 +584,7 @@ def _branch_states(eng, beta, t, g_values):
     inputs from the state mode of Engine.finish, shape (n_t, n_g, 2, dim)."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     dressed = eng.dressed_state(np.eye(2, dtype=complex), beta, ts)
-    return eng.finish(dressed, beta, g_values, ts, normalize=False)
+    return eng.finish(dressed, beta, g_values, ts)
 
 
 def _bell_cfg(**kw):
@@ -1129,9 +1140,9 @@ class TestBell:
 
 def _two_sided_correlator(i: int, j: int, beta: float, h_side: np.ndarray) -> complex:
     """<TFD(beta)| gL_i gR_j |TFD(beta)> on the doubled block, the TFD
-    built by tfd.build_tfd from the side Hamiltonian."""
+    built by tfd.build_tfd from the side Hamiltonian's eigensystem."""
     reg = layout.RegisterLayout(n_message=1, n_side=3)
-    state = tfd.build_tfd(h_side, beta, reg)
+    state = tfd.build_tfd(qop.hermitian_eig(h_side), beta, reg)
     op = layout.left_majorana_block(3, i) @ layout.right_majorana_block(3, j)
     return complex(qop.expectation(state, op))
 

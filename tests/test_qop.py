@@ -153,31 +153,31 @@ class TestHermitianEig:
 
 class TestEvolve:
     def test_closed_form_pauli(self):
-        u = qop.evolve(qop.PAULI_X, np.pi / 2, -1)
+        u = qop.evolve(qop.PAULI_X, np.pi / 2)
         assert np.abs(u - (-1j) * qop.PAULI_X).max() <= 1e-12
 
     def test_zero_time(self):
         rng = np.random.default_rng(2)
         h = random_hermitian(rng, 8)
-        assert np.abs(qop.evolve(h, 0.0, -1) - np.eye(8)).max() <= 1e-12
+        assert np.abs(qop.evolve(h, 0.0) - np.eye(8)).max() <= 1e-12
 
     def test_inverse_pair(self):
         rng = np.random.default_rng(4)
         h = random_hermitian(rng, 8)
-        prod = qop.evolve(h, 1.3, +1) @ qop.evolve(h, 1.3, -1)
+        prod = qop.evolve(h, -1.3) @ qop.evolve(h, 1.3)
         assert np.abs(prod - np.eye(8)).max() <= 1e-10
 
     def test_group_law(self):
         rng = np.random.default_rng(9)
         h = random_hermitian(rng, 8)
-        lhs = qop.evolve(h, 0.7, -1) @ qop.evolve(h, 1.9, -1)
-        rhs = qop.evolve(h, 2.6, -1)
+        lhs = qop.evolve(h, 0.7) @ qop.evolve(h, 1.9)
+        rhs = qop.evolve(h, 2.6)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_unitary(self):
         rng = np.random.default_rng(13)
         h = random_hermitian(rng, 16)
-        u = qop.evolve(h, 3.7, -1)
+        u = qop.evolve(h, 3.7)
         assert np.abs(u @ u.conj().T - np.eye(16)).max() <= 1e-10
 
 
@@ -322,10 +322,9 @@ class TestSwapDecomposition:
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.text(alphabet="IXYZ", min_size=1, max_size=4),
-       st.sampled_from([1.0, -1.0]))
-def test_pauli_string_matrix_properties(letters, phase):
-    m = qop.PauliString(letters, phase).to_matrix()
+@given(st.text(alphabet="IXYZ", min_size=1, max_size=4))
+def test_pauli_string_matrix_properties(letters):
+    m = qop.PauliString(letters).to_matrix()
     dim = 2 ** len(letters)
     assert np.abs(m @ m.conj().T - np.eye(dim)).max() <= 1e-12
     assert qop.is_hermitian(m, 1e-12)

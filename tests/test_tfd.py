@@ -86,7 +86,7 @@ class TestBuildTfd:
         # total pair occupation, phase-aligned
         c = models.sample_syk_couplings(6, 4, 1.0, seed=0)
         h = models.build_syk_side_matrix(c, "left", 3)
-        state = tfd.build_tfd(h, 0.0, REG)
+        state = tfd.build_tfd(qop.hermitian_eig(h), 0.0, REG)
         total = sum(layout.pair_number_op(3, j) for j in range(6))
         eig = qop.hermitian_eig(total)
         oracle = eig.vectors[:, 0]
@@ -96,7 +96,7 @@ class TestBuildTfd:
     def test_ground_state_dominance(self):
         rng = np.random.default_rng(8)
         h = random_hermitian(rng, 8)  # random spectrum, nondegenerate
-        state = tfd.build_tfd(h, 1e4, REG)
+        state = tfd.build_tfd(qop.hermitian_eig(h), 1e4, REG)
         schmidt = np.linalg.svd(state.reshape(8, 8), compute_uv=False)
         assert schmidt[0] >= 1.0 - 1e-6
 
@@ -104,21 +104,21 @@ class TestBuildTfd:
     def test_gibbs_marginals(self, beta):
         rng = np.random.default_rng(int(beta) + 2)
         h = random_hermitian(rng, 8)
-        state = tfd.build_tfd(h, beta, REG)
+        state = tfd.build_tfd(qop.hermitian_eig(h), beta, REG)
         rho_left = qop.reduced_density(state, 6, [0, 1, 2])
         assert np.abs(rho_left - gibbs(h, beta)).max() <= 1e-9
         # right marginal is the Gibbs state of the right-side realization
         c = models.sample_syk_couplings(6, 4, 1.0, seed=3)
         a = models.build_syk_side_matrix(c, "left", 3)
         b = models.build_syk_side_matrix(c, "right", 3)
-        state = tfd.build_tfd(a, beta, REG)
+        state = tfd.build_tfd(qop.hermitian_eig(a), beta, REG)
         rho_right = qop.reduced_density(state, 6, [3, 4, 5])
         assert np.abs(rho_right - gibbs(b, beta)).max() <= 1e-9
 
     def test_norm_and_partition_function(self):
         rng = np.random.default_rng(6)
         h = random_hermitian(rng, 8)
-        state = tfd.build_tfd(h, 5.0, REG)
+        state = tfd.build_tfd(qop.hermitian_eig(h), 5.0, REG)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
         # the Schmidt probabilities are exp(-beta E_n)/Z with the direct Z
         spectrum = np.linalg.eigvalsh(h)
@@ -130,7 +130,7 @@ class TestBuildTfd:
         rng = np.random.default_rng(12)
         h = random_hermitian(rng, 8)
         beta = 3.0
-        state = tfd.build_tfd(h, beta, REG)
+        state = tfd.build_tfd(qop.hermitian_eig(h), beta, REG)
         schmidt = np.sort(np.linalg.svd(state.reshape(8, 8), compute_uv=False))
         want = np.sort(tfd.boltzmann_weights(np.linalg.eigvalsh(h), beta))
         assert np.abs(schmidt - want).max() <= 1e-9
@@ -141,7 +141,7 @@ class TestBuildTfd:
         h = random_hermitian(rng, 8)
         entropies = []
         for b in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-            state = tfd.build_tfd(h, b, REG)
+            state = tfd.build_tfd(qop.hermitian_eig(h), b, REG)
             p = np.linalg.svd(state.reshape(8, 8), compute_uv=False) ** 2
             p = p[p > 1e-300]
             entropies.append(float(-(p * np.log(p)).sum()))
@@ -151,5 +151,5 @@ class TestBuildTfd:
     def test_extreme_beta_is_finite(self):
         rng = np.random.default_rng(18)
         h = random_hermitian(rng, 8)
-        state = tfd.build_tfd(h, 1e4, REG)
+        state = tfd.build_tfd(qop.hermitian_eig(h), 1e4, REG)
         assert np.isfinite(state).all()
