@@ -1,7 +1,7 @@
 """Command line entry point: config parsing, figure presets, CSV/JSON output.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O
-failure.  Every output file starts with a comment header carrying the
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
+3 I/O failure.  Every output file starts with a comment header carrying the
 master seed, grid hashes and the package version, so equal headers imply
 byte-equal bodies.
 """
@@ -41,16 +41,15 @@ class RunManifest:
 
 # -- configuration ------------------------------------------------------
 
+# every key changes the output: the sweep axes come from the grids, the
+# message from the variant and the output directory from --out
 _SWEEP_KEYS = {
-    "metric", "variant", "message", "model", "g_grid", "t_grid", "beta_grid",
-    "seeds", "n_samples",
+    "metric", "variant", "model", "g_grid", "t_grid", "beta_grid", "seeds", "n_samples",
 }
 _PROTOCOL_KEYS = {
-    "j_scale", "size_modes", "readout_sites", "thermal_readout",
-    "fermionic_insert", "g", "t", "beta",
+    "j_scale", "size_modes", "readout_sites", "thermal_readout", "fermionic_insert",
 }
-_OUTPUT_KEYS = {"directory"}
-_SECTIONS = {"sweep": _SWEEP_KEYS, "protocol": _PROTOCOL_KEYS, "output": _OUTPUT_KEYS}
+_SECTIONS = {"sweep": _SWEEP_KEYS, "protocol": _PROTOCOL_KEYS}
 
 
 def _parse_scalar(text: str):
@@ -80,7 +79,7 @@ def _parse_value(text: str):
 
 def parse_config_text(text: str):
     """Flat key-value config with [section] headers; unknown keys error."""
-    values = {"sweep": {}, "protocol": {}, "output": {}}
+    values = {section: {} for section in _SECTIONS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,27 +102,33 @@ def parse_config_text(text: str):
     return values
 
 
+def _variant_defaults(variant: str):
+    """The message and default t of a swap variant."""
+    if variant == "bell_sequential":
+        return "bell_phi_plus", protocol.DEFAULT_T_BELL
+    return "basis_zero", protocol.DEFAULT_T_SINGLE
+
+
 def spec_from_config(values: dict, master_seed: int) -> analysis.SweepSpec:
     sweep = dict(values.get("sweep", {}))
     proto = dict(values.get("protocol", {}))
     metric = sweep.pop("metric", "basis_z")
     variant = sweep.pop("variant", "delta01")
-    message = sweep.pop("message", None)
-    if message is None:
-        message = "bell_phi_plus" if variant == "bell_sequential" else "basis_zero"
+    message, t_default = _variant_defaults(variant)
     model = sweep.pop("model", "syk")
+    # a key that this sweep would not read is an error, not a no-op
+    if "n_samples" in sweep and metric != "arbitrary_avg":
+        raise CliError("n_samples applies only to metric = arbitrary_avg")
+    if "j_scale" in proto and model == "tfim":
+        raise CliError("j_scale does not apply to model = tfim")
     n_samples = int(sweep.pop("n_samples", 100))
     g_grid = tuple(float(x) for x in sweep.pop("g_grid", analysis.DEFAULT_G_GRID))
-    t_default = (protocol.DEFAULT_T_BELL if variant == "bell_sequential"
-                 else protocol.DEFAULT_T_SINGLE)
     t_grid = tuple(float(x) for x in sweep.pop("t_grid", (t_default,)))
     beta_grid = tuple(float(x) for x in sweep.pop("beta_grid", analysis.DEFAULT_BETA_GRID))
     seeds = tuple(int(s) for s in sweep.pop("seeds", ()))
     if not seeds:
         seeds = tuple(substream_seed(master_seed, "sweep", i)
                       for i in range(len(analysis.DEFAULT_SEEDS)))
-    if sweep:
-        raise CliError(f"unhandled sweep keys: {sorted(sweep)}")
     size_modes = proto.pop("size_modes", None)
     if size_modes is not None:
         size_modes = tuple(int(m) for m in size_modes)
@@ -139,12 +144,9 @@ def spec_from_config(values: dict, master_seed: int) -> analysis.SweepSpec:
         readout_sites=readout,
         thermal_readout=bool(proto.pop("thermal_readout", True)),
         fermionic_insert=bool(proto.pop("fermionic_insert", False)),
-        g=float(proto.pop("g", 0.0)),
-        t=float(proto.pop("t", t_default)),
-        beta=float(proto.pop("beta", 0.0)),
     )
-    if proto:
-        raise CliError(f"unhandled protocol keys: {sorted(proto)}")
+    if sweep or proto:
+        raise CliError(f"unhandled keys: {sorted(sweep) + sorted(proto)}")
     try:
         spec = analysis.SweepSpec(base=base, g_grid=g_grid, t_grid=t_grid,
                                   beta_grid=beta_grid, seeds=seeds, metric=metric,
@@ -211,6 +213,8 @@ def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
 def emit_csv(records, path, manifest: RunManifest, spec: analysis.SweepSpec):
     text = csv_text(records, manifest, spec)
     try:
+        # made here, so a run that fails before its first write leaves none
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", code=3) from exc
@@ -236,6 +240,7 @@ def emit_json(obj, path, manifest: RunManifest):
         "data": obj,
     }
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     except OSError as exc:
@@ -314,14 +319,11 @@ def _seeds(manifest: RunManifest, n: int):
 def _single_spec(variant: str, manifest: RunManifest, n_seeds=20, **overrides):
     """The g-sweep of one swap variant: basis_z for the single-qubit
     variants, the stabilizer fidelity for the Bell one."""
-    bell = variant == "bell_sequential"
+    message, t = _variant_defaults(variant)
     spec = analysis.SweepSpec(
-        base=protocol.ProtocolConfig(
-            message="bell_phi_plus" if bell else "basis_zero", swap_variant=variant),
-        t_grid=(protocol.DEFAULT_T_BELL if bell else protocol.DEFAULT_T_SINGLE,),
-        seeds=_seeds(manifest, n_seeds),
-        metric="bell_stabilizer" if bell else "basis_z",
-    )
+        base=protocol.ProtocolConfig(message=message, swap_variant=variant),
+        t_grid=(t,), seeds=_seeds(manifest, n_seeds),
+        metric="bell_stabilizer" if message == "bell_phi_plus" else "basis_z")
     return replace(spec, **overrides)
 
 
@@ -338,11 +340,27 @@ def _recovery_records(spec: analysis.SweepSpec, workers: int):
     return analysis.RecordTable.concat(tables).sorted()
 
 
-# Each preset writes <name>.csv (and, for some, <name>.json) into out.
+# Each preset writes <name>.csv (and, for some, <name>.json) into out; a
+# g-sweep preset writes the summary of its records, if it takes one.
 
-def _gsweep_figure(variant, name, manifest, out, workers):
+def _gsweep_figure(variant, summary, name, manifest, out, workers):
     spec = _single_spec(variant, manifest)
-    emit_csv(analysis.run_sweep(spec, workers), out / f"{name}.csv", manifest, spec)
+    records = analysis.run_sweep(spec, workers)
+    emit_csv(records, out / f"{name}.csv", manifest, spec)
+    if summary is not None:
+        emit_json(summary(records), out / f"{name}.json", manifest)
+
+
+def _cf_fit(records):
+    points, g_star, t_star = analysis.fixed_point_temperature_curve(records)
+    fit = analysis.fit_beta_c(points)
+    return {"a": fit.a, "b": fit.b, "beta_c": fit.beta_c, "residual": fit.residual,
+            "points": points, "g_star": g_star, "t_star": t_star}
+
+
+def _g_heatmap(records):
+    xs, ys, grid = analysis.heatmap(records, "g", "beta")
+    return {"x_g": xs.tolist(), "y_beta": ys.tolist(), "grid": grid.tolist()}
 
 
 def _recovery_figure(variant, name, manifest, out, workers):
@@ -362,27 +380,6 @@ def _ising_vs_syk_figure(name, manifest, out, workers):
     emit_json({k: {kk: vv for kk, vv in v.items() if kk != "records"}
                if isinstance(v, dict) else v for k, v in comp.items()},
               out / f"{name}.json", manifest)
-
-
-def _cffit_figure(name, manifest, out, workers):
-    spec = _single_spec("bell_sequential", manifest)
-    records = analysis.run_sweep(spec, workers)
-    emit_csv(records, out / f"{name}.csv", manifest, spec)
-    points, g_star, t_star = analysis.fixed_point_temperature_curve(records)
-    fit = analysis.fit_beta_c(points)
-    emit_json({"a": fit.a, "b": fit.b, "beta_c": fit.beta_c,
-               "residual": fit.residual, "points": points,
-               "g_star": g_star, "t_star": t_star},
-              out / f"{name}.json", manifest)
-
-
-def _heatmap_g_figure(name, manifest, out, workers):
-    spec = _single_spec("bell_sequential", manifest)
-    records = analysis.run_sweep(spec, workers)
-    xs, ys, grid = analysis.heatmap(records, "g", "beta")
-    emit_csv(records, out / f"{name}.csv", manifest, spec)
-    emit_json({"x_g": xs.tolist(), "y_beta": ys.tolist(),
-               "grid": grid.tolist()}, out / f"{name}.json", manifest)
 
 
 def _heatmap_t_figure(name, manifest, out, workers):
@@ -406,15 +403,15 @@ def _neofidelity_figure(name, manifest, out, workers):
 
 
 _PRESETS = {
-    "sq1": partial(_gsweep_figure, "delta01"),
-    "sq2": partial(_gsweep_figure, "delta02"),
+    "sq1": partial(_gsweep_figure, "delta01", None),
+    "sq2": partial(_gsweep_figure, "delta02", None),
     "isingvssyk": _ising_vs_syk_figure,
     "fig6": partial(_recovery_figure, "delta01"),
     "fig7": partial(_recovery_figure, "delta02"),
-    "fig34": partial(_gsweep_figure, "bell_sequential"),
+    "fig34": partial(_gsweep_figure, "bell_sequential", None),
     "timeevol": partial(_recovery_figure, "bell_sequential"),
-    "cffit": _cffit_figure,
-    "heatmap-g": _heatmap_g_figure,
+    "cffit": partial(_gsweep_figure, "bell_sequential", _cf_fit),
+    "heatmap-g": partial(_gsweep_figure, "bell_sequential", _g_heatmap),
     "heatmap-t": _heatmap_t_figure,
     "neofidelity": _neofidelity_figure,
 }
@@ -426,40 +423,46 @@ def run_figure(name: str, manifest: RunManifest, workers: int = 1):
     preset = _PRESETS.get(name)
     if preset is None:
         raise CliError(f"unknown figure {name!r}")
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    preset(name, manifest, out, workers)
+    preset(name, manifest, Path(manifest.out_dir), workers)
 
 
 # -- entry point ---------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, not 2, which means a numerical failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="sykteleport",
         description="Teleportation-fidelity sweeps for a coupled random "
                     "quartic-fermion model prepared in a thermofield double.")
-    p.add_argument("--config", type=str, default=None, help="key=value config file")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--config", type=str, default=None, help="key=value config file")
+    mode.add_argument("--figure", type=str, choices=FIGURES, default=None,
+                      help="run a preset figure sweep")
+    mode.add_argument("--sanity", action="store_true", help="run the fast self-test")
     p.add_argument("--out", type=str, default="out", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
-    p.add_argument("--figure", type=str, choices=FIGURES, default=None,
-                   help="run a preset figure sweep")
-    p.add_argument("--sanity", action="store_true", help="run the fast self-test")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.figure or ("sanity" if args.sanity else "sweep"),
-        config_path=args.config, out_dir=args.out,
-        master_seed=args.seed, workers=args.workers)
     try:
+        args = build_parser().parse_args(argv)
         if args.sanity:
             ok, checks = sanity_suite()
             for name, passed, dev in checks:
                 print(f"[{'PASS' if passed else 'FAIL'}] {name}: deviation {dev:.3e}")
             return 0 if ok else 2
+        manifest = RunManifest(
+            command=args.figure or "sweep", config_path=args.config,
+            out_dir=args.out, master_seed=args.seed, workers=args.workers)
         if args.figure:
             run_figure(args.figure, manifest, workers=args.workers)
             print(f"wrote {args.figure} outputs to {args.out}")
@@ -471,16 +474,10 @@ def main(argv=None) -> int:
                 raise CliError(f"cannot read {args.config}: {exc}", code=3) from exc
         else:
             text = ""
-        values = parse_config_text(text)
-        spec = spec_from_config(values, args.seed)
-        out_dir = str(values.get("output", {}).get("directory", args.out))
-        manifest = RunManifest(command="sweep", config_path=args.config,
-                               out_dir=out_dir, master_seed=args.seed,
-                               workers=args.workers)
+        spec = spec_from_config(parse_config_text(text), args.seed)
         records = analysis.run_sweep(spec, workers=args.workers)
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        emit_csv(records, Path(out_dir) / "sweep.csv", manifest, spec)
-        print(f"wrote {len(records)} records to {out_dir}/sweep.csv")
+        emit_csv(records, Path(args.out) / "sweep.csv", manifest, spec)
+        print(f"wrote {len(records)} records to {args.out}/sweep.csv")
         return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

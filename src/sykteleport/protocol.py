@@ -526,12 +526,12 @@ class Engine:
         return np.exp(-1j * t_values[:, None] * eig.values)
 
     def message_vector(self) -> np.ndarray:
+        """The Bell pair, or |0> for both single-qubit messages: arbitrary
+        amplitudes reach only arbitrary_fidelity, as get_engine assumes."""
         if self.cfg.message == "bell_phi_plus":
             v = np.zeros(4, dtype=complex)
             v[0] = v[3] = 1 / math.sqrt(2)
             return v
-        if self.cfg.message == "arbitrary":
-            return np.array([self.cfg.alpha, self.cfg.beta_msg], dtype=complex)
         return np.array([1, 0], dtype=complex)
 
     # -- pipeline ---------------------------------------------------------

@@ -41,9 +41,24 @@ class TestConfigParsing:
         assert spec.beta_grid == (0.0, 20.0)
 
     def test_contradictory_variant_and_message(self):
+        # the variant sets the message, so there is nothing to contradict:
+        # message is an unknown key
         text = "[sweep]\nvariant = bell_sequential\nmessage = basis_zero\n"
-        with pytest.raises(cli.CliError):
+        with pytest.raises(cli.CliError, match="'message'"):
             parse(text)
+
+    def test_variant_sets_message_and_t(self):
+        spec = parse("[sweep]\nvariant = bell_sequential\nmetric = bell_stabilizer\n")
+        assert spec.base.message == "bell_phi_plus"
+        assert spec.t_grid == (protocol.DEFAULT_T_BELL,)
+        spec = parse("[sweep]\nvariant = delta02\n")
+        assert spec.base.message == "basis_zero"
+        assert spec.t_grid == (protocol.DEFAULT_T_SINGLE,)
+
+    def test_n_samples_and_j_scale_where_read(self):
+        # rejected elsewhere (see TestMain.test_ignored_config_keys_exit_code)
+        assert parse("[sweep]\nmetric = arbitrary_avg\nn_samples = 5\n").n_samples == 5
+        assert parse("[sweep]\nmodel = tfim\n").base.model == "tfim"
 
     def test_unknown_key_is_named(self):
         with pytest.raises(cli.CliError, match="frobnicate"):
@@ -161,9 +176,20 @@ class TestCsvEmission:
 
     def test_unwritable_path(self, tmp_path):
         man = manifest(tmp_path)
+        (tmp_path / "file").write_text("")
         with pytest.raises(cli.CliError) as err:
-            cli.emit_csv(self._records(), tmp_path / "nodir" / "x.csv", man, SPEC)
+            cli.emit_csv(self._records(), tmp_path / "file" / "x.csv", man, SPEC)
         assert err.value.code == 3
+        with pytest.raises(cli.CliError) as err:
+            cli.emit_json({}, tmp_path / "file" / "x.json", man)
+        assert err.value.code == 3
+
+    def test_writers_make_the_directory(self, tmp_path):
+        man = manifest(tmp_path)
+        cli.emit_csv(self._records(), tmp_path / "a" / "b" / "x.csv", man, SPEC)
+        cli.emit_json({}, tmp_path / "c" / "x.json", man)
+        assert (tmp_path / "a" / "b" / "x.csv").exists()
+        assert (tmp_path / "c" / "x.json").exists()
 
 
 class TestSanitySuite:
@@ -219,6 +245,7 @@ class TestMain:
         "[sweep]\ng_grid = [0.0, nan]\nseeds = [0]\n",
         "[sweep]\nt_grid = [inf]\nseeds = [0]\n",
         "[sweep]\nbeta_grid = [0, inf]\nseeds = [0]\n",
+        # beta comes from beta_grid only, so this exits as an unknown key
         "[sweep]\nseeds = [0]\n[protocol]\nbeta = inf\n",
     ])
     def test_non_finite_config_exit_code(self, tmp_path, text):
@@ -281,6 +308,48 @@ class TestMain:
         with pytest.raises(cli.CliError, match="sq3"):
             cli.run_figure("sq3", manifest(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("[protocol]\ng = 2.0\n", "'g'"),
+        ("[protocol]\nt = 3.0\n", "'t'"),
+        ("[protocol]\nbeta = inf\n", "'beta'"),
+        ("[sweep]\nmessage = arbitrary\n", "'message'"),
+        ("[output]\ndirectory = elsewhere\n", "[output]"),
+        ("[sweep]\nn_samples = 5\n", "n_samples"),
+        ("[sweep]\nmodel = tfim\n[protocol]\nj_scale = 2.5\n", "j_scale"),
+    ])
+    def test_ignored_config_keys_exit_code(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "ignored.cfg"
+        cfg.write_text("[sweep]\ng_grid = [0.5]\nbeta_grid = [0]\nseeds = [0]\n" + text)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--figure", "sq3"], "invalid choice"),
+        (["--workers", "abc"], "invalid int"),
+        (["--sanity", "--figure", "sq1"], "not allowed with"),
+        (["--figure", "sq1", "--config", "x.cfg"], "not allowed with"),
+        (["--config", "x.cfg", "--sanity"], "not allowed with"),
+    ])
+    def test_usage_errors_exit_code(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "--figure" in capsys.readouterr().out
+
+    def test_failed_figure_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["--figure", "sq1", "--workers", "0", "--out", str(out)]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "missing.cfg"),

@@ -234,10 +234,11 @@ class TestWormholeUnitary:
 @lru_cache(maxsize=None)
 def _dense_model_pieces(seed: int, beta: float, j_scale: float, n_side: int,
                         n_message: int) -> tuple:
-    """Full-register H_L, H_R and W_R, and the TFD, of one SYK realization
-    at beta, from dense matrix exponentials; read-only and built once per
-    key, since at n_side 4 each build takes 1024-square eigensolves and
-    exponentials."""
+    """Full-register H_L, H_R and W_R, the TFD, and the eigensystem
+    (values, vectors) of H_R, of one SYK realization at beta: W_R is built
+    from that eigensystem and the TFD from a dense exponential of the side
+    matrix.  Read-only and built once per key, since at n_side 4 each
+    build takes a 1024-square eigensolve."""
     reg = layout.RegisterLayout(n_message=n_message, n_side=n_side)
     c = models.sample_syk_couplings(2 * n_side, 4, j_scale, seed)
     h_l = models.build_syk_hamiltonian(c, "left", reg)
@@ -247,20 +248,44 @@ def _dense_model_pieces(seed: int, beta: float, j_scale: float, n_side: int,
     weight = expm(-0.5 * beta * (h_side - shift))
     vac = np.kron(weight, np.eye(2 ** n_side)) @ layout.bell_vacuum(n_side)
     tfd_state = vac / np.linalg.norm(vac)
-    e_min = np.linalg.eigvalsh(h_r).min()
-    w_r = expm(-0.5 * beta * (h_r - e_min * np.eye(reg.dim)))
-    pieces = (h_l, h_r, w_r, tfd_state)
+    e_r, v_r = np.linalg.eigh(h_r)
+    w_r = (v_r * np.exp(-0.5 * beta * (e_r - e_r.min()))) @ v_r.conj().T
+    pieces = (h_l, h_r, w_r, tfd_state, e_r, v_r)
     for piece in pieces:
         piece.setflags(write=False)
     return pieces
 
 
+@lru_cache(maxsize=None)
+def _dense_geometry(n_side: int, n_message: int, swap_pairs: tuple, modes: tuple):
+    """Full-register INSERT and size operator of one register geometry,
+    built without the Engine's helpers, once per key."""
+    reg = layout.RegisterLayout(n_message=n_message, n_side=n_side)
+    ins = np.eye(reg.dim)
+    for a, b in swap_pairs:
+        ins = qop.swap_matrix(reg.n_qubits, a, b) @ ins
+    mat = sum(layout.pair_number_op(n_side, j) for j in modes).astype(complex)
+    values, basis = eigh(mat)
+    size = protocol.SizeOperator(n_side=n_side, modes=modes, matrix=mat,
+                                 eigenvalues=values, basis=basis)
+    return protocol.InsertOperator(matrix=ins), size
+
+
+def _bell_stabilizer(n_qubits: int, a: int, b: int) -> np.ndarray:
+    """(1 + XX + YY + ZZ)/2 on sites a and b, each Pauli pair one Kronecker
+    product (its entries are 0, +-1 and +-i, so this is exact)."""
+    pairs = (qop.kron_all([qop.PAULIS[p] if k in (a, b) else qop.I2
+                           for k in range(n_qubits)]) for p in "XYZ")
+    return 0.5 * (np.eye(2 ** n_qubits) + sum(pairs))
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _release_dense_model_pieces():
-    """The cached pieces take about 60 MB at n_side 4; drop them with the
+    """The cached pieces take about 90 MB at n_side 4; drop them with the
     module."""
     yield
     _dense_model_pieces.cache_clear()
+    _dense_geometry.cache_clear()
 
 
 class TestPipelineAgainstDense:
@@ -272,36 +297,31 @@ class TestPipelineAgainstDense:
     def _dense_states(cfg, messages):
         """Thermally weighted, unnormalized W_R U |m> (x) |TFD> per message,
         from dense matrix exponentials on the full register."""
-        h_l, h_r, ins, size, w_r, tfd_state = TestPipelineAgainstDense._dense_pieces(cfg)
+        h_l, h_r, ins, size, w_r, tfd_state, _ = TestPipelineAgainstDense._dense_pieces(cfg)
         u = protocol.wormhole_unitary(h_l, h_r, ins, size, cfg.g, cfg.t, cfg.register)
         return [w_r @ u @ np.kron(m, tfd_state) for m in messages]
 
     @staticmethod
     def _dense_pieces(cfg):
-        """Full-register H_L, H_R, INSERT, size operator and W_R, and the
-        TFD, all built without the Engine's helpers."""
+        """Full-register H_L, H_R, INSERT, size operator and W_R, the TFD
+        and the eigensystem (values, vectors) of H_R, all built without the
+        Engine's helpers."""
         reg = cfg.register
-        n_side = reg.n_side
-        h_l, h_r, w_r, tfd_state = _dense_model_pieces(
-            cfg.seed, cfg.beta, cfg.j_scale, n_side, reg.n_message)
-        ins = np.eye(reg.dim)
-        for a, b in cfg.swap_site_pairs():
-            ins = qop.swap_matrix(reg.n_qubits, a, b) @ ins
-        modes = cfg.resolved_size_modes()
-        mat = sum(layout.pair_number_op(n_side, j) for j in modes).astype(complex)
-        values, basis = eigh(mat)
-        size = protocol.SizeOperator(n_side=n_side, modes=modes, matrix=mat,
-                                     eigenvalues=values, basis=basis)
-        return h_l, h_r, protocol.InsertOperator(matrix=ins), size, w_r, tfd_state
+        h_l, h_r, w_r, tfd_state, *eig_r = _dense_model_pieces(
+            cfg.seed, cfg.beta, cfg.j_scale, reg.n_side, reg.n_message)
+        ins, size = _dense_geometry(reg.n_side, reg.n_message, cfg.swap_site_pairs(),
+                                    cfg.resolved_size_modes())
+        return h_l, h_r, ins, size, w_r, tfd_state, eig_r
 
     @staticmethod
     def _dense_g_batch(cfg, message, g_values):
         """Normalized W_R U(g) |m> (x) |TFD> for every g from one dense
         wormhole_unitary at g = 0: U(g) = U_R exp(i g upsilon) U_R^dagger U(0)."""
         reg = cfg.register
-        h_l, h_r, ins, size, w_r, tfd_state = TestPipelineAgainstDense._dense_pieces(cfg)
+        h_l, h_r, ins, size, w_r, tfd_state, (e_r, v_r) = (
+            TestPipelineAgainstDense._dense_pieces(cfg))
         u0 = protocol.wormhole_unitary(h_l, h_r, ins, size, 0.0, cfg.t, reg)
-        u_r = qop.evolve(h_r, cfg.t)
+        u_r = (v_r * np.exp(-1j * e_r * cfg.t)) @ v_r.conj().T
         before = u_r.conj().T @ (u0 @ np.kron(message, tfd_state))
         states = []
         for g in g_values:
@@ -333,10 +353,7 @@ class TestPipelineAgainstDense:
                                           seed=seed, beta=beta, g=g, t=t, n_side=n_side)
             (psi,) = self._dense_states(cfg, [BELLS["phi_plus"]])
             psi = psi / np.linalg.norm(psi)
-            n = cfg.register.n_qubits
-            a, b = cfg.resolved_readout()
-            stab = 0.5 * (np.eye(2 ** n) + sum(
-                qop.pauli_on(n, a, p) @ qop.pauli_on(n, b, p) for p in "XYZ"))
+            stab = _bell_stabilizer(cfg.register.n_qubits, *cfg.resolved_readout())
             want = float(np.real(qop.expectation(psi, stab)))
             assert abs(protocol.run_bell(cfg) - want) <= 1e-12
 
@@ -367,9 +384,7 @@ class TestPipelineAgainstDense:
             bell = replace(cfg, message="bell_phi_plus", swap_variant="bell_sequential")
             n = cfg.register.n_qubits
             z = qop.pauli_on(n, cfg.resolved_readout()[0], "Z")
-            a, b = bell.resolved_readout()
-            stab = 0.5 * (np.eye(2 ** (n + 1)) + sum(
-                qop.pauli_on(n + 1, a, p) @ qop.pauli_on(n + 1, b, p) for p in "XYZ"))
+            stab = _bell_stabilizer(n + 1, *bell.resolved_readout())
             want_z = [float(np.real(qop.expectation(psi, z))) for psi in
                       self._dense_g_batch(cfg, np.array([1, 0], dtype=complex), gs)]
             want_bell = [float(np.real(qop.expectation(psi, stab))) for psi in
@@ -983,6 +998,17 @@ class TestArbitraryAverage:
         listed = protocol.get_engine(replace(cfg, size_modes=[0, 1, 2]))
         assert listed is not protocol.get_engine(replace(cfg, size_modes=[0, 1, 2]))
         assert listed.cfg.size_modes == [0, 1, 2]
+
+    def test_arbitrary_message_curves_do_not_depend_on_the_lookup(self):
+        # the amplitudes reach only arbitrary_fidelity, so an engine built
+        # for an arbitrary message reads the |0> input, as the cached one
+        cfg = protocol.ProtocolConfig(message="arbitrary", seed=3, alpha=0.6 + 0j,
+                                      beta_msg=0.8 + 0j, g=0.5, t=1.0)
+        gs = np.array([0.5, 1.7])
+        own = protocol.Engine(cfg).curve_basis_z(0.0, 1.0, gs)
+        assert np.array_equal(own, protocol.get_engine(cfg).curve_basis_z(0.0, 1.0, gs))
+        zero = protocol.Engine(replace(cfg, message="basis_zero"))
+        assert np.array_equal(own, zero.curve_basis_z(0.0, 1.0, gs))
 
     def test_deterministic_per_seed(self):
         cfg = protocol.ProtocolConfig(seed=1, beta=2.0, g=1.0, t=1.0)
