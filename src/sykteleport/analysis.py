@@ -59,6 +59,8 @@ class SweepSpec:
         if len(set(self.seeds)) != len(self.seeds):
             # a repeated seed would weigh one realization twice in ensemble_mean
             raise SweepError("seeds must not repeat")
+        if self.metric == "arbitrary_avg" and self.n_samples < 1:
+            raise SweepError("n_samples must be at least 1")
         if self.metric == "bell_stabilizer":
             if self.base.message != "bell_phi_plus":
                 raise SweepError("bell_stabilizer needs the Bell message")

@@ -41,45 +41,51 @@ class RunManifest:
 
 # -- configuration ------------------------------------------------------
 
-# every key changes the output: the sweep axes come from the grids, the
-# message from the variant and the output directory from --out
-_SWEEP_KEYS = {
-    "metric", "variant", "model", "g_grid", "t_grid", "beta_grid", "seeds", "n_samples",
+def _scalar(convert, what):
+    """A parser that converts one value or raises ValueError naming what
+    it expected."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {what}, got {text!r}") from None
+    return parse
+
+
+def _one_word(text: str) -> str:
+    (word,) = text.split()  # ValueError unless there is exactly one
+    return word
+
+
+def _bracketed(item):
+    def parse(text: str) -> tuple:
+        if not (text[:1] == "[" and text[-1:] == "]" and text[1:-1].strip()):
+            raise ValueError(f"expected a nonempty bracketed list, got {text!r}")
+        return tuple(item(part.strip()) for part in text[1:-1].split(","))
+    return parse
+
+
+_WORD = _scalar(_one_word, "one word")
+_FLOAT = _scalar(float, "a number")
+_INT = _scalar(int, "an integer")
+_BOOL = _scalar(lambda text: {"true": True, "false": False}[text.lower()], "true or false")
+_FLOATS, _INTS = _bracketed(_FLOAT), _bracketed(_INT)
+
+# the parser of every key of every section; each key changes the output.
+# The [protocol] keys are ProtocolConfig fields, and the [sweep] keys but
+# variant and model are SweepSpec fields.
+_KEYS = {
+    "sweep": {"metric": _WORD, "variant": _WORD, "model": _WORD, "g_grid": _FLOATS,
+              "t_grid": _FLOATS, "beta_grid": _FLOATS, "seeds": _INTS, "n_samples": _INT},
+    "protocol": {"j_scale": _FLOAT, "size_modes": _INTS, "readout_sites": _INTS,
+                 "thermal_readout": _BOOL, "fermionic_insert": _BOOL},
 }
-_PROTOCOL_KEYS = {
-    "j_scale", "size_modes", "readout_sites", "thermal_readout", "fermionic_insert",
-}
-_SECTIONS = {"sweep": _SWEEP_KEYS, "protocol": _PROTOCOL_KEYS}
-
-
-def _parse_scalar(text: str):
-    text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return ()
-        return tuple(_parse_scalar(p) for p in inner.split(","))
-    return _parse_scalar(text)
 
 
 def parse_config_text(text: str):
-    """Flat key-value config with [section] headers; unknown keys error."""
-    values = {section: {} for section in _SECTIONS}
+    """Flat key-value config with [section] headers; each value is parsed by
+    its key's type, and unknown or repeated keys error."""
+    values = {section: {} for section in _KEYS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -87,7 +93,7 @@ def parse_config_text(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
+            if section not in _KEYS:
                 raise CliError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -96,65 +102,47 @@ def parse_config_text(text: str):
             raise CliError(f"line {lineno}: key outside of any [section]")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _SECTIONS[section]:
+        if key not in _KEYS[section]:
             raise CliError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        values[section][key] = _parse_value(val)
+        if key in values[section]:
+            raise CliError(f"line {lineno}: {key}: given twice")
+        try:
+            values[section][key] = _KEYS[section][key](val.strip())
+        except ValueError as exc:
+            raise CliError(f"line {lineno}: {key}: {exc}") from None
     return values
 
 
 def _variant_defaults(variant: str):
-    """The message and default t of a swap variant."""
+    """The message, default t and default metric of a swap variant."""
     if variant == "bell_sequential":
-        return "bell_phi_plus", protocol.DEFAULT_T_BELL
-    return "basis_zero", protocol.DEFAULT_T_SINGLE
+        return "bell_phi_plus", protocol.DEFAULT_T_BELL, "bell_stabilizer"
+    return "basis_zero", protocol.DEFAULT_T_SINGLE, "basis_z"
 
 
 def spec_from_config(values: dict, master_seed: int) -> analysis.SweepSpec:
+    """The sweep of parsed config values; a default applies only to an
+    absent key."""
     sweep = dict(values.get("sweep", {}))
-    proto = dict(values.get("protocol", {}))
-    metric = sweep.pop("metric", "basis_z")
+    proto = values.get("protocol", {})
     variant = sweep.pop("variant", "delta01")
-    message, t_default = _variant_defaults(variant)
     model = sweep.pop("model", "syk")
+    message, t_default, metric_default = _variant_defaults(variant)
+    sweep.setdefault("metric", metric_default)
+    sweep.setdefault("t_grid", (t_default,))
+    sweep.setdefault("seeds", tuple(substream_seed(master_seed, "sweep", i)
+                                    for i in range(len(analysis.DEFAULT_SEEDS))))
     # a key that this sweep would not read is an error, not a no-op
-    if "n_samples" in sweep and metric != "arbitrary_avg":
+    if "n_samples" in sweep and sweep["metric"] != "arbitrary_avg":
         raise CliError("n_samples applies only to metric = arbitrary_avg")
     if "j_scale" in proto and model == "tfim":
         raise CliError("j_scale does not apply to model = tfim")
-    n_samples = int(sweep.pop("n_samples", 100))
-    g_grid = tuple(float(x) for x in sweep.pop("g_grid", analysis.DEFAULT_G_GRID))
-    t_grid = tuple(float(x) for x in sweep.pop("t_grid", (t_default,)))
-    beta_grid = tuple(float(x) for x in sweep.pop("beta_grid", analysis.DEFAULT_BETA_GRID))
-    seeds = tuple(int(s) for s in sweep.pop("seeds", ()))
-    if not seeds:
-        seeds = tuple(substream_seed(master_seed, "sweep", i)
-                      for i in range(len(analysis.DEFAULT_SEEDS)))
-    size_modes = proto.pop("size_modes", None)
-    if size_modes is not None:
-        size_modes = tuple(int(m) for m in size_modes)
-    readout = proto.pop("readout_sites", None)
-    if readout is not None:
-        readout = tuple(int(s) for s in readout)
-    base = protocol.ProtocolConfig(
-        message=message,
-        swap_variant=variant,
-        model=model,
-        j_scale=float(proto.pop("j_scale", protocol.DEFAULT_J_SCALE)),
-        size_modes=size_modes,
-        readout_sites=readout,
-        thermal_readout=bool(proto.pop("thermal_readout", True)),
-        fermionic_insert=bool(proto.pop("fermionic_insert", False)),
-    )
-    if sweep or proto:
-        raise CliError(f"unhandled keys: {sorted(sweep) + sorted(proto)}")
+    base = protocol.ProtocolConfig(message=message, swap_variant=variant, model=model,
+                                   **proto)
     try:
-        spec = analysis.SweepSpec(base=base, g_grid=g_grid, t_grid=t_grid,
-                                  beta_grid=beta_grid, seeds=seeds, metric=metric,
-                                  n_samples=n_samples)
-        spec.validate()
+        return analysis.SweepSpec(base=base, **sweep).validate()
     except (analysis.SweepError, protocol.ConfigError) as exc:
         raise CliError(str(exc)) from exc
-    return spec
 
 
 def substream_seed(master_seed: int, label: str, index: int) -> int:
@@ -319,11 +307,10 @@ def _seeds(manifest: RunManifest, n: int):
 def _single_spec(variant: str, manifest: RunManifest, n_seeds=20, **overrides):
     """The g-sweep of one swap variant: basis_z for the single-qubit
     variants, the stabilizer fidelity for the Bell one."""
-    message, t = _variant_defaults(variant)
+    message, t, metric = _variant_defaults(variant)
     spec = analysis.SweepSpec(
         base=protocol.ProtocolConfig(message=message, swap_variant=variant),
-        t_grid=(t,), seeds=_seeds(manifest, n_seeds),
-        metric="bell_stabilizer" if message == "bell_phi_plus" else "basis_z")
+        t_grid=(t,), seeds=_seeds(manifest, n_seeds), metric=metric)
     return replace(spec, **overrides)
 
 

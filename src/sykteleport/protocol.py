@@ -178,6 +178,10 @@ class ProtocolConfig:
         if not (math.isfinite(self.j_scale) and self.j_scale > 0):
             raise ConfigError("j_scale must be finite and positive")
         _check_beta(self.beta)
+        for name in ("size_modes", "readout_sites"):
+            # tuples, so that the engine cache can hash them
+            if not isinstance(getattr(self, name), (tuple, type(None))):
+                raise ConfigError(f"{name} must be a tuple or None")
         reg = self.register
         if self.size_modes is not None:
             if not self.size_modes:
@@ -875,10 +879,7 @@ def get_engine(cfg: ProtocolConfig) -> Engine:
     key = _engine_key(cfg)
     if key[0] == "arbitrary":
         key = ("basis_zero",) + key[1:]
-    try:
-        return _engine_cached(key)
-    except TypeError:  # an unhashable field, such as a list of size modes
-        return _engine_cached.__wrapped__(key)
+    return _engine_cached(key)
 
 
 def run_single_qubit(cfg: ProtocolConfig) -> float:

@@ -89,10 +89,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
 
 def hermitian_eig(h: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with fixed conventions.

@@ -57,6 +57,10 @@ class TestRunSweep:
             tiny_spec(metric="nope").validate()
         with pytest.raises(analysis.SweepError):
             tiny_spec(metric="bell_stabilizer").validate()
+        for n_samples in (0, -3):
+            with pytest.raises(analysis.SweepError, match="n_samples"):
+                tiny_spec(metric="arbitrary_avg", n_samples=n_samples).validate()
+        tiny_spec(n_samples=0).validate()  # read by arbitrary_avg only
 
     def test_rejects_worker_counts_below_one(self):
         for workers in (0, -3):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,10 +33,25 @@ def per_field_row(rec) -> str:
 class TestConfigParsing:
     def test_empty_gives_defaults(self):
         spec = parse("")
-        assert spec.metric == "basis_z"
-        assert spec.g_grid == analysis.DEFAULT_G_GRID
-        assert spec.beta_grid == analysis.DEFAULT_BETA_GRID
-        assert len(spec.seeds) == len(analysis.DEFAULT_SEEDS)
+        assert spec.seeds == tuple(cli.substream_seed(0, "sweep", i)
+                                   for i in range(len(analysis.DEFAULT_SEEDS)))
+        assert spec == analysis.SweepSpec(base=protocol.ProtocolConfig(), seeds=spec.seeds)
+
+    def test_defaults_only_for_absent_keys(self):
+        # an empty seed list is rejected, not replaced by the default seeds
+        with pytest.raises(cli.CliError, match="seed"):
+            cli.spec_from_config({"sweep": {"seeds": ()}}, master_seed=0)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme[readme.index("\n[sweep]\n"):]
+        spec = parse(example[:example.index("```")])
+        assert (spec.metric, spec.base.swap_variant, spec.base.model) == (
+            "basis_z", "delta02", "syk")
+        assert spec.g_grid == (0.0, 0.5, 1.0, 1.5, 2.0)
+        assert spec.beta_grid == (0.0, 10.0, 20.0)
+        assert spec.seeds == (0, 1, 2, 3)
+        assert (spec.base.j_scale, spec.base.thermal_readout) == (5.0, True)
 
     def test_override_beta_grid(self):
         spec = parse("[sweep]\nbeta_grid = [0, 20]\n")
@@ -48,9 +65,10 @@ class TestConfigParsing:
             parse(text)
 
     def test_variant_sets_message_and_t(self):
-        spec = parse("[sweep]\nvariant = bell_sequential\nmetric = bell_stabilizer\n")
+        spec = parse("[sweep]\nvariant = bell_sequential\n")
         assert spec.base.message == "bell_phi_plus"
         assert spec.t_grid == (protocol.DEFAULT_T_BELL,)
+        assert spec.metric == "bell_stabilizer"
         spec = parse("[sweep]\nvariant = delta02\n")
         assert spec.base.message == "basis_zero"
         assert spec.t_grid == (protocol.DEFAULT_T_SINGLE,)
@@ -278,6 +296,48 @@ class TestMain:
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "j_scale" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_n_samples_exit_code(self, tmp_path, capsys, value):
+        cfg = tmp_path / "n_samples.cfg"
+        cfg.write_text("[sweep]\nmetric = arbitrary_avg\ng_grid = [0.5]\nbeta_grid = [0]\n"
+                       f"seeds = [0]\nn_samples = {value}\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "n_samples" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("[sweep]\ng_grid = 0.5\n", 2, "g_grid"),
+        ("[sweep]\nseeds = 3\n", 2, "seeds"),
+        ("[protocol]\nthermal_readout = flase\n", 2, "thermal_readout"),
+        ("[protocol]\nfermionic_insert = no\n", 2, "fermionic_insert"),
+        ("[protocol]\nthermal_readout = 1\n", 2, "thermal_readout"),
+        ("[sweep]\nseeds = [1.5]\n", 2, "seeds"),
+        ("[sweep]\nmetric = arbitrary_avg\nn_samples = 2.7\n", 3, "n_samples"),
+        ("[sweep]\nmetric = arbitrary_avg\nn_samples = 1e2\n", 3, "n_samples"),
+        ("[sweep]\nseeds = []\n", 2, "seeds"),
+        ("[sweep]\ng_grid = [0.5]\nbeta_grid = [0]\ng_grid = [1.0]\n", 4, "g_grid"),
+        ("[protocol]\nj_scale = abc\n", 2, "j_scale"),
+        ("[sweep]\nvariant = delta 02\n", 2, "variant"),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, text, line, key):
+        cfg = tmp_path / "malformed.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: {key}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bell_variant_sweep_writes_stabilizer_rows(self, tmp_path):
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text("[sweep]\nvariant = bell_sequential\ng_grid = [0.5, 1.0]\n"
+                       "beta_grid = [0]\nseeds = [0]\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = cli.read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == 2
+        assert {(r.metric, r.variant) for r in rows} == {("bell_stabilizer", "bell_sequential")}
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count_exit_code(self, tmp_path, capsys, workers):

@@ -994,10 +994,10 @@ class TestArbitraryAverage:
                                            beta_msg=0.8j)) is eng
         assert eng.cfg.message == "basis_zero" and eng.cfg.t == protocol.DEFAULT_T_SINGLE
         assert protocol.get_engine(replace(cfg, seed=7)) is not eng
-        # an unhashable field still builds an engine, uncached
-        listed = protocol.get_engine(replace(cfg, size_modes=[0, 1, 2]))
-        assert listed is not protocol.get_engine(replace(cfg, size_modes=[0, 1, 2]))
-        assert listed.cfg.size_modes == [0, 1, 2]
+        # the modes and sites are tuples, which the engine cache can hash
+        for name in ("size_modes", "readout_sites"):
+            with pytest.raises(protocol.ConfigError, match=name):
+                protocol.run_single_qubit(replace(cfg, **{name: [5]}))
 
     def test_arbitrary_message_curves_do_not_depend_on_the_lookup(self):
         # the amplitudes reach only arbitrary_fidelity, so an engine built
