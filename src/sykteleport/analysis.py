@@ -181,19 +181,16 @@ class RecordTable:
 
 def _seed_values(spec: SweepSpec, seed: int) -> np.ndarray:
     """Every value of one seed in key order (beta, g, t): one engine call
-    per beta covers the whole (t, g) grid."""
+    covers the whole (beta, t, g) grid."""
     eng = protocol.get_engine(replace(spec.base, seed=seed))
-    out = np.empty((len(spec.beta_grid), len(spec.g_grid), len(spec.t_grid)))
-    for block, beta in zip(out, spec.beta_grid):
-        if spec.metric == "basis_z":
-            values = eng.curve_basis_z(beta, spec.t_grid, spec.g_grid)
-        elif spec.metric == "bell_stabilizer":
-            values = eng.curve_bell(beta, spec.t_grid, spec.g_grid)
-        else:
-            values, _ = eng.curve_arbitrary_avg(beta, spec.t_grid, spec.g_grid,
-                                                spec.n_samples, seed)
-        block[...] = values.T
-    return out.reshape(-1)
+    grids = (spec.beta_grid, spec.t_grid, spec.g_grid)
+    if spec.metric == "basis_z":
+        values = eng.curve_basis_z(*grids)
+    elif spec.metric == "bell_stabilizer":
+        values = eng.curve_bell(*grids)
+    else:
+        values, _ = eng.curve_arbitrary_avg(*grids, spec.n_samples, seed)
+    return values.transpose(0, 2, 1).reshape(-1)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:

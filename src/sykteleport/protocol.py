@@ -29,22 +29,24 @@ V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
   realization and behind the Haar messages are one batched
   `models.split_uniform` call per quantity; their scheme is pinned by
   `models`, not by numpy's Generator (see there);
-* beta (cached per beta): the thermofield double T, built by
-  `tfd.build_tfd` from the cached left eigensystem and kept as
-  K(beta) = V_L^dagger T V_R^*, and the thermal readout weights
-  exp(-beta (E_R - E_min)/2), diagonal in V_R;
+* beta (a batched axis): for a stack of n_b betas, the thermofield
+  doubles T, each built by `tfd.build_tfd` from the cached left
+  eigensystem and kept as K(beta) = V_L^dagger T V_R^*, an (n_b, d, d)
+  stack, and the thermal readout weights exp(-beta (E_R - E_min)/2),
+  diagonal in V_R, an (n_b, d) stack; both are kept for the latest stack;
 * t (a batched axis, side eigenbases): U_L and U_R are the phase arrays
   exp(-i E t).  `Engine.dressed_state` (everything before the coupling)
-  is two phase multiplies of K and two small GEMMs (messages into F,
-  then F onto K), a stack with a leading t axis whose rows are indexed
-  by (left eigenvector, right eigenvector);
+  is two phase multiplies of the K stack and two small GEMMs (messages
+  into F, then F onto K), a stack whose leading axis runs over (beta, t),
+  beta outer, and whose rows are indexed by (left eigenvector, right
+  eigenvector);
 * g (a batched axis): `Engine.finish` applies the coupling,
   exp(i g upsilon) = B diag(exp(i g p_j)) B^dagger with p_j the level of
   size eigenvector j, in one of three orders, picked from the call's
-  n_rows (t, message) rows and n_g values of g.  Every row is taken to
-  the size eigenbasis by the engine's C = (V_L (x) V_R)^T B^* and back by
-  B^T and V_R^* on the right index (rows over (left site, right
-  eigenvector)).  "phases" (at most L/2 values of g, few rows): each row
+  n_rows (beta, t, input, message) rows and n_g values of g.  Every row
+  is taken to the size eigenbasis by the engine's C = (V_L (x) V_R)^T B^*
+  and back by B^T and V_R^* on the right index (rows over (left site,
+  right eigenvector)).  "phases" (at most L/2 values of g, few rows): each row
   through C, one phase per eigenvector for each g, each g back.  "maps"
   (at most L/2 values of g and n_rows > n_g 4^n_side): the same product
   associated the other way, one 4^n_side-square map C diag(phases) B^T
@@ -57,10 +59,10 @@ V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
 
 Every metric is read from the readout density rho over (input, readout
 sites), which `Engine.finish` hands the metric's reading, one g block at a
-time; each (t, g) keeps its own density-matrix checks.  The maps and
+time; each (beta, t, g) keeps its own density-matrix checks.  The maps and
 phases orders build the final states (at most L/2 values of g) and take
 rho from them with `qop.reduced_density`.  The level order builds no final
-state: for each t it lays the level components out as a matrix A =
+state: for each (beta, t) it lays the level components out as a matrix A =
 (traced sites) x (input, readout value, level) and keeps only its R factor
 from a Householder QR, at most n_in 2^k L rows for k readout sites.  For
 every g, y(g) = R phi(g) with phi_p(g) = exp(i g p) gives rho(g) = y^T y^*,
@@ -68,14 +70,19 @@ since Q is orthonormal.  QR is backward stable, so |R phi| = |A phi| keeps
 the direct sum's eps/norm accuracy at large beta, where the weighted final
 state is far smaller than its O(1) level components (norm about 2e-6 at
 beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
-and is not used.  The g axis is evaluated in blocks of about
-G_BLOCK_BYTES of y(g), and only the per-(t, g) values are joined, so a
-call's memory does not grow with its g grid beyond arrays of n_g values.
-Without a reading, `finish` returns the unnormalized final states, from
-the phases or maps order for any number of g, since the level order has
-no final state to return (`final_state` normalizes its one).  The t axis is cut into chunks of at most
-MAX_BATCH_ROWS (t, g) rows.  A scalar t or a single g is a batch of one
-through the same stages (the g stage picks its order by size), so
+and is not used.  The level order takes the (beta, t) rows in groups
+whose level components fit G_BLOCK_BYTES, and each group's g axis in
+blocks of about G_BLOCK_BYTES of y(g); only the per-(beta, t, g) values
+are joined, so a call's memory grows with neither its g grid nor its beta
+grid beyond arrays of n_g values per (beta, t).  Without a reading,
+`finish` returns the unnormalized final states, from the phases or maps
+order for any number of g, since the level order has no final state to
+return (`final_state` normalizes its one).  A call's (beta, t) rows are
+cut into chunks of at most BATCH_BYTES of dressed states (and of final
+states in the maps and phases orders): whole betas while they fit, runs
+of t within one beta where one beta's t axis does not.  A scalar beta or
+t, or a single g, is a batch of one through the same stages (the g stage
+picks its order by size), so
 `run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
 `analysis` share them.  The dense `wormhole_unitary` is the reference the
 pipeline is tested against.
@@ -96,18 +103,26 @@ DEFAULT_J_SCALE = 5.0
 DEFAULT_T_SINGLE = 1.0
 DEFAULT_T_BELL = 2.0
 DEFAULT_TFIM_STEPS = 1
-# most (t, g) rows one pipeline call evaluates at once: one default g grid
-# and some headroom; the t axis is chunked to stay under it
-MAX_BATCH_ROWS = 256
+# bytes one chunk of Engine._curve holds for all its (beta, t) rows at
+# once (see Engine._chunk): the dressed states, 2 KiB per row for the basis
+# message and 4 KiB for the Bell message or the two Haar branches at
+# n_side 3, and in the maps and phases orders the final states, n_g times
+# that.  The 8 betas of a g sweep are one chunk; the 73-t Bell window at
+# one g takes 292 KiB per beta and is one chunk per beta (larger Bell
+# chunks were slower).
+BATCH_BYTES = 2 ** 19
 # bytes of compressed readout coordinates y(g) per g block of
-# Engine.finish's level order (see Engine._g_block): y(g) takes 384 bytes
-# per g for the basis message at n_side 3 and 1536 for the Bell message or
-# the two Haar branches, so a 201-g basis sweep and a 49-g Haar average are
-# one block each and a 201-g Bell sweep is 5.  A block's transient memory
-# is about four times its y(g) (y, its conjugate, one product, the
-# densities and phases).  With 64 KiB the traced peak of a 1608-g call is
-# within 1.25 times that of a 201-g call at n_side 3 and 4; at 128 KiB the
-# 1608-g basis sweep at n_side 3 peaks 1.65 times higher.
+# Engine.finish's level order (see Engine._g_block), and of level
+# components per group of (beta, t) rows there: y(g) takes 384 bytes per g
+# and (beta, t) for the basis message at n_side 3 and 1536 for the Bell
+# message or the two Haar branches, so a 201-g basis sweep and a 49-g Haar
+# average are one block per (beta, t) and a 201-g Bell sweep is 5; the
+# level components take 12 KiB per (beta, t) for the basis message and
+# 24 KiB for the other two, so groups of 5 and 2.  A block's transient
+# memory is about three times its y(g) (y, its conjugate and one product).
+# With 64 KiB the traced peak of a 1608-g call is within 1.35 times that of
+# a 201-g call at n_side 3 and 4; at 128 KiB the 1608-g basis sweep at
+# n_side 3 peaked 1.65 times higher.
 G_BLOCK_BYTES = 2 ** 16
 # engines kept by get_engine, and realizations they share: above the 20
 # seeds a two-stage preset revisits, so its second sweep finds every
@@ -219,12 +234,22 @@ class ProtocolConfig:
         return self.register.default_readout()
 
 
-def _check_beta(beta: float) -> None:
-    """beta must be finite and nonnegative."""
-    if not math.isfinite(beta):
+def _check_beta(beta) -> None:
+    """beta, a scalar or an array, must be finite and nonnegative."""
+    beta = np.asarray(beta, dtype=float)
+    if not np.isfinite(beta).all():
         raise ConfigError("beta must be finite")
-    if beta < 0:
+    if (beta < 0).any():
         raise ConfigError("beta must be nonnegative")
+
+
+def _beta_axis(beta) -> np.ndarray:
+    """A scalar or 1-D beta as a checked 1-D float array."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim > 1 or beta.size == 0:
+        raise ConfigError("beta must be a scalar or a nonempty 1-D array")
+    _check_beta(beta)
+    return beta.reshape(-1)
 
 
 def _check_step_counts(t) -> None:
@@ -417,17 +442,18 @@ class Engine:
     levels; the message (x) left factor of INSERT, shared per register
     geometry) is looked up or built here; the tensors derived from
     `eig_left`/`eig_right` are built from them on first use.  The beta
-    stages (K(beta) = V_L^dagger T V_R^*, the diagonal thermal weights) are
-    built on first use and keep their latest value, which is what a sweep
-    revisits (beta is its outer loop).  Nothing with a t or g axis is kept:
-    every metric takes a whole t array and a whole g array, evaluates the
-    t axis in chunks of at most MAX_BATCH_ROWS (t, g) rows and reads its
-    value from the readout density rho (`finish` with a reading).  In the
-    level order (the g sweeps) rho comes from QR-compressed readout
-    coordinates y(g) = R phi(g), in blocks of about G_BLOCK_BYTES of
-    y(g), and no final state is built; the Gram form of the same sum is
-    not used, since at large beta it loses eps/norm^2 where the QR form
-    keeps eps/norm (see `_compressed_readout`).
+    stages (the stacks of K(beta) = V_L^dagger T V_R^* and of the diagonal
+    thermal weights) are built for a call's stack of betas and keep their
+    latest value, which the call's chunks revisit.  Nothing with a t or g
+    axis is kept: every metric takes a whole beta array, a whole t array
+    and a whole g array, evaluates the (beta, t) rows in chunks of at most
+    BATCH_BYTES (see `_chunk`) and reads its value from the readout
+    density rho (`finish` with a reading).  In the level order (the g
+    sweeps) rho comes from QR-compressed readout coordinates y(g) =
+    R phi(g), a group of (beta, t) rows and a block of about G_BLOCK_BYTES
+    of y(g) at a time, and no final state is built; the Gram form of the
+    same sum is not used, since at large beta it loses eps/norm^2 where the
+    QR form keeps eps/norm (see `_compressed_readout`).
 
     The t stage works in the side eigenbases V_L, V_R and the g stage in
     the order the call's row and g counts select (see the module
@@ -480,34 +506,38 @@ class Engine:
         return latest[1]
 
     # -- beta stage -------------------------------------------------------
+    # Each stage takes a 1-D stack of n_b checked betas and keeps the value
+    # of its latest stack, which a call's chunks revisit.
     def tfd_vector(self, beta: float) -> np.ndarray:
         """Thermofield double at beta from the left eigensystem."""
         return tfd.build_tfd(self.eig_left, beta, self.reg)
 
-    def _tfd_eigen(self, beta: float) -> np.ndarray:
-        """K(beta) = V_L^dagger T V_R^*: the thermofield double's
-        coefficients over (left eigenvector, right eigenvector)."""
+    def _tfd_eigen(self, betas: np.ndarray) -> np.ndarray:
+        """K(beta) = V_L^dagger T V_R^* for every beta of the stack: the
+        thermofield double's coefficients over (left eigenvector, right
+        eigenvector), shape (n_b, 2^n_side, 2^n_side)."""
         def build():
             d = 2 ** self.reg.n_side
-            state = self.tfd_vector(beta).reshape(d, d)
-            k = self.eig_left.vectors.conj().T @ state @ self.eig_right.vectors.conj()
+            k = np.stack([self.eig_left.vectors.conj().T @ self.tfd_vector(beta).reshape(d, d)
+                          @ self.eig_right.vectors.conj() for beta in betas.tolist()])
             k.setflags(write=False)
             return k
-        return self._cached("tfd_eigen", beta, build)
+        return self._cached("tfd_eigen", tuple(betas.tolist()), build)
 
-    def thermal_weight_right(self, beta: float) -> np.ndarray:
-        """W_R(beta) = exp(-beta (H_R - E_min)/2) in the right eigenbasis:
-        its diagonal, one weight per right eigenvector."""
+    def thermal_weight_right(self, betas: np.ndarray) -> np.ndarray:
+        """W_R(beta) = exp(-beta (H_R - E_min)/2) in the right eigenbasis
+        for every beta of the stack: its diagonal, one weight per right
+        eigenvector, shape (n_b, 2^n_side)."""
         def build():
             e = self.eig_right.values
-            weight = np.exp(-0.5 * beta * (e - e.min()))
+            weight = np.exp(-0.5 * betas[:, None] * (e - e.min()))
             weight.setflags(write=False)
             return weight
-        return self._cached("weight", beta, build)
+        return self._cached("weight", tuple(betas.tolist()), build)
 
     # -- t stage ----------------------------------------------------------
     # The public entry points (the curves, arbitrary_fidelity, final_state)
-    # check beta once with _check_beta and t once with _t_axis, before any
+    # check beta once with _beta_axis and t once with _t_axis, before any
     # stage is built; the stages below take the checked values.
     def _t_axis(self, t) -> np.ndarray:
         """A scalar or 1-D t as a checked 1-D float array."""
@@ -539,30 +569,33 @@ class Engine:
         return np.array([1, 0], dtype=complex)
 
     # -- pipeline ---------------------------------------------------------
-    def dressed_state(self, msgs, beta: float, t_values: np.ndarray) -> np.ndarray:
+    def dressed_state(self, msgs, betas, t_values: np.ndarray) -> np.ndarray:
         """Everything left of the coupling, U_L INSERT U_L^dagger |m>|TFD>,
         in the side eigenbases: each row is indexed by (left eigenvector,
         right eigenvector).
 
-        `msgs` is one message vector or a stack (n_in, 2^n_msg) of them;
-        the result has shape (n_t, n_in, 2^n_msg, 4^n_side).
+        `msgs` is one message vector or a stack (n_in, 2^n_msg) of them and
+        `betas` one beta or a 1-D stack of n_b; the result has shape
+        (n_b n_t, n_in, 2^n_msg, 4^n_side), its leading axis (beta, t) with
+        beta outer.
         """
         d = 2 ** self.reg.n_side
         m = 2 ** self.reg.n_message
         msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
+        k = self._tfd_eigen(np.reshape(betas, -1))
         phases = self.side_evolution(t_values, "left")
-        n_t, n_in = len(phases), len(msgs)
-        # U_L^dagger on the TFD's left index: exp(+i E_a t) K[a, k], laid
-        # out (a, (t, k))
-        back = self._tfd_eigen(beta)[:, None, :] * phases.T.conj()[:, :, None]
-        # INSERT on each message, then on every t at once: rows
-        # (input, message, a'), columns (t, k)
+        n_b, n_t, n_in = len(k), len(phases), len(msgs)
+        # U_L^dagger on the TFD's left index: exp(+i E_a t) K[beta, a, k],
+        # laid out (a, (beta, t, k))
+        back = k.transpose(1, 0, 2)[:, :, None, :] * phases.T.conj()[:, None, :, None]
+        # INSERT on each message, then on every (beta, t) at once: rows
+        # (input, message, a'), columns (beta, t, k)
         ins = (msgs @ self._insert_left).reshape(n_in * m * d, d)
-        psi = (ins @ back.reshape(d, n_t * d)).reshape(n_in, m, d, n_t, d)
-        # U_L on the left index, moving t to the front
-        out = np.empty((n_t, n_in, m, d, d), dtype=complex)
-        np.multiply(psi.transpose(3, 0, 1, 2, 4), phases[:, None, None, :, None], out=out)
-        return out.reshape(n_t, n_in, m, d * d)
+        psi = (ins @ back.reshape(d, -1)).reshape(n_in, m, d, n_b, n_t, d)
+        # U_L on the left index, moving (beta, t) to the front
+        out = np.empty((n_b, n_t, n_in, m, d, d), dtype=complex)
+        np.multiply(psi.transpose(3, 4, 0, 1, 2, 5), phases[:, None, None, :, None], out=out)
+        return out.reshape(n_b * n_t, n_in, m, d * d)
 
     @cached_property
     def _to_size(self) -> np.ndarray:
@@ -594,25 +627,29 @@ class Engine:
         return "maps" if n_rows > n_g * 4 ** self.reg.n_side else "phases"
 
     def _right_stage(self, psi: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """W_R(beta) U_R(t) on (lead, n_t, rows, k) states over the right
-        eigenbasis: one diagonal multiply by `right` (n_t, 2^n_side), then
-        V_R^T back to the right sites."""
-        psi = psi * right[:, None, :]
+        """W_R(beta) U_R(t) on (lead, n_bt, rows, k) states over the right
+        eigenbasis: one diagonal multiply by `right` (n_bt, 2^n_side), in
+        place, then V_R^T back to the right sites."""
+        np.multiply(psi, right[:, None, :], out=psi)
         return (psi.reshape(-1, psi.shape[-1]) @ self.eig_right.vectors.T).reshape(psi.shape)
 
-    def _g_block(self, n_t: int, n_in: int, n_g: int) -> int:
-        """Values of g per block of the level order with a reading.  The
-        compressed coordinates y(g) take 16 n_t n_in 2^k k_R bytes per g
-        for k readout sites; the n_g values of g are cut into equal blocks,
-        as many as G_BLOCK_BYTES goes into their total, rounded (at least
-        one), so a block holds at most 1.5 G_BLOCK_BYTES of y(g) and a
-        grid a little longer than one block is not split into a full
-        block and a short one."""
+    def _g_block(self, n_in: int, n_g: int) -> tuple:
+        """(rows, values of g) per block of the level order's g stage, one
+        block of the compressed coordinates y(g) of n_in inputs at a time.
+        One (beta, t) row's y(g) takes 16 n_in 2^k k_R bytes per g for k
+        readout sites; its n_g values of g are cut into equal blocks, as
+        many as G_BLOCK_BYTES goes into their total, rounded (at least
+        one), so a block holds at most 1.5 G_BLOCK_BYTES of y(g) and a grid
+        a little longer than one block is not split into a full block and a
+        short one.  Rows whose whole g axis takes at most two thirds of
+        G_BLOCK_BYTES share a block, as many as G_BLOCK_BYTES holds,
+        rounded."""
         k = len(self.readout)
         width = n_in * 2 ** k
         rank = min(self.reg.dim >> k, width * len(self._levels))
-        n_blocks = max(1, round(16 * n_t * width * rank * n_g / G_BLOCK_BYTES))
-        return -(-n_g // n_blocks)
+        row_bytes = 16 * width * rank * n_g
+        n_blocks = max(1, round(row_bytes / G_BLOCK_BYTES))
+        return max(1, round(G_BLOCK_BYTES / row_bytes)), -(-n_g // n_blocks)
 
     def _level_phases(self, z: np.ndarray) -> np.ndarray:
         """exp(i g p) per level p for the values z = exp(i g), shape (L,
@@ -625,84 +662,102 @@ class Engine:
             np.multiply(powers[k - 1], z, out=powers[k])
         return powers[self._levels]
 
-    def _readout_factor(self, parts: np.ndarray) -> np.ndarray:
-        """The R factor of the level components laid out as one matrix per
-        t, A = (traced sites) x (input, readout sites, level), from `parts`
-        (L, n_t, n_in, dim); shape (n_t, k_R, n_in 2^k L) with k_R =
-        min(dim / 2^k, n_in 2^k L) for k readout sites."""
-        n_t = parts.shape[1]
+    def _readout_matrix(self, rows: np.ndarray, right: np.ndarray, n_in: int) -> np.ndarray:
+        """The level components Pi_p x of the dressed `rows` through the
+        right stage `right` (n_bt, 2^n_side), laid out as one matrix per
+        (beta, t), A = (traced sites) x (input, readout sites, level), shape
+        (n_bt, dim / 2^k, n_in 2^k L) for k readout sites.  Only A
+        outlives the call, so the level components are dropped before the
+        QR of A copies it."""
+        n_bt, d, block = len(right), right.shape[1], rows.shape[1]
+        basis = self.size.basis
+        coeffs = rows @ self._to_size
+        parts = np.empty((len(self._levels), len(rows), block), dtype=complex)
+        for p, cols in enumerate(self._level_columns):
+            np.matmul(coeffs[:, cols], basis[:, cols].T, out=parts[p])
+        del coeffs
+        parts = self._right_eigen(parts).reshape(len(self._levels), n_bt, -1, d)
+        parts = self._right_stage(parts, right).reshape(len(parts), n_bt, n_in, -1)
         n = self.reg.n_qubits
         traced = [s for s in range(n) if s not in self.readout]
         axes = ([1] + [3 + s for s in traced] + [2] + [3 + s for s in self.readout]
                 + [0])
         a = parts.reshape(parts.shape[:3] + (2,) * n).transpose(axes)
-        a = a.reshape(n_t, 2 ** len(traced), -1)
-        return np.linalg.qr(a, mode="r")
+        return a.reshape(n_bt, 2 ** len(traced), -1)
 
-    def finish(self, dressed: np.ndarray, beta: float, g_values, t_values: np.ndarray,
+    def finish(self, dressed: np.ndarray, betas, g_values, t_values: np.ndarray,
                reading=None) -> np.ndarray:
         """Coupling phases, right evolution and thermal weight for every
-        (t, g).
+        (beta, t, g).
 
-        `dressed` is the (n_t, n_in, 2^n_msg, 4^n_side) output of dressed_state
-        at the same t_values.  Without `reading` the result is the
-        unnormalized final states, shape (n_t, n_g, n_in, dim) in the
+        `dressed` is the (n_bt, n_in, 2^n_msg, 4^n_side) output of
+        dressed_state at the same betas and t_values, with n_bt = n_b n_t
+        (beta, t) rows, beta outer.  Without `reading` the result is the
+        unnormalized final states, shape (n_bt, n_g, n_in, dim) in the
         computational basis, from the phases or maps order.  With it,
-        reading maps the unnormalized readout densities of a run of n_b
-        values of g, shape (n_t, n_b, n_in 2^k, n_in 2^k) over (input,
-        readout sites) for k readout sites, to an array with leading axes
-        (n_t, n_b), and the result is those arrays joined over g: the level
-        order then reads the densities off the compressed coordinates, one
-        block of _g_block(n_t, n_in, n_g) values of g at a time, and builds
-        no final state.
+        reading maps the unnormalized readout densities of n_s of the rows
+        and a run of n_r values of g, shape (n_s, n_r, n_in 2^k, n_in 2^k)
+        over (input, readout sites) for k readout sites, to an array with
+        leading axes (n_s, n_r), and the result is those arrays joined over
+        the rows and g.  The level order then takes the rows in groups whose
+        level components fit G_BLOCK_BYTES, reads the densities off each
+        group's compressed coordinates one block of _g_block(n_in, n_g) at
+        a time, and builds no final state; the other orders read all rows
+        and values of g at once.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
         if not np.isfinite(g).all():
             raise ConfigError("g must be finite")
-        n_t, n_in, m, block = dressed.shape
+        betas = np.reshape(betas, -1)
+        n_bt, n_in, m, block = dressed.shape
         d = 2 ** self.reg.n_side
+        # W_R(beta) U_R(t) per (beta, t) row
         right = self.side_evolution(t_values, "right")
-        if self.cfg.thermal_readout and beta > 0:
-            right = right * self.thermal_weight_right(beta)
+        if self.cfg.thermal_readout and betas.any():
+            right = right * self.thermal_weight_right(betas)[:, None, :]
+        right = np.broadcast_to(right, (len(betas),) + right.shape[-2:]).reshape(n_bt, d)
         rows = dressed.reshape(-1, block)
         basis = self.size.basis
         order = self._coupling_order(len(rows), len(g))
         if order == "levels" and reading is not None:
-            # each row's level components Pi_p x (right stage on each)
-            coeffs = rows @ self._to_size
-            parts = np.empty((len(self._levels), len(rows), block), dtype=complex)
-            for part, cols in zip(parts, self._level_columns):
-                np.matmul(coeffs[:, cols], basis[:, cols].T, out=part)
-            parts = self._right_eigen(parts).reshape(len(self._levels), n_t, -1, d)
-            parts = self._right_stage(parts, right).reshape(len(parts), n_t, n_in, -1)
-            return self._compressed_readout(parts, g, reading)
+            # the (beta, t) rows in groups whose level components fit
+            # G_BLOCK_BYTES, each through its own QR and g stage
+            per_row = n_in * m
+            group = max(1, G_BLOCK_BYTES // (16 * len(self._levels) * per_row * block))
+            out = [self._compressed_readout(
+                np.linalg.qr(self._readout_matrix(rows[i * per_row:(i + group) * per_row],
+                                                  right[i:i + group], n_in), mode="r"),
+                n_in, g, reading) for i in range(0, n_bt, group)]
+            return out[0] if len(out) == 1 else np.concatenate(out)
         # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
         phases = np.exp(1j * g[:, None, None] * self._column_levels)
         if order == "maps":
             psi = rows @ self._right_eigen((self._to_size * phases) @ basis.T)
         else:
             psi = self._right_eigen(((rows @ self._to_size) * phases) @ basis.T)
-        psi = self._right_stage(psi.reshape(len(g), n_t, -1, d), right)
+        psi = self._right_stage(psi.reshape(len(g), n_bt, -1, d), right)
         if reading is None:
-            return psi.reshape(len(g), n_t, n_in, -1).swapaxes(0, 1)
-        # the input index as leading qubits of one state per (t, g)
+            return psi.reshape(len(g), n_bt, n_in, -1).swapaxes(0, 1)
+        # the input index as leading qubits of one state per (beta, t, g)
         extra = n_in.bit_length() - 1
         if n_in != 1 << extra:
             raise ConfigError("a reading needs a power-of-two number of inputs")
-        psi = psi.reshape(len(g), n_t, -1).swapaxes(0, 1)
+        psi = psi.reshape(len(g), n_bt, -1).swapaxes(0, 1)
         keep = list(range(extra)) + [s + extra for s in self.readout]
         return reading(qop.reduced_density(psi, self.reg.n_qubits + extra, keep))
 
-    def _compressed_readout(self, parts: np.ndarray, g: np.ndarray, reading) -> np.ndarray:
-        """reading over the g axis, block by block, from the R factor of the
-        level components `parts` (L, n_t, n_in, dim).
+    def _compressed_readout(self, r: np.ndarray, n_in: int, g: np.ndarray,
+                            reading) -> np.ndarray:
+        """reading over the g axis, block by block (_g_block), from the R
+        factors `r` (n_bt, k_R, n_in 2^k L) of the level components of n_in
+        inputs, with k_R = min(dim / 2^k, n_in 2^k L) for k readout sites.
 
-        For one t the final states at g, laid out (traced sites) x (input,
-        readout sites), are sum_p exp(i g p) A_p = Q R phi(g) with A = QR
-        (`_readout_factor`) and phi_p(g) = exp(i g p).  Q is orthonormal,
-        so the readout densities rho(g)[r, s] = sum_j y_rj y*_sj are sums
-        over the k_R coordinates y(g) = R phi(g) alone, and no final state
-        is built.  |R phi| = |A phi| and Householder QR is backward stable,
+        For one (beta, t) the final states at g, laid out (traced sites) x
+        (input, readout sites), are sum_p exp(i g p) A_p = Q R phi(g) with
+        A = QR (`_readout_matrix`) and phi_p(g) = exp(i g p).  Q is
+        orthonormal, so the readout densities rho(g)[r, s] = sum_j y_rj
+        y*_sj are sums over the k_R coordinates y(g) = R phi(g) alone, and
+        no final state is built.  |R phi| = |A phi| and Householder QR is backward stable,
         so this keeps the direct sum's accuracy, about eps/norm relative
         for a weighted final state of norm `norm`.  The Gram form
         phi^dagger (A^dagger A) phi, or any sum_pq exp(i g (p - q)) M_pq,
@@ -710,26 +765,18 @@ class Engine:
         level components (norm about 2e-6 at beta = 100), and the Gram
         form loses eps/norm^2 instead (about 5e-5 there).
         """
-        n_t, n_in = parts.shape[1:3]
         width = n_in * 2 ** len(self.readout)
-        r = self._readout_factor(parts)
         # rows (coordinate j, input and readout value c), columns level p
-        r = r.reshape(n_t, -1, len(self._levels))
+        r = r.reshape(len(r), -1, len(self._levels))
         z = np.exp(1j * g)
-        step = self._g_block(n_t, n_in, len(g))
+        n_rows, step = self._g_block(n_in, len(g))
         out = []
         for i in range(0, len(g), step):
             phases = self._level_phases(z[i:i + step])
-            y = (r @ phases).reshape(n_t, -1, width, phases.shape[1])
-            yc, y_ab = y.conj(), np.empty_like(y)
-            # rho[t, a, b, g] = sum_j y[t, j, a, g] y*[t, j, b, g], one row a
-            # at a time: a temporary of all (a, b) would be `width` times y
-            rho = np.empty((n_t, width, width, y.shape[-1]), dtype=complex)
-            for a in range(width):
-                np.multiply(y[:, :, a, None], yc, out=y_ab)
-                np.add.reduce(y_ab, axis=1, out=rho[:, a])
-            out.append(reading(rho.transpose(0, 3, 1, 2)))
-        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+            out.append(np.concatenate([
+                reading(_block_densities(r[j:j + n_rows], phases, width))
+                for j in range(0, len(r), n_rows)]))
+        return np.concatenate(out, axis=1)
 
     def final_state(self, beta: float | None = None, g: float | None = None,
                     t: float | None = None) -> np.ndarray:
@@ -742,20 +789,40 @@ class Engine:
         psi = self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
         return psi * (1.0 / np.linalg.norm(psi))
 
-    def _curve(self, beta: float, t, g_values, msgs, reading) -> np.ndarray:
-        """reading of the inputs `msgs` per (t, g), joined to np.shape(t) +
-        trailing: the t axis in chunks of at most MAX_BATCH_ROWS (t, g)
-        rows, after beta and t are checked."""
-        _check_beta(beta)
-        t_values = self._t_axis(t)
-        step = max(1, MAX_BATCH_ROWS // max(1, np.size(g_values)))
+    def _chunk(self, n_t: int, n_in: int, n_g: int) -> tuple:
+        """(betas, t values) per chunk of _curve for n_in inputs and n_g
+        values of g.  What a chunk holds for all its (beta, t) rows at once
+        is its dressed state, 4^n_side amplitudes per row, input and
+        message index, and in the maps and phases orders its final states,
+        n_g times as many (the level order takes the rows a group at a time,
+        see finish).  A chunk takes as many whole betas as fit in
+        BATCH_BYTES of these; only when one beta's n_t rows do not fit is
+        its t axis cut, one beta per chunk."""
+        per_row = 1 if 2 * n_g > len(self._levels) else n_g
+        row_bytes = 16 * n_in * 2 ** self.reg.n_message * 4 ** self.reg.n_side * per_row
+        rows = BATCH_BYTES // row_bytes
+        if rows >= n_t:
+            return rows // n_t, n_t
+        return 1, max(1, rows)
+
+    def _curve(self, beta, t, g_values, msgs, reading) -> np.ndarray:
+        """reading of the inputs `msgs` per (beta, t, g), joined to
+        np.shape(beta) + np.shape(t) + trailing, in the chunks of _chunk,
+        after beta and t are checked."""
+        betas, t_values = _beta_axis(beta), self._t_axis(t)
+        msgs = np.asarray(msgs, dtype=complex).reshape(-1, 2 ** self.reg.n_message)
+        b_step, t_step = self._chunk(len(t_values), len(msgs), np.size(g_values))
+        # (beta, t) rows in order: several betas per chunk, or runs of t
+        # within one beta
         chunks = []
-        for i in range(0, len(t_values), step):
-            t_chunk = t_values[i:i + step]
-            dressed = self.dressed_state(msgs, beta, t_chunk)
-            chunks.append(self.finish(dressed, beta, g_values, t_chunk, reading=reading))
+        for i in range(0, len(betas), b_step):
+            for j in range(0, len(t_values), t_step):
+                b_chunk, t_chunk = betas[i:i + b_step], t_values[j:j + t_step]
+                # not bound to a name, so no chunk's dressed state outlives it
+                chunks.append(self.finish(self.dressed_state(msgs, b_chunk, t_chunk),
+                                          b_chunk, g_values, t_chunk, reading=reading))
         out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        return out.reshape(np.shape(t) + out.shape[1:])
+        return out.reshape(np.shape(beta) + np.shape(t) + out.shape[1:])
 
     # -- metrics ----------------------------------------------------------
     # Each metric is read from the unnormalized readout density rho over
@@ -776,20 +843,22 @@ class Engine:
         basis_z_value."""
         return _bell_reading(self._readout_density(psi))
 
-    def curve_basis_z(self, beta: float, t, g_values) -> np.ndarray:
-        """<Z> per (t, g), shape np.shape(t) + (n_g,)."""
+    def curve_basis_z(self, beta, t, g_values) -> np.ndarray:
+        """<Z> per (beta, t, g), shape np.shape(beta) + np.shape(t) + (n_g,)
+        for a scalar or 1-D beta and t."""
         return self._curve(beta, t, g_values, self.message_vector(), _z_reading)
 
-    def curve_bell(self, beta: float, t, g_values) -> np.ndarray:
-        """Bell stabilizer fidelity per (t, g), shape np.shape(t) + (n_g,)."""
+    def curve_bell(self, beta, t, g_values) -> np.ndarray:
+        """Bell stabilizer fidelity per (beta, t, g), shape as
+        curve_basis_z."""
         return self._curve(beta, t, g_values, self.message_vector(), _bell_reading)
 
     @staticmethod
     def _fidelity_reading(messages):
         """The reading of <m| rho_out(m) |m> for every message m = (alpha,
         beta_msg) in `messages` from the branch densities r[(a, i), (b, j)]
-        = Tr_rest |phi_a><phi_b| on the readout site, shape (n_t, n_b, 4, 4)
-        -> (n_t, n_b, len(messages))."""
+        = Tr_rest |phi_a><phi_b| on the readout site, shape (n_bt, n_r, 4, 4)
+        -> (n_bt, n_r, len(messages))."""
         c = np.asarray(messages, dtype=complex).reshape(-1, 2)
         cc = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # c_a conj(c_b)
         # u_x conj(u_y) over x = (a, i), y = (b, j), with u_(a, i) = c_a conj(c_i)
@@ -805,9 +874,10 @@ class Engine:
             return (overlap / norm2).real.reshape(lead + (-1,))
         return reading
 
-    def arbitrary_fidelity(self, beta: float, t, g_values, messages) -> np.ndarray:
-        """<m| rho_out(m) |m> for every (t, g) and every message m = (alpha,
-        beta_msg) in `messages`; shape np.shape(t) + (n_g, len(messages)).
+    def arbitrary_fidelity(self, beta, t, g_values, messages) -> np.ndarray:
+        """<m| rho_out(m) |m> for every (beta, t, g) and every message m =
+        (alpha, beta_msg) in `messages`; shape np.shape(beta) + np.shape(t)
+        + (n_g, len(messages)).
 
         rho_out(m) is assembled from the two basis-input branches, so any
         number of messages costs one protocol run per branch.
@@ -815,11 +885,11 @@ class Engine:
         return self._curve(beta, t, g_values, _BRANCH_INPUTS,
                            self._fidelity_reading(messages))
 
-    def curve_arbitrary_avg(self, beta: float, t, g_values, n_s: int = 100,
+    def curve_arbitrary_avg(self, beta, t, g_values, n_s: int = 100,
                             seed: int = 0):
         """Mean and standard error over n_s Haar-random messages per
-        (t, g), each of shape np.shape(t) + (n_g,).  Both are taken per g
-        block, so no (t, g, message) array is held."""
+        (beta, t, g), each of shape as curve_basis_z.  Both are taken per
+        g block, so no (beta, t, g, message) array is held."""
         if n_s < 1:
             raise ConfigError("need at least one sample")
         fidelity = self._fidelity_reading(_haar_samples(seed, n_s))
@@ -832,6 +902,23 @@ class Engine:
                              values.std(axis=-1, ddof=1) / math.sqrt(n_s)), axis=-1)
         out = self._curve(beta, t, g_values, _BRANCH_INPUTS, reading)
         return out[..., 0], out[..., 1]
+
+
+def _block_densities(r: np.ndarray, phases: np.ndarray, width: int) -> np.ndarray:
+    """The unnormalized readout densities rho[t, g, a, b] = sum_j y[t, j, a,
+    g] y*[t, j, b, g] of one g block, shape (n_bt, n_g, width, width), from
+    the R factors `r` (n_bt, k_R width, L) and the level phases (L, n_g):
+    y = r phases.  The coordinates y, their conjugate and one product are
+    freed on return, before the block's reading runs or the next block's
+    are made."""
+    y = (r @ phases).reshape(len(r), -1, width, phases.shape[1])
+    yc, y_ab = y.conj(), np.empty_like(y)
+    # one row a at a time: a temporary of all (a, b) would be `width` times y
+    rho = np.empty((len(r), width, width, y.shape[-1]), dtype=complex)
+    for a in range(width):
+        np.multiply(y[:, :, a, None], yc, out=y_ab)
+        np.add.reduce(y_ab, axis=1, out=rho[:, a])
+    return rho.transpose(0, 3, 1, 2)
 
 
 # the |0> and |1> message inputs whose branches arbitrary messages are

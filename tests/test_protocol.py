@@ -441,8 +441,8 @@ class TestPipelineAgainstDense:
             cfgb = _bell_cfg(seed=3, beta=7.0, t=2.0, n_side=n_side)
             engb = protocol.get_engine(cfgb)
             if n_side == 4:
-                assert [eng._g_block(1, 1, n_g), eng._g_block(1, 2, n_g),
-                        engb._g_block(1, 1, n_g)] == [18, 5, 5]
+                assert [eng._g_block(1, n_g), eng._g_block(2, n_g),
+                        engb._g_block(1, n_g)] == [(1, 18), (1, 5), (1, 5)]
             curve = eng.curve_basis_z(cfg.beta, cfg.t, gs)
             single = [protocol.run_single_qubit(replace(cfg, g=float(g))) for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
@@ -504,7 +504,7 @@ class TestLevelFactoredCoupling:
                 single = eng.finish(dressed, beta, (g,), ts)[:, 0]
                 assert np.abs(batch[:, j] - single).max() <= 1e-13
             # a reading sees the unnormalized readout densities of the g
-            # axis block by block, joined in order
+            # axis block by block, each t's in turn, joined in order
             blocks = []
 
             def reading(rho):
@@ -516,15 +516,17 @@ class TestLevelFactoredCoupling:
                                        eng.reg.n_qubits + extra, keep)
             assert joined.shape == want.shape
             assert np.abs(joined - want).max() <= 1e-13
-            step = eng._g_block(len(ts), n_in, len(gs))
+            n_rows, step = eng._g_block(n_in, len(gs))
             if len(gs) > len(eng._levels) // 2:
-                assert blocks == [min(step, len(gs) - i) for i in range(0, len(gs), step)]
+                assert n_rows == 1
+                assert blocks == [min(step, len(gs) - i)
+                                  for i in range(0, len(gs), step) for _ in ts]
 
     def test_g_batches_match_scalar_g(self):
         # 201 g at one t are one block for the basis message and 5 blocks
         # of at most 41 for the Bell message and the two arbitrary-message
-        # branches; the two t of _check_rows make 2 and 9 blocks, the last
-        # one partial
+        # branches, the last one partial; each t of _check_rows takes them
+        # in turn
         gs = self.G_BATCHES[2]
         for beta in (0.0, 6.0):
             eng = protocol.get_engine(protocol.ProtocolConfig(seed=2))
@@ -533,8 +535,8 @@ class TestLevelFactoredCoupling:
             self._check_rows(eng, np.eye(2, dtype=complex), beta)
             engb = protocol.get_engine(_bell_cfg(seed=2))
             self._check_rows(engb, engb.message_vector(), beta)
-            assert [eng._g_block(1, 1, 201), eng._g_block(1, 2, 201),
-                    engb._g_block(1, 1, 201)] == [201, 41, 41]
+            assert [eng._g_block(1, 201), eng._g_block(2, 201),
+                    engb._g_block(1, 201)] == [(1, 201), (1, 41), (1, 41)]
             curve = eng.curve_basis_z(beta, 1.0, gs)
             single = [eng.curve_basis_z(beta, 1.0, (g,))[0] for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
@@ -610,21 +612,23 @@ def _bell_cfg(**kw):
 class TestTBatching:
     """A t array through the pipeline against one scalar-t call per t."""
 
-    # 30 t x 10 g = 300 (t, g) rows: more than one chunk
+    # 30 t x 10 g: more than one chunk of 32 KiB
     T_GRID = np.linspace(0.0, 7.0, 30)
     G_GRID = np.linspace(0.0, 4 * math.pi, 10)
 
-    def _check(self, cfg, curve):
+    def _check(self, cfg, curve, n_in=1):
         ts, gs = self.T_GRID, self.G_GRID
         if cfg.model == "tfim":
             ts = np.arange(len(ts), dtype=float)
-        assert len(ts) * len(gs) > protocol.MAX_BATCH_ROWS
         eng = protocol.get_engine(cfg)
-        for beta in (0.0, 6.0):
-            batched = curve(eng, beta, ts, gs)
-            assert batched.shape == (len(ts), len(gs))
-            single = np.stack([curve(eng, beta, float(t), gs) for t in ts])
-            assert np.abs(batched - single).max() <= 1e-13
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "BATCH_BYTES", 2 ** 15)
+            assert eng._chunk(len(ts), n_in, len(gs)) < (1, len(ts))
+            for beta in (0.0, 6.0):
+                batched = curve(eng, beta, ts, gs)
+                assert batched.shape == (len(ts), len(gs))
+                single = np.stack([curve(eng, beta, float(t), gs) for t in ts])
+                assert np.abs(batched - single).max() <= 1e-13
 
     def test_basis_z(self):
         for cfg in (protocol.ProtocolConfig(seed=4),
@@ -642,7 +646,7 @@ class TestTBatching:
         for cfg in (protocol.ProtocolConfig(seed=4, swap_variant="delta02"),
                     protocol.ProtocolConfig(seed=5, thermal_readout=False),
                     protocol.ProtocolConfig(seed=6, model="tfim", t=1.0)):
-            self._check(cfg, mean)
+            self._check(cfg, mean, n_in=2)
 
     def test_scalar_t_shapes(self):
         gs = self.G_GRID
@@ -707,21 +711,25 @@ class TestTBatching:
             assert np.abs(batched - single).max() <= 1e-13
 
     def test_one_g_over_several_chunks(self, monkeypatch):
-        # 300 t at one g is two chunks, each through one coupling map; one t
-        # at a time takes the rows through the size eigenbasis
+        # 300 t at one g is two chunks of protocol.BATCH_BYTES (basis
+        # message) or three (Bell message, two branches), each through one
+        # coupling map; one t at a time takes the rows through the size
+        # eigenbasis
         ts = np.linspace(0.0, 7.0, 300)
         msgs = [protocol.haar_qubit(3, i) for i in range(3)]
         orders = _record_coupling_orders(monkeypatch)
-        for cfg, curve in (
-                (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z),
-                (_bell_cfg(seed=9), protocol.Engine.curve_bell),
+        for cfg, curve, n_in, n_chunks in (
+                (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z, 1, 2),
+                (_bell_cfg(seed=9), protocol.Engine.curve_bell, 1, 3),
                 (protocol.ProtocolConfig(seed=9, swap_variant="delta02"),
-                 lambda eng, beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs))):
+                 lambda eng, beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs), 2, 3)):
             eng = protocol.get_engine(cfg)
+            _, t_step = eng._chunk(len(ts), n_in, 1)
+            assert -(-len(ts) // t_step) == n_chunks
             for beta in (0.0, 6.0):
                 orders.clear()
                 batched = curve(eng, beta, ts, [2.3])
-                assert orders == ["maps", "maps"]
+                assert orders == ["maps"] * n_chunks
                 orders.clear()
                 single = np.stack([curve(eng, beta, float(t), [2.3]) for t in ts])
                 assert orders == ["phases"] * len(ts)
@@ -733,6 +741,91 @@ class TestTBatching:
         eng = protocol.Engine(protocol.ProtocolConfig(seed=2))
         eng.curve_basis_z(3.0, self.T_GRID, self.G_GRID)
         assert set(eng._latest) == {"tfd_eigen", "weight"}
+
+
+class TestBetaBatching:
+    """A beta array through the pipeline against one scalar-beta call per
+    beta, for every metric, both models and the bare readout."""
+
+    BETAS = (0.0, 1.0, 5.0, 100.0)
+    CONFIGS = (protocol.ProtocolConfig(seed=3),
+               protocol.ProtocolConfig(seed=3, thermal_readout=False),
+               protocol.ProtocolConfig(seed=3, model="tfim", t=1.0),
+               _bell_cfg(seed=3), _bell_cfg(seed=3, thermal_readout=False))
+
+    @staticmethod
+    def _curves(eng):
+        """name -> curve(beta, t, g_values) for every metric of the engine."""
+        if eng.cfg.message == "bell_phi_plus":
+            return {"bell": eng.curve_bell}
+        msgs = [protocol.haar_qubit(2, i) for i in range(3)]
+        return {"basis_z": eng.curve_basis_z,
+                "avg_mean": lambda *a: eng.curve_arbitrary_avg(*a, 10, 3)[0],
+                "avg_stderr": lambda *a: eng.curve_arbitrary_avg(*a, 10, 3)[1],
+                "fidelity": lambda *a: eng.arbitrary_fidelity(*a, msgs)}
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: (
+        f"{c.message}-{c.model}-{'thermal' if c.thermal_readout else 'bare'}"))
+    def test_batched_matches_scalar_beta(self, cfg):
+        eng = protocol.get_engine(cfg)
+        t_grid = [1.0, 2.0] if cfg.model == "tfim" else [0.5, 2.0]
+        # the level order (25 g) and the maps or phases order (1 g)
+        for gs in (np.linspace(0.0, 4 * math.pi, 25), [1.3]):
+            for t in (t_grid[1], t_grid):
+                for name, curve in self._curves(eng).items():
+                    batched = curve(np.array(self.BETAS), t, gs)
+                    single = np.stack([curve(beta, t, gs) for beta in self.BETAS])
+                    tail = single.shape[1 + np.ndim(t):]
+                    assert tail[0] == len(gs), name
+                    assert batched.shape == (len(self.BETAS),) + np.shape(t) + tail, name
+                    assert np.abs(batched - single).max() <= 1e-13, name
+                    # a 0-d beta keeps the scalar-beta shape
+                    assert curve(np.array(5.0), t, gs).shape == single.shape[1:], name
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], [], [1.0, math.nan], [math.inf, 1.0],
+                                     [1.0, -math.inf], [2.0, -1e-300]],
+                             ids=["2-D", "empty", "nan", "inf", "-inf", "negative"])
+    def test_bad_beta_arrays_raise(self, bad):
+        # the rule and error class of a bad t or a bad scalar beta, checked
+        # before any stage is built
+        eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
+        engb = protocol.Engine(_bell_cfg(seed=1))
+        calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
+                 lambda beta: engb.curve_bell(beta, [2.0, 3.0], [0.5]),
+                 lambda beta: eng.arbitrary_fidelity(beta, 1.0, [0.5], [(1.0, 0.0)]),
+                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, np.arange(9.0), 5))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(protocol.ConfigError, match="beta"):
+                    call(bad)
+        assert eng._latest == {} and engb._latest == {}
+
+
+class TestBetaBatchMemory:
+    """protocol.BATCH_BYTES, not the number of betas, sets the memory of one
+    call: the 8 betas of a 201-g Bell sweep are one chunk whose level order
+    takes its rows a group at a time, and the 73-t Bell window is one chunk
+    per beta."""
+
+    def test_eight_betas_peak_near_one(self):
+        engb = protocol.get_engine(_bell_cfg(seed=5))
+        betas = np.array(analysis.DEFAULT_BETA_GRID)
+        window = np.array(analysis.BELL_T_WINDOW)
+        gs = np.linspace(0.0, 4 * math.pi, 201)
+        assert engb._chunk(1, 1, len(gs))[0] >= len(betas)
+        assert engb._chunk(len(window), 1, 1) == (1, len(window))
+        for t, g_values in ((protocol.DEFAULT_T_BELL, gs), (window, [1.9])):
+            peaks = []
+            for beta in (5.0, betas):
+                engb.curve_bell(beta, t, g_values)  # warm: C, K(beta) and W_R
+                tracemalloc.start()
+                try:
+                    engb.curve_bell(beta, t, g_values)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestSharedInsert:
@@ -1201,7 +1294,7 @@ class TestThermalCorrelation:
         # to the sites, T = V_L K V_R^T
         beta = 6.0
         eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
-        k = eng._tfd_eigen(beta)
+        k = eng._tfd_eigen(np.array([beta]))[0]
         state = (eng.eig_left.vectors @ k @ eng.eig_right.vectors.T).reshape(-1)
         op = layout.left_majorana_block(3, 0) @ layout.right_majorana_block(3, 2)
         want = np.vdot(state, op @ state)
