@@ -168,7 +168,17 @@ class RecordTable:
 
     def sorted(self) -> "RecordTable":
         """The rows in (seed, beta, g, t) order; the sort is stable, so rows
-        with equal keys keep their order."""
+        with equal keys keep their order.  A table already in that order
+        is returned as it is."""
+        # each row's key against the next, compared as lexsort compares
+        # (-0.0 equals 0.0); NaN compares unordered and takes the sort
+        in_order = True
+        for name in KEY_COLUMNS[::-1]:
+            column = getattr(self, name)
+            head, tail = column[:-1], column[1:]
+            in_order = (head < tail) | ((head == tail) & in_order)
+        if np.all(in_order):
+            return self
         return self[np.lexsort((self.t, self.g, self.beta, self.seed))]
 
     def unit_interval_value(self) -> np.ndarray:

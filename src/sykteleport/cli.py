@@ -167,17 +167,102 @@ def _grid_hash(*grids) -> str:
     return h.hexdigest()[:16]
 
 
-def _column_text(column: np.ndarray, fmt) -> list:
-    """fmt of every entry of column, called once per distinct entry and
-    gathered by index.  Floats are told apart by their bits, so -0.0 and
-    0.0 keep their own text."""
+# _value_bytes writes values in the decades 1e-4 <= |x| < 1 itself.  The
+# double nearest 10^k lies above 10^k for k = -4..-1, so comparing |x| with
+# it compares with 10^k exactly.  The searchsorted position i of |x| in
+# _DECADES is its decade e plus 5; _SCALES[i] is the exact double
+# 10^(11 - e), which puts 12 digits of |x| before the point.  Text is built
+# from little-endian uint32 words, so byte k of a word is its character k
+# on any host.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_SCALES = (10 ** np.arange(16, 10, -1, dtype=np.int64)).astype(float)
+_WORD = np.dtype("<u4")
+
+
+def _word_tables():
+    """_HEADS[6 * negative + i] is the sign, "0." and the 4 - i zeros after
+    the point of position i, NUL-padded to two words; _QUADS[q] is the four
+    digits of q < 10^4 as one word, and _QUADS[10**4 + q] the same with
+    q's trailing zeros NUL."""
+    head = np.zeros((2, 6, 8), dtype=np.uint8)
+    head[1, :, 0] = ord("-")
+    head[..., 1:3] = (ord("0"), ord("."))
+    head[..., 3:6] = np.where(np.arange(3) >= np.arange(6)[:, None] - 1, ord("0"), 0)
+    # q = 1000 a + 100 b + 10 c + d, one digit per axis; a digit is kept
+    # when it or a later one is nonzero
+    a, b, c, d = (digit + ord("0") for digit in np.ix_(*[np.arange(10, dtype=_WORD)] * 4))
+    kd = d > ord("0")
+    kc = kd | (c > ord("0"))
+    kb = kc | (b > ord("0"))
+    ka = kb | (a > ord("0"))
+    text = a | b << 8 | c << 16 | d << 24
+    stripped = a * ka | b * kb << 8 | c * kc << 16 | d * kd << 24
+    return (head.view(_WORD).reshape(12, 2),
+            np.concatenate([text, stripped], axis=None).astype(_WORD))
+
+
+_HEADS, _QUADS = _word_tables()
+
+
+def _value_bytes(values: np.ndarray) -> np.ndarray:
+    """'%.12g' of every entry of values as the rows of a NUL-padded uint8
+    array 20 bytes wide: two words of head and three of digits.
+
+    For 1e-4 <= |x| < 1 in decade e, y = |x| * 10^(11 - e) is one rounding
+    of a number below 2^40, so it is off by at most 2^-14 and rounds to the
+    12 digits of the exact product unless its fraction is within 1e-4 of
+    one half.  Those rows, rows whose digits carry to 10^12, and zeros,
+    non-finite values and values outside the decades are written by
+    '%.12g' itself, which never takes more than 19 characters.
+    """
+    a = np.abs(values)
+    position = np.searchsorted(_DECADES, a, side="right")  # NaN sorts last
+    y = np.where((position >= 1) & (position <= 4), a, 0.0) * _SCALES[position]
+    whole = np.floor(y)
+    frac = y - whole
+    rounded = whole + (frac > 0.5)
+    exact = (np.abs(frac - 0.5) > 1e-4) & (whole >= 1e11) & (rounded < 1e12)
+    high, low = np.divmod(np.where(exact, rounded, 0.0).astype(np.int64), 10 ** 4)
+    high, mid = np.divmod(high, 10 ** 4)
+    words = np.empty((len(values), 5), dtype=_WORD)
+    words[:, :2] = _HEADS.take(6 * (values < 0) + position, axis=0)
+    words[:, 2] = _QUADS.take(high + 10 ** 4 * ((mid == 0) & (low == 0)))
+    words[:, 3] = _QUADS.take(mid + 10 ** 4 * (low == 0))
+    words[:, 4] = _QUADS.take(low + 10 ** 4)
+    other = np.flatnonzero(~exact)
+    text = np.array([_FORMAT % v for v in values[other].tolist()], dtype="S20")
+    words[other] = text.view(_WORD).reshape(len(other), 5)
+    return words.view(np.uint8)
+
+
+def _key_bytes(column: np.ndarray, fmt) -> np.ndarray:
+    """fmt of every entry of column as the rows of a NUL-padded uint8
+    array, called once per distinct entry and gathered by index.  Floats are
+    told apart by their bits, so -0.0 and 0.0 keep their own text."""
     if column.dtype == float:
         keys = np.ascontiguousarray(column).view(np.uint64)
     else:
         keys = column
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([fmt(v) for v in column[first].tolist()], dtype=object)
-    return text[index].tolist()
+    text = np.array([fmt(v) for v in column[first].tolist()], dtype="S")
+    return text.take(index).view(np.uint8).reshape(len(index), text.itemsize)
+
+
+def _joined_rows(fields, n_rows: int) -> bytearray:
+    """Rows of comma-separated fields, each field an array of NUL-padded
+    uint8 rows (or one row for all), laid out in one byte matrix whose
+    padding one translate strips."""
+    width = sum(field.shape[1] + 1 for field in fields)
+    buffer = bytearray(n_rows * width)
+    out = np.frombuffer(buffer, dtype=np.uint8).reshape(n_rows, width)
+    start = 0
+    for field in fields:
+        stop = start + field.shape[1]
+        out[:, start:stop] = field
+        out[:, stop] = ord(",")
+        start = stop + 1
+    out[:, -1] = ord("\n")
+    return buffer.translate(None, b"\0")
 
 
 def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
@@ -189,13 +274,13 @@ def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
     ]
     # stable: rows of two sweeps with equal keys (isingvssyk) keep their order
     table = analysis.RecordTable.from_rows(records).sorted()
-    columns = [_column_text(table.seed, str)]
-    columns += [_column_text(getattr(table, c), _fmt) for c in ("beta", "g", "t")]
-    columns.append([f"{table.metric},{table.variant}"] * len(table))
-    for values in (table.value, table.unit_interval_value()):
-        columns.append(list(map(_FORMAT.__mod__, values.tolist())))
-    lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+    value, unit = table.value, table.unit_interval_value()
+    fields = [_key_bytes(table.seed, str)]
+    fields += [_key_bytes(getattr(table, c), _fmt) for c in ("beta", "g", "t")]
+    fields.append(np.frombuffer(f"{table.metric},{table.variant}".encode(), np.uint8)[None])
+    fields.append(_value_bytes(value))
+    fields.append(fields[-1] if unit is value else _value_bytes(unit))
+    return "\n".join(lines) + "\n" + _joined_rows(fields, len(table)).decode()
 
 
 def emit_csv(records, path, manifest: RunManifest, spec: analysis.SweepSpec):

@@ -81,6 +81,7 @@ class TestRunSweep:
         for workers in (1, 2):
             records = analysis.run_sweep(spec, workers=workers)
             assert [r[:4] for r in records] == sorted(r[:4] for r in records)
+            assert records.sorted() is records
             assert [r.seed for r in records[::12]] == [2, 5, 7]
         rec = records[0]
         assert rec == analysis.FidelityRecord(seed=2, beta=0.0, g=-1.0, t=0.5,
@@ -209,6 +210,24 @@ class TestRecordTable:
         assert (joined.metric, joined.variant) == ("basis_z", "delta01")
         assert joined == left + right
         assert analysis.RecordTable.from_rows(left) != right
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((3, 1)),
+                              *[st.sampled_from((0.0, -0.0, 1.0, math.nan))] * 3),
+                    min_size=1, max_size=10))
+    def test_sorted_is_the_stable_lexsort(self, keys):
+        # value holds each row's index, so it reads back the permutation;
+        # -0.0 equals 0.0 and NaN sorts last, as in lexsort, and a table
+        # already in order is returned as it is
+        seed, beta, g, t = (np.array(column) for column in zip(*keys))
+        table = analysis.RecordTable(seed, beta, g, t, np.arange(len(keys), dtype=float),
+                                     "basis_z", "delta01")
+        order = np.lexsort((t, g, beta, seed))
+        result = table.sorted()
+        assert result.value.tolist() == order.tolist()
+        nan_free = not any(np.isnan(column).any() for column in (beta, g, t))
+        if nan_free and (order == np.arange(len(keys))).all():
+            assert result is table
 
     def test_one_kind_per_table(self):
         left = synth_records([({"g": 1.0}, 0.1)])

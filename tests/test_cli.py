@@ -1,7 +1,9 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sykteleport import analysis, cli, protocol, qop
 
@@ -147,36 +149,53 @@ class TestCsvEmission:
             assert a.value == pytest.approx(b.value, rel=1e-11)
 
     def test_bytes_match_per_field_writer(self, tmp_path):
-        # the memoized grid columns keep -0.0 and 0.0 apart, and the stable
-        # sort keeps records with equal keys in their given order
+        # values in every branch of the value formatter (the decades it
+        # writes itself, below 1e-4, 1 or more, negative, -0.0 and nan) and
+        # key columns of different text widths (seeds of different lengths,
+        # t in exponent form); the memoized grid columns keep -0.0 and 0.0
+        # apart, and the stable sort keeps records with equal keys in their
+        # given order
         rng = np.random.default_rng(3)
+        keys = [(s, b, g, t) for _ in (0, 1) for s in (4, 1, 2 ** 62 + 5, 30)
+                for b in (5.0, 0.0) for g in (0.0, -0.0, 0.1, 1 / 3) for t in (1.0, 2.5e-7, 3e21)]
+        values = rng.normal(size=len(keys)) * 10.0 ** rng.integers(-7, 2, size=len(keys))
+        special = [0.25, 3.7e-5, 1.0, 12.5, -0.42, -0.0, math.nan, 0.0, -3e-9,
+                   0.99999999999995, -1e-4, 0.5, 7e-4]
+        values[:14 * len(special):14] = special
         for metric, variant in (("basis_z", "delta01"), ("bell_stabilizer", "bell_sequential")):
-            records = [analysis.FidelityRecord(seed=s, beta=b, g=g, t=1.0, metric=metric,
-                                               variant=variant, value=float(rng.normal()))
-                       for _ in (0, 1)
-                       for s in (4, 1) for b in (5.0, 0.0) for g in (0.0, -0.0, 0.1, 1 / 3)]
+            records = [analysis.FidelityRecord(*key, metric=metric, variant=variant,
+                                               value=float(value))
+                       for key, value in zip(keys, values)]
             lines = [cli.CSV_HEADER]
             lines += map(per_field_row, sorted(records, key=lambda rec: rec[:4]))
             text = cli.csv_text(records, manifest(tmp_path), SPEC)
             assert text.endswith("\n".join(lines) + "\n")
-            assert ",-0," in text and ",0," in text
+            assert ",-0," in text and ",0," in text and ",2.5e-07," in text
+            unit = "0.5" if metric == "basis_z" else "-0"
+            assert f",-0,{unit}\n" in text and ",nan,nan\n" in text
 
     def test_table_bytes_match_per_field_writer(self, tmp_path):
         # a table joined from two sweeps of one kind, as isingvssyk joins
         # its two models: -0.0 and 0.0 keep their own text, and rows with
-        # equal keys keep the order of the join
+        # equal keys keep the order of the join; a table already in key
+        # order is written as it is
         rng = np.random.default_rng(4)
         keys = np.meshgrid([4, 1], [5.0, 0.0], [0.0, -0.0, 0.1, 1 / 3], [1.0, 0.5],
                            indexing="ij")
         tables = [analysis.RecordTable(*(k.reshape(-1) for k in keys), rng.normal(size=32),
                                        "basis_z", "delta01") for _ in (0, 1)]
-        table = tables[0] + tables[1]
-        lines = [cli.CSV_HEADER]
-        lines += map(per_field_row, sorted(table, key=lambda rec: rec[:4]))
-        text = cli.csv_text(table, manifest(tmp_path), SPEC)
-        assert text.endswith("\n".join(lines) + "\n")
-        assert ",-0," in text and ",0," in text
-        assert text == cli.csv_text(list(table), manifest(tmp_path), SPEC)
+        ordered = np.meshgrid([1, 4], [0.0, 5.0], [-0.5, -0.0, 0.1, 1 / 3], [0.5, 1.0],
+                              indexing="ij")
+        in_order = analysis.RecordTable(*(k.reshape(-1) for k in ordered), rng.normal(size=32),
+                                        "basis_z", "delta01")
+        assert in_order.sorted() is in_order
+        for table in (tables[0] + tables[1], in_order):
+            lines = [cli.CSV_HEADER]
+            lines += map(per_field_row, sorted(table, key=lambda rec: rec[:4]))
+            text = cli.csv_text(table, manifest(tmp_path), SPEC)
+            assert text.endswith("\n".join(lines) + "\n")
+            assert ",-0," in text and ",0," in text
+            assert text == cli.csv_text(list(table), manifest(tmp_path), SPEC)
 
     def test_table_round_trip(self, tmp_path):
         spec = analysis.SweepSpec(base=protocol.ProtocolConfig(seed=0),
@@ -208,6 +227,53 @@ class TestCsvEmission:
         cli.emit_json({}, tmp_path / "c" / "x.json", man)
         assert (tmp_path / "a" / "b" / "x.csv").exists()
         assert (tmp_path / "c" / "x.json").exists()
+
+
+def value_text(values) -> list:
+    """The value formatter's text of every entry, padding stripped."""
+    rows = cli._value_bytes(np.array(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode() for row in rows]
+
+
+def _near(x: float) -> list:
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# where the formatter's own digits could go wrong: the edges of its
+# decades, values that round to 1e-4 or 1, ties of the 13th digit and
+# the values next to them, zeros, subnormals and non-finite values
+BOUNDARY_VALUES = [
+    *_near(1e-4), 9.99999999999949e-5, 0.99999999999949, 0.9999999999995,
+    np.nextafter(1.0, 0.0), 1.0, *_near(1e-3), *_near(1e-2), *_near(0.1),
+    *(v for k in (123456789012, 999999999999, 100000000000, 500000000000)
+      for e in (-1, -2, -3, -4) for m in (k, k + 0.5) for v in _near(m * 10.0 ** (e - 11))),
+    0.0, -0.0, 5e-324, -2.225073858507201e-308, math.inf, -math.inf, math.nan,
+    7 / 2 ** 16, -0.5, 1e-5, 12345.678, -1.2345678901234e-100, 1e300,
+]
+BOUNDARY_VALUES += [-v for v in BOUNDARY_VALUES]
+
+
+def _near_grid(k: int, e: int, half: float, step: int, sign: int) -> float:
+    """sign * (k + half) * 10^(e - 11), moved by step ulps: a double near
+    the 12-digit grid of decade e, or near a tie of its 13th digit."""
+    x = sign * (k + half) * 10.0 ** (e - 11)
+    return float(np.nextafter(x, step * math.inf)) if step else x
+
+
+# any double; doubles in the decades the formatter writes itself; doubles
+# near its grid
+DOUBLES = st.one_of(
+    st.floats(), st.floats(-1.0, 1.0),
+    st.builds(_near_grid, st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-4, -1),
+              st.sampled_from((0.0, 0.5)), st.integers(-1, 1), st.sampled_from((1, -1))))
+
+
+class TestValueFormatter:
+    @settings(max_examples=300, deadline=None)
+    @example(BOUNDARY_VALUES)
+    @given(st.lists(DOUBLES, min_size=1, max_size=40))
+    def test_matches_percent_g(self, values):
+        assert value_text(values) == [cli._FORMAT % v for v in values]
 
 
 class TestSanitySuite:
