@@ -265,7 +265,8 @@ def _joined_rows(fields, n_rows: int) -> bytearray:
     return buffer.translate(None, b"\0")
 
 
-def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
+def _csv_bytes(records, manifest: RunManifest, spec: analysis.SweepSpec) -> tuple:
+    """The CSV file of `records` as (header, body) bytes."""
     lines = [
         f"# sykteleport {__version__}",
         f"# master_seed {manifest.master_seed}",
@@ -280,15 +281,22 @@ def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
     fields.append(np.frombuffer(f"{table.metric},{table.variant}".encode(), np.uint8)[None])
     fields.append(_value_bytes(value))
     fields.append(fields[-1] if unit is value else _value_bytes(unit))
-    return "\n".join(lines) + "\n" + _joined_rows(fields, len(table)).decode()
+    return ("\n".join(lines) + "\n").encode(), _joined_rows(fields, len(table))
+
+
+def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
+    head, body = _csv_bytes(records, manifest, spec)
+    return (head + body).decode()
 
 
 def emit_csv(records, path, manifest: RunManifest, spec: analysis.SweepSpec):
-    text = csv_text(records, manifest, spec)
+    head, body = _csv_bytes(records, manifest, spec)
     try:
         # made here, so a run that fails before its first write leaves none
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "wb") as out:
+            out.write(head)
+            out.write(body)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", code=3) from exc
 

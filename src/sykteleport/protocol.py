@@ -15,7 +15,9 @@ matching the thermal traces the sweep figures are built from; the bare
 expectation is available via thermal_readout=False.
 
 Every metric is evaluated by one staged pipeline in `Engine`.  V_L and
-V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
+V_R are the side eigenbases (2^n_side x 2^n_side), d = 2^n_side, Omega is
+the pair vacuum `layout.bell_vacuum` as a d x d matrix and K0 = V_L^dagger
+Omega V_R^*:
 
 * realization (Engine construction): the coupling table and the side
   eigensystems (for the kicked-Ising baseline the Floquet quasi-energies,
@@ -24,65 +26,64 @@ V_R are the side eigenbases (2^n_side x 2^n_side) and d = 2^n_side:
   n_side = 3) and the factor F of INSERT on the message and left sites
   (INSERT = F (x) I_right, checked exactly once, after which the dense
   INSERT is dropped).  F and the size eigenbasis B are shared by every
-  engine of one register geometry; F in the left eigenbasis and C (below)
-  are derived from V_L, V_R on first use.  The random draws behind a
-  realization and behind the Haar messages are one batched
-  `models.split_uniform` call per quantity; their scheme is pinned by
-  `models`, not by numpy's Generator (see there);
-* beta (a batched axis): for a stack of n_b betas, the thermofield
-  doubles T, each built by `tfd.build_tfd` from the cached left
-  eigensystem and kept as K(beta) = V_L^dagger T V_R^*, an (n_b, d, d)
-  stack, and the thermal readout weights exp(-beta (E_R - E_min)/2),
-  diagonal in V_R, an (n_b, d) stack; both are kept for the latest stack;
+  engine of one register geometry; F in the left eigenbasis, C (below)
+  and the readout tensor are derived from V_L, V_R on first use.  The
+  random draws behind a realization and behind the Haar messages are one
+  batched `models.split_uniform` call per quantity; their scheme is
+  pinned by `models`, not by numpy's Generator (see there);
+* beta (a batched axis): the thermofield double is exp(-beta H_L/2) on
+  the infinite-temperature pair state Omega (J. Maldacena and X.-L. Qi,
+  arXiv:1804.00491), so its coefficients over pairs of side eigenvectors
+  are V_L^dagger T V_R^* = diag(w(beta)) K0, with w(beta) the Boltzmann
+  amplitudes of the left levels (`Engine.tfd_weights`).  They and the
+  thermal readout weights exp(-beta (E_R - E_min)/2), diagonal in V_R, are
+  (n_b, d) arrays built per call;
 * t (a batched axis, side eigenbases): U_L and U_R are the phase arrays
-  exp(-i E t).  `Engine.dressed_state` (everything before the coupling)
-  is two phase multiplies of the K stack and two small GEMMs (messages
-  into F, then F onto K), a stack whose leading axis runs over (beta, t),
-  beta outer, and whose rows are indexed by (left eigenvector, right
-  eigenvector);
+  exp(-i E t).  U_L^dagger on the TFD's left level a' and U_L on the
+  output level a give exp(i (E_a' - E_a) t), so for any map Phi applied
+  after the dressed state U_L INSERT U_L^dagger |m>|TFD>, its (beta, t)
+  rows times Phi are sum_a' w_a'(beta) Y_a'(t) with Y_a'(t) = z_a'(t) (K0
+  Phi)_a' and z the phases times F in the left eigenbasis
+  (`Engine.dressed_state`).  Y is built once per t for every beta, and
+  each beta is one real weighting of its d terms (`Engine._rows`);
 * g (a batched axis): `Engine.finish` applies the coupling,
   exp(i g upsilon) = B diag(exp(i g p_j)) B^dagger with p_j the level of
   size eigenvector j, in one of three orders, picked from the call's
-  n_rows (beta, t, input, message) rows and n_g values of g.  Every row
-  is taken to the size eigenbasis by the engine's C = (V_L (x) V_R)^T B^*
-  and back by B^T and V_R^* on the right index (rows over (left site,
-  right eigenvector)).  "phases" (at most L/2 values of g, few rows): each row
-  through C, one phase per eigenvector for each g, each g back.  "maps"
-  (at most L/2 values of g and n_rows > n_g 4^n_side): the same product
-  associated the other way, one 4^n_side-square map C diag(phases) B^T
-  per g, so each row is one product with it.  "levels" (more than L/2
-  values of g, the g sweeps): each row through C and back split into its
-  L level components Pi_p x.  W_R(beta) U_R(t) is one diagonal multiply in
-  the right eigenbasis followed by a GEMM by V_R^T (in the level order on
-  each level component, before the g combination).  The orders agree to
-  round-off, not bit for bit.
+  n_rows (beta, t, input, message) rows and n_g values of g.  C =
+  (V_L (x) V_R)^T B^* takes a dressed row to the size eigenbasis; the
+  engine keeps it with K0 absorbed, as the Phi above.  "phases" (at most
+  L/2 values of g, few rows): Phi = C, one phase per eigenvector for each
+  g, each g back by B^T and V_R^* on the right index (rows over (left
+  site, right eigenvector)).  "maps" (at most L/2 values of g and n_rows >
+  n_g 4^n_side): Phi is the 4^n_side-square map C diag(phases) B^T V_R^*
+  of each g.  "levels" (more than L/2 values of g, the g sweeps): Phi = C,
+  and each row back split into its L level components Pi_p x.  The orders
+  agree to round-off, not bit for bit.
 
 Every metric is read from the readout density rho over (input, readout
-sites), which `Engine.finish` hands the metric's reading, one g block at a
-time; each (beta, t, g) keeps its own density-matrix checks.  The maps and
-phases orders build the final states (at most L/2 values of g) and take
-rho from them with `qop.reduced_density`.  The level order builds no final
-state: for each (beta, t) it lays the level components out as a matrix A =
-(traced sites) x (input, readout value, level) and keeps only its R factor
-from a Householder QR, at most n_in 2^k L rows for k readout sites.  For
-every g, y(g) = R phi(g) with phi_p(g) = exp(i g p) gives rho(g) = y^T y^*,
-since Q is orthonormal.  QR is backward stable, so |R phi| = |A phi| keeps
-the direct sum's eps/norm accuracy at large beta, where the weighted final
+sites), which `Engine.finish` hands the metric's reading; each (beta, t,
+g) keeps its own density-matrix checks.  The maps and phases orders read
+rho from the Gram of each state's rows in the right eigenbasis, weighted
+by W_R U_R after the sum and traced by a fixed tensor over the right
+sites (`Engine._gram_readout`).  The level order builds no final state:
+after W_R U_R (a diagonal multiply in V_R and a GEMM by V_R^T) it lays
+each (beta, t)'s level components out as a matrix A = (traced sites) x
+(input, readout value, level) and keeps only its R factor from a
+Householder QR, at most n_in 2^k L rows for k readout sites.  For every
+g, y(g) = R phi(g) with phi_p(g) = exp(i g p) gives rho(g) = y^T y^*, since
+Q is orthonormal.  QR is backward stable, so |R phi| = |A phi| keeps the
+direct sum's eps/norm accuracy at large beta, where the weighted final
 state is far smaller than its O(1) level components (norm about 2e-6 at
 beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
 and is not used.  The level order takes the (beta, t) rows in groups
 whose level components fit G_BLOCK_BYTES, and each group's g axis in
-blocks of about G_BLOCK_BYTES of y(g); only the per-(beta, t, g) values
-are joined, so a call's memory grows with neither its g grid nor its beta
-grid beyond arrays of n_g values per (beta, t).  Without a reading,
-`finish` returns the unnormalized final states, from the phases or maps
-order for any number of g, since the level order has no final state to
-return (`final_state` normalizes its one).  A call's (beta, t) rows are
-cut into chunks of at most BATCH_BYTES of dressed states (and of final
-states in the maps and phases orders): whole betas while they fit, runs
-of t within one beta where one beta's t axis does not.  A scalar beta or
-t, or a single g, is a batch of one through the same stages (the g stage
-picks its order by size), so
+blocks of about G_BLOCK_BYTES of y(g).  Without a reading, `finish`
+returns the unnormalized final states, from the phases or maps order for
+any number of g (`final_state` normalizes its one).  A call takes all its
+betas at once and cuts its t axis into chunks of BATCH_BYTES.  No value
+depends on what shares its call: every GEMM whose rows run over betas or
+t alone gets at least two rows (`_gemm`).  A scalar beta or t, or a
+single g, is a batch of one through the same stages, so
 `run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
 `analysis` share them.  The dense `wormhole_unitary` is the reference the
 pipeline is tested against.
@@ -103,13 +104,11 @@ DEFAULT_J_SCALE = 5.0
 DEFAULT_T_SINGLE = 1.0
 DEFAULT_T_BELL = 2.0
 DEFAULT_TFIM_STEPS = 1
-# bytes one chunk of Engine._curve holds for all its (beta, t) rows at
-# once (see Engine._chunk): the dressed states, 2 KiB per row for the basis
-# message and 4 KiB for the Bell message or the two Haar branches at
-# n_side 3, and in the maps and phases orders the final states, n_g times
-# that.  The 8 betas of a g sweep are one chunk; the 73-t Bell window at
-# one g takes 292 KiB per beta and is one chunk per beta (larger Bell
-# chunks were slower).
+# bytes one chunk of Engine.finish holds for its t values (see
+# Engine._chunk): per t, input and message row, the t stage's products for
+# the d TFD levels and the rows of every beta, 1 KiB each at n_side 3, n_g
+# times as many in the maps and phases orders.  The 73-t Bell window of
+# heatmap-t at one g and 8 betas is 10 chunks of 8 t.
 BATCH_BYTES = 2 ** 19
 # bytes of compressed readout coordinates y(g) per g block of
 # Engine.finish's level order (see Engine._g_block), and of level
@@ -126,7 +125,7 @@ BATCH_BYTES = 2 ** 19
 G_BLOCK_BYTES = 2 ** 16
 # engines kept by get_engine, and realizations they share: above the 20
 # seeds a two-stage preset revisits, so its second sweep finds every
-# engine.  An engine holds about 72 KB (basis message) or 84 KB (Bell) at
+# engine.  An engine holds about 74 KB (basis message) or 99 KB (Bell) at
 # n_side 3 and 1.1 MB at n_side 4 (see Engine).
 ENGINE_CACHE_SIZE = 32
 
@@ -441,27 +440,16 @@ class Engine:
     the engines of the same (model, seed, j_scale, n_side); the size
     levels; the message (x) left factor of INSERT, shared per register
     geometry) is looked up or built here; the tensors derived from
-    `eig_left`/`eig_right` are built from them on first use.  The beta
-    stages (the stacks of K(beta) = V_L^dagger T V_R^* and of the diagonal
-    thermal weights) are built for a call's stack of betas and keep their
-    latest value, which the call's chunks revisit.  Nothing with a t or g
-    axis is kept: every metric takes a whole beta array, a whole t array
-    and a whole g array, evaluates the (beta, t) rows in chunks of at most
-    BATCH_BYTES (see `_chunk`) and reads its value from the readout
-    density rho (`finish` with a reading).  In the level order (the g
-    sweeps) rho comes from QR-compressed readout coordinates y(g) =
-    R phi(g), a group of (beta, t) rows and a block of about G_BLOCK_BYTES
-    of y(g) at a time, and no final state is built; the Gram form of the
-    same sum is not used, since at large beta it loses eps/norm^2 where the
-    QR form keeps eps/norm (see `_compressed_readout`).
-
-    The t stage works in the side eigenbases V_L, V_R and the g stage in
-    the order the call's row and g counts select (see the module
+    `eig_left`/`eig_right` are built from them on first use.  Nothing with
+    a beta, t or g axis is kept: every metric takes a whole beta array, a
+    whole t array and a whole g array, and `finish` takes all betas of the
+    call at once and its t axis in chunks of at most BATCH_BYTES (see
+    `_chunk`).  The t stage is built once per t for every beta, and each
+    beta is one real weighting of the TFD's left levels (see the module
     docstring).  An engine holds 2^n_side-sized arrays, the INSERT factor
-    in its left eigenbasis and, from its first g stage, the 4^n_side-square
-    C: 72 KB (basis message) and 84 KB (Bell) at n_side 3, 1.03 MB and
-    1.08 MB at n_side 4.  The INSERT factor and the size eigenbasis are
-    shared per register geometry.
+    in its left eigenbasis, the readout tensor and, from its first g stage,
+    the 4^n_side-square C with the pair vacuum absorbed: 74 KB (basis
+    message) and 99 KB (Bell) at n_side 3, 1.08 MB and 1.18 MB at n_side 4.
     """
 
     def __init__(self, cfg: ProtocolConfig):
@@ -481,13 +469,12 @@ class Engine:
         self._level_columns = tuple(cols for _, cols in levels)
         self._column_levels = np.concatenate(
             [np.full(cols.stop - cols.start, p) for p, cols in levels])
-        self._latest: dict = {}  # beta stage name -> (beta, value)
 
     @cached_property
     def _insert_left(self) -> np.ndarray:
         """F~ = (I (x) V_L)^dagger F (I (x) V_L), the INSERT factor in the left
-        eigenbasis, laid out (input message, (output message, output
-        eigenvector), input eigenvector) as a (2^n_msg, 2^n_msg 4^n_side)
+        eigenbasis, laid out (input message, (input eigenvector, output
+        message, output eigenvector)) as a (2^n_msg, 2^n_msg 4^n_side)
         matrix, so that messages @ it is INSERT on each message."""
         m = 2 ** self.reg.n_message
         d = 2 ** self.reg.n_side
@@ -495,45 +482,28 @@ class Engine:
         # I (x) V_L on the input index, then its adjoint on the output index
         factor = (self._insert_factor.reshape(-1, d) @ v).reshape(m, d, m * d)
         factor = (v.conj().T @ factor).reshape(m, d, m, d)
-        return np.ascontiguousarray(factor.transpose(2, 0, 1, 3)).reshape(m, -1)
-
-    def _cached(self, stage: str, key, build):
-        """The value of a stage at key, rebuilt by build() when the key
-        differs from the stage's latest one."""
-        latest = self._latest.get(stage)
-        if latest is None or latest[0] != key:
-            latest = self._latest[stage] = (key, build())
-        return latest[1]
+        return np.ascontiguousarray(factor.transpose(2, 3, 0, 1)).reshape(m, -1)
 
     # -- beta stage -------------------------------------------------------
-    # Each stage takes a 1-D stack of n_b checked betas and keeps the value
-    # of its latest stack, which a call's chunks revisit.
+    # Each stage takes a 1-D stack of n_b checked betas.
     def tfd_vector(self, beta: float) -> np.ndarray:
         """Thermofield double at beta from the left eigensystem."""
         return tfd.build_tfd(self.eig_left, beta, self.reg)
 
-    def _tfd_eigen(self, betas: np.ndarray) -> np.ndarray:
-        """K(beta) = V_L^dagger T V_R^* for every beta of the stack: the
-        thermofield double's coefficients over (left eigenvector, right
-        eigenvector), shape (n_b, 2^n_side, 2^n_side)."""
-        def build():
-            d = 2 ** self.reg.n_side
-            k = np.stack([self.eig_left.vectors.conj().T @ self.tfd_vector(beta).reshape(d, d)
-                          @ self.eig_right.vectors.conj() for beta in betas.tolist()])
-            k.setflags(write=False)
-            return k
-        return self._cached("tfd_eigen", tuple(betas.tolist()), build)
+    def tfd_weights(self, betas: np.ndarray) -> np.ndarray:
+        """w(beta) with V_L^dagger T(beta) V_R^* = diag(w(beta)) K0 for the
+        thermofield double T of tfd.build_tfd and K0 = V_L^dagger Omega
+        V_R^* over the pair vacuum Omega: the Boltzmann amplitudes of the
+        left levels, scaled to |T| = 1 (K0 is unitary over sqrt(d)), shape
+        (n_b, d) for d = 2^n_side."""
+        w = _boltzmann(self.eig_left.values, betas)
+        return w * np.sqrt(w.shape[1] / (w * w).sum(axis=1, keepdims=True))
 
     def thermal_weight_right(self, betas: np.ndarray) -> np.ndarray:
         """W_R(beta) = exp(-beta (H_R - E_min)/2) in the right eigenbasis
         for every beta of the stack: its diagonal, one weight per right
         eigenvector, shape (n_b, 2^n_side)."""
-        def build():
-            e = self.eig_right.values
-            weight = np.exp(-0.5 * betas[:, None] * (e - e.min()))
-            weight.setflags(write=False)
-            return weight
-        return self._cached("weight", tuple(betas.tolist()), build)
+        return _boltzmann(self.eig_right.values, betas)
 
     # -- t stage ----------------------------------------------------------
     # The public entry points (the curves, arbitrary_fidelity, final_state)
@@ -569,44 +539,49 @@ class Engine:
         return np.array([1, 0], dtype=complex)
 
     # -- pipeline ---------------------------------------------------------
-    def dressed_state(self, msgs, betas, t_values: np.ndarray) -> np.ndarray:
+    def dressed_state(self, msgs, t_values: np.ndarray) -> np.ndarray:
         """Everything left of the coupling, U_L INSERT U_L^dagger |m>|TFD>,
-        in the side eigenbases: each row is indexed by (left eigenvector,
-        right eigenvector).
-
-        `msgs` is one message vector or a stack (n_in, 2^n_msg) of them and
-        `betas` one beta or a 1-D stack of n_b; the result has shape
-        (n_b n_t, n_in, 2^n_msg, 4^n_side), its leading axis (beta, t) with
-        beta outer.
-        """
+        factored over the TFD's left level a' for every beta at once:
+        z[a', (t, input, message), a] = exp(i (E_a' - E_a) t) F~[(message,
+        a), a'], shape (d, n_t n_in 2^n_msg, d) for d = 2^n_side and the
+        INSERT factor F~ in the left eigenbasis, for one message vector or
+        a stack (n_in, 2^n_msg) of them.  The dressed row over (a, right
+        eigenvector k) at (beta, t) is sum_a' w_a'(beta) z[a', (t, ...), a]
+        K0[a', k] (see tfd_weights and _rows)."""
         d = 2 ** self.reg.n_side
         m = 2 ** self.reg.n_message
         msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
-        k = self._tfd_eigen(np.reshape(betas, -1))
+        # INSERT on each message: (a', input, message, a)
+        ins = (msgs @ self._insert_left).reshape(len(msgs), d, m, d).transpose(1, 0, 2, 3)
+        # U_L^dagger on the TFD's level a', U_L on the output level a: (a', t, a)
         phases = self.side_evolution(t_values, "left")
-        n_b, n_t, n_in = len(k), len(phases), len(msgs)
-        # U_L^dagger on the TFD's left index: exp(+i E_a t) K[beta, a, k],
-        # laid out (a, (beta, t, k))
-        back = k.transpose(1, 0, 2)[:, :, None, :] * phases.T.conj()[:, None, :, None]
-        # INSERT on each message, then on every (beta, t) at once: rows
-        # (input, message, a'), columns (beta, t, k)
-        ins = (msgs @ self._insert_left).reshape(n_in * m * d, d)
-        psi = (ins @ back.reshape(d, -1)).reshape(n_in, m, d, n_b, n_t, d)
-        # U_L on the left index, moving (beta, t) to the front
-        out = np.empty((n_b, n_t, n_in, m, d, d), dtype=complex)
-        np.multiply(psi.transpose(3, 4, 0, 1, 2, 5), phases[:, None, None, :, None], out=out)
-        return out.reshape(n_b * n_t, n_in, m, d * d)
+        pair = phases.T.conj()[:, :, None] * phases
+        return (ins[:, None] * pair[:, :, None, None, :]).reshape(d, -1, d)
 
     @cached_property
     def _to_size(self) -> np.ndarray:
-        """C = (V_L (x) V_R)^T B^*, shape (4^n_side, 4^n_side): a row over the
-        side eigenbases (a, k') times C is the row of its size-eigenbasis
-        coefficients."""
+        """K0 C with C = (V_L (x) V_R)^T B^*, which takes a dressed row over
+        (a, k) to the size eigenbasis, as rows over (TFD left level a', a):
+        shape (4^n_side, 4^n_side).  K0 V_R^T = V_L^dagger Omega, so V_R
+        drops out: (K0 C)[(a', a), j] = sum_(l, r) V_L[l, a] (V_L^dagger
+        Omega)[a', r] B^*[(l, r), j]."""
         d = 2 ** self.reg.n_side
-        conj = self.size.basis.conj().reshape(d, d, -1)
-        # V_R^T on the right-site index, then V_L^T on the left-site index
-        out = (self.eig_right.vectors.T @ conj).reshape(d, -1)
-        return (self.eig_left.vectors.T @ out).reshape(d * d, -1)
+        v = self.eig_left.vectors
+        pair = v.conj().T @ layout.bell_vacuum(self.reg.n_side).reshape(d, d)
+        # the pair vacuum on the right-site index, then V_L^T on the left one
+        out = pair @ self.size.basis.conj().reshape(d, d, -1)
+        return np.matmul(v.T, out.transpose(1, 0, 2)).reshape(d * d, -1)
+
+    def _rows(self, z: np.ndarray, weights: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The dressed rows of the t stage z times `target` (_to_size or a
+        coupling map from it, (..., 4^n_side, n_c), K0 absorbed) for the
+        TFD weights (n_b, d): sum_a' w_a'(beta) z_a' (K0 target)_a', shape
+        (..., n_b, n_rows, n_c).  The d products are taken once for every
+        beta, and each beta is one real weighting of them."""
+        d = len(z)
+        y = np.matmul(z, target.reshape(target.shape[:-2] + (d, d, -1)))
+        x = _gemm(weights, y.reshape(y.shape[:-2] + (-1,)).view(float))
+        return x.view(complex).reshape(x.shape[:-1] + y.shape[-2:])
 
     def _right_eigen(self, sites: np.ndarray) -> np.ndarray:
         """Rows over (left site, right site) to rows over (left site, right
@@ -614,13 +589,26 @@ class Engine:
         d = 2 ** self.reg.n_side
         return (sites.reshape(-1, d) @ self.eig_right.vectors.conj()).reshape(sites.shape)
 
+    @cached_property
+    def _readout_tensor(self) -> np.ndarray:
+        """The trace over the traced right sites of V_R |k><k'| V_R^dagger,
+        shape (4^n_side, 4^k) over ((k, k'), (s, s')) for the k readout
+        sites s in the order of `readout`."""
+        n = self.reg.n_side
+        first = self.reg.right_sites[0]
+        sites = [s - first for s in self.readout]
+        traced = [q for q in range(n) if q not in sites]
+        v = self.eig_right.vectors.reshape((2,) * n + (-1,))
+        v = v.transpose(sites + traced + [n]).reshape(2 ** len(sites), -1, 2 ** n)
+        return np.einsum("sck,ucl->klsu", v, v.conj()).reshape(4 ** n, -1)
+
     def _coupling_order(self, n_rows: int, n_g: int) -> str:
-        """The order in which finish applies exp(i g upsilon) to n_rows rows
-        for n_g values of g (see the module docstring): "levels" for more
-        than L/2 values of g (which finish takes only with a reading, and
-        the phases order without one); else "maps" when the rows outnumber
-        n_g 4^n_side (building a map is one 4^n_side-square product, about
-        what 4^n_side rows cost through the size eigenbasis), and "phases"
+        """The order in which finish applies exp(i g upsilon) to n_rows
+        (beta, t, input, message) rows for n_g values of g (see the module
+        docstring): "levels" for more than L/2 values of g (finish takes
+        the phases order instead without a reading); else "maps" when the
+        rows outnumber n_g 4^n_side (a map costs one 4^n_side-square
+        product, about what 4^n_side rows cost through B^T), and "phases"
         otherwise."""
         if 2 * n_g > len(self._levels):
             return "levels"
@@ -662,20 +650,18 @@ class Engine:
             np.multiply(powers[k - 1], z, out=powers[k])
         return powers[self._levels]
 
-    def _readout_matrix(self, rows: np.ndarray, right: np.ndarray, n_in: int) -> np.ndarray:
-        """The level components Pi_p x of the dressed `rows` through the
-        right stage `right` (n_bt, 2^n_side), laid out as one matrix per
-        (beta, t), A = (traced sites) x (input, readout sites, level), shape
-        (n_bt, dim / 2^k, n_in 2^k L) for k readout sites.  Only A
-        outlives the call, so the level components are dropped before the
-        QR of A copies it."""
-        n_bt, d, block = len(right), right.shape[1], rows.shape[1]
+    def _readout_matrix(self, coeffs: np.ndarray, right: np.ndarray, n_in: int) -> np.ndarray:
+        """The level components Pi_p x of the size-eigenbasis rows `coeffs`
+        through the right stage `right` (n_bt, 2^n_side), laid out as one
+        matrix per (beta, t), A = (traced sites) x (input, readout sites,
+        level), shape (n_bt, dim / 2^k, n_in 2^k L) for k readout sites.
+        Only A outlives the call, so the level components are dropped
+        before the QR of A copies it."""
+        n_bt, d, block = len(right), right.shape[1], coeffs.shape[1]
         basis = self.size.basis
-        coeffs = rows @ self._to_size
-        parts = np.empty((len(self._levels), len(rows), block), dtype=complex)
+        parts = np.empty((len(self._levels), len(coeffs), block), dtype=complex)
         for p, cols in enumerate(self._level_columns):
             np.matmul(coeffs[:, cols], basis[:, cols].T, out=parts[p])
-        del coeffs
         parts = self._right_eigen(parts).reshape(len(self._levels), n_bt, -1, d)
         parts = self._right_stage(parts, right).reshape(len(parts), n_bt, n_in, -1)
         n = self.reg.n_qubits
@@ -685,86 +671,116 @@ class Engine:
         a = parts.reshape(parts.shape[:3] + (2,) * n).transpose(axes)
         return a.reshape(n_bt, 2 ** len(traced), -1)
 
-    def finish(self, dressed: np.ndarray, betas, g_values, t_values: np.ndarray,
-               reading=None) -> np.ndarray:
-        """Coupling phases, right evolution and thermal weight for every
-        (beta, t, g).
+    def _gram_readout(self, x: np.ndarray, right: np.ndarray, n_in: int) -> np.ndarray:
+        """The unnormalized readout densities, shape (n_bt, n_g, n_in 2^k,
+        n_in 2^k) for k readout sites, of the states with rows `x` (n_g,
+        n_bt n_in 2^n_msg, 4^n_side) over (left site, right eigenvector k)
+        before the right stage `right` (n_bt, 2^n_side): rho = sum_(k, k')
+        G[(i, k), (i', k')] r_k r_k'^* T[(k, k'), :] with the Gram G of the
+        rows over (message, left site), r = W_R U_R and T the readout
+        tensor.  The thermal weight, which makes a state small at large
+        beta, comes after the Gram sum, so rho keeps about eps relative to
+        its trace."""
+        n_g, n_bt, d = len(x), len(right), right.shape[1]
+        s = 2 ** len(self.readout)
+        # (input, right eigenvector) x (message, left site) per (g, beta, t)
+        a = x.reshape(n_g * n_bt, n_in, -1, d).transpose(0, 1, 3, 2).reshape(
+            n_g * n_bt, n_in * d, -1)
+        gram = a @ a.conj().transpose(0, 2, 1)
+        weight = right[:, :, None] * right.conj()[:, None, :]
+        gram = gram.reshape(n_g, n_bt, n_in, d, n_in, d) * weight[:, None, :, None, :]
+        rho = _gemm(gram.transpose(0, 1, 2, 4, 3, 5).reshape(-1, d * d),
+                    self._readout_tensor)
+        rho = rho.reshape(n_g, n_bt, n_in, n_in, s, s).transpose(1, 0, 2, 4, 3, 5)
+        return rho.reshape(n_bt, n_g, n_in * s, n_in * s)
 
-        `dressed` is the (n_bt, n_in, 2^n_msg, 4^n_side) output of
-        dressed_state at the same betas and t_values, with n_bt = n_b n_t
-        (beta, t) rows, beta outer.  Without `reading` the result is the
-        unnormalized final states, shape (n_bt, n_g, n_in, dim) in the
-        computational basis, from the phases or maps order.  With it,
-        reading maps the unnormalized readout densities of n_s of the rows
-        and a run of n_r values of g, shape (n_s, n_r, n_in 2^k, n_in 2^k)
-        over (input, readout sites) for k readout sites, to an array with
-        leading axes (n_s, n_r), and the result is those arrays joined over
-        the rows and g.  The level order then takes the rows in groups whose
-        level components fit G_BLOCK_BYTES, reads the densities off each
-        group's compressed coordinates one block of _g_block(n_in, n_g) at
-        a time, and builds no final state; the other orders read all rows
-        and values of g at once.
+    def finish(self, msgs, betas, g_values, t_values: np.ndarray,
+               reading=None) -> np.ndarray:
+        """The protocol for the messages `msgs` (one vector or a stack
+        (n_in, 2^n_msg)) at every (beta, t, g), all betas at once and the t
+        axis in chunks of _chunk.
+
+        Without `reading` the result is the unnormalized final states,
+        shape (n_b, n_t, n_g, n_in, dim), from the phases or maps order.
+        With it, reading maps the unnormalized readout densities of n_s
+        (beta, t) rows and a run of n_r values of g, shape (n_s, n_r, n_in
+        2^k, n_in 2^k) over (input, readout sites) for k readout sites, to
+        an array with leading axes (n_s, n_r), and the result is those
+        arrays joined, shape (n_b, n_t, n_g, ...): in the level order one
+        group of rows and one block of _g_block(n_in, n_g) at a time, in
+        the others a chunk's rows and values of g at once.
         """
         g = np.asarray(g_values, dtype=float).reshape(-1)
         if not np.isfinite(g).all():
             raise ConfigError("g must be finite")
         betas = np.reshape(betas, -1)
-        n_bt, n_in, m, block = dressed.shape
-        d = 2 ** self.reg.n_side
-        # W_R(beta) U_R(t) per (beta, t) row
-        right = self.side_evolution(t_values, "right")
-        if self.cfg.thermal_readout and betas.any():
-            right = right * self.thermal_weight_right(betas)[:, None, :]
-        right = np.broadcast_to(right, (len(betas),) + right.shape[-2:]).reshape(n_bt, d)
-        rows = dressed.reshape(-1, block)
-        basis = self.size.basis
-        order = self._coupling_order(len(rows), len(g))
-        if order == "levels" and reading is not None:
-            # the (beta, t) rows in groups whose level components fit
-            # G_BLOCK_BYTES, each through its own QR and g stage
-            per_row = n_in * m
-            group = max(1, G_BLOCK_BYTES // (16 * len(self._levels) * per_row * block))
-            out = [self._compressed_readout(
-                np.linalg.qr(self._readout_matrix(rows[i * per_row:(i + group) * per_row],
-                                                  right[i:i + group], n_in), mode="r"),
-                n_in, g, reading) for i in range(0, n_bt, group)]
-            return out[0] if len(out) == 1 else np.concatenate(out)
-        # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
-        phases = np.exp(1j * g[:, None, None] * self._column_levels)
-        if order == "maps":
-            psi = rows @ self._right_eigen((self._to_size * phases) @ basis.T)
-        else:
-            psi = self._right_eigen(((rows @ self._to_size) * phases) @ basis.T)
-        psi = self._right_stage(psi.reshape(len(g), n_bt, -1, d), right)
-        if reading is None:
-            return psi.reshape(len(g), n_bt, n_in, -1).swapaxes(0, 1)
-        # the input index as leading qubits of one state per (beta, t, g)
-        extra = n_in.bit_length() - 1
-        if n_in != 1 << extra:
+        d, m = 2 ** self.reg.n_side, 2 ** self.reg.n_message
+        msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
+        n_b, n_t, n_in = len(betas), len(t_values), len(msgs)
+        if reading is not None and n_in & (n_in - 1):
             raise ConfigError("a reading needs a power-of-two number of inputs")
-        psi = psi.reshape(len(g), n_bt, -1).swapaxes(0, 1)
-        keep = list(range(extra)) + [s + extra for s in self.readout]
-        return reading(qop.reduced_density(psi, self.reg.n_qubits + extra, keep))
+        weights = self.tfd_weights(betas)
+        thermal = None
+        if self.cfg.thermal_readout and betas.any():
+            thermal = self.thermal_weight_right(betas)[:, None, :]
+        basis = self.size.basis
+        order = self._coupling_order(n_b * n_t * n_in * m, len(g))
+        if order == "levels" and reading is None:
+            order = "phases"
+        target = self._to_size
+        if order != "levels":
+            # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
+            phases = np.exp(1j * g[:, None, None] * self._column_levels)
+        if order == "maps":
+            target = self._right_eigen((target * phases) @ basis.T)
+        t_step = self._chunk(n_b, n_in, len(g))
+        out = []
+        for j in range(0, n_t, t_step):
+            ts = t_values[j:j + t_step]
+            # W_R(beta) U_R(t) per (beta, t) row
+            right = self.side_evolution(ts, "right")
+            if thermal is not None:
+                right = (right * thermal).reshape(-1, d)
+            elif n_b > 1:
+                right = np.tile(right, (n_b, 1))
+            x = self._rows(self.dressed_state(msgs, ts), weights, target)
+            if order == "levels":
+                out.append(self._level_readout(x.reshape(-1, d * d), right, n_in, g,
+                                               reading))
+                continue
+            x = x.reshape(-1, n_b * len(ts) * n_in * m, d * d)
+            if order == "phases":
+                x = self._right_eigen((x * phases) @ basis.T)
+            if reading is None:
+                psi = self._right_stage(x.reshape(len(g), len(right), -1, d), right)
+                out.append(psi.reshape(len(g), len(right), n_in, -1).swapaxes(0, 1))
+            else:
+                out.append(reading(self._gram_readout(x, right, n_in)))
+        out = [o.reshape((n_b, -1) + o.shape[1:]) for o in out]
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+
+    def _level_readout(self, coeffs: np.ndarray, right: np.ndarray, n_in: int,
+                       g: np.ndarray, reading) -> np.ndarray:
+        """reading per (beta, t, g), shape (n_bt, n_g, ...), from the size-
+        eigenbasis rows `coeffs`: the (beta, t) rows in groups whose level
+        components fit G_BLOCK_BYTES, each through its own QR and g stage."""
+        per_row = len(coeffs) // len(right)
+        group = max(1, G_BLOCK_BYTES // (16 * len(self._levels) * per_row * coeffs.shape[1]))
+        out = [self._compressed_readout(
+            np.linalg.qr(self._readout_matrix(coeffs[i * per_row:(i + group) * per_row],
+                                              right[i:i + group], n_in), mode="r"),
+            n_in, g, reading) for i in range(0, len(right), group)]
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def _compressed_readout(self, r: np.ndarray, n_in: int, g: np.ndarray,
                             reading) -> np.ndarray:
         """reading over the g axis, block by block (_g_block), from the R
         factors `r` (n_bt, k_R, n_in 2^k L) of the level components of n_in
-        inputs, with k_R = min(dim / 2^k, n_in 2^k L) for k readout sites.
-
-        For one (beta, t) the final states at g, laid out (traced sites) x
-        (input, readout sites), are sum_p exp(i g p) A_p = Q R phi(g) with
-        A = QR (`_readout_matrix`) and phi_p(g) = exp(i g p).  Q is
-        orthonormal, so the readout densities rho(g)[r, s] = sum_j y_rj
-        y*_sj are sums over the k_R coordinates y(g) = R phi(g) alone, and
-        no final state is built.  |R phi| = |A phi| and Householder QR is backward stable,
-        so this keeps the direct sum's accuracy, about eps/norm relative
-        for a weighted final state of norm `norm`.  The Gram form
-        phi^dagger (A^dagger A) phi, or any sum_pq exp(i g (p - q)) M_pq,
-        is not used: at large beta the state is far smaller than its O(1)
-        level components (norm about 2e-6 at beta = 100), and the Gram
-        form loses eps/norm^2 instead (about 5e-5 there).
-        """
+        inputs, with k_R = min(dim / 2^k, n_in 2^k L) for k readout sites:
+        the final states at g are Q R phi(g) with A = QR (`_readout_matrix`),
+        so rho(g) is a sum over the k_R coordinates y(g) = R phi(g) alone
+        (see the module docstring; any sum_pq exp(i g (p - q)) M_pq would
+        lose eps/norm^2, about 5e-5 at beta = 100)."""
         width = n_in * 2 ** len(self.readout)
         # rows (coordinate j, input and readout value c), columns level p
         r = r.reshape(len(r), -1, len(self._levels))
@@ -785,44 +801,28 @@ class Engine:
         g = cfg.g if g is None else g
         _check_beta(beta)
         t_values = self._t_axis(cfg.t if t is None else t)
-        dressed = self.dressed_state(self.message_vector(), beta, t_values)
-        psi = self.finish(dressed, beta, (g,), t_values)[0, 0, 0]
+        psi = self.finish(self.message_vector(), beta, (g,), t_values)[0, 0, 0, 0]
         return psi * (1.0 / np.linalg.norm(psi))
 
-    def _chunk(self, n_t: int, n_in: int, n_g: int) -> tuple:
-        """(betas, t values) per chunk of _curve for n_in inputs and n_g
-        values of g.  What a chunk holds for all its (beta, t) rows at once
-        is its dressed state, 4^n_side amplitudes per row, input and
-        message index, and in the maps and phases orders its final states,
-        n_g times as many (the level order takes the rows a group at a time,
-        see finish).  A chunk takes as many whole betas as fit in
-        BATCH_BYTES of these; only when one beta's n_t rows do not fit is
-        its t axis cut, one beta per chunk."""
-        per_row = 1 if 2 * n_g > len(self._levels) else n_g
-        row_bytes = 16 * n_in * 2 ** self.reg.n_message * 4 ** self.reg.n_side * per_row
-        rows = BATCH_BYTES // row_bytes
-        if rows >= n_t:
-            return rows // n_t, n_t
-        return 1, max(1, rows)
+    def _chunk(self, n_b: int, n_in: int, n_g: int) -> int:
+        """t values per chunk of finish for n_b betas, n_in inputs and n_g
+        values of g, at least one.  Per t, input and message row a chunk
+        holds the t stage's products for the d = 2^n_side TFD levels and
+        the rows of the n_b betas, 4^n_side amplitudes each, and in the
+        maps and phases orders n_g times as many (the level order takes the
+        rows a group at a time, see finish); as many t as fit in
+        BATCH_BYTES of these."""
+        per_g = 1 if 2 * n_g > len(self._levels) else n_g
+        row_bytes = (16 * n_in * 2 ** self.reg.n_message * 4 ** self.reg.n_side
+                     * (2 ** self.reg.n_side + n_b) * per_g)
+        return max(1, BATCH_BYTES // row_bytes)
 
     def _curve(self, beta, t, g_values, msgs, reading) -> np.ndarray:
         """reading of the inputs `msgs` per (beta, t, g), joined to
-        np.shape(beta) + np.shape(t) + trailing, in the chunks of _chunk,
-        after beta and t are checked."""
-        betas, t_values = _beta_axis(beta), self._t_axis(t)
-        msgs = np.asarray(msgs, dtype=complex).reshape(-1, 2 ** self.reg.n_message)
-        b_step, t_step = self._chunk(len(t_values), len(msgs), np.size(g_values))
-        # (beta, t) rows in order: several betas per chunk, or runs of t
-        # within one beta
-        chunks = []
-        for i in range(0, len(betas), b_step):
-            for j in range(0, len(t_values), t_step):
-                b_chunk, t_chunk = betas[i:i + b_step], t_values[j:j + t_step]
-                # not bound to a name, so no chunk's dressed state outlives it
-                chunks.append(self.finish(self.dressed_state(msgs, b_chunk, t_chunk),
-                                          b_chunk, g_values, t_chunk, reading=reading))
-        out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        return out.reshape(np.shape(beta) + np.shape(t) + out.shape[1:])
+        np.shape(beta) + np.shape(t) + trailing, after beta and t are
+        checked."""
+        out = self.finish(msgs, _beta_axis(beta), g_values, self._t_axis(t), reading)
+        return out.reshape(np.shape(beta) + np.shape(t) + out.shape[2:])
 
     # -- metrics ----------------------------------------------------------
     # Each metric is read from the unnormalized readout density rho over
@@ -902,6 +902,21 @@ class Engine:
                              values.std(axis=-1, ddof=1) / math.sqrt(n_s)), axis=-1)
         out = self._curve(beta, t, g_values, _BRANCH_INPUTS, reading)
         return out[..., 0], out[..., 1]
+
+
+def _boltzmann(values: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """exp(-beta (E - E_min)/2) per beta and level, shape (n_b, len(values))."""
+    return np.exp(-0.5 * betas[:, None] * (values - values.min()))
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a whose rows run over betas or (g, beta, t), with a
+    one-row a taken as two rows: BLAS sends a one-row product through
+    another kernel, whose last bits can differ from the same row's inside a
+    larger product, and no value may depend on what shares its call."""
+    if len(a) > 1:
+        return a @ b
+    return (np.concatenate((a, a)) @ b)[..., :1, :]
 
 
 def _block_densities(r: np.ndarray, phases: np.ndarray, width: int) -> np.ndarray:

@@ -271,6 +271,25 @@ def _dense_geometry(n_side: int, n_message: int, swap_pairs: tuple, modes: tuple
     return protocol.InsertOperator(matrix=ins), size
 
 
+def _dense_t_batch(cfg, message, t_values):
+    """Normalized (thermally weighted when cfg says so) U(t) |m> (x) |TFD>
+    for every t on the full register, each side's evolution from a dense
+    eigendecomposition of its register Hamiltonian."""
+    h_l, _, ins, size, w_r, tfd_state, (e_r, v_r) = TestPipelineAgainstDense._dense_pieces(cfg)
+    e_l, v_l = np.linalg.eigh(h_l)
+    coupling = size.exp_ig_embedded(cfg.register, cfg.g)
+    psi0 = np.kron(message, tfd_state)
+    states = []
+    for t in t_values:
+        u_l = (v_l * np.exp(-1j * e_l * t)) @ v_l.conj().T
+        u_r = (v_r * np.exp(-1j * e_r * t)) @ v_r.conj().T
+        psi = u_r @ (coupling @ (u_l @ (ins.matrix @ (u_l.conj().T @ psi0))))
+        if cfg.thermal_readout:
+            psi = w_r @ psi
+        states.append(psi / np.linalg.norm(psi))
+    return states
+
+
 def _bell_stabilizer(n_qubits: int, a: int, b: int) -> np.ndarray:
     """(1 + XX + YY + ZZ)/2 on sites a and b, each Pauli pair one Kronecker
     product (its entries are 0, +-1 and +-i, so this is exact)."""
@@ -455,6 +474,46 @@ class TestPipelineAgainstDense:
             assert np.abs(curve - single).max() <= 1e-13
 
 
+class TestReadoutSites:
+    """Readout sites other than the default, against the dense protocol
+    unitary: through the scalar route and a batched t sweep in the maps
+    order, with thermal and with bare readout.  The Bell pair is also read
+    in reversed site order, which the readout density shows and the
+    (symmetric) stabilizer fidelity does not."""
+
+    T_GRID = np.linspace(0.2, 3.0, 40)
+
+    @pytest.mark.parametrize("thermal", [True, False], ids=["thermal", "bare"])
+    @pytest.mark.parametrize("sites", [(5,), (6,), (6, 5), (5, 7)], ids=str)
+    def test_against_dense(self, sites, thermal, monkeypatch):
+        cfg = protocol.ProtocolConfig(seed=11, beta=6.0, g=1.9, t=1.3, readout_sites=sites,
+                                      thermal_readout=thermal)
+        bell = len(sites) == 2
+        if bell:
+            cfg = replace(cfg, message="bell_phi_plus", swap_variant="bell_sequential")
+        msg = BELLS["phi_plus"] if bell else np.array([1, 0], dtype=complex)
+        n = cfg.register.n_qubits
+        op = _bell_stabilizer(n, *sites) if bell else qop.pauli_on(n, sites[0], "Z")
+        h_l, h_r, ins, size, w_r, tfd_state, _ = TestPipelineAgainstDense._dense_pieces(cfg)
+        u = protocol.wormhole_unitary(h_l, h_r, ins, size, cfg.g, cfg.t, cfg.register)
+        psi = u @ np.kron(msg, tfd_state)
+        psi = w_r @ psi if thermal else psi
+        want = float(np.real(qop.expectation(psi / np.linalg.norm(psi), op)))
+        run = protocol.run_bell if bell else protocol.run_single_qubit
+        assert abs(run(cfg) - want) <= 1e-12
+        states = _dense_t_batch(cfg, msg, self.T_GRID)
+        want = [float(np.real(qop.expectation(psi, op))) for psi in states]
+        eng = protocol.get_engine(cfg)
+        orders = _record_coupling_orders(monkeypatch)
+        got = (eng.curve_bell if bell else eng.curve_basis_z)(cfg.beta, self.T_GRID, [cfg.g])
+        assert orders == ["maps"]
+        assert np.abs(got[:, 0] - want).max() <= 1e-12
+        # the normalized readout density over the sites in their given order
+        rho = eng.finish(msg, cfg.beta, [cfg.g], self.T_GRID, reading=lambda r: r / np.trace(
+            r, axis1=-2, axis2=-1)[..., None, None])[0, :, 0]
+        assert np.abs(rho - qop.reduced_density(np.array(states), n, sites)).max() <= 1e-12
+
+
 class TestLevelFactoredCoupling:
     """exp(i g upsilon) = sum_p exp(i g p) Pi_p over the distinct size
     levels, the form Engine.finish applies."""
@@ -492,16 +551,15 @@ class TestLevelFactoredCoupling:
 
     def _check_rows(self, eng, msgs, beta):
         ts = np.array([0.7, 1.9])
-        dressed = eng.dressed_state(msgs, beta, ts)
-        n_in = len(dressed[0])
+        n_in = len(np.reshape(msgs, (-1, 2 ** eng.reg.n_message)))
         # the input index as leading qubits, then the readout sites
         extra = n_in.bit_length() - 1
         keep = list(range(extra)) + [s + extra for s in eng.readout]
         for gs in self.G_BATCHES:
-            batch = eng.finish(dressed, beta, gs, ts)
+            batch = eng.finish(msgs, beta, gs, ts)[0]
             assert batch.shape == (len(ts), len(gs), n_in, eng.reg.dim)
             for j, g in enumerate(gs):
-                single = eng.finish(dressed, beta, (g,), ts)[:, 0]
+                single = eng.finish(msgs, beta, (g,), ts)[0, :, 0]
                 assert np.abs(batch[:, j] - single).max() <= 1e-13
             # a reading sees the unnormalized readout densities of the g
             # axis block by block, each t's in turn, joined in order
@@ -510,8 +568,8 @@ class TestLevelFactoredCoupling:
             def reading(rho):
                 blocks.append(rho.shape[1])
                 return rho
-            joined = eng.finish(dressed, beta, gs, ts, reading=reading)
-            states = eng.finish(dressed, beta, gs, ts)
+            joined = eng.finish(msgs, beta, gs, ts, reading=reading)[0]
+            states = eng.finish(msgs, beta, gs, ts)[0]
             want = qop.reduced_density(states.reshape(len(ts), len(gs), -1),
                                        eng.reg.n_qubits + extra, keep)
             assert joined.shape == want.shape
@@ -566,7 +624,7 @@ class TestGBlockMemory:
             peaks = []
             for n_g in (201, 1608):
                 gs = np.linspace(0.0, 4 * math.pi, n_g)
-                curve(7.0, 1.0, gs)  # warm: C, K(beta) and W_R are built
+                curve(7.0, 1.0, gs)  # warm: C is built
                 tracemalloc.start()
                 try:
                     curve(7.0, 1.0, gs)
@@ -600,8 +658,40 @@ def _branch_states(eng, beta, t, g_values):
     """Unnormalized weighted final states for the |0> and |1> message
     inputs from the state mode of Engine.finish, shape (n_t, n_g, 2, dim)."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    dressed = eng.dressed_state(np.eye(2, dtype=complex), beta, ts)
-    return eng.finish(dressed, beta, g_values, ts)
+    return eng.finish(np.eye(2, dtype=complex), beta, g_values, ts)[0]
+
+
+def _record_t_chunks(monkeypatch) -> list:
+    """A list that collects the t values of every Engine.dressed_state call,
+    one chunk of a finish call each."""
+    chunks = []
+    stage = protocol.Engine.dressed_state
+
+    def recorded(self, msgs, t_values):
+        chunks.append(t_values)
+        return stage(self, msgs, t_values)
+    monkeypatch.setattr(protocol.Engine, "dressed_state", recorded)
+    return chunks
+
+
+def _record_stages(monkeypatch) -> list:
+    """A list that collects the name of every beta or t stage an Engine
+    builds."""
+    names = []
+    for name in ("tfd_weights", "thermal_weight_right", "dressed_state"):
+        def recorded(self, *args, _name=name, _stage=getattr(protocol.Engine, name)):
+            names.append(_name)
+            return _stage(self, *args)
+        monkeypatch.setattr(protocol.Engine, name, recorded)
+    return names
+
+
+def _pair_coefficients(eng) -> np.ndarray:
+    """K0 = V_L^dagger Omega V_R^*: the pair vacuum Omega over pairs of the
+    engine's side eigenvectors."""
+    d = 2 ** eng.reg.n_side
+    omega = layout.bell_vacuum(eng.reg.n_side).reshape(d, d)
+    return eng.eig_left.vectors.conj().T @ omega @ eng.eig_right.vectors.conj()
 
 
 def _bell_cfg(**kw):
@@ -623,7 +713,7 @@ class TestTBatching:
         eng = protocol.get_engine(cfg)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "BATCH_BYTES", 2 ** 15)
-            assert eng._chunk(len(ts), n_in, len(gs)) < (1, len(ts))
+            assert eng._chunk(1, n_in, len(gs)) < len(ts)
             for beta in (0.0, 6.0):
                 batched = curve(eng, beta, ts, gs)
                 assert batched.shape == (len(ts), len(gs))
@@ -675,9 +765,10 @@ class TestTBatching:
                 with pytest.raises(protocol.ConfigError):
                     call(bad)
 
-    def test_bad_beta_raises_before_any_stage(self):
+    def test_bad_beta_raises_before_any_stage(self, monkeypatch):
         # beta is checked at every public entry point, before the TFD or
         # the thermal weights are built, so no stage warns on it first
+        stages = _record_stages(monkeypatch)
         eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
         engb = protocol.Engine(_bell_cfg(seed=1))
         calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
@@ -691,7 +782,7 @@ class TestTBatching:
                     warnings.simplefilter("error")
                     with pytest.raises(protocol.ConfigError, match="beta"):
                         call(bad)
-        assert eng._latest == {} and engb._latest == {}
+        assert stages == []
 
     def test_tfim_takes_integer_steps(self):
         eng = protocol.get_engine(protocol.ProtocolConfig(model="tfim", t=1.0))
@@ -711,36 +802,42 @@ class TestTBatching:
             assert np.abs(batched - single).max() <= 1e-13
 
     def test_one_g_over_several_chunks(self, monkeypatch):
-        # 300 t at one g is two chunks of protocol.BATCH_BYTES (basis
-        # message) or three (Bell message, two branches), each through one
+        # 300 t at one g is 11 chunks of protocol.BATCH_BYTES (basis
+        # message) or 22 (Bell message, two branches), in order, through one
         # coupling map; one t at a time takes the rows through the size
         # eigenbasis
         ts = np.linspace(0.0, 7.0, 300)
         msgs = [protocol.haar_qubit(3, i) for i in range(3)]
         orders = _record_coupling_orders(monkeypatch)
+        chunks = _record_t_chunks(monkeypatch)
         for cfg, curve, n_in, n_chunks in (
-                (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z, 1, 2),
-                (_bell_cfg(seed=9), protocol.Engine.curve_bell, 1, 3),
+                (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z, 1, 11),
+                (_bell_cfg(seed=9), protocol.Engine.curve_bell, 1, 22),
                 (protocol.ProtocolConfig(seed=9, swap_variant="delta02"),
-                 lambda eng, beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs), 2, 3)):
+                 lambda eng, beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs), 2, 22)):
             eng = protocol.get_engine(cfg)
-            _, t_step = eng._chunk(len(ts), n_in, 1)
-            assert -(-len(ts) // t_step) == n_chunks
+            assert -(-len(ts) // eng._chunk(1, n_in, 1)) == n_chunks
             for beta in (0.0, 6.0):
                 orders.clear()
+                chunks.clear()
                 batched = curve(eng, beta, ts, [2.3])
-                assert orders == ["maps"] * n_chunks
+                assert orders == ["maps"]
+                assert len(chunks) == n_chunks
+                assert np.array_equal(np.concatenate(chunks), ts)
                 orders.clear()
                 single = np.stack([curve(eng, beta, float(t), [2.3]) for t in ts])
                 assert orders == ["phases"] * len(ts)
                 assert np.abs(batched - single).max() <= 1e-13
 
-    def test_only_beta_stages_are_kept(self):
-        # K(beta) = V_L^dagger T V_R^* and the diagonal thermal weights;
-        # nothing with a t or g axis is cached
+    def test_no_stage_with_a_sweep_axis_is_kept(self):
+        # the TFD and thermal weights and the t stage are built per call;
+        # an engine keeps only tensors of its realization: the INSERT
+        # factor, C with the pair vacuum absorbed and the readout tensor
         eng = protocol.Engine(protocol.ProtocolConfig(seed=2))
+        before = set(vars(eng))
         eng.curve_basis_z(3.0, self.T_GRID, self.G_GRID)
-        assert set(eng._latest) == {"tfd_eigen", "weight"}
+        eng.curve_basis_z(np.array([1.0, 3.0]), self.T_GRID, [0.5])
+        assert set(vars(eng)) - before == {"_insert_left", "_to_size", "_readout_tensor"}
 
 
 class TestBetaBatching:
@@ -785,9 +882,10 @@ class TestBetaBatching:
     @pytest.mark.parametrize("bad", [[[1.0, 2.0]], [], [1.0, math.nan], [math.inf, 1.0],
                                      [1.0, -math.inf], [2.0, -1e-300]],
                              ids=["2-D", "empty", "nan", "inf", "-inf", "negative"])
-    def test_bad_beta_arrays_raise(self, bad):
+    def test_bad_beta_arrays_raise(self, bad, monkeypatch):
         # the rule and error class of a bad t or a bad scalar beta, checked
         # before any stage is built
+        stages = _record_stages(monkeypatch)
         eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
         engb = protocol.Engine(_bell_cfg(seed=1))
         calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
@@ -799,26 +897,26 @@ class TestBetaBatching:
                 warnings.simplefilter("error")
                 with pytest.raises(protocol.ConfigError, match="beta"):
                     call(bad)
-        assert eng._latest == {} and engb._latest == {}
+        assert stages == []
 
 
 class TestBetaBatchMemory:
     """protocol.BATCH_BYTES, not the number of betas, sets the memory of one
-    call: the 8 betas of a 201-g Bell sweep are one chunk whose level order
-    takes its rows a group at a time, and the 73-t Bell window is one chunk
-    per beta."""
+    call: a call takes all its betas at once, the level order of a 201-g
+    Bell sweep takes its (beta, t) rows a group at a time, and the 73-t Bell
+    window is cut into runs of t whose rows for all betas fit
+    BATCH_BYTES."""
 
     def test_eight_betas_peak_near_one(self):
         engb = protocol.get_engine(_bell_cfg(seed=5))
         betas = np.array(analysis.DEFAULT_BETA_GRID)
         window = np.array(analysis.BELL_T_WINDOW)
         gs = np.linspace(0.0, 4 * math.pi, 201)
-        assert engb._chunk(1, 1, len(gs))[0] >= len(betas)
-        assert engb._chunk(len(window), 1, 1) == (1, len(window))
+        assert engb._chunk(len(betas), 1, 1) < engb._chunk(1, 1, 1) < len(window)
         for t, g_values in ((protocol.DEFAULT_T_BELL, gs), (window, [1.9])):
             peaks = []
             for beta in (5.0, betas):
-                engb.curve_bell(beta, t, g_values)  # warm: C, K(beta) and W_R
+                engb.curve_bell(beta, t, g_values)  # warm: C and the readout tensor
                 tracemalloc.start()
                 try:
                     engb.curve_bell(beta, t, g_values)
@@ -924,6 +1022,55 @@ class TestDegeneracyInvariance:
             for beta in (0.0, 5.0, 20.0):
                 assert np.abs(rot.curve_bell(beta, ts, gs)
                               - ref.curve_bell(beta, ts, gs)).max() <= 1e-12
+
+
+class TestFactoredTfd:
+    """The thermofield double's coefficients over pairs of side
+    eigenvectors factor as V_L^dagger T(beta) V_R^* = diag(w(beta)) K0 with
+    K0 = V_L^dagger Omega V_R^*, so beta enters the pipeline only through
+    the Boltzmann weights w(beta) of the left levels."""
+
+    BETAS = (0.0, 1.0, 5.0, 100.0, 1e4)
+
+    @pytest.mark.parametrize("n_side", [3, 4])
+    @pytest.mark.parametrize("model", ["syk", "tfim"])
+    def test_weights_times_pair_coefficients(self, model, n_side):
+        eng = protocol.Engine(protocol.ProtocolConfig(model=model, seed=4, n_side=n_side,
+                                                      t=1.0))
+        d = 2 ** n_side
+        k0 = _pair_coefficients(eng)
+        for beta, w in zip(self.BETAS, eng.tfd_weights(np.array(self.BETAS))):
+            want = (eng.eig_left.vectors.conj().T @ tfd.build_tfd(eng.eig_left, beta, eng.reg)
+                    .reshape(d, d) @ eng.eig_right.vectors.conj())
+            assert np.abs(w[:, None] * k0 - want).max() <= 1e-14
+        # the engine's C = (V_L (x) V_R)^T B^* with K0 absorbed: rows (a', a)
+        # of sum_k K0[a', k] C[(a, k), :]
+        c = np.kron(eng.eig_left.vectors, eng.eig_right.vectors).T @ eng.size.basis.conj()
+        absorbed = np.einsum("xk,akj->xaj", k0, c.reshape(d, d, -1)).reshape(d * d, -1)
+        assert np.abs(eng._to_size - absorbed).max() <= 1e-13
+
+    def test_rotated_degenerate_levels(self):
+        # every N = 6 level is twofold degenerate: the factored coefficients
+        # follow a rotation inside the levels, and no curve moves, in any
+        # coupling order.  The curves stop at beta 100: at beta 1e3 and 1e4
+        # the weighted final state at g = pi is round-off in the thermal
+        # readout, and its <Z> moves by up to 0.05 under the rotation with
+        # either route
+        rng = np.random.default_rng(23)
+        pair = TestDegeneracyInvariance()._pair
+        betas = np.array(self.BETAS[:-1])
+        ts, gs = np.linspace(0.0, 6.0, 40), np.linspace(0.0, 2 * math.pi, 9)
+        for cfg in (protocol.ProtocolConfig(seed=6), _bell_cfg(seed=6)):
+            ref, rot = pair(cfg, rng)
+            for beta, w in zip(self.BETAS, rot.tfd_weights(np.array(self.BETAS))):
+                want = (rot.eig_left.vectors.conj().T @ rot.tfd_vector(beta).reshape(8, 8)
+                        @ rot.eig_right.vectors.conj())
+                assert np.abs(w[:, None] * _pair_coefficients(rot) - want).max() <= 1e-14
+            curve = "curve_bell" if cfg.message == "bell_phi_plus" else "curve_basis_z"
+            # the level order, the maps order and the phases order
+            for t, g_values in ((ts[:3], gs), (ts, [1.1]), (1.0, [1.1])):
+                got = getattr(rot, curve)(betas, t, g_values)
+                assert np.abs(got - getattr(ref, curve)(betas, t, g_values)).max() <= 1e-12
 
 
 class TestCouplingOrdersUnderDegeneracy:
@@ -1269,7 +1416,7 @@ def _two_sided_correlator(i: int, j: int, beta: float, h_side: np.ndarray) -> co
 class TestThermalCorrelation:
     """The two-sided Majorana correlator in the thermofield double: unit
     magnitude for the matched pair at beta = 0, bounded, and the same from
-    the Engine's TFD coefficients K(beta)."""
+    the Engine's TFD weights w(beta) on the pair coefficients K0."""
 
     def _h(self, seed):
         c = models.sample_syk_couplings(6, 4, protocol.DEFAULT_J_SCALE, seed)
@@ -1290,11 +1437,11 @@ class TestThermalCorrelation:
         assert abs(got - want) <= 1e-10
 
     def test_eigen_route_matches_state_route(self):
-        # second route: the Engine's K(beta) = V_L^dagger T V_R^* taken back
+        # second route: the Engine's K(beta) = diag(w(beta)) K0 taken back
         # to the sites, T = V_L K V_R^T
         beta = 6.0
         eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
-        k = eng._tfd_eigen(np.array([beta]))[0]
+        k = eng.tfd_weights(np.array([beta]))[0][:, None] * _pair_coefficients(eng)
         state = (eng.eig_left.vectors @ k @ eng.eig_right.vectors.T).reshape(-1)
         op = layout.left_majorana_block(3, 0) @ layout.right_majorana_block(3, 2)
         want = np.vdot(state, op @ state)
