@@ -176,7 +176,7 @@ def _grid_hash(*grids) -> str:
 # on any host.
 _DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
 _SCALES = (10 ** np.arange(16, 10, -1, dtype=np.int64)).astype(float)
-_WORD = np.dtype("<u4")
+_U32 = np.dtype("<u4")
 
 
 def _word_tables():
@@ -190,15 +190,15 @@ def _word_tables():
     head[..., 3:6] = np.where(np.arange(3) >= np.arange(6)[:, None] - 1, ord("0"), 0)
     # q = 1000 a + 100 b + 10 c + d, one digit per axis; a digit is kept
     # when it or a later one is nonzero
-    a, b, c, d = (digit + ord("0") for digit in np.ix_(*[np.arange(10, dtype=_WORD)] * 4))
+    a, b, c, d = (digit + ord("0") for digit in np.ix_(*[np.arange(10, dtype=_U32)] * 4))
     kd = d > ord("0")
     kc = kd | (c > ord("0"))
     kb = kc | (b > ord("0"))
     ka = kb | (a > ord("0"))
     text = a | b << 8 | c << 16 | d << 24
     stripped = a * ka | b * kb << 8 | c * kc << 16 | d * kd << 24
-    return (head.view(_WORD).reshape(12, 2),
-            np.concatenate([text, stripped], axis=None).astype(_WORD))
+    return (head.view(_U32).reshape(12, 2),
+            np.concatenate([text, stripped], axis=None).astype(_U32))
 
 
 _HEADS, _QUADS = _word_tables()
@@ -224,14 +224,14 @@ def _value_bytes(values: np.ndarray) -> np.ndarray:
     exact = (np.abs(frac - 0.5) > 1e-4) & (whole >= 1e11) & (rounded < 1e12)
     high, low = np.divmod(np.where(exact, rounded, 0.0).astype(np.int64), 10 ** 4)
     high, mid = np.divmod(high, 10 ** 4)
-    words = np.empty((len(values), 5), dtype=_WORD)
+    words = np.empty((len(values), 5), dtype=_U32)
     words[:, :2] = _HEADS.take(6 * (values < 0) + position, axis=0)
     words[:, 2] = _QUADS.take(high + 10 ** 4 * ((mid == 0) & (low == 0)))
     words[:, 3] = _QUADS.take(mid + 10 ** 4 * (low == 0))
     words[:, 4] = _QUADS.take(low + 10 ** 4)
     other = np.flatnonzero(~exact)
     text = np.array([_FORMAT % v for v in values[other].tolist()], dtype="S20")
-    words[other] = text.view(_WORD).reshape(len(other), 5)
+    words[other] = text.view(_U32).reshape(len(other), 5)
     return words.view(np.uint8)
 
 

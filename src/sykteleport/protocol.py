@@ -60,12 +60,14 @@ Omega V_R^*:
   and each row back split into its L level components Pi_p x.  The orders
   agree to round-off, not bit for bit.
 
-Every metric is read from the readout density rho over (input, readout
-sites), which `Engine.finish` hands the metric's reading; each (beta, t,
-g) keeps its own density-matrix checks.  The maps and phases orders read
-rho from the Gram of each state's rows in the right eigenbasis, weighted
-by W_R U_R after the sum and traced by a fixed tensor over the right
-sites (`Engine._gram_readout`).  The level order builds no final state:
+Every metric is a reading of the unnormalized readout density rho over
+(input, readout sites), the one output of `Engine.finish`:
+`Engine.basis_z_value` (<Z>), `Engine.bell_value` (the stabilizer
+fidelity) and the branch overlaps of the Haar average; each (beta, t, g)
+keeps its own density-matrix checks.  The maps and phases orders read rho
+from the Gram of each state's rows in the right eigenbasis, weighted by
+W_R U_R after the sum and traced by a fixed tensor over the right sites
+(`Engine._gram_readout`).  The level order builds no final state:
 after W_R U_R (a diagonal multiply in V_R and a GEMM by V_R^T) it lays
 each (beta, t)'s level components out as a matrix A = (traced sites) x
 (input, readout value, level) and keeps only its R factor from a
@@ -77,10 +79,8 @@ state is far smaller than its O(1) level components (norm about 2e-6 at
 beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
 and is not used.  The level order takes the (beta, t) rows in groups
 whose level components fit G_BLOCK_BYTES, and each group's g axis in
-blocks of about G_BLOCK_BYTES of y(g).  Without a reading, `finish`
-returns the unnormalized final states, from the phases or maps order for
-any number of g (`final_state` normalizes its one).  A call takes all its
-betas at once and cuts its t axis into chunks of BATCH_BYTES.  No value
+blocks of about G_BLOCK_BYTES of y(g).  A call takes all its betas at
+once and cuts its t axis into chunks of BATCH_BYTES.  No value
 depends on what shares its call: every GEMM whose rows run over betas or
 t alone gets at least two rows (`_gemm`).  A scalar beta or t, or a
 single g, is a batch of one through the same stages, so
@@ -506,9 +506,9 @@ class Engine:
         return _boltzmann(self.eig_right.values, betas)
 
     # -- t stage ----------------------------------------------------------
-    # The public entry points (the curves, arbitrary_fidelity, final_state)
-    # check beta once with _beta_axis and t once with _t_axis, before any
-    # stage is built; the stages below take the checked values.
+    # finish, which every metric calls, checks beta once with _beta_axis, t
+    # once with _t_axis and g, before any stage is built; the stages below
+    # take the checked values.
     def _t_axis(self, t) -> np.ndarray:
         """A scalar or 1-D t as a checked 1-D float array."""
         t = np.asarray(t, dtype=float)
@@ -605,21 +605,13 @@ class Engine:
     def _coupling_order(self, n_rows: int, n_g: int) -> str:
         """The order in which finish applies exp(i g upsilon) to n_rows
         (beta, t, input, message) rows for n_g values of g (see the module
-        docstring): "levels" for more than L/2 values of g (finish takes
-        the phases order instead without a reading); else "maps" when the
-        rows outnumber n_g 4^n_side (a map costs one 4^n_side-square
-        product, about what 4^n_side rows cost through B^T), and "phases"
-        otherwise."""
+        docstring): "levels" for more than L/2 values of g; else "maps"
+        when the rows outnumber n_g 4^n_side (a map costs one
+        4^n_side-square product, about what 4^n_side rows cost through
+        B^T), and "phases" otherwise."""
         if 2 * n_g > len(self._levels):
             return "levels"
         return "maps" if n_rows > n_g * 4 ** self.reg.n_side else "phases"
-
-    def _right_stage(self, psi: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """W_R(beta) U_R(t) on (lead, n_bt, rows, k) states over the right
-        eigenbasis: one diagonal multiply by `right` (n_bt, 2^n_side), in
-        place, then V_R^T back to the right sites."""
-        np.multiply(psi, right[:, None, :], out=psi)
-        return (psi.reshape(-1, psi.shape[-1]) @ self.eig_right.vectors.T).reshape(psi.shape)
 
     def _g_block(self, n_in: int, n_g: int) -> tuple:
         """(rows, values of g) per block of the level order's g stage, one
@@ -663,7 +655,10 @@ class Engine:
         for p, cols in enumerate(self._level_columns):
             np.matmul(coeffs[:, cols], basis[:, cols].T, out=parts[p])
         parts = self._right_eigen(parts).reshape(len(self._levels), n_bt, -1, d)
-        parts = self._right_stage(parts, right).reshape(len(parts), n_bt, n_in, -1)
+        # the right stage: a diagonal multiply in V_R, in place, then V_R^T
+        np.multiply(parts, right[:, None, :], out=parts)
+        parts = (parts.reshape(-1, d) @ self.eig_right.vectors.T).reshape(
+            len(parts), n_bt, n_in, -1)
         n = self.reg.n_qubits
         traced = [s for s in range(n) if s not in self.readout]
         axes = ([1] + [3 + s for s in traced] + [2] + [3 + s for s in self.readout]
@@ -694,30 +689,27 @@ class Engine:
         rho = rho.reshape(n_g, n_bt, n_in, n_in, s, s).transpose(1, 0, 2, 4, 3, 5)
         return rho.reshape(n_bt, n_g, n_in * s, n_in * s)
 
-    def finish(self, msgs, betas, g_values, t_values: np.ndarray,
-               reading=None) -> np.ndarray:
-        """The protocol for the messages `msgs` (one vector or a stack
-        (n_in, 2^n_msg)) at every (beta, t, g), all betas at once and the t
-        axis in chunks of _chunk.
+    def finish(self, msgs, beta, g_values, t, reading) -> np.ndarray:
+        """`reading` of the protocol for the messages `msgs` (one vector or
+        a stack (n_in, 2^n_msg)) at every (beta, t, g) of a scalar or 1-D
+        beta and t, all betas at once and the t axis in chunks of _chunk.
 
-        Without `reading` the result is the unnormalized final states,
-        shape (n_b, n_t, n_g, n_in, dim), from the phases or maps order.
-        With it, reading maps the unnormalized readout densities of n_s
-        (beta, t) rows and a run of n_r values of g, shape (n_s, n_r, n_in
-        2^k, n_in 2^k) over (input, readout sites) for k readout sites, to
-        an array with leading axes (n_s, n_r), and the result is those
-        arrays joined, shape (n_b, n_t, n_g, ...): in the level order one
-        group of rows and one block of _g_block(n_in, n_g) at a time, in
-        the others a chunk's rows and values of g at once.
+        reading maps the unnormalized readout densities of n_s (beta, t)
+        rows and a run of n_r values of g, shape (n_s, n_r, n_in 2^k, n_in
+        2^k) over (input, readout sites) for k readout sites, to an array
+        with leading axes (n_s, n_r): in the level order one group of rows
+        and one block of _g_block(n_in, n_g) at a time, in the others a
+        chunk's rows and values of g at once.  The result is those arrays
+        joined, shape np.shape(beta) + np.shape(t) + (n_g, ...).
         """
+        betas, t_values = _beta_axis(beta), self._t_axis(t)
         g = np.asarray(g_values, dtype=float).reshape(-1)
         if not np.isfinite(g).all():
             raise ConfigError("g must be finite")
-        betas = np.reshape(betas, -1)
         d, m = 2 ** self.reg.n_side, 2 ** self.reg.n_message
         msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
         n_b, n_t, n_in = len(betas), len(t_values), len(msgs)
-        if reading is not None and n_in & (n_in - 1):
+        if n_in & (n_in - 1):
             raise ConfigError("a reading needs a power-of-two number of inputs")
         weights = self.tfd_weights(betas)
         thermal = None
@@ -725,8 +717,6 @@ class Engine:
             thermal = self.thermal_weight_right(betas)[:, None, :]
         basis = self.size.basis
         order = self._coupling_order(n_b * n_t * n_in * m, len(g))
-        if order == "levels" and reading is None:
-            order = "phases"
         target = self._to_size
         if order != "levels":
             # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
@@ -751,13 +741,10 @@ class Engine:
             x = x.reshape(-1, n_b * len(ts) * n_in * m, d * d)
             if order == "phases":
                 x = self._right_eigen((x * phases) @ basis.T)
-            if reading is None:
-                psi = self._right_stage(x.reshape(len(g), len(right), -1, d), right)
-                out.append(psi.reshape(len(g), len(right), n_in, -1).swapaxes(0, 1))
-            else:
-                out.append(reading(self._gram_readout(x, right, n_in)))
+            out.append(reading(self._gram_readout(x, right, n_in)))
         out = [o.reshape((n_b, -1) + o.shape[1:]) for o in out]
-        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+        out = out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+        return out.reshape(np.shape(beta) + np.shape(t) + out.shape[2:])
 
     def _level_readout(self, coeffs: np.ndarray, right: np.ndarray, n_in: int,
                        g: np.ndarray, reading) -> np.ndarray:
@@ -794,16 +781,6 @@ class Engine:
                 for j in range(0, len(r), n_rows)]))
         return np.concatenate(out, axis=1)
 
-    def final_state(self, beta: float | None = None, g: float | None = None,
-                    t: float | None = None) -> np.ndarray:
-        cfg = self.cfg
-        beta = cfg.beta if beta is None else beta
-        g = cfg.g if g is None else g
-        _check_beta(beta)
-        t_values = self._t_axis(cfg.t if t is None else t)
-        psi = self.finish(self.message_vector(), beta, (g,), t_values)[0, 0, 0, 0]
-        return psi * (1.0 / np.linalg.norm(psi))
-
     def _chunk(self, n_b: int, n_in: int, n_g: int) -> int:
         """t values per chunk of finish for n_b betas, n_in inputs and n_g
         values of g, at least one.  Per t, input and message row a chunk
@@ -817,41 +794,32 @@ class Engine:
                      * (2 ** self.reg.n_side + n_b) * per_g)
         return max(1, BATCH_BYTES // row_bytes)
 
-    def _curve(self, beta, t, g_values, msgs, reading) -> np.ndarray:
-        """reading of the inputs `msgs` per (beta, t, g), joined to
-        np.shape(beta) + np.shape(t) + trailing, after beta and t are
-        checked."""
-        out = self.finish(msgs, _beta_axis(beta), g_values, self._t_axis(t), reading)
-        return out.reshape(np.shape(beta) + np.shape(t) + out.shape[2:])
-
     # -- metrics ----------------------------------------------------------
-    # Each metric is read from the unnormalized readout density rho over
-    # (input, readout sites) that finish hands its reading, in every
-    # coupling order; basis_z_value and bell_value read it off final
-    # states through qop.reduced_density.
-    def _readout_density(self, psi: np.ndarray) -> np.ndarray:
-        return qop.reduced_density(psi, self.reg.n_qubits, list(self.readout))
+    # Each metric is a reading of the unnormalized readout density rho over
+    # (input, readout sites) that finish hands it, in every coupling order.
+    # The curves look basis_z_value and bell_value up on the engine at call
+    # time, so a wrapper set on the class sees every reading.
+    def basis_z_value(self, rho: np.ndarray) -> np.ndarray:
+        """<Z> on the readout site from unnormalized densities (..., 2, 2)."""
+        up, down = rho[..., 0, 0].real, rho[..., 1, 1].real
+        return (up - down) / (up + down)
 
-    def basis_z_value(self, psi: np.ndarray):
-        """<Z> on the readout site; a float for one state, an array over
-        the leading axes for a stack of states."""
-        values = _z_reading(self._readout_density(np.atleast_2d(psi)))
-        return float(values[0]) if np.ndim(psi) == 1 else values
-
-    def bell_value(self, psi: np.ndarray):
-        """Stabilizer fidelity of the readout pair; float or array as
-        basis_z_value."""
-        return _bell_reading(self._readout_density(psi))
+    def bell_value(self, rho: np.ndarray):
+        """Stabilizer fidelity of the readout pair from unnormalized
+        densities (..., 4, 4); the density-matrix checks run on every
+        one."""
+        trace = np.trace(rho, axis1=-2, axis2=-1).real
+        return stabilizer_fidelity(rho / trace[..., None, None])
 
     def curve_basis_z(self, beta, t, g_values) -> np.ndarray:
         """<Z> per (beta, t, g), shape np.shape(beta) + np.shape(t) + (n_g,)
         for a scalar or 1-D beta and t."""
-        return self._curve(beta, t, g_values, self.message_vector(), _z_reading)
+        return self.finish(self.message_vector(), beta, g_values, t, self.basis_z_value)
 
     def curve_bell(self, beta, t, g_values) -> np.ndarray:
         """Bell stabilizer fidelity per (beta, t, g), shape as
         curve_basis_z."""
-        return self._curve(beta, t, g_values, self.message_vector(), _bell_reading)
+        return self.finish(self.message_vector(), beta, g_values, t, self.bell_value)
 
     @staticmethod
     def _fidelity_reading(messages):
@@ -882,7 +850,7 @@ class Engine:
         rho_out(m) is assembled from the two basis-input branches, so any
         number of messages costs one protocol run per branch.
         """
-        return self._curve(beta, t, g_values, _BRANCH_INPUTS,
+        return self.finish(_BRANCH_INPUTS, beta, g_values, t,
                            self._fidelity_reading(messages))
 
     def curve_arbitrary_avg(self, beta, t, g_values, n_s: int = 100,
@@ -900,7 +868,7 @@ class Engine:
                 return np.stack((values[..., 0], np.zeros(values.shape[:-1])), axis=-1)
             return np.stack((values.mean(axis=-1),
                              values.std(axis=-1, ddof=1) / math.sqrt(n_s)), axis=-1)
-        out = self._curve(beta, t, g_values, _BRANCH_INPUTS, reading)
+        out = self.finish(_BRANCH_INPUTS, beta, g_values, t, reading)
         return out[..., 0], out[..., 1]
 
 
@@ -940,19 +908,6 @@ def _block_densities(r: np.ndarray, phases: np.ndarray, width: int) -> np.ndarra
 # assembled from
 _BRANCH_INPUTS = np.eye(2, dtype=complex)
 _BRANCH_INPUTS.setflags(write=False)
-
-
-def _z_reading(rho: np.ndarray) -> np.ndarray:
-    """<Z> on the readout site from unnormalized densities (..., 2, 2)."""
-    up, down = rho[..., 0, 0].real, rho[..., 1, 1].real
-    return (up - down) / (up + down)
-
-
-def _bell_reading(rho: np.ndarray):
-    """Stabilizer fidelity from unnormalized densities (..., 4, 4); the
-    density-matrix checks run on every one."""
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
-    return stabilizer_fidelity(rho / trace[..., None, None])
 
 
 # the ProtocolConfig fields an Engine depends on, message first: all but

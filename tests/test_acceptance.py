@@ -283,11 +283,11 @@ class TestCriterion8:
                 eng = protocol.get_engine(
                     protocol.ProtocolConfig(swap_variant=variant, seed=seed))
                 g_star = G_GRID[int(np.argmax(eng.curve_basis_z(beta, T1, G_GRID)))]
+                values = eng.curve_basis_z(beta, t_grid, (g_star,))[:, 0]
                 records = [analysis.FidelityRecord(
                     seed=seed, beta=beta, g=float(g_star), t=float(t),
-                    metric="basis_z", variant=variant,
-                    value=eng.basis_z_value(eng.final_state(beta, g_star, t)))
-                    for t in t_grid]
+                    metric="basis_z", variant=variant, value=float(value))
+                    for t, value in zip(t_grid, values)]
                 sink.append(analysis.recovery_time(records))
         return np.asarray(rec01), np.asarray(rec02)
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,12 @@ class TestConfigParsing:
         assert spec.seeds == tuple(cli.substream_seed(0, "sweep", i)
                                    for i in range(len(analysis.DEFAULT_SEEDS)))
         assert spec == analysis.SweepSpec(base=protocol.ProtocolConfig(), seeds=spec.seeds)
+
+    def test_word_parser_keeps_its_name(self):
+        # the key table and the module name are one parser, not the uint32
+        # dtype of the value writer
+        assert cli._KEYS["sweep"]["metric"] is cli._WORD
+        assert cli._WORD("basis_z") == "basis_z"
 
     def test_defaults_only_for_absent_keys(self):
         # an empty seed list is rejected, not replaced by the default seeds
@@ -302,6 +311,33 @@ class TestSanitySuite:
         _, checks = cli.sanity_suite()
         for _, _, deviation in checks:
             assert np.isfinite(deviation)
+
+
+def test_syk_path_loads_no_scipy():
+    # a fresh interpreter: the CLI import, SYK engines, one curve of each
+    # metric (the level order and the phases order) and the sanity suite
+    # load no scipy module; only the kicked-Ising Schur form imports it,
+    # and the import alone would add about 0.2 s to every run's set-up
+    code = """
+import sys
+from sykteleport import cli, protocol
+eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
+engb = protocol.get_engine(protocol.ProtocolConfig(
+    message="bell_phi_plus", swap_variant="bell_sequential", seed=1))
+for gs in ([0.5, 1.0, 1.5, 2.0, 2.5], [0.5]):
+    eng.curve_basis_z([0.0, 5.0], 1.0, gs)
+    engb.curve_bell(5.0, [1.0, 2.0], gs)
+    eng.arbitrary_fidelity(5.0, 1.0, gs, [(0.6, 0.8)])
+    eng.curve_arbitrary_avg(5.0, 1.0, gs, 10)
+assert cli.sanity_suite()[0]
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSubstreams:

@@ -227,8 +227,36 @@ class TestWormholeUnitary:
         h_r = models.build_syk_hamiltonian(c, "right", REG1)
         u = protocol.wormhole_unitary(h_l, h_r, protocol.build_insert(cfg), eng.size,
                                       cfg.g, cfg.t, REG1)
-        psi0 = np.kron(np.array([1, 0], dtype=complex), eng.tfd_vector(cfg.beta))
-        assert np.abs(u @ psi0 - eng.final_state()).max() <= 1e-10
+        tfd_state = eng.tfd_vector(cfg.beta)
+        _check_readouts(eng, cfg.beta, cfg.g, cfg.t, lambda m: u @ np.kron(m, tfd_state),
+                        1e-10)
+
+
+def _normalized(rho):
+    """The reading that returns each readout density over its trace."""
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+def _dense_readout(states, n_qubits: int, sites) -> np.ndarray:
+    """The normalized readout density over (input, readout sites) of the
+    final states (n_in, 2^n_qubits) of n_in message inputs, the input index
+    as leading qubits, as Engine.finish lays it out."""
+    states = np.asarray(states)
+    extra = len(states).bit_length() - 1
+    rho = qop.reduced_density(states.reshape(-1), n_qubits + extra,
+                              list(range(extra)) + [s + extra for s in sites])
+    return rho / np.trace(rho)
+
+
+def _check_readouts(eng, beta, g, t, final, tol):
+    """The engine's normalized readout density at (beta, g, t) against
+    that of the dense final states final(message), within tol: for the
+    engine's single-qubit message, and for the |0> and |1> branches read
+    together, whose 4x4 density holds their relative phase."""
+    for msgs in (eng.message_vector()[None], protocol._BRANCH_INPUTS):
+        want = _dense_readout([final(m) for m in msgs], eng.reg.n_qubits, eng.readout)
+        got = eng.finish(msgs, beta, [g], t, _normalized)[0]
+        assert np.abs(got - want).max() <= tol
 
 
 @lru_cache(maxsize=None)
@@ -431,15 +459,15 @@ class TestPipelineAgainstDense:
                 cfg = protocol.ProtocolConfig(seed=seed, beta=beta, g=g, t=t,
                                               swap_variant=variant)
                 want = self._dense_states(cfg, np.eye(2, dtype=complex))
-                got = _branch_states(protocol.get_engine(cfg), beta, t, [g])[0, 0]
-                for branch in (0, 1):
-                    assert np.abs(got[branch] - want[branch]).max() <= 1e-12
+                got = _branch_densities(protocol.get_engine(cfg), beta, t, [g])[0]
+                n, site = cfg.register.n_qubits, cfg.resolved_readout()[0]
+                dense = qop.reduced_density(np.concatenate(want), n + 1, [0, site + 1])
+                assert np.abs(got - dense).max() <= 1e-12
                 # the fidelity of a superposition assembled from the branches
                 a, b = protocol.haar_qubit(seed, 0)
                 msg = np.array([a, b], dtype=complex)
                 psi = a * want[0] + b * want[1]
                 psi = psi / np.linalg.norm(psi)
-                n, site = cfg.register.n_qubits, cfg.resolved_readout()[0]
                 proj = qop.kron_all([np.outer(msg, msg.conj()) if k == site else qop.I2
                                      for k in range(n)])
                 fid = float(np.real(qop.expectation(psi, proj)))
@@ -509,8 +537,7 @@ class TestReadoutSites:
         assert orders == ["maps"]
         assert np.abs(got[:, 0] - want).max() <= 1e-12
         # the normalized readout density over the sites in their given order
-        rho = eng.finish(msg, cfg.beta, [cfg.g], self.T_GRID, reading=lambda r: r / np.trace(
-            r, axis1=-2, axis2=-1)[..., None, None])[0, :, 0]
+        rho = eng.finish(msg, cfg.beta, [cfg.g], self.T_GRID, _normalized)[:, 0]
         assert np.abs(rho - qop.reduced_density(np.array(states), n, sites)).max() <= 1e-12
 
 
@@ -552,15 +579,8 @@ class TestLevelFactoredCoupling:
     def _check_rows(self, eng, msgs, beta):
         ts = np.array([0.7, 1.9])
         n_in = len(np.reshape(msgs, (-1, 2 ** eng.reg.n_message)))
-        # the input index as leading qubits, then the readout sites
-        extra = n_in.bit_length() - 1
-        keep = list(range(extra)) + [s + extra for s in eng.readout]
+        width = n_in * 2 ** len(eng.readout)
         for gs in self.G_BATCHES:
-            batch = eng.finish(msgs, beta, gs, ts)[0]
-            assert batch.shape == (len(ts), len(gs), n_in, eng.reg.dim)
-            for j, g in enumerate(gs):
-                single = eng.finish(msgs, beta, (g,), ts)[0, :, 0]
-                assert np.abs(batch[:, j] - single).max() <= 1e-13
             # a reading sees the unnormalized readout densities of the g
             # axis block by block, each t's in turn, joined in order
             blocks = []
@@ -568,12 +588,11 @@ class TestLevelFactoredCoupling:
             def reading(rho):
                 blocks.append(rho.shape[1])
                 return rho
-            joined = eng.finish(msgs, beta, gs, ts, reading=reading)[0]
-            states = eng.finish(msgs, beta, gs, ts)[0]
-            want = qop.reduced_density(states.reshape(len(ts), len(gs), -1),
-                                       eng.reg.n_qubits + extra, keep)
-            assert joined.shape == want.shape
-            assert np.abs(joined - want).max() <= 1e-13
+            joined = eng.finish(msgs, beta, gs, ts, reading)
+            assert joined.shape == (len(ts), len(gs), width, width)
+            for j, g in enumerate(gs):
+                single = eng.finish(msgs, beta, (g,), ts, lambda r: r)[:, 0]
+                assert np.abs(joined[:, j] - single).max() <= 1e-13
             n_rows, step = eng._g_block(n_in, len(gs))
             if len(gs) > len(eng._levels) // 2:
                 assert n_rows == 1
@@ -654,11 +673,11 @@ def _record_coupling_orders(monkeypatch) -> list:
     return orders
 
 
-def _branch_states(eng, beta, t, g_values):
-    """Unnormalized weighted final states for the |0> and |1> message
-    inputs from the state mode of Engine.finish, shape (n_t, n_g, 2, dim)."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    return eng.finish(np.eye(2, dtype=complex), beta, g_values, ts)[0]
+def _branch_densities(eng, beta, t, g_values):
+    """The unnormalized readout densities of the |0> and |1> message inputs
+    read together, r[(a, i), (b, j)] = Tr_rest |phi_a><phi_b| on the
+    readout site, from Engine.finish, shape np.shape(t) + (n_g, 4, 4)."""
+    return eng.finish(protocol._BRANCH_INPUTS, beta, g_values, t, lambda r: r)
 
 
 def _record_t_chunks(monkeypatch) -> list:
@@ -748,7 +767,11 @@ class TestTBatching:
         assert eng.arbitrary_fidelity(2.0, 1.0, gs, msgs).shape == (len(gs), 3)
         mean, stderr = eng.curve_arbitrary_avg(2.0, 1.0, gs, 5)
         assert mean.shape == stderr.shape == (len(gs),)
-        assert eng.final_state(2.0, 0.5, 1.0).shape == (eng.reg.dim,)
+        # finish keeps the axes of beta and t before g and the reading's own
+        msg = eng.message_vector()
+        assert eng.finish(msg, 2.0, [0.5], 1.0, lambda r: r).shape == (1, 2, 2)
+        assert eng.finish(msg, [2.0], [0.5, 1.0], [1.0, 2.0, 3.0], eng.basis_z_value
+                          ).shape == (1, 3, 2)
         # a 1-D t of one value keeps its axis
         assert eng.curve_basis_z(2.0, [1.0], gs).shape == (1, len(gs))
         assert eng.arbitrary_fidelity(2.0, [1.0, 2.0], gs, msgs).shape == (2, len(gs), 3)
@@ -775,7 +798,8 @@ class TestTBatching:
                  lambda beta: engb.curve_bell(beta, 2.0, [0.5]),
                  lambda beta: eng.arbitrary_fidelity(beta, 1.0, [0.5], [(1.0, 0.0)]),
                  lambda beta: eng.curve_arbitrary_avg(beta, 1.0, [0.5], 5),
-                 lambda beta: eng.final_state(beta, 0.5, 1.0))
+                 lambda beta: eng.finish(eng.message_vector(), beta, [0.5], 1.0,
+                                         eng.basis_z_value))
         for call in calls:
             for bad in (-5.0, -1e-300, math.inf, -math.inf, math.nan):
                 with warnings.catch_warnings():
@@ -966,8 +990,9 @@ class TestSharedInsert:
         h_r = models.build_syk_hamiltonian(eng.couplings, "right", REG1)
         u = protocol.wormhole_unitary(h_l, h_r, protocol.build_insert(cfg), eng.size,
                                       cfg.g, cfg.t, REG1)
-        psi0 = np.kron(np.array([1, 0], dtype=complex), eng.tfd_vector(cfg.beta))
-        assert np.abs(u @ psi0 - eng.final_state()).max() <= 1e-10
+        tfd_state = eng.tfd_vector(cfg.beta)
+        _check_readouts(eng, cfg.beta, cfg.g, cfg.t, lambda m: u @ np.kron(m, tfd_state),
+                        1e-10)
 
 
 def _rotate_degenerate(eig, rng):
@@ -1099,6 +1124,32 @@ class TestCouplingOrdersUnderDegeneracy:
                                   - ref.arbitrary_fidelity(beta, ts, gs, msgs)).max() <= 1e-12
                     assert np.abs(rotb.curve_bell(beta, ts, gs)
                                   - refb.curve_bell(beta, ts, gs)).max() <= 1e-12
+
+
+class TestReadingStage:
+    """The curves hand Engine.finish the readings basis_z_value and
+    bell_value, looked up on the engine at call time: a wrapper set on the
+    class, as the benchmark tracer sets one, sees them in every coupling
+    order and moves no value."""
+
+    @pytest.mark.parametrize("order", ["maps", "phases", "levels"])
+    def test_class_wrappers_see_every_reading(self, order, monkeypatch):
+        _force_coupling_order(monkeypatch, order)
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=4))
+        engb = protocol.get_engine(_bell_cfg(seed=4))
+        betas, ts = np.array([0.0, 5.0]), np.linspace(0.5, 2.0, 3)
+        gs = np.linspace(0.0, 2 * math.pi, 9)
+        want = (eng.curve_basis_z(betas, ts, gs), engb.curve_bell(betas, ts, gs))
+        calls = Counter()
+        for name in ("basis_z_value", "bell_value"):
+            def counted(self, rho, _name=name, _reading=getattr(protocol.Engine, name)):
+                calls[_name] += 1
+                return _reading(self, rho)
+            monkeypatch.setattr(protocol.Engine, name, counted)
+        assert np.array_equal(eng.curve_basis_z(betas, ts, gs), want[0])
+        assert calls["basis_z_value"] > 0 and calls["bell_value"] == 0
+        assert np.array_equal(engb.curve_bell(betas, ts, gs), want[1])
+        assert calls["bell_value"] > 0
 
 
 class TestSingleQubit:
@@ -1265,12 +1316,9 @@ class TestArbitraryAverage:
             cfg = protocol.ProtocolConfig(seed=seed, beta=beta, g=1.3, t=1.0,
                                           thermal_readout=thermal,
                                           swap_variant=variant)
-            eng = protocol.get_engine(cfg)
-            phi = _branch_states(eng, cfg.beta, cfg.t, [cfg.g])[0, 0]
-            n, site = eng.reg.n_qubits, eng.readout[0]
-            parts = [np.moveaxis(p.reshape((2,) * n), site, 0).reshape(2, -1)
-                     for p in phi]
-            f_e = 0.25 * np.linalg.norm(parts[0][0] + parts[1][1]) ** 2
+            r = _branch_densities(protocol.get_engine(cfg), cfg.beta, cfg.t, [cfg.g])[0]
+            # ||phi_0[r=0] + phi_1[r=1]||^2 over the rows (a, i) = (0, 0), (1, 1)
+            f_e = 0.25 * (r[0, 0] + r[3, 3] + 2 * r[0, 3]).real
             mean, stderr = protocol.run_arbitrary_avg(cfg, 100, seed=3)
             assert stderr > 0
             assert abs(mean - (2 * f_e + 1) / 3) <= 4 * stderr
@@ -1284,9 +1332,7 @@ class TestArbitraryAverage:
             eng = protocol.Engine(protocol.ProtocolConfig(
                 seed=4, swap_variant=variant, thermal_readout=thermal))
             for beta in (0.0, 5.0, 20.0):
-                phi = _branch_states(eng, beta, ts, gs)
-                r = qop.reduced_density(phi.reshape(len(ts) * len(gs), -1),
-                                        eng.reg.n_qubits + 1, [0, eng.readout[0] + 1])
+                r = _branch_densities(eng, beta, ts, gs).reshape(-1, 4, 4)
                 u = (msgs[:, :, None] * msgs.conj()[:, None, :]).reshape(-1, 4)
                 overlap = np.einsum("gxy,sx,sy->gs", r, u, u.conj())
                 norm2 = np.einsum("gaibi,sa,sb->gs", r.reshape(-1, 2, 2, 2, 2),
@@ -1366,10 +1412,18 @@ class TestBell:
                                       swap_variant="bell_sequential",
                                       seed=0, beta=4.0, g=0.0, t=0.0)
         eng = protocol.get_engine(cfg)
-        psi = eng.final_state(cfg.beta, cfg.g, cfg.t)
+        psi = protocol.build_insert(cfg).matrix @ np.kron(eng.message_vector(),
+                                                         eng.tfd_vector(cfg.beta))
         targets = [b for _, b in cfg.swap_site_pairs()]
         rho = qop.reduced_density(psi, eng.reg.n_qubits, targets)
         assert protocol.stabilizer_fidelity(rho) == pytest.approx(1.0, abs=1e-10)
+        # and the engine's readout at g = t = 0 is that of W_R INSERT |m>|TFD>
+        v = eng.eig_right.vectors
+        w_r = (v * eng.thermal_weight_right(np.array([cfg.beta]))[0]) @ v.conj().T
+        w_r = np.kron(np.eye(eng.reg.dim // len(w_r)), w_r)
+        want = _dense_readout([w_r @ psi], eng.reg.n_qubits, eng.readout)
+        got = eng.finish(eng.message_vector(), cfg.beta, [cfg.g], cfg.t, _normalized)[0]
+        assert np.abs(got - want).max() <= 1e-10
 
     def test_readout_density_matrix_is_physical(self):
         cfg = protocol.ProtocolConfig(message="bell_phi_plus",
@@ -1377,11 +1431,14 @@ class TestBell:
                                       seed=1, beta=20.0, g=1.9,
                                       t=protocol.DEFAULT_T_BELL)
         eng = protocol.get_engine(cfg)
-        psi = eng.final_state(cfg.beta, cfg.g, cfg.t)
-        rho = qop.reduced_density(psi, eng.reg.n_qubits, list(eng.readout))
-        assert abs(np.trace(rho) - 1.0) <= 1e-10
+        rho = eng.finish(eng.message_vector(), cfg.beta, [cfg.g], cfg.t, lambda r: r)[0]
+        trace = np.trace(rho)
+        assert trace.real > 0 and abs(trace.imag) <= 1e-12 * trace.real
+        rho = rho / trace
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-9
         val = protocol.run_bell(cfg)
+        assert abs(val - eng.bell_value(rho)) <= 1e-14
         assert -1.0 <= val <= 2.0
 
     def test_periodicity(self):
@@ -1495,17 +1552,15 @@ class TestTfimModel:
                 model="tfim", seed=seed, thermal_readout=thermal))
             for beta in (0.0, 5.0):
                 vac = np.kron(expm(-0.5 * beta * h1), i8) @ layout.bell_vacuum(3)
-                psi0 = np.kron([1.0, 0.0], vac / np.linalg.norm(vac))
+                tfd_state = vac / np.linalg.norm(vac)
                 w_r = qop.kron_all([qop.I2, i8, mirror @ expm(-0.5 * beta * h1) @ mirror])
+                if not thermal:
+                    w_r = np.eye(REG1.dim)
                 for k in range(5):
                     for g in (0.0, 1.3):
                         ul_k = np.linalg.matrix_power(u_l, k)
-                        u = (np.linalg.matrix_power(u_r, k)
+                        u = (w_r @ np.linalg.matrix_power(u_r, k)
                              @ eng.size.exp_ig_embedded(REG1, g)
                              @ ul_k @ ins @ ul_k.conj().T)
-                        want = u @ psi0
-                        if thermal:
-                            want = w_r @ want
-                        want /= np.linalg.norm(want)
-                        got = eng.final_state(beta=beta, g=g, t=float(k))
-                        assert np.abs(got - want).max() <= 1e-12
+                        _check_readouts(eng, beta, g, float(k),
+                                        lambda m: u @ np.kron(m, tfd_state), 1e-12)
