@@ -252,7 +252,7 @@ def ensemble_mean(records, group_by=("beta", "g", "t")):
     means, stderrs = np.empty(len(starts)), np.zeros(len(starts))
     # the groups of one size as the rows of one array: a row's mean and
     # std have the bits of the same calls on the group alone
-    for n in np.unique(sizes).tolist():
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
         which = np.flatnonzero(sizes == n)
         groups = values[starts[which, None] + np.arange(n)]
         means[which] = groups.mean(axis=1)
@@ -269,7 +269,8 @@ def recovery_time(records) -> float:
     if not len(table):
         raise SweepError("no records")
     for a in ("seed", "beta", "g"):
-        if len(np.unique(getattr(table, a))) > 1:
+        column = getattr(table, a)
+        if (column != column[0]).any():
             raise SweepError(f"records differ in {a}; recovery_time needs a pure t-sweep")
     order = np.argsort(table.t, kind="stable")
     best_t, best_v = None, -math.inf

@@ -80,7 +80,10 @@ beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
 and is not used.  The level order takes the (beta, t) rows in groups
 whose level components fit G_BLOCK_BYTES, and each group's g axis in
 blocks of about G_BLOCK_BYTES of y(g).  A call takes all its betas at
-once and cuts its t axis into chunks of BATCH_BYTES.  No value
+once and cuts its t axis into chunks of BATCH_BYTES.  The maps and phases
+orders hand a reading the densities of consecutive chunks together, as
+many as fit G_BLOCK_BYTES, so a reading's fixed cost is not paid per
+chunk and the t grid does not set the memory a reading holds.  No value
 depends on what shares its call: every GEMM whose rows run over betas or
 t alone gets at least two rows (`_gemm`).  A scalar beta or t, or a
 single g, is a batch of one through the same stages, so
@@ -108,7 +111,7 @@ DEFAULT_TFIM_STEPS = 1
 # Engine._chunk): per t, input and message row, the t stage's products for
 # the d TFD levels and the rows of every beta, 1 KiB each at n_side 3, n_g
 # times as many in the maps and phases orders.  The 73-t Bell window of
-# heatmap-t at one g and 8 betas is 10 chunks of 8 t.
+# heatmap-t at one g and 8 betas is 10 chunks of 8 t, read in 3 readings.
 BATCH_BYTES = 2 ** 19
 # bytes of compressed readout coordinates y(g) per g block of
 # Engine.finish's level order (see Engine._g_block), and of level
@@ -121,7 +124,11 @@ BATCH_BYTES = 2 ** 19
 # memory is about three times its y(g) (y, its conjugate and one product).
 # With 64 KiB the traced peak of a 1608-g call is within 1.35 times that of
 # a 201-g call at n_side 3 and 4; at 128 KiB the 1608-g basis sweep at
-# n_side 3 peaked 1.65 times higher.
+# n_side 3 peaked 1.65 times higher.  The maps and phases orders hand one
+# reading the readout densities of as many consecutive chunks as
+# G_BLOCK_BYTES holds (see Engine._chunks_per_reading; 4 chunks of the
+# heatmap-t window), and the Haar average takes its (point, message)
+# values in slices of about G_BLOCK_BYTES.
 G_BLOCK_BYTES = 2 ** 16
 # engines kept by get_engine, and realizations they share: above the 20
 # seeds a two-stage preset revisits, so its second sweep finds every
@@ -698,9 +705,10 @@ class Engine:
         rows and a run of n_r values of g, shape (n_s, n_r, n_in 2^k, n_in
         2^k) over (input, readout sites) for k readout sites, to an array
         with leading axes (n_s, n_r): in the level order one group of rows
-        and one block of _g_block(n_in, n_g) at a time, in the others a
-        chunk's rows and values of g at once.  The result is those arrays
-        joined, shape np.shape(beta) + np.shape(t) + (n_g, ...).
+        and one block of _g_block(n_in, n_g) at a time, in the others the
+        rows of _chunks_per_reading consecutive chunks and every value of g
+        at once.  The result is those arrays joined, shape np.shape(beta) +
+        np.shape(t) + (n_g, ...).
         """
         betas, t_values = _beta_axis(beta), self._t_axis(t)
         g = np.asarray(g_values, dtype=float).reshape(-1)
@@ -724,7 +732,8 @@ class Engine:
         if order == "maps":
             target = self._right_eigen((target * phases) @ basis.T)
         t_step = self._chunk(n_b, n_in, len(g))
-        out = []
+        per_read = self._chunks_per_reading(n_b, n_in, len(g), t_step)
+        out, held = [], []
         for j in range(0, n_t, t_step):
             ts = t_values[j:j + t_step]
             # W_R(beta) U_R(t) per (beta, t) row
@@ -741,7 +750,13 @@ class Engine:
             x = x.reshape(-1, n_b * len(ts) * n_in * m, d * d)
             if order == "phases":
                 x = self._right_eigen((x * phases) @ basis.T)
-            out.append(reading(self._gram_readout(x, right, n_in)))
+            rho = self._gram_readout(x, right, n_in)
+            held.append(rho.reshape((n_b, -1) + rho.shape[1:]))
+            if len(held) == per_read or j + t_step >= n_t:
+                # the densities of consecutive chunks, rows (beta, t)
+                rho = held[0] if len(held) == 1 else np.concatenate(held, axis=1)
+                held = []
+                out.append(reading(rho.reshape((-1,) + rho.shape[2:])))
         out = [o.reshape((n_b, -1) + o.shape[1:]) for o in out]
         out = out[0] if len(out) == 1 else np.concatenate(out, axis=1)
         return out.reshape(np.shape(beta) + np.shape(t) + out.shape[2:])
@@ -793,6 +808,14 @@ class Engine:
         row_bytes = (16 * n_in * 2 ** self.reg.n_message * 4 ** self.reg.n_side
                      * (2 ** self.reg.n_side + n_b) * per_g)
         return max(1, BATCH_BYTES // row_bytes)
+
+    def _chunks_per_reading(self, n_b: int, n_in: int, n_g: int, t_step: int) -> int:
+        """Chunks of t_step t values whose readout densities the maps and
+        phases orders of finish hand to one reading, at least one: as many
+        as G_BLOCK_BYTES holds of their 16 (n_in 2^k)^2 bytes per (beta, t,
+        g) for k readout sites."""
+        width = n_in * 2 ** len(self.readout)
+        return max(1, G_BLOCK_BYTES // (16 * width * width * n_b * n_g * t_step))
 
     # -- metrics ----------------------------------------------------------
     # Each metric is a reading of the unnormalized readout density rho over
@@ -857,17 +880,29 @@ class Engine:
                             seed: int = 0):
         """Mean and standard error over n_s Haar-random messages per
         (beta, t, g), each of shape as curve_basis_z.  Both are taken per
-        g block, so no (beta, t, g, message) array is held."""
+        slice of about G_BLOCK_BYTES of (point, message) values inside each
+        reading, so no (beta, t, g, message) array is held."""
         if n_s < 1:
             raise ConfigError("need at least one sample")
         fidelity = self._fidelity_reading(_haar_samples(seed, n_s))
 
-        def reading(r):
+        def summary(r):
             values = fidelity(r)
             if n_s == 1:
                 return np.stack((values[..., 0], np.zeros(values.shape[:-1])), axis=-1)
             return np.stack((values.mean(axis=-1),
                              values.std(axis=-1, ddof=1) / math.sqrt(n_s)), axis=-1)
+
+        def reading(r):
+            # the (point, message) values in slices of about G_BLOCK_BYTES,
+            # as equal as can be and of at least two points each
+            points = r.reshape(-1, 1, 4, 4)
+            n_parts = max(1, min(len(points) // 2,
+                                 round(16 * n_s * len(points) / G_BLOCK_BYTES)))
+            if n_parts == 1:
+                return summary(r)
+            out = np.concatenate([summary(p) for p in np.array_split(points, n_parts)])
+            return out.reshape(r.shape[:2] + (2,))
         out = self.finish(_BRANCH_INPUTS, beta, g_values, t, reading)
         return out[..., 0], out[..., 1]
 

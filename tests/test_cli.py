@@ -332,12 +332,39 @@ for gs in ([0.5, 1.0, 1.5, 2.0, 2.5], [0.5]):
 assert cli.sanity_suite()[0]
 print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 """
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_sweep_analysis_loads_no_numpy_ma():
+    # a fresh interpreter: a sweep and the analyses that group its records
+    # load no numpy.ma (a plain np.unique imports it on numpy 2.4 to test
+    # for a masked array, 10-14 ms of a fresh run)
+    code = """
+import sys
+from sykteleport import analysis, protocol
+spec = analysis.SweepSpec(
+    base=protocol.ProtocolConfig(message="bell_phi_plus", swap_variant="bell_sequential"),
+    g_grid=(0.5, 1.0, 1.5), t_grid=(2.0,), beta_grid=(0.0, 5.0), seeds=(0, 1),
+    metric="bell_stabilizer")
+g_star = analysis.optimal_g(analysis.run_sweep(spec), 0.0)
+records = analysis.run_sweep(analysis.SweepSpec(
+    base=protocol.ProtocolConfig(), g_grid=(g_star,), t_grid=(1.0, 2.0, 3.0),
+    beta_grid=(0.0,), seeds=(0,)))
+analysis.recovery_time(records)
+print("numpy.ma" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "False"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """The stripped standard output of `code` run in a new Python process
+    that imports this package's source."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
 
 
 class TestSubstreams:

@@ -654,6 +654,73 @@ class TestGBlockMemory:
             assert max(peaks) < 2 * 2 ** 20
 
 
+def _peak(call) -> int:
+    """The traced peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTGridMemory:
+    """In the maps and phases orders, finish hands a reading the densities
+    of at most G_BLOCK_BYTES of consecutive chunks, and the Haar average
+    takes its samples in slices of about that size, so the memory of a
+    one-g call does not grow with its t grid beyond the (n_t,)-sized
+    inputs and outputs."""
+
+    def test_peak_does_not_grow_with_the_t_grid(self):
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=5))
+        engb = protocol.get_engine(_bell_cfg(seed=5))
+        haar = partial(eng.curve_arbitrary_avg, n_s=100)
+        short, long = np.linspace(2.0, 20.0, 73), np.linspace(2.0, 20.0, 1000)
+        for beta in (7.0, np.array(analysis.DEFAULT_BETA_GRID)):
+            for curve in (eng.curve_basis_z, engb.curve_bell, haar):
+                curve(beta, short, [1.9])  # warm: C and the readout tensor
+                peaks = [_peak(lambda: curve(beta, ts, [1.9])) for ts in (short, long)]
+                assert peaks[1] <= 1.25 * peaks[0], (curve, np.ndim(beta), peaks)
+
+
+class TestBatchedReadings:
+    """The maps and phases orders read the densities of several chunks at
+    once; how many share a reading moves no value."""
+
+    def test_bell_window_over_eight_betas(self, monkeypatch):
+        engb = protocol.get_engine(_bell_cfg(seed=8))
+        betas = np.array(analysis.DEFAULT_BETA_GRID)
+        window = np.array(analysis.BELL_T_WINDOW)
+        calls = []
+        reading = protocol.Engine.bell_value
+
+        def counted(self, rho):
+            calls.append(len(rho))
+            return reading(self, rho)
+        monkeypatch.setattr(protocol.Engine, "bell_value", counted)
+        batched = engb.curve_bell(betas, window, [1.9])
+        assert len(calls) <= 3
+        assert sum(calls) == len(betas) * len(window)
+        # a cap below one chunk's densities: one chunk per reading
+        calls.clear()
+        monkeypatch.setattr(protocol, "G_BLOCK_BYTES", 1)
+        single = engb.curve_bell(betas, window, [1.9])
+        assert len(calls) == -(-len(window) // engb._chunk(len(betas), 1, 1)) == 10
+        assert batched.shape == single.shape == (len(betas), len(window), 1)
+        assert np.array_equal(batched, single)
+
+    def test_basis_and_haar_window(self, monkeypatch):
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=8))
+        betas = np.array(analysis.DEFAULT_BETA_GRID)
+        window = np.array(analysis.BELL_T_WINDOW)
+        curves = (eng.curve_basis_z, lambda *a: eng.curve_arbitrary_avg(*a, 100, 2))
+        batched = [curve(betas, window, [1.9]) for curve in curves]
+        # one chunk per reading, and Haar slices of two points
+        monkeypatch.setattr(protocol, "G_BLOCK_BYTES", 1)
+        for curve, values in zip(curves, batched):
+            assert np.array_equal(np.stack(curve(betas, window, [1.9])), np.stack(values))
+
+
 def _force_coupling_order(monkeypatch, order: str):
     """Make Engine.finish take one coupling order ("maps", "phases" or
     "levels"), whatever the call's size."""
