@@ -379,11 +379,11 @@ def sanity_suite(majorana_fn=None):
             proj_dev = max(proj_dev, float(np.abs(pp @ pq - (pp if p == q else 0.0)).max()))
     checks.append(("size_level_projectors", proj_dev <= 1e-12, proj_dev))
 
-    cfg = protocol.ProtocolConfig(seed=0, beta=5.0, t=1.0)
-    eng = protocol.get_engine(cfg)
+    beta, t = 5.0, 1.0
+    eng = protocol.get_engine(protocol.ProtocolConfig(seed=0))
     g_values = np.array([0.3, 1.1, 2.4])
-    c1 = eng.curve_basis_z(cfg.beta, cfg.t, g_values)
-    c2 = eng.curve_basis_z(cfg.beta, cfg.t, g_values + 2 * math.pi)
+    c1 = eng.curve_basis_z(beta, t, g_values)
+    c2 = eng.curve_basis_z(beta, t, g_values + 2 * math.pi)
     per_dev = float(np.abs(c1 - c2).max())
     checks.append(("coupling_periodicity", per_dev <= 1e-8, per_dev))
 

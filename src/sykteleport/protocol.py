@@ -48,24 +48,22 @@ Omega V_R^*:
   each beta is one real weighting of its d terms (`Engine._rows`);
 * g (a batched axis): `Engine.finish` applies the coupling,
   exp(i g upsilon) = B diag(exp(i g p_j)) B^dagger with p_j the level of
-  size eigenvector j, in one of three orders, picked from the call's
-  n_rows (beta, t, input, message) rows and n_g values of g.  C =
-  (V_L (x) V_R)^T B^* takes a dressed row to the size eigenbasis; the
-  engine keeps it with K0 absorbed, as the Phi above.  "phases" (at most
-  L/2 values of g, few rows): Phi = C, one phase per eigenvector for each
-  g, each g back by B^T and V_R^* on the right index (rows over (left
-  site, right eigenvector)).  "maps" (at most L/2 values of g and n_rows >
-  n_g 4^n_side): Phi is the 4^n_side-square map C diag(phases) B^T V_R^*
-  of each g.  "levels" (more than L/2 values of g, the g sweeps): Phi = C,
-  and each row back split into its L level components Pi_p x.  The orders
-  agree to round-off, not bit for bit.
+  size eigenvector j, in one of two orders, picked from the call's n_g
+  values of g alone.  C = (V_L (x) V_R)^T B^* takes a dressed row to the
+  size eigenbasis; the engine keeps it with K0 absorbed, as the Phi
+  above.  "maps" (at most L/2 values of g, the t sweeps and single
+  points): Phi is the 4^n_side-square map C diag(phases) B^T V_R^* of
+  each g, rows over (left site, right eigenvector).  "levels" (more than
+  L/2 values of g, the g sweeps): Phi = C, and each row back split into
+  its L level components Pi_p x.  The orders agree to round-off, not bit
+  for bit.
 
 Every metric is a reading of the unnormalized readout density rho over
 (input, readout sites), the one output of `Engine.finish`:
 `Engine.basis_z_value` (<Z>), `Engine.bell_value` (the stabilizer
 fidelity) and the branch overlaps of the Haar average; each (beta, t, g)
-keeps its own density-matrix checks.  The maps and phases orders read rho
-from the Gram of each state's rows in the right eigenbasis, weighted by
+keeps its own density-matrix checks.  The maps order reads rho from the
+Gram of each state's rows in the right eigenbasis, weighted by
 W_R U_R after the sum and traced by a fixed tensor over the right sites
 (`Engine._gram_readout`).  The level order builds no final state:
 after W_R U_R (a diagonal multiply in V_R and a GEMM by V_R^T) it lays
@@ -80,16 +78,16 @@ beta = 100); the Gram form phi^dagger A^dagger A phi would lose eps/norm^2
 and is not used.  The level order takes the (beta, t) rows in groups
 whose level components fit G_BLOCK_BYTES, and each group's g axis in
 blocks of about G_BLOCK_BYTES of y(g).  A call takes all its betas at
-once and cuts its t axis into chunks of BATCH_BYTES.  The maps and phases
-orders hand a reading the densities of consecutive chunks together, as
-many as fit G_BLOCK_BYTES, so a reading's fixed cost is not paid per
-chunk and the t grid does not set the memory a reading holds.  No value
-depends on what shares its call: every GEMM whose rows run over betas or
-t alone gets at least two rows (`_gemm`).  A scalar beta or t, or a
-single g, is a batch of one through the same stages, so
-`run_single_qubit`, `run_bell`, `run_arbitrary_avg` and the sweeps in
-`analysis` share them.  The dense `wormhole_unitary` is the reference the
-pipeline is tested against.
+once and cuts its t axis into chunks of BATCH_BYTES.  The maps order
+hands a reading the densities of consecutive chunks together, as many as
+fit G_BLOCK_BYTES, so a reading's fixed cost is not paid per chunk and
+the t grid does not set the memory a reading holds.  For a fixed g grid
+no value depends on the betas and t that share its call: the order
+follows from the g grid alone, and every GEMM whose rows run over betas
+or (beta, t, g) points alone gets at least two rows (`_gemm`).  A scalar
+beta or t, or a single g, is a batch of one through the same stages, so
+`run_arbitrary_avg` and the sweeps in `analysis` share them.  The dense
+`wormhole_unitary` is the reference the pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -110,8 +108,8 @@ DEFAULT_TFIM_STEPS = 1
 # bytes one chunk of Engine.finish holds for its t values (see
 # Engine._chunk): per t, input and message row, the t stage's products for
 # the d TFD levels and the rows of every beta, 1 KiB each at n_side 3, n_g
-# times as many in the maps and phases orders.  The 73-t Bell window of
-# heatmap-t at one g and 8 betas is 10 chunks of 8 t, read in 3 readings.
+# times as many in the maps order.  The 73-t Bell window of heatmap-t at
+# one g and 8 betas is 10 chunks of 8 t, read in 3 readings.
 BATCH_BYTES = 2 ** 19
 # bytes of compressed readout coordinates y(g) per g block of
 # Engine.finish's level order (see Engine._g_block), and of level
@@ -124,8 +122,8 @@ BATCH_BYTES = 2 ** 19
 # memory is about three times its y(g) (y, its conjugate and one product).
 # With 64 KiB the traced peak of a 1608-g call is within 1.35 times that of
 # a 201-g call at n_side 3 and 4; at 128 KiB the 1608-g basis sweep at
-# n_side 3 peaked 1.65 times higher.  The maps and phases orders hand one
-# reading the readout densities of as many consecutive chunks as
+# n_side 3 peaked 1.65 times higher.  The maps order hands one reading
+# the readout densities of as many consecutive chunks as
 # G_BLOCK_BYTES holds (see Engine._chunks_per_reading; 4 chunks of the
 # heatmap-t window), and the Haar average takes its (point, message)
 # values in slices of about G_BLOCK_BYTES.
@@ -609,16 +607,11 @@ class Engine:
         v = v.transpose(sites + traced + [n]).reshape(2 ** len(sites), -1, 2 ** n)
         return np.einsum("sck,ucl->klsu", v, v.conj()).reshape(4 ** n, -1)
 
-    def _coupling_order(self, n_rows: int, n_g: int) -> str:
-        """The order in which finish applies exp(i g upsilon) to n_rows
-        (beta, t, input, message) rows for n_g values of g (see the module
-        docstring): "levels" for more than L/2 values of g; else "maps"
-        when the rows outnumber n_g 4^n_side (a map costs one
-        4^n_side-square product, about what 4^n_side rows cost through
-        B^T), and "phases" otherwise."""
-        if 2 * n_g > len(self._levels):
-            return "levels"
-        return "maps" if n_rows > n_g * 4 ** self.reg.n_side else "phases"
+    def _coupling_order(self, n_g: int) -> str:
+        """The order in which finish applies exp(i g upsilon) for n_g values
+        of g (see the module docstring): "levels" for more than L/2 values
+        of g, else "maps"."""
+        return "levels" if 2 * n_g > len(self._levels) else "maps"
 
     def _g_block(self, n_in: int, n_g: int) -> tuple:
         """(rows, values of g) per block of the level order's g stage, one
@@ -705,10 +698,10 @@ class Engine:
         rows and a run of n_r values of g, shape (n_s, n_r, n_in 2^k, n_in
         2^k) over (input, readout sites) for k readout sites, to an array
         with leading axes (n_s, n_r): in the level order one group of rows
-        and one block of _g_block(n_in, n_g) at a time, in the others the
-        rows of _chunks_per_reading consecutive chunks and every value of g
-        at once.  The result is those arrays joined, shape np.shape(beta) +
-        np.shape(t) + (n_g, ...).
+        and one block of _g_block(n_in, n_g) at a time, in the maps order
+        the rows of _chunks_per_reading consecutive chunks and every value
+        of g at once.  The result is those arrays joined, shape
+        np.shape(beta) + np.shape(t) + (n_g, ...).
         """
         betas, t_values = _beta_axis(beta), self._t_axis(t)
         g = np.asarray(g_values, dtype=float).reshape(-1)
@@ -723,15 +716,13 @@ class Engine:
         thermal = None
         if self.cfg.thermal_readout and betas.any():
             thermal = self.thermal_weight_right(betas)[:, None, :]
-        basis = self.size.basis
-        order = self._coupling_order(n_b * n_t * n_in * m, len(g))
+        order = self._coupling_order(len(g))
         target = self._to_size
-        if order != "levels":
+        if order == "maps":
             # exp(i g upsilon) is the phase exp(i g p) on each size eigenvector
             phases = np.exp(1j * g[:, None, None] * self._column_levels)
-        if order == "maps":
-            target = self._right_eigen((target * phases) @ basis.T)
-        t_step = self._chunk(n_b, n_in, len(g))
+            target = self._right_eigen((target * phases) @ self.size.basis.T)
+        t_step = self._chunk(n_b, n_in, len(g), order)
         per_read = self._chunks_per_reading(n_b, n_in, len(g), t_step)
         out, held = [], []
         for j in range(0, n_t, t_step):
@@ -748,8 +739,6 @@ class Engine:
                                                reading))
                 continue
             x = x.reshape(-1, n_b * len(ts) * n_in * m, d * d)
-            if order == "phases":
-                x = self._right_eigen((x * phases) @ basis.T)
             rho = self._gram_readout(x, right, n_in)
             held.append(rho.reshape((n_b, -1) + rho.shape[1:]))
             if len(held) == per_read or j + t_step >= n_t:
@@ -796,23 +785,23 @@ class Engine:
                 for j in range(0, len(r), n_rows)]))
         return np.concatenate(out, axis=1)
 
-    def _chunk(self, n_b: int, n_in: int, n_g: int) -> int:
+    def _chunk(self, n_b: int, n_in: int, n_g: int, order: str) -> int:
         """t values per chunk of finish for n_b betas, n_in inputs and n_g
-        values of g, at least one.  Per t, input and message row a chunk
-        holds the t stage's products for the d = 2^n_side TFD levels and
-        the rows of the n_b betas, 4^n_side amplitudes each, and in the
-        maps and phases orders n_g times as many (the level order takes the
-        rows a group at a time, see finish); as many t as fit in
-        BATCH_BYTES of these."""
-        per_g = 1 if 2 * n_g > len(self._levels) else n_g
+        values of g in the coupling order `order`, at least one.  Per t,
+        input and message row a chunk holds the t stage's products for the
+        d = 2^n_side TFD levels and the rows of the n_b betas, 4^n_side
+        amplitudes each, and in the maps order n_g times as many (the level
+        order takes the rows a group at a time, see finish); as many t as
+        fit in BATCH_BYTES of these."""
+        per_g = n_g if order == "maps" else 1
         row_bytes = (16 * n_in * 2 ** self.reg.n_message * 4 ** self.reg.n_side
                      * (2 ** self.reg.n_side + n_b) * per_g)
         return max(1, BATCH_BYTES // row_bytes)
 
     def _chunks_per_reading(self, n_b: int, n_in: int, n_g: int, t_step: int) -> int:
-        """Chunks of t_step t values whose readout densities the maps and
-        phases orders of finish hand to one reading, at least one: as many
-        as G_BLOCK_BYTES holds of their 16 (n_in 2^k)^2 bytes per (beta, t,
+        """Chunks of t_step t values whose readout densities the maps order
+        of finish hands to one reading, at least one: as many as
+        G_BLOCK_BYTES holds of their 16 (n_in 2^k)^2 bytes per (beta, t,
         g) for k readout sites."""
         width = n_in * 2 ** len(self.readout)
         return max(1, G_BLOCK_BYTES // (16 * width * width * n_b * n_g * t_step))
@@ -858,10 +847,10 @@ class Engine:
         def reading(r):
             lead = r.shape[:2]
             r = r.reshape(-1, 16)
-            overlap = r @ uu.T
+            overlap = _gemm(r, uu.T)
             # the branch blocks traced over the readout site: (a, b)
             r = r.reshape(-1, 2, 2, 2, 2)
-            norm2 = (r[:, :, 0, :, 0] + r[:, :, 1, :, 1]).reshape(-1, 4) @ cc.T
+            norm2 = _gemm((r[:, :, 0, :, 0] + r[:, :, 1, :, 1]).reshape(-1, 4), cc.T)
             return (overlap / norm2).real.reshape(lead + (-1,))
         return reading
 
@@ -913,8 +902,8 @@ def _boltzmann(values: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D a whose rows run over betas or (g, beta, t), with a
-    one-row a taken as two rows: BLAS sends a one-row product through
+    """a @ b for a 2-D a whose rows run over betas or (beta, t, g) points,
+    with a one-row a taken as two rows: BLAS sends a one-row product through
     another kernel, whose last bits can differ from the same row's inside a
     larger product, and no value may depend on what shares its call."""
     if len(a) > 1:
@@ -955,9 +944,7 @@ _engine_key = attrgetter(*_ENGINE_FIELDS)
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)
 def _engine_cached(key: tuple) -> Engine:
-    structure = dict(zip(_ENGINE_FIELDS, key))
-    t = 0.0 if structure["model"] == "tfim" else DEFAULT_T_SINGLE
-    return Engine(ProtocolConfig(t=t, **structure))
+    return Engine(ProtocolConfig(**dict(zip(_ENGINE_FIELDS, key))))
 
 
 def get_engine(cfg: ProtocolConfig) -> Engine:
@@ -972,14 +959,6 @@ def get_engine(cfg: ProtocolConfig) -> Engine:
     if key[0] == "arbitrary":
         key = ("basis_zero",) + key[1:]
     return _engine_cached(key)
-
-
-def run_single_qubit(cfg: ProtocolConfig) -> float:
-    """<Z> on the readout qubit for the |0> message; in [-1, 1]."""
-    if cfg.message != "basis_zero":
-        raise ConfigError("run_single_qubit expects the basis_zero message")
-    cfg.validate()
-    return float(get_engine(cfg).curve_basis_z(cfg.beta, cfg.t, (cfg.g,))[0])
 
 
 # XX + YY + ZZ as the vector v with Tr(rho (XX + YY + ZZ)) = rho.ravel() @ v;
@@ -1002,29 +981,6 @@ def stabilizer_fidelity(rho2: np.ndarray):
         raise qop.QopError("input is not a density matrix")
     val = 0.5 * (1.0 + rho2.reshape(rho2.shape[:-2] + (16,)).real @ _STABILIZER_VECTOR)
     return float(val) if np.ndim(val) == 0 else val
-
-
-def run_bell(cfg: ProtocolConfig) -> float:
-    """Stabilizer fidelity of the readout pair for the Bell message."""
-    if cfg.message != "bell_phi_plus" or cfg.swap_variant != "bell_sequential":
-        raise ConfigError("run_bell expects the Bell message with sequential swaps")
-    cfg.validate()
-    return float(get_engine(cfg).curve_bell(cfg.beta, cfg.t, (cfg.g,))[0])
-
-
-def run_single_qubit_arbitrary(cfg: ProtocolConfig) -> float:
-    """Overlap of the input qubit with the teleported output state.
-
-    The output density matrix is assembled from the two basis-input
-    branches, so the fidelity of any superposition costs no extra
-    protocol runs; value in [0, 1].
-    """
-    if cfg.message != "arbitrary":
-        raise ConfigError("run_single_qubit_arbitrary expects the arbitrary message")
-    cfg.validate()
-    values = get_engine(cfg).arbitrary_fidelity(
-        cfg.beta, cfg.t, (cfg.g,), [(cfg.alpha, cfg.beta_msg)])
-    return float(values[0, 0])
 
 
 def _bloch_message(u_phi: float, u_cos: float):

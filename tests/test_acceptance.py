@@ -7,7 +7,6 @@ criteria use fixed seed ranges so every run is reproducible.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -173,12 +172,8 @@ class TestCriterion4:
             a = eng.curve_basis_z(beta, T1, half)
             b = eng.curve_basis_z(beta, T1, half + 2 * math.pi)
             worst[f"basis_z/{variant}"] = float(np.abs(a - b).max())
-            arb = replace(cfg, message="arbitrary", beta=beta)
-            av_a = np.array([protocol.run_arbitrary_avg(
-                replace(arb, g=float(g)), 100, seed)[0] for g in half[::4]])
-            av_b = np.array([protocol.run_arbitrary_avg(
-                replace(arb, g=float(g) + 2 * math.pi), 100, seed)[0]
-                for g in half[::4]])
+            av_a = eng.curve_arbitrary_avg(beta, T1, half[::4], 100, seed)[0]
+            av_b = eng.curve_arbitrary_avg(beta, T1, half[::4] + 2 * math.pi, 100, seed)[0]
             worst[f"arbitrary_avg/{variant}"] = float(np.abs(av_a - av_b).max())
         cfgb = protocol.ProtocolConfig(message="bell_phi_plus",
                                        swap_variant="bell_sequential", seed=seed)
@@ -365,11 +360,7 @@ class TestCriterion11:
                                                   beta=beta)
                     eng = protocol.get_engine(cfg)
                     basis_rows.append(eng.curve_basis_z(beta, T1, G_GRID))
-                    arb = replace(cfg, message="arbitrary")
-                    avg_rows.append(np.array([
-                        protocol.run_arbitrary_avg(replace(arb, g=float(g)),
-                                                   100, seed)[0]
-                        for g in G_GRID]))
+                    avg_rows.append(eng.curve_arbitrary_avg(beta, T1, G_GRID, 100, seed)[0])
                 basis_all = np.concatenate(basis_rows)
                 avg_all = np.concatenate(avg_rows)
                 r = float(np.corrcoef(basis_all, avg_all)[0, 1])

@@ -33,8 +33,8 @@ class TestRunSweep:
         assert len(records) == 1
         rec = records[0]
         assert (rec.seed, rec.beta, rec.g, rec.t) == (0, 0.0, 0.5, 1.0)
-        want = protocol.run_single_qubit(
-            protocol.ProtocolConfig(seed=0, beta=0.0, g=0.5, t=1.0))
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=0))
+        want = eng.curve_basis_z(0.0, 1.0, [0.5])[0]
         assert rec.value == want
 
     def test_grid_cross_product(self):

@@ -315,7 +315,7 @@ class TestSanitySuite:
 
 def test_syk_path_loads_no_scipy():
     # a fresh interpreter: the CLI import, SYK engines, one curve of each
-    # metric (the level order and the phases order) and the sanity suite
+    # metric (the level order and the maps order) and the sanity suite
     # load no scipy module; only the kicked-Ising Schur form imports it,
     # and the import alone would add about 0.2 s to every run's set-up
     code = """

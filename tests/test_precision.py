@@ -13,7 +13,8 @@ about 2e-6 at beta = 100) while the pieces that cancel in it are O(1), so
 a float64 readout can only be good to about eps/norm (forward error =
 condition x eps; N. J. Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 2002, ch. 1 and 19).  The test holds both coupling
-routes, the scalar one and the g sweep, to C eps/norm.
+orders, the maps order of one g and the level order of the g sweep, to
+C eps/norm.
 """
 
 import math
@@ -29,7 +30,7 @@ SEED = 8350510533860217964
 T = 1.0
 DPS = 40
 EPS = np.finfo(float).eps
-# bound on |fast - exact| in units of eps/norm; both routes read 0.5-3.3
+# bound on |fast - exact| in units of eps/norm; both orders read 0.5-3.3
 # of these units at the points below (numpy 2.4, OpenBLAS)
 C = 8.0
 POINTS = ((100.0, math.pi), (100.0, 3 * math.pi), (50.0, math.pi),
@@ -101,13 +102,12 @@ def _exact_point(beta: float, g: float):
 @pytest.mark.parametrize("beta, g", POINTS)
 def test_basis_z_within_eps_over_norm(beta, g):
     exact, norm = _exact_point(beta, g)
-    cfg = protocol.ProtocolConfig(seed=SEED, beta=beta, g=g, t=T)
-    eng = protocol.get_engine(cfg)
-    # one g: the scalar route; five values of g: the g sweep's route
-    scalar = protocol.run_single_qubit(cfg)
+    eng = protocol.get_engine(protocol.ProtocolConfig(seed=SEED))
+    # one g: the maps order; five values of g: the g sweep's level order
+    single = eng.curve_basis_z(beta, T, [g])[0]
     sweep = eng.curve_basis_z(beta, T, [g, 0.3, 1.1, 2.0, 4.5])[0]
     bound = C * EPS / norm
-    assert abs(scalar - exact) <= bound
+    assert abs(single - exact) <= bound
     assert abs(sweep - exact) <= bound
     if beta == 100.0:
         # the regime the bound is about: the norm is small and the bound

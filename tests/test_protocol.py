@@ -54,8 +54,10 @@ class TestConfig:
             _bell_cfg(readout_sites=(7, 7)).validate()
         protocol.ProtocolConfig(readout_sites=(5,)).validate()
         _bell_cfg(readout_sites=(6, 5)).validate()
-        with pytest.raises(protocol.ConfigError):
-            protocol.run_single_qubit_arbitrary(protocol.ProtocolConfig(
+        # the arbitrary message's engine is the basis message's, and its
+        # lookup checks the sites too
+        with pytest.raises(protocol.ConfigError, match="readout site"):
+            protocol.get_engine(protocol.ProtocolConfig(
                 message="arbitrary", readout_sites=(5, 6)))
 
     def test_right_basis_must_be_paired(self):
@@ -82,7 +84,7 @@ class TestConfig:
             with pytest.raises(protocol.ConfigError, match="j_scale"):
                 cfg.validate()
             with pytest.raises(protocol.ConfigError, match="j_scale"):
-                protocol.run_single_qubit(cfg)
+                protocol.get_engine(cfg)
         protocol.ProtocolConfig(j_scale=0.5).validate()
 
     def test_default_readout_is_partner_of_insertion(self):
@@ -391,7 +393,8 @@ class TestPipelineAgainstDense:
                 psi = psi / np.linalg.norm(psi)
                 z = qop.pauli_on(cfg.register.n_qubits, cfg.resolved_readout()[0], "Z")
                 want = float(np.real(qop.expectation(psi, z)))
-                assert abs(protocol.run_single_qubit(cfg) - want) <= 1e-12
+                got = protocol.get_engine(cfg).curve_basis_z(beta, t, [g])[0]
+                assert abs(got - want) <= 1e-12
 
     def _check_bell(self, cases, n_side=3):
         for seed, beta, g, t in cases:
@@ -402,7 +405,8 @@ class TestPipelineAgainstDense:
             psi = psi / np.linalg.norm(psi)
             stab = _bell_stabilizer(cfg.register.n_qubits, *cfg.resolved_readout())
             want = float(np.real(qop.expectation(psi, stab)))
-            assert abs(protocol.run_bell(cfg) - want) <= 1e-12
+            got = protocol.get_engine(cfg).curve_bell(beta, t, [g])[0]
+            assert abs(got - want) <= 1e-12
 
     def test_basis_z(self):
         self._check_basis_z(self._cases())
@@ -421,8 +425,8 @@ class TestPipelineAgainstDense:
     @pytest.mark.parametrize("n_side, n_levels", [(2, 4), (3, 6), (4, 8)])
     def test_g_batches_in_every_coupling_order(self, n_side, n_levels, monkeypatch):
         # 1, L/2, L/2 + 1, L - 1 and L values of g, each in the order finish
-        # picks (phases up to L/2, the level split above) and forced into
-        # each of the three orders; basis_z and Bell against the dense unitary
+        # picks (maps up to L/2, the level split above) and forced into
+        # each of the two orders; basis_z and Bell against the dense unitary
         rng = np.random.default_rng(31 + n_side)
         gs = rng.uniform(0.0, 4 * math.pi, n_levels)
         counts = (1, n_levels // 2, n_levels // 2 + 1, n_levels - 1, n_levels)
@@ -438,7 +442,7 @@ class TestPipelineAgainstDense:
                          self._dense_g_batch(bell, BELLS["phi_plus"], gs)]
             eng, engb = protocol.get_engine(cfg), protocol.get_engine(bell)
             assert len(eng._levels) == len(engb._levels) == n_levels
-            for order in (None, "maps", "phases", "levels"):
+            for order in (None, "maps", "levels"):
                 if order is None:
                     monkeypatch.undo()
                     orders = _record_coupling_orders(monkeypatch)
@@ -450,7 +454,7 @@ class TestPipelineAgainstDense:
                     assert np.abs(got_z - want_z[:k]).max() <= 1e-12
                     assert np.abs(got_bell - want_bell[:k]).max() <= 1e-12
                 if order is None:
-                    assert orders == [o for o in ("phases",) * 2 + ("levels",) * 3
+                    assert orders == [o for o in ("maps",) * 2 + ("levels",) * 3
                                       for _ in (0, 1)]
 
     def test_arbitrary_branches(self):
@@ -471,8 +475,8 @@ class TestPipelineAgainstDense:
                 proj = qop.kron_all([np.outer(msg, msg.conj()) if k == site else qop.I2
                                      for k in range(n)])
                 fid = float(np.real(qop.expectation(psi, proj)))
-                arb = replace(cfg, message="arbitrary", alpha=a, beta_msg=b)
-                assert abs(protocol.run_single_qubit_arbitrary(arb) - fid) <= 1e-12
+                got = protocol.get_engine(cfg).arbitrary_fidelity(beta, t, [g], [(a, b)])
+                assert abs(got[0, 0] - fid) <= 1e-12
 
     def test_batch_matches_single_points(self, monkeypatch):
         # with 8 KiB g blocks, 9 g at n_side 3 are one block for the basis
@@ -491,20 +495,19 @@ class TestPipelineAgainstDense:
                 assert [eng._g_block(1, n_g), eng._g_block(2, n_g),
                         engb._g_block(1, n_g)] == [(1, 18), (1, 5), (1, 5)]
             curve = eng.curve_basis_z(cfg.beta, cfg.t, gs)
-            single = [protocol.run_single_qubit(replace(cfg, g=float(g))) for g in gs]
+            single = [eng.curve_basis_z(cfg.beta, cfg.t, [g])[0] for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
             mean, _ = eng.curve_arbitrary_avg(cfg.beta, cfg.t, gs, 20, 1)
-            single = [protocol.run_arbitrary_avg(replace(cfg, g=float(g)), 20, 1)[0]
-                      for g in gs]
+            single = [eng.curve_arbitrary_avg(cfg.beta, cfg.t, [g], 20, 1)[0][0] for g in gs]
             assert np.abs(mean - single).max() <= 1e-13
             curve = engb.curve_bell(cfgb.beta, cfgb.t, gs)
-            single = [protocol.run_bell(replace(cfgb, g=float(g))) for g in gs]
+            single = [engb.curve_bell(cfgb.beta, cfgb.t, [g])[0] for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
 
 
 class TestReadoutSites:
     """Readout sites other than the default, against the dense protocol
-    unitary: through the scalar route and a batched t sweep in the maps
+    unitary: at one point and over a batched t sweep, both in the maps
     order, with thermal and with bare readout.  The Bell pair is also read
     in reversed site order, which the readout density shows and the
     (symmetric) stabilizer fidelity does not."""
@@ -527,14 +530,14 @@ class TestReadoutSites:
         psi = u @ np.kron(msg, tfd_state)
         psi = w_r @ psi if thermal else psi
         want = float(np.real(qop.expectation(psi / np.linalg.norm(psi), op)))
-        run = protocol.run_bell if bell else protocol.run_single_qubit
-        assert abs(run(cfg) - want) <= 1e-12
+        eng = protocol.get_engine(cfg)
+        curve = eng.curve_bell if bell else eng.curve_basis_z
+        orders = _record_coupling_orders(monkeypatch)
+        assert abs(curve(cfg.beta, cfg.t, [cfg.g])[0] - want) <= 1e-12
         states = _dense_t_batch(cfg, msg, self.T_GRID)
         want = [float(np.real(qop.expectation(psi, op))) for psi in states]
-        eng = protocol.get_engine(cfg)
-        orders = _record_coupling_orders(monkeypatch)
-        got = (eng.curve_bell if bell else eng.curve_basis_z)(cfg.beta, self.T_GRID, [cfg.g])
-        assert orders == ["maps"]
+        got = curve(cfg.beta, self.T_GRID, [cfg.g])
+        assert orders == ["maps", "maps"]
         assert np.abs(got[:, 0] - want).max() <= 1e-12
         # the normalized readout density over the sites in their given order
         rho = eng.finish(msg, cfg.beta, [cfg.g], self.T_GRID, _normalized)[:, 0]
@@ -665,11 +668,11 @@ def _peak(call) -> int:
 
 
 class TestTGridMemory:
-    """In the maps and phases orders, finish hands a reading the densities
-    of at most G_BLOCK_BYTES of consecutive chunks, and the Haar average
-    takes its samples in slices of about that size, so the memory of a
-    one-g call does not grow with its t grid beyond the (n_t,)-sized
-    inputs and outputs."""
+    """In the maps order, finish hands a reading the densities of at most
+    G_BLOCK_BYTES of consecutive chunks, and the Haar average takes its
+    samples in slices of about that size, so the memory of a one-g call
+    does not grow with its t grid beyond the (n_t,)-sized inputs and
+    outputs."""
 
     def test_peak_does_not_grow_with_the_t_grid(self):
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=5))
@@ -684,8 +687,8 @@ class TestTGridMemory:
 
 
 class TestBatchedReadings:
-    """The maps and phases orders read the densities of several chunks at
-    once; how many share a reading moves no value."""
+    """The maps order reads the densities of several chunks at once; how
+    many share a reading moves no value."""
 
     def test_bell_window_over_eight_betas(self, monkeypatch):
         engb = protocol.get_engine(_bell_cfg(seed=8))
@@ -705,7 +708,7 @@ class TestBatchedReadings:
         calls.clear()
         monkeypatch.setattr(protocol, "G_BLOCK_BYTES", 1)
         single = engb.curve_bell(betas, window, [1.9])
-        assert len(calls) == -(-len(window) // engb._chunk(len(betas), 1, 1)) == 10
+        assert len(calls) == -(-len(window) // engb._chunk(len(betas), 1, 1, "maps")) == 10
         assert batched.shape == single.shape == (len(betas), len(window), 1)
         assert np.array_equal(batched, single)
 
@@ -722,10 +725,9 @@ class TestBatchedReadings:
 
 
 def _force_coupling_order(monkeypatch, order: str):
-    """Make Engine.finish take one coupling order ("maps", "phases" or
-    "levels"), whatever the call's size."""
-    monkeypatch.setattr(protocol.Engine, "_coupling_order",
-                        lambda self, n_rows, n_g: order)
+    """Make Engine.finish take one coupling order ("maps" or "levels"),
+    whatever the call's g grid."""
+    monkeypatch.setattr(protocol.Engine, "_coupling_order", lambda self, n_g: order)
 
 
 def _record_coupling_orders(monkeypatch) -> list:
@@ -733,8 +735,8 @@ def _record_coupling_orders(monkeypatch) -> list:
     orders = []
     pick = protocol.Engine._coupling_order
 
-    def recorded(self, n_rows, n_g):
-        orders.append(pick(self, n_rows, n_g))
+    def recorded(self, n_g):
+        orders.append(pick(self, n_g))
         return orders[-1]
     monkeypatch.setattr(protocol.Engine, "_coupling_order", recorded)
     return orders
@@ -799,7 +801,7 @@ class TestTBatching:
         eng = protocol.get_engine(cfg)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "BATCH_BYTES", 2 ** 15)
-            assert eng._chunk(1, n_in, len(gs)) < len(ts)
+            assert eng._chunk(1, n_in, len(gs), eng._coupling_order(len(gs))) < len(ts)
             for beta in (0.0, 6.0):
                 batched = curve(eng, beta, ts, gs)
                 assert batched.shape == (len(ts), len(gs))
@@ -895,8 +897,8 @@ class TestTBatching:
     def test_one_g_over_several_chunks(self, monkeypatch):
         # 300 t at one g is 11 chunks of protocol.BATCH_BYTES (basis
         # message) or 22 (Bell message, two branches), in order, through one
-        # coupling map; one t at a time takes the rows through the size
-        # eigenbasis
+        # coupling map; one t at a time takes the same order, and no value
+        # depends on what shares its call
         ts = np.linspace(0.0, 7.0, 300)
         msgs = [protocol.haar_qubit(3, i) for i in range(3)]
         orders = _record_coupling_orders(monkeypatch)
@@ -907,7 +909,7 @@ class TestTBatching:
                 (protocol.ProtocolConfig(seed=9, swap_variant="delta02"),
                  lambda eng, beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs), 2, 22)):
             eng = protocol.get_engine(cfg)
-            assert -(-len(ts) // eng._chunk(1, n_in, 1)) == n_chunks
+            assert -(-len(ts) // eng._chunk(1, n_in, 1, "maps")) == n_chunks
             for beta in (0.0, 6.0):
                 orders.clear()
                 chunks.clear()
@@ -917,8 +919,28 @@ class TestTBatching:
                 assert np.array_equal(np.concatenate(chunks), ts)
                 orders.clear()
                 single = np.stack([curve(eng, beta, float(t), [2.3]) for t in ts])
-                assert orders == ["phases"] * len(ts)
-                assert np.abs(batched - single).max() <= 1e-13
+                assert orders == ["maps"] * len(ts)
+                assert np.array_equal(batched, single)
+        # 8 betas x 15 t at one and at three values of g against one call
+        # per beta and one call per (beta, t) point, bit for bit
+        betas, ts = np.array(analysis.DEFAULT_BETA_GRID), ts[::20]
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=9))
+        engb = protocol.get_engine(_bell_cfg(seed=9))
+        curves = (eng.curve_basis_z, engb.curve_bell,
+                  lambda beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs),
+                  lambda beta, t, gs: np.stack(eng.curve_arbitrary_avg(beta, t, gs, 20, 1),
+                                               axis=-1))
+        for gs in ([2.3], [0.4, 2.3, 5.1]):
+            for curve in curves:
+                orders.clear()
+                batched = curve(betas, ts, gs)
+                per_beta = np.stack([curve(beta, ts, gs) for beta in betas])
+                per_point = np.stack([np.stack([curve(beta, t, gs) for t in ts])
+                                      for beta in betas])
+                assert set(orders) == {"maps"}
+                assert batched.shape[:3] == (len(betas), len(ts), len(gs))
+                assert np.array_equal(batched, per_beta)
+                assert np.array_equal(batched, per_point)
 
     def test_no_stage_with_a_sweep_axis_is_kept(self):
         # the TFD and thermal weights and the t stage are built per call;
@@ -957,7 +979,7 @@ class TestBetaBatching:
     def test_batched_matches_scalar_beta(self, cfg):
         eng = protocol.get_engine(cfg)
         t_grid = [1.0, 2.0] if cfg.model == "tfim" else [0.5, 2.0]
-        # the level order (25 g) and the maps or phases order (1 g)
+        # the level order (25 g) and the maps order (1 g)
         for gs in (np.linspace(0.0, 4 * math.pi, 25), [1.3]):
             for t in (t_grid[1], t_grid):
                 for name, curve in self._curves(eng).items():
@@ -1003,7 +1025,8 @@ class TestBetaBatchMemory:
         betas = np.array(analysis.DEFAULT_BETA_GRID)
         window = np.array(analysis.BELL_T_WINDOW)
         gs = np.linspace(0.0, 4 * math.pi, 201)
-        assert engb._chunk(len(betas), 1, 1) < engb._chunk(1, 1, 1) < len(window)
+        assert (engb._chunk(len(betas), 1, 1, "maps") < engb._chunk(1, 1, 1, "maps")
+                < len(window))
         for t, g_values in ((protocol.DEFAULT_T_BELL, gs), (window, [1.9])):
             peaks = []
             for beta in (5.0, betas):
@@ -1159,7 +1182,7 @@ class TestFactoredTfd:
                         @ rot.eig_right.vectors.conj())
                 assert np.abs(w[:, None] * _pair_coefficients(rot) - want).max() <= 1e-14
             curve = "curve_bell" if cfg.message == "bell_phi_plus" else "curve_basis_z"
-            # the level order, the maps order and the phases order
+            # the level order, and the maps order over a t grid and at one t
             for t, g_values in ((ts[:3], gs), (ts, [1.1]), (1.0, [1.1])):
                 got = getattr(rot, curve)(betas, t, g_values)
                 assert np.abs(got - getattr(ref, curve)(betas, t, g_values)).max() <= 1e-12
@@ -1172,7 +1195,7 @@ class TestCouplingOrdersUnderDegeneracy:
 
     T_GRID = np.linspace(0.0, 6.0, 13)
 
-    @pytest.mark.parametrize("order", ["maps", "phases", "levels"])
+    @pytest.mark.parametrize("order", ["maps", "levels"])
     def test_curves(self, order, monkeypatch):
         _force_coupling_order(monkeypatch, order)
         rng = np.random.default_rng(17)
@@ -1199,7 +1222,7 @@ class TestReadingStage:
     class, as the benchmark tracer sets one, sees them in every coupling
     order and moves no value."""
 
-    @pytest.mark.parametrize("order", ["maps", "phases", "levels"])
+    @pytest.mark.parametrize("order", ["maps", "levels"])
     def test_class_wrappers_see_every_reading(self, order, monkeypatch):
         _force_coupling_order(monkeypatch, order)
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=4))
@@ -1221,22 +1244,22 @@ class TestReadingStage:
 
 class TestSingleQubit:
     def test_uncoupled_point_reads_zero(self):
-        val = protocol.run_single_qubit(
-            protocol.ProtocolConfig(seed=0, beta=0.0, g=0.0, t=0.0))
-        assert abs(val) <= 1e-12
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=0))
+        assert abs(eng.curve_basis_z(0.0, 0.0, [0.0])[0]) <= 1e-12
 
     def test_periodicity(self):
         rng = np.random.default_rng(0)
-        cfg = protocol.ProtocolConfig(seed=1, beta=7.0)
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
+        t = protocol.DEFAULT_T_SINGLE
         for g in rng.uniform(0, 2 * math.pi, size=5):
-            a = protocol.run_single_qubit(replace(cfg, g=float(g)))
-            b = protocol.run_single_qubit(replace(cfg, g=float(g) + 2 * math.pi))
+            a = eng.curve_basis_z(7.0, t, [g])[0]
+            b = eng.curve_basis_z(7.0, t, [g + 2 * math.pi])[0]
             assert abs(a - b) <= 1e-8
 
     def test_range(self):
         for seed in range(3):
-            val = protocol.run_single_qubit(
-                protocol.ProtocolConfig(seed=seed, beta=11.0, g=2.0, t=1.0))
+            eng = protocol.get_engine(protocol.ProtocolConfig(seed=seed))
+            val = eng.curve_basis_z(11.0, 1.0, [2.0])[0]
             assert -1.0 <= val <= 1.0
 
     def test_beta_zero_beats_beta_large(self):
@@ -1250,65 +1273,55 @@ class TestSingleQubit:
         assert np.mean(peaks0) > np.mean(peaks100)
 
     def test_deterministic(self):
-        cfg = protocol.ProtocolConfig(seed=5, beta=3.0, g=1.0, t=1.0)
-        assert protocol.run_single_qubit(cfg) == protocol.run_single_qubit(cfg)
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=5))
+        assert eng.curve_basis_z(3.0, 1.0, [1.0])[0] == eng.curve_basis_z(3.0, 1.0, [1.0])[0]
 
     def test_thermal_off_matches_plain_expectation_at_beta_zero(self):
-        cfg = protocol.ProtocolConfig(seed=2, beta=0.0, g=2.5, t=1.0)
-        a = protocol.run_single_qubit(cfg)
-        b = protocol.run_single_qubit(replace(cfg, thermal_readout=False))
+        cfg = protocol.ProtocolConfig(seed=2)
+        a = protocol.get_engine(cfg).curve_basis_z(0.0, 1.0, [2.5])[0]
+        b = protocol.get_engine(replace(cfg, thermal_readout=False)).curve_basis_z(
+            0.0, 1.0, [2.5])[0]
         assert abs(a - b) <= 1e-12
 
-    def test_wrong_message_rejected(self):
-        with pytest.raises(protocol.ConfigError):
-            protocol.run_single_qubit(
-                protocol.ProtocolConfig(message="arbitrary"))
-
     def test_non_finite_inputs_raise(self):
+        eng = protocol.get_engine(protocol.ProtocolConfig())
         with pytest.raises(protocol.ConfigError):
-            protocol.run_single_qubit(protocol.ProtocolConfig(g=math.nan))
+            eng.curve_basis_z(0.0, 1.0, [math.nan])
         with pytest.raises(protocol.ConfigError):
-            protocol.run_single_qubit(protocol.ProtocolConfig(beta=math.inf))
+            eng.curve_basis_z(math.inf, 1.0, [0.5])
         with pytest.raises(protocol.ConfigError):
             protocol.run_arbitrary_avg(protocol.ProtocolConfig(t=math.nan), 5)
         # a NaN entry of a batched g axis must not silently fill its row
-        eng = protocol.get_engine(protocol.ProtocolConfig())
         with pytest.raises(protocol.ConfigError):
             eng.curve_basis_z(0.0, 1.0, [0.5, math.nan])
 
 
 class TestArbitraryState:
     def test_basis_zero_reduces_to_projector_identity(self):
+        eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
         for beta in (0.0, 9.0):
-            cfg = protocol.ProtocolConfig(seed=1, beta=beta, g=1.9, t=1.0)
-            fz = protocol.run_single_qubit(cfg)
-            fa = protocol.run_single_qubit_arbitrary(
-                replace(cfg, message="arbitrary", alpha=1.0 + 0j, beta_msg=0.0 + 0j))
+            fz = eng.curve_basis_z(beta, 1.0, [1.9])[0]
+            fa = eng.arbitrary_fidelity(beta, 1.0, [1.9], [(1.0 + 0j, 0.0 + 0j)])[0, 0]
             assert abs(fa - 0.5 * (1.0 + fz)) <= 1e-10
 
     def test_one_state_uncoupled_point(self):
-        cfg = protocol.ProtocolConfig(message="arbitrary", alpha=0.0 + 0j,
-                                      beta_msg=1.0 + 0j, seed=0,
-                                      beta=0.0, g=0.0, t=0.0)
+        eng = protocol.get_engine(protocol.ProtocolConfig(message="arbitrary", seed=0))
         # readout qubit is maximally mixed before any coupling
-        assert abs(protocol.run_single_qubit_arbitrary(cfg) - 0.5) <= 1e-12
+        val = eng.arbitrary_fidelity(0.0, 0.0, [0.0], [(0.0 + 0j, 1.0 + 0j)])[0, 0]
+        assert abs(val - 0.5) <= 1e-12
 
     def test_global_phase_invariance(self):
-        base = protocol.ProtocolConfig(message="arbitrary", seed=3, beta=2.0,
-                                       g=1.2, t=1.0,
-                                       alpha=0.6 + 0j, beta_msg=0.8 + 0j)
+        eng = protocol.get_engine(protocol.ProtocolConfig(message="arbitrary", seed=3))
         phase = np.exp(1j * 1.234)
-        rot = replace(base, alpha=base.alpha * phase, beta_msg=base.beta_msg * phase)
-        assert abs(protocol.run_single_qubit_arbitrary(base)
-                   - protocol.run_single_qubit_arbitrary(rot)) <= 1e-12
+        msgs = [(0.6 + 0j, 0.8 + 0j), (0.6 * phase, 0.8 * phase)]
+        base, rot = eng.arbitrary_fidelity(2.0, 1.0, [1.2], msgs)[0]
+        assert abs(base - rot) <= 1e-12
 
     def test_value_range(self):
         rng = np.random.default_rng(4)
-        for _ in range(5):
-            a, b = protocol.haar_qubit(7, int(rng.integers(100)))
-            cfg = protocol.ProtocolConfig(message="arbitrary", alpha=a, beta_msg=b,
-                                          seed=2, beta=5.0, g=2.0, t=1.0)
-            val = protocol.run_single_qubit_arbitrary(cfg)
+        eng = protocol.get_engine(protocol.ProtocolConfig(message="arbitrary", seed=2))
+        msgs = [protocol.haar_qubit(7, int(rng.integers(100))) for _ in range(5)]
+        for val in eng.arbitrary_fidelity(5.0, 1.0, [2.0], msgs)[0]:
             assert -1e-12 <= val <= 1.0 + 1e-12
 
 
@@ -1316,9 +1329,8 @@ class TestArbitraryAverage:
     def test_single_sample_equals_single_run(self):
         cfg = protocol.ProtocolConfig(seed=2, beta=1.0, g=0.9, t=1.0)
         mean, stderr = protocol.run_arbitrary_avg(cfg, n_s=1, seed=11)
-        a, b = protocol.haar_qubit(11, 0)
-        single = protocol.run_single_qubit_arbitrary(
-            replace(cfg, message="arbitrary", alpha=a, beta_msg=b))
+        single = protocol.get_engine(cfg).arbitrary_fidelity(
+            cfg.beta, cfg.t, [cfg.g], [protocol.haar_qubit(11, 0)])[0, 0]
         assert mean == pytest.approx(single, abs=1e-14)
         assert stderr == 0.0
 
@@ -1355,7 +1367,7 @@ class TestArbitraryAverage:
         # the modes and sites are tuples, which the engine cache can hash
         for name in ("size_modes", "readout_sites"):
             with pytest.raises(protocol.ConfigError, match=name):
-                protocol.run_single_qubit(replace(cfg, **{name: [5]}))
+                replace(cfg, **{name: [5]}).validate()
 
     def test_arbitrary_message_curves_do_not_depend_on_the_lookup(self):
         # the amplitudes reach only arbitrary_fidelity, so an engine built
@@ -1504,28 +1516,23 @@ class TestBell:
         rho = rho / trace
         assert np.abs(rho - rho.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-9
-        val = protocol.run_bell(cfg)
+        val = eng.curve_bell(cfg.beta, cfg.t, [cfg.g])[0]
         assert abs(val - eng.bell_value(rho)) <= 1e-14
         assert -1.0 <= val <= 2.0
 
     def test_periodicity(self):
-        cfg = protocol.ProtocolConfig(message="bell_phi_plus",
-                                      swap_variant="bell_sequential",
-                                      seed=2, beta=10.0, t=protocol.DEFAULT_T_BELL)
+        engb = protocol.get_engine(_bell_cfg(seed=2))
         for g in (0.4, 1.7, 3.0):
-            a = protocol.run_bell(replace(cfg, g=g))
-            b = protocol.run_bell(replace(cfg, g=g + 2 * math.pi))
+            a = engb.curve_bell(10.0, protocol.DEFAULT_T_BELL, [g])[0]
+            b = engb.curve_bell(10.0, protocol.DEFAULT_T_BELL, [g + 2 * math.pi])[0]
             assert abs(a - b) <= 1e-8
-
-    def test_wrong_config_rejected(self):
-        with pytest.raises(protocol.ConfigError):
-            protocol.run_bell(protocol.ProtocolConfig())
 
     def test_infinite_beta_rejected(self):
         with pytest.raises(protocol.ConfigError):
-            protocol.run_bell(protocol.ProtocolConfig(
-                message="bell_phi_plus", swap_variant="bell_sequential",
-                beta=math.inf))
+            _bell_cfg(beta=math.inf).validate()
+        engb = protocol.get_engine(_bell_cfg())
+        with pytest.raises(protocol.ConfigError):
+            engb.curve_bell(math.inf, protocol.DEFAULT_T_BELL, [0.5])
 
 
 def _two_sided_correlator(i: int, j: int, beta: float, h_side: np.ndarray) -> complex:
@@ -1589,9 +1596,8 @@ class TestThermalCorrelation:
 class TestTfimModel:
     def test_zero_steps_is_undriven_baseline(self):
         # k = 0: the coupling alone teleports through the pair state
-        cfg = protocol.ProtocolConfig(model="tfim", seed=0, beta=0.0,
-                                      g=math.pi / 2, t=0.0)
-        assert protocol.run_single_qubit(cfg) == pytest.approx(1.0, abs=1e-10)
+        eng = protocol.get_engine(protocol.ProtocolConfig(model="tfim", seed=0))
+        assert eng.curve_basis_z(0.0, 0.0, [math.pi / 2])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_driven_channel_is_weak(self):
         gs = np.linspace(0, 2 * math.pi, 41)
