@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
 3 I/O failure.  Every output file starts with a comment header carrying the
 master seed, grid hashes and the package version, so equal headers imply
-byte-equal bodies.
+byte-equal bodies.  A file is written under a temporary name and moved onto
+its own only once complete, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -265,40 +267,75 @@ def _joined_rows(fields, n_rows: int) -> bytearray:
     return buffer.translate(None, b"\0")
 
 
-def _csv_bytes(records, manifest: RunManifest, spec: analysis.SweepSpec) -> tuple:
-    """The CSV file of `records` as (header, body) bytes."""
+# rows per CSV body block: a block's fields, its byte matrix and the
+# value formatter's temporaries peak at about 400 bytes a row, so the
+# writer holds about 3 * protocol.BATCH_BYTES however long the table is
+_BLOCK_ROWS = protocol.BATCH_BYTES // 128
+
+
+def _csv_blocks(records, manifest: RunManifest, spec: analysis.SweepSpec):
+    """The CSV file of `records` as bytes: the header, then the body in
+    blocks of at most _BLOCK_ROWS rows.  The table is built and sorted
+    before the header is yielded."""
+    # stable: rows of two sweeps with equal keys (isingvssyk) keep their order
+    table = analysis.RecordTable.from_rows(records).sorted()
     lines = [
         f"# sykteleport {__version__}",
         f"# master_seed {manifest.master_seed}",
         "# grids " + _grid_hash(spec.g_grid, spec.t_grid, spec.beta_grid, spec.seeds),
         CSV_HEADER,
     ]
-    # stable: rows of two sweeps with equal keys (isingvssyk) keep their order
-    table = analysis.RecordTable.from_rows(records).sorted()
-    value, unit = table.value, table.unit_interval_value()
-    fields = [_key_bytes(table.seed, str)]
-    fields += [_key_bytes(getattr(table, c), _fmt) for c in ("beta", "g", "t")]
-    fields.append(np.frombuffer(f"{table.metric},{table.variant}".encode(), np.uint8)[None])
-    fields.append(_value_bytes(value))
-    fields.append(fields[-1] if unit is value else _value_bytes(unit))
-    return ("\n".join(lines) + "\n").encode(), _joined_rows(fields, len(table))
+    yield ("\n".join(lines) + "\n").encode()
+    pair = np.frombuffer(f"{table.metric},{table.variant}".encode(), np.uint8)[None]
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        value, unit = block.value, block.unit_interval_value()
+        fields = [_key_bytes(block.seed, str)]
+        fields += [_key_bytes(getattr(block, c), _fmt) for c in ("beta", "g", "t")]
+        fields.append(pair)
+        fields.append(_value_bytes(value))
+        fields.append(fields[-1] if unit is value else _value_bytes(unit))
+        yield _joined_rows(fields, len(block))
 
 
 def csv_text(records, manifest: RunManifest, spec: analysis.SweepSpec) -> str:
-    head, body = _csv_bytes(records, manifest, spec)
-    return (head + body).decode()
+    """The CSV file of `records` as text: the bytes emit_csv writes."""
+    return b"".join(_csv_blocks(records, manifest, spec)).decode()
+
+
+def _write_atomic(path, head: bytes, rest=()):
+    """Write head and then each chunk of rest to a temporary file next to
+    path and move it onto path once all are written.  On any error the
+    temporary file is removed and an earlier file at path is left as it
+    was; an OSError is a CliError with code 3."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        # made here, so a run that fails before its first write leaves none
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as out:
+                out.write(head)
+                for chunk in rest:
+                    out.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", code=3) from exc
 
 
 def emit_csv(records, path, manifest: RunManifest, spec: analysis.SweepSpec):
-    head, body = _csv_bytes(records, manifest, spec)
-    try:
-        # made here, so a run that fails before its first write leaves none
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as out:
-            out.write(head)
-            out.write(body)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", code=3) from exc
+    """Write the CSV file of `records` to path, each block of rows as soon
+    as it is formatted, so the writer's memory does not grow with the row
+    count.  The file appears at path only once it is complete."""
+    blocks = _csv_blocks(records, manifest, spec)
+    head = next(blocks)  # a table that cannot be written fails before any file
+    _write_atomic(path, head, blocks)
 
 
 def read_csv(path):
@@ -320,12 +357,7 @@ def emit_json(obj, path, manifest: RunManifest):
         "master_seed": manifest.master_seed,
         "data": obj,
     }
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", code=3) from exc
+    _write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 # -- sanity suite -------------------------------------------------------

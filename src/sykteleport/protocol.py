@@ -958,7 +958,13 @@ def get_engine(cfg: ProtocolConfig) -> Engine:
     key = _engine_key(cfg)
     if key[0] == "arbitrary":
         key = ("basis_zero",) + key[1:]
-    return _engine_cached(key)
+    try:
+        return _engine_cached(key)
+    except TypeError:
+        # an unhashable field (a list for a tuple) is a config error;
+        # validated here so that the cached path does no extra work
+        cfg.validate()
+        raise
 
 
 # XX + YY + ZZ as the vector v with Tr(rho (XX + YY + ZZ)) = rho.ravel() @ v;

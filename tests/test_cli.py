@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,119 @@ class TestCsvEmission:
         cli.emit_json({}, tmp_path / "c" / "x.json", man)
         assert (tmp_path / "a" / "b" / "x.csv").exists()
         assert (tmp_path / "c" / "x.json").exists()
+
+
+def block_table(metric: str, variant: str) -> analysis.RecordTable:
+    """63 rows in shuffled key order, with -0.0 and 0.0 keys, seeds of
+    different widths, t in exponent form, and values that '%.12g' writes
+    (NaN, +-inf, zeros, a fraction within 1e-4 of one half, digits that
+    carry to 10^12) among those the array formatter writes."""
+    keys = np.meshgrid([4, 1, 2 ** 62 + 5, 30], [5.0, 0.0], [0.0, -0.0, 0.1, 1 / 3],
+                       [1.0, 2.5e-7], indexing="ij")
+    rng = np.random.default_rng(5)
+    order = rng.permutation(64)[:63]
+    values = rng.uniform(-1.0, 1.0, size=63)
+    values[:10] = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1234567890125,
+                   0.99999999999996, -0.0999999999999996, 3e-5, 12.5]
+    return analysis.RecordTable(*(k.reshape(-1)[order] for k in keys), values,
+                                metric, variant)
+
+
+class TestCsvBlocks:
+    """The body written in blocks of a few rows against one block."""
+
+    @pytest.mark.parametrize("kind", [("basis_z", "delta01"),
+                                      ("bell_stabilizer", "bell_sequential")])
+    def test_blocks_match_one_block(self, tmp_path, monkeypatch, kind):
+        table = block_table(*kind)
+        man = manifest(tmp_path)
+        assert len(table) < cli._BLOCK_ROWS
+        one_block = cli.csv_text(table, man, SPEC)
+        assert ",-0," in one_block and ",0," in one_block and ",nan," in one_block
+        assert ",inf," in one_block and ",-inf," in one_block
+        sorts = []
+        sorted_rows = analysis.RecordTable.sorted
+        monkeypatch.setattr(analysis.RecordTable, "sorted",
+                            lambda tab: sorts.append(1) or sorted_rows(tab))
+        # 1 puts -0.0 and 0.0 keys in blocks of their own; 63 rows are no
+        # multiple of 4 or 10
+        for rows in (1, 4, 10):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+            sorts.clear()
+            assert cli.csv_text(table, man, SPEC) == one_block
+            assert len(sorts) == 1
+            path = tmp_path / f"blocks{rows}.csv"
+            cli.emit_csv(table, path, man, SPEC)
+            assert path.read_bytes() == one_block.encode()
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier file\n"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, existing):
+        # the stabilizer table reuses its value text, so the formatter's
+        # second call is the second block, after the first was written
+        table = block_table("bell_stabilizer", "bell_sequential")
+        out = tmp_path / "out"
+        path = out / "x.csv"
+        if existing is not None:
+            out.mkdir()
+            path.write_bytes(existing)
+        calls = []
+        value_bytes = cli._value_bytes
+
+        def fails_second(values):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed")
+            return value_bytes(values)
+
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(cli, "_value_bytes", fails_second)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli.emit_csv(table, path, manifest(tmp_path), SPEC)
+        assert len(calls) == 2
+        if existing is None:
+            assert list(out.iterdir()) == []
+        else:
+            assert list(out.iterdir()) == [path]
+            assert path.read_bytes() == existing
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        # the whole file is written, and moving it onto a directory fails
+        man = manifest(tmp_path)
+        csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+        csv_path.mkdir()
+        json_path.mkdir()
+        for write in (lambda: cli.emit_csv(block_table("basis_z", "delta01"), csv_path,
+                                           man, SPEC),
+                      lambda: cli.emit_json({"a": 1}, json_path, man)):
+            with pytest.raises(cli.CliError) as err:
+                write()
+            assert err.value.code == 3
+        assert sorted(tmp_path.iterdir()) == [csv_path, json_path]
+
+    def test_peak_does_not_grow_with_the_row_count(self, tmp_path):
+        # sq1's keys at one and at five values of t: 32,160 and 160,800
+        # rows, already in key order
+        seeds = [cli.substream_seed(0, "disorder", i) for i in range(20)]
+        rng = np.random.default_rng(6)
+        peaks = []
+        for n_t in (1, 5):
+            keys = np.meshgrid(sorted(seeds), analysis.DEFAULT_BETA_GRID,
+                               analysis.DEFAULT_G_GRID, np.linspace(1.0, 2.0, n_t),
+                               indexing="ij")
+            table = analysis.RecordTable(*(k.reshape(-1) for k in keys),
+                                         rng.uniform(-1.0, 1.0, keys[0].size),
+                                         "basis_z", "delta01")
+            assert table.sorted() is table
+            path = tmp_path / f"rows{len(table)}.csv"
+            cli.emit_csv(table[:100], path, manifest(tmp_path), SPEC)  # warm
+            tracemalloc.start()
+            try:
+                cli.emit_csv(table, path, manifest(tmp_path), SPEC)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert max(peaks) < 4 * 2 ** 20
 
 
 def value_text(values) -> list:

@@ -60,6 +60,12 @@ class TestConfig:
             protocol.get_engine(protocol.ProtocolConfig(
                 message="arbitrary", readout_sites=(5, 6)))
 
+    def test_list_fields_are_config_errors(self):
+        # the engine cache hashes these fields, and a list cannot be hashed
+        for name, value in (("size_modes", [5]), ("readout_sites", [6])):
+            with pytest.raises(protocol.ConfigError, match=f"{name} must be a tuple"):
+                protocol.get_engine(protocol.ProtocolConfig(**{name: value}))
+
     def test_right_basis_must_be_paired(self):
         protocol.ProtocolConfig(right_basis="paired").validate()
         for bad in ("literal", "conjugate", "nope"):
