@@ -56,9 +56,11 @@ class SweepSpec:
             raise SweepError("beta_grid values must be nonnegative")
         if len(self.seeds) == 0:
             raise SweepError("need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            # a repeated seed would weigh one realization twice in ensemble_mean
-            raise SweepError("seeds must not repeat")
+        if len({int(s) % 2 ** 64 for s in self.seeds}) != len(self.seeds):
+            # a repeated seed would weigh one realization twice in
+            # ensemble_mean; the draws take seeds mod 2^64, so -1 repeats
+            # 2^64 - 1
+            raise SweepError("seeds must not repeat (mod 2^64)")
         if self.metric == "arbitrary_avg" and self.n_samples < 1:
             raise SweepError("n_samples must be at least 1")
         if self.metric == "bell_stabilizer":
@@ -209,8 +211,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     Rows come in key order (seed, beta, g, t) for any worker count: seeds
     are visited in ascending order, the key columns are the grids broadcast
     in that order (the grids are strictly increasing), and no seed repeats.
-    A worker returns one seed's value array.  The pool never holds more
-    processes than there are seeds or CPUs.
+    A worker returns one seed's value array and builds its seed's
+    realization alone; one process builds the realizations of up to
+    ENGINE_CACHE_SIZE seeds at a time in one batch.  The pool never holds
+    more processes than there are seeds or CPUs.
     """
     spec.validate()
     if workers < 1:
@@ -218,7 +222,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     workers = min(workers, len(spec.seeds), os.cpu_count() or 1)
     seeds = sorted(spec.seeds)
     if workers <= 1:
-        values = [_seed_values(spec, seed) for seed in seeds]
+        # the realizations of a slice of seeds are one batched build, and
+        # a slice fits the engine and realization caches
+        values = []
+        for start in range(0, len(seeds), protocol.ENGINE_CACHE_SIZE):
+            chunk = seeds[start:start + protocol.ENGINE_CACHE_SIZE]
+            protocol.build_realizations(spec.base, chunk)
+            values += [_seed_values(spec, seed) for seed in chunk]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_seed_values, repeat(spec), seeds))

@@ -3,7 +3,9 @@ self-dual Floquet transverse-field Ising baseline.
 
 Every random number comes from a counter-based substream keyed by (seed,
 stream, index), and each drawn quantity is one batched call over its index
-array.  The draw of a key equals numpy 2.4's first
+array, or over a seed array and its index array for the coupling tables of
+many realizations; a side Hamiltonian is built for a stack of tables with
+the bits of each table alone.  The draw of a key equals numpy 2.4's first
 Generator(PCG64(SeedSequence((seed, stream, index)))).integers(0, 2^53),
 but the scheme is pinned by the code here, not by numpy's Generator, whose
 streams NEP 19 does not keep stable across numpy versions.
@@ -59,8 +61,9 @@ _PCG_INC = (_PCG_STATE + _PCG_MULT + 1) & _MASK128
 
 def _seed_state(words: list) -> list:
     """SeedSequence(words).generate_state(4, uint64) for at most 4 entropy
-    words, each a Python int or a uint64 array of 32-bit values (one per
-    key); the 4 state words in the same form."""
+    words, each a Python int or a uint64 array of 32-bit values (arrays
+    broadcast against each other, one entry per key); the 4 state words in
+    the same form."""
     pool = list(words) + [0] * (4 - len(words))
     for k in range(4):
         value = (pool[k] ^ _HASH_A[k]) * _HASH_A[k + 1] & _MASK32
@@ -95,33 +98,50 @@ def _pcg_first_draws(state: list) -> list:
     return out
 
 
-def split_uniform(seed: int, stream: int, index):
+def split_uniform(seed, stream: int, index):
     """Uniform draws in (0, 1) from the (seed, stream, index) substreams.
 
     Each quantity gets its own counter-based substream (Salmon et al.,
     SC'11), so tables are identical no matter how the sampling work is
     batched or parallelized.  `index` is an int, giving a float, or a 1-D
     integer array, giving one draw per index with the same bits; every
-    index must lie in [0, 2^32) and so must the stream.
+    index must lie in [0, 2^32) and so must the stream.  `seed` is an int
+    (taken mod 2^64) or a 1-D sequence of them, which adds a leading seed
+    axis: one row per seed, with the bits of that seed drawn alone.
     """
-    seed = int(seed) & _MASK64
     stream = operator.index(stream)
     if not 0 <= stream <= _MASK32:
         raise ValueError(f"stream must lie in [0, 2^32), got {stream}")
-    # SeedSequence's little-endian 32-bit words of (seed, stream)
-    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [stream]
-    if np.ndim(index) == 0:
-        index = operator.index(index)
-        if not 0 <= index <= _MASK32:
-            raise ValueError(f"index must lie in [0, 2^32), got {index}")
-        return _pcg_first_draws([[w] for w in _seed_state(words + [index])])[0]
     index = np.asarray(index)
-    if index.ndim != 1 or not (index.dtype.kind in "iu" or index.size == 0):
+    if index.ndim > 1 or not (index.dtype.kind in "iu" or index.size == 0):
         raise ValueError("index must be an int or a 1-D integer array")
     if index.size and (index.min() < 0 or index.max() > _MASK32):
         raise ValueError("every index must lie in [0, 2^32)")
-    state = _seed_state(words + [index.astype(np.uint64)])
-    return np.array(_pcg_first_draws([w.tolist() for w in state]))
+    if np.ndim(seed) > 1:
+        raise ValueError("seed must be an int or a 1-D sequence of ints")
+    seeds = [int(s) & _MASK64 for s in ([seed] if np.ndim(seed) == 0 else seed)]
+    keys = index.astype(np.uint64).reshape(-1)
+    out = np.empty((len(seeds), keys.size))
+    # SeedSequence's little-endian 32-bit words of (seed, stream, index): a
+    # seed with a high word has one entropy word more, so the seeds with
+    # and without one are drawn apart
+    for wide in (False, True):
+        rows = [k for k, s in enumerate(seeds) if (s >> 32 > 0) == wide]
+        if not rows:
+            continue
+        words = [[seeds[k] & _MASK32 for k in rows]]
+        if wide:
+            words.append([seeds[k] >> 32 for k in rows])
+        # (seed, key) pairs by broadcasting (every state word mixes in every
+        # entropy word, so each has the full shape); a lone seed's words
+        # stay Python ints, which mix faster than arrays of one
+        words = [w[0] if len(w) == 1 else np.array(w, dtype=np.uint64)[:, None]
+                 for w in words]
+        state = _seed_state(words + [stream, keys])
+        out[rows] = np.reshape(_pcg_first_draws([w.ravel().tolist() for w in state]),
+                               (len(rows), -1))
+    out = out.reshape(np.shape(seed) + index.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
@@ -205,13 +225,14 @@ def _ndtri(y: float) -> float:
     return x if upper else -x
 
 
-def gaussian_draw(seed: int, stream: int, index: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_draw(seed, stream: int, index: np.ndarray, sigma: float) -> np.ndarray:
     """Deterministic N(0, sigma^2) draws via the inverse normal CDF, one
-    per entry of a 1-D index array (see split_uniform)."""
+    per entry of a 1-D index array, and one row of them per seed for a 1-D
+    sequence of seeds (see split_uniform)."""
     if np.ndim(index) != 1:
         raise ValueError("index must be a 1-D integer array")
     u = split_uniform(seed, stream, index)
-    return np.array([sigma * _ndtri(v) for v in u.tolist()])
+    return np.array([sigma * _ndtri(v) for v in u.ravel().tolist()]).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -229,8 +250,10 @@ class SykCouplings:
     seed: int = 0
 
 
-def sample_syk_couplings(n: int, q: int, j_scale: float, seed: int) -> SykCouplings:
-    """Draw the Gaussian coupling table for one disorder realization.
+def sample_syk_couplings(n: int, q: int, j_scale: float, seed):
+    """Draw the Gaussian coupling table for one disorder realization, or a
+    tuple of tables, one per seed, for a 1-D sequence of seeds (one draw
+    for all of them).
 
     Variance follows j_scale^2 (q-1)!/n^(q-1) with n the Majorana count
     per side.  Only q = 4 is supported.
@@ -242,8 +265,12 @@ def sample_syk_couplings(n: int, q: int, j_scale: float, seed: int) -> SykCoupli
     sigma = j_scale * math.sqrt(math.factorial(q - 1) / n ** (q - 1))
     quads = list(combinations(range(n), q))
     draws = gaussian_draw(seed, STREAM_SYK, np.arange(len(quads)), sigma)
-    entries = dict(zip(quads, draws.tolist()))
-    return SykCouplings(n_majorana=n, q=q, j_scale=j_scale, entries=entries, seed=seed)
+    if np.ndim(seed) == 0:
+        return SykCouplings(n_majorana=n, q=q, j_scale=j_scale,
+                            entries=dict(zip(quads, draws.tolist())), seed=seed)
+    return tuple(SykCouplings(n_majorana=n, q=q, j_scale=j_scale,
+                              entries=dict(zip(quads, row)), seed=s)
+                 for s, row in zip(seed, draws.tolist()))
 
 
 def build_syk_hamiltonian(couplings: SykCouplings, side: str,
@@ -286,18 +313,24 @@ def _side_quartics(side: str, n_side: int) -> dict:
     return dict(zip(quads, products))
 
 
-def build_syk_side_matrix(couplings: SykCouplings, side: str, n_side: int) -> np.ndarray:
-    """The side Hamiltonian restricted to its own n_side-qubit factor."""
-    if couplings.n_majorana != 2 * n_side:
+def build_syk_side_matrix(couplings, side: str, n_side: int) -> np.ndarray:
+    """The side Hamiltonian restricted to its own n_side-qubit factor; a
+    sequence of tables gives the stack of their Hamiltonians, each with the
+    bits of its own build."""
+    batch = (couplings,) if isinstance(couplings, SykCouplings) else tuple(couplings)
+    if not batch or any(c.n_majorana != 2 * n_side for c in batch):
         raise ValueError("coupling table does not match the register side size")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     products = _side_quartics(side, n_side)
-    h = np.zeros((2 ** n_side, 2 ** n_side), dtype=complex)
-    pref = 1.0 / math.factorial(couplings.q)
-    for quad, val in couplings.entries.items():
-        h -= (pref * val) * products[quad]
-    return h
+    quads = list(batch[0].entries)
+    values = np.array([[c.entries[quad] for quad in quads] for c in batch], dtype=float)
+    h = np.zeros((len(batch), 2 ** n_side, 2 ** n_side), dtype=complex)
+    pref = 1.0 / math.factorial(batch[0].q)
+    # one term at a time in table order, as a lone table sums them
+    for k, quad in enumerate(quads):
+        h -= (pref * values[:, k])[:, None, None] * products[quad]
+    return h[0] if isinstance(couplings, SykCouplings) else h
 
 
 # the kicked Ising chain at the self-dual point J = b = pi/4, open, with

@@ -22,13 +22,19 @@ Omega V_R^*:
 * realization (Engine construction): the coupling table and the side
   eigensystems (for the kicked-Ising baseline the Floquet quasi-energies,
   which make integer t a step count), shared read-only by the engines of
-  one (model, seed, j_scale, n_side); the distinct size levels p (L = 6 at
+  one (model, seed, j_scale, n_side) through a cache of the last
+  ENGINE_CACHE_SIZE of them; the distinct size levels p (L = 6 at
   n_side = 3) and the factor F of INSERT on the message and left sites
   (INSERT = F (x) I_right, checked exactly once, after which the dense
-  INSERT is dropped).  F and the size eigenbasis B are shared by every
-  engine of one register geometry; F in the left eigenbasis, C (below)
-  and the readout tensor are derived from V_L, V_R on first use.  The
-  random draws behind a realization and behind the Haar messages are one
+  INSERT is dropped).  F, the size eigenbasis B and its level tables are
+  shared by every engine of one register geometry; F in the left
+  eigenbasis, C (below) and the readout tensor are derived from V_L, V_R
+  on first use.  A sweep fills the realization cache for up to
+  ENGINE_CACHE_SIZE seeds at once (`build_realizations`): one draw, one
+  side-matrix sum per side and one stacked eigendecomposition per side
+  for all of them, each seed with the bits of its build alone; an engine
+  whose realization is missing builds it as a batch of one.  The random
+  draws behind a realization and behind the Haar messages are one
   batched `models.split_uniform` call per quantity; their scheme is
   pinned by `models`, not by numpy's Generator (see there);
 * beta (a batched axis): the thermofield double is exp(-beta H_L/2) on
@@ -93,6 +99,7 @@ beta or t, or a single g, is a batch of one through the same stages, so
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -128,10 +135,11 @@ BATCH_BYTES = 2 ** 19
 # heatmap-t window), and the Haar average takes its (point, message)
 # values in slices of about G_BLOCK_BYTES.
 G_BLOCK_BYTES = 2 ** 16
-# engines kept by get_engine, and realizations they share: above the 20
-# seeds a two-stage preset revisits, so its second sweep finds every
-# engine.  An engine holds about 74 KB (basis message) or 99 KB (Bell) at
-# n_side 3 and 1.1 MB at n_side 4 (see Engine).
+# engines kept by get_engine, realizations they share, and the most seeds
+# one batched realization build takes: above the 20 seeds a two-stage
+# preset revisits, so its second sweep finds every engine.  An engine
+# holds about 74 KB (basis message) or 99 KB (Bell) at n_side 3 and
+# 1.1 MB at n_side 4 (see Engine).
 ENGINE_CACHE_SIZE = 32
 
 MESSAGES = ("basis_zero", "arbitrary", "bell_phi_plus")
@@ -298,6 +306,19 @@ class SizeOperator:
         return tuple((int(p), slice(int(a), int(b)))
                      for p, a, b in zip(levels, starts, stops))
 
+    @cached_property
+    def level_tables(self) -> tuple:
+        """(levels, columns, column levels) of levels(), built once per
+        operator: the distinct levels p as an array, the column slice of
+        each, and the level of every column; the arrays are read-only."""
+        levels = self.levels()
+        values = np.array([p for p, _ in levels])
+        column_levels = np.concatenate([np.full(cols.stop - cols.start, p)
+                                        for p, cols in levels])
+        for array in (values, column_levels):
+            array.setflags(write=False)
+        return values, tuple(cols for _, cols in levels), column_levels
+
     def projectors(self) -> np.ndarray:
         """Spectral projectors Pi_p = B_p B_p^dagger, one per level,
         shape (L, d, d): exp(i g upsilon) = sum_p exp(i g p) Pi_p."""
@@ -396,28 +417,84 @@ def _shared_insert_factor(message: str, swap_variant: str, n_side: int,
     return factor
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _realization(model: str, seed: int, j_scale: float, n_side: int) -> tuple:
-    """(couplings, eig_left, eig_right) of one disorder realization, with
-    read-only eigensystems: the SYK coupling table (None for the kicked
-    Ising baseline) and the side eigensystems (the Floquet quasi-energies
-    for the baseline).  Engines that differ only in message, swap variant
-    or insert share it."""
-    couplings = None
+def _build_realizations(model: str, seeds: list, j_scale: float, n_side: int) -> list:
+    """(couplings, eig_left, eig_right) of each seed's disorder
+    realization, with read-only eigensystems: the SYK coupling table (None
+    for the kicked Ising baseline) and the side eigensystems (the Floquet
+    quasi-energies for the baseline).  The SYK seeds take one draw, one
+    side-matrix sum and one stacked eigendecomposition per side, each
+    seed with the bits of its build alone; the baseline takes one Schur
+    decomposition per seed."""
     if model == "syk":
-        couplings = models.sample_syk_couplings(2 * n_side, 4, j_scale, seed)
-        eig_left = qop.hermitian_eig(models.build_syk_side_matrix(couplings, "left", n_side))
-        eig_right = qop.hermitian_eig(models.build_syk_side_matrix(couplings, "right", n_side))
+        tables = models.sample_syk_couplings(2 * n_side, 4, j_scale, seeds)
+        left, right = (qop.hermitian_eig(models.build_syk_side_matrix(tables, side, n_side))
+                       for side in ("left", "right"))
+        out = [(table, qop.EigenSystem(*left_k), qop.EigenSystem(*right_k))
+               for table, left_k, right_k in zip(tables, zip(left.values, left.vectors),
+                                                 zip(right.values, right.vectors))]
     else:
-        params = models.TfimParams.sample(n_side, seed)
-        ev, vec = models.floquet_effective_spectrum(models.build_tfim_floquet(params))
-        # the right factor runs the same chain on the mirrored sites
-        eig_left = qop.EigenSystem(values=ev, vectors=vec)
-        eig_right = qop.EigenSystem(values=ev, vectors=vec[layout.mirror_index(n_side)])
-    for eig in (eig_left, eig_right):
-        eig.values.setflags(write=False)
-        eig.vectors.setflags(write=False)
-    return couplings, eig_left, eig_right
+        out = []
+        for seed in seeds:
+            params = models.TfimParams.sample(n_side, seed)
+            ev, vec = models.floquet_effective_spectrum(models.build_tfim_floquet(params))
+            # the right factor runs the same chain on the mirrored sites
+            out.append((None, qop.EigenSystem(values=ev, vectors=vec),
+                        qop.EigenSystem(values=ev, vectors=vec[layout.mirror_index(n_side)])))
+    for _, *eigs in out:
+        for eig in eigs:
+            eig.values.setflags(write=False)
+            eig.vectors.setflags(write=False)
+    return out
+
+
+class _RealizationCache:
+    """The realizations of the last ENGINE_CACHE_SIZE keys (model, seed,
+    j_scale, n_side) used, shared by the engines that differ only in
+    message, swap variant or insert.  A lookup that misses builds its
+    realization as a batch of one; `fill` builds every missing seed of a
+    sweep slice in one batch.  `builds` counts the realizations built."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.builds = 0
+        self._store = OrderedDict()
+
+    def __call__(self, model: str, seed: int, j_scale: float, n_side: int) -> tuple:
+        self.fill(model, (seed,), j_scale, n_side)
+        return self._store[(model, seed, j_scale, n_side)]
+
+    def fill(self, model: str, seeds, j_scale: float, n_side: int) -> None:
+        """Hold the realization of every seed, building the missing ones
+        in one batch; at most maxsize distinct seeds, so that none is
+        evicted before it is used."""
+        seeds = list(dict.fromkeys(seeds))
+        if len(seeds) > self.maxsize:
+            raise ConfigError(f"at most {self.maxsize} seeds per batched build, "
+                              f"got {len(seeds)}")
+        missing = [s for s in seeds if (model, s, j_scale, n_side) not in self._store]
+        if missing:
+            built = _build_realizations(model, missing, j_scale, n_side)
+            self._store.update(((model, s, j_scale, n_side), r) for s, r in zip(missing, built))
+            self.builds += len(missing)
+        for seed in seeds:
+            self._store.move_to_end((model, seed, j_scale, n_side))
+        while len(self._store) > self.maxsize:
+            self._store.popitem(last=False)
+
+    def clear(self) -> None:
+        self._store.clear()
+        self.builds = 0
+
+
+_realization = _RealizationCache(ENGINE_CACHE_SIZE)
+
+
+def build_realizations(cfg: ProtocolConfig, seeds) -> None:
+    """Build the realizations of cfg's model, j_scale and n_side at every
+    seed in seeds (at most ENGINE_CACHE_SIZE of them) in one batch, so that
+    the engines of those seeds find them (see get_engine)."""
+    cfg.validate()
+    _realization.fill(cfg.model, seeds, cfg.j_scale, cfg.n_side)
 
 
 def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperator,
@@ -442,9 +519,10 @@ class Engine:
     """Staged, cached evaluation of the protocol for one realization.
 
     The realization stage (couplings and side eigensystems, shared with
-    the engines of the same (model, seed, j_scale, n_side); the size
-    levels; the message (x) left factor of INSERT, shared per register
-    geometry) is looked up or built here; the tensors derived from
+    the engines of the same (model, seed, j_scale, n_side) and built as a
+    batch of one unless a sweep built them with its other seeds; the size
+    level tables and the message (x) left factor of INSERT, shared per
+    register geometry) is looked up or built here; the tensors derived from
     `eig_left`/`eig_right` are built from them on first use.  Nothing with
     a beta, t or g axis is kept: every metric takes a whole beta array, a
     whole t array and a whole g array, and `finish` takes all betas of the
@@ -469,11 +547,7 @@ class Engine:
         self.readout = cfg.resolved_readout()
         # exp(i g upsilon) = sum_p exp(i g p) Pi_p over the few distinct size
         # levels p
-        levels = self.size.levels()
-        self._levels = np.array([p for p, _ in levels])
-        self._level_columns = tuple(cols for _, cols in levels)
-        self._column_levels = np.concatenate(
-            [np.full(cols.stop - cols.start, p) for p, cols in levels])
+        self._levels, self._level_columns, self._column_levels = self.size.level_tables
 
     @cached_property
     def _insert_left(self) -> np.ndarray:

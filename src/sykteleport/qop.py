@@ -84,34 +84,36 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian
+    matrix, or of each matrix of a stack (leading axes first)."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
 def hermitian_eig(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with fixed conventions.
+    """Eigendecomposition of a Hermitian matrix, or of a (..., d, d) stack
+    of them, with fixed conventions.
 
     Eigenvalues come back ascending.  Each eigenvector is rotated so its
     largest-magnitude component is real and positive, which makes the
-    output reproducible for a given input matrix.
+    output reproducible for a given input matrix; a matrix of a stack gets
+    the bits it gets alone.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise QopError("hermitian_eig expects a square matrix")
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise QopError("hermitian_eig expects a square matrix or a stack of them")
     if not is_hermitian(h):
         raise QopError("matrix is not Hermitian within tolerance")
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise QopError(f"eigensolver failed to converge: {exc}") from exc
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        k = int(np.argmax(np.abs(col)))
-        phase = col[k] / abs(col[k])
-        vectors[:, j] = col / phase
+    # the first largest-magnitude component of each column; hypot has the
+    # bits of the scalar abs(), which np.abs of a complex array need not
+    k = np.abs(vectors).argmax(axis=-2)
+    top = np.take_along_axis(vectors, k[..., None, :], axis=-2)
+    vectors = vectors / (top / np.hypot(top.real, top.imag))
     return EigenSystem(values=values, vectors=vectors)
 
 

@@ -75,6 +75,39 @@ class TestRunSweep:
             with pytest.raises(analysis.SweepError, match="repeat"):
                 analysis.run_sweep(tiny_spec(seeds=seeds))
 
+    def test_rejects_seeds_equal_mod_2_64(self):
+        # the draws take a seed mod 2^64, so these name one realization twice
+        for seeds in ((-1, 2 ** 64 - 1, 3), (2 ** 64, 0), (5, 2 ** 65 + 5)):
+            with pytest.raises(analysis.SweepError, match="repeat"):
+                tiny_spec(seeds=seeds).validate()
+        tiny_spec(seeds=(-1, 2 ** 64 - 2)).validate()
+
+    def test_long_sweep_builds_each_realization_once(self, monkeypatch):
+        # more seeds than the caches hold: slices of ENGINE_CACHE_SIZE seeds,
+        # each built in one batch and evaluated before the next
+        seeds = tuple(range(100, 140))
+        assert len(seeds) > protocol.ENGINE_CACHE_SIZE
+        spec = tiny_spec(seeds=seeds, g_grid=(0.5, 2.0))
+        batches = []
+        build = protocol._build_realizations
+
+        def counted(model, batch, j_scale, n_side):
+            batches.append(len(batch))
+            return build(model, batch, j_scale, n_side)
+        monkeypatch.setattr(protocol, "_build_realizations", counted)
+        protocol._engine_cached.cache_clear()
+        protocol._realization.clear()
+        table = analysis.run_sweep(spec)
+        assert batches == [protocol.ENGINE_CACHE_SIZE, len(seeds) - protocol.ENGINE_CACHE_SIZE]
+        assert protocol._realization.builds == len(seeds)
+        want = []
+        for seed in seeds:
+            protocol._engine_cached.cache_clear()
+            protocol._realization.clear()
+            eng = protocol.get_engine(replace(spec.base, seed=seed))
+            want.append(eng.curve_basis_z(spec.beta_grid, spec.t_grid, spec.g_grid).reshape(-1))
+        assert table.value.tobytes() == np.concatenate(want).tobytes()
+
     def test_records_come_in_key_order(self):
         spec = tiny_spec(g_grid=(-1.0, 0.0, 2.5), t_grid=(0.5, 1.5),
                          beta_grid=(0.0, 3.0), seeds=(7, 2, 5))

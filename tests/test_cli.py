@@ -522,6 +522,14 @@ class TestMain:
         assert "repeat" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_seeds_equal_mod_2_64_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "alias.cfg"
+        cfg.write_text("[sweep]\ng_grid = [0.0]\nbeta_grid = [0]\n"
+                       "seeds = [-1, 18446744073709551615, 3]\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "repeat" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_readout_site_count_exit_code(self, tmp_path, capsys):
         # two readout sites for the one-qubit basis message
         cfg = tmp_path / "readout.cfg"
@@ -595,7 +603,7 @@ class TestMain:
         # the engine cache holds every seed of a preset, so the t sweeps of
         # the second stage find the engines of the g sweep
         protocol._engine_cached.cache_clear()
-        protocol._realization.cache_clear()
+        protocol._realization.clear()
         seeds = []
         init = protocol.Engine.__init__
 
@@ -605,7 +613,7 @@ class TestMain:
         monkeypatch.setattr(protocol.Engine, "__init__", counted)
         cli.run_figure("timeevol", manifest(tmp_path, master_seed=0))
         assert len(seeds) == len(set(seeds)) == 20
-        assert protocol._realization.cache_info().misses == 20
+        assert protocol._realization.builds == 20
 
     def test_unknown_figure_raises(self, tmp_path):
         with pytest.raises(cli.CliError, match="sq3"):

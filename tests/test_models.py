@@ -112,6 +112,22 @@ class TestSykHamiltonian:
         with pytest.raises(ValueError, match="side"):
             models.build_syk_side_matrix(c, "middle", 4)
 
+    def test_table_stack_equals_lone_tables(self):
+        seeds = TestBatchedDraws.SEEDS
+        for n_side in (3, 4):
+            tables = models.sample_syk_couplings(2 * n_side, 4, 5.0, list(seeds))
+            assert isinstance(tables, tuple) and len(tables) == len(seeds)
+            for side in ("left", "right"):
+                stack = models.build_syk_side_matrix(tables, side, n_side)
+                assert stack.shape == (len(seeds),) + (2 ** n_side,) * 2
+                for h, table, seed in zip(stack, tables, seeds):
+                    lone = models.sample_syk_couplings(2 * n_side, 4, 5.0, seed)
+                    assert table == lone
+                    want = models.build_syk_side_matrix(lone, side, n_side)
+                    assert h.view(float).tobytes() == want.view(float).tobytes()
+        with pytest.raises(ValueError, match="side size"):
+            models.build_syk_side_matrix(tables[:1] + (lone,), "left", 3)
+
     def test_pair_vacuum_is_shared_null_direction(self):
         # (H_L - H_R)|vac> = 0: both sides act identically on the pair vacuum
         c = models.sample_syk_couplings(6, 4, 1.0, seed=7)
@@ -229,6 +245,24 @@ class TestBatchedDraws:
         with pytest.raises(ValueError):
             models.gaussian_draw(0, models.STREAM_TFIM, 3, 0.5)
         assert models.split_uniform(0, models.STREAM_SYK, np.arange(0)).shape == (0,)
+
+    def test_seed_axis_equals_lone_seeds(self):
+        # one row per seed, mixing seeds with and without a high word
+        idx = np.array([0, 7, 2 ** 32 - 1, 3])
+        for stream in self.STREAMS:
+            got = models.split_uniform(list(self.SEEDS), stream, idx)
+            assert got.shape == (len(self.SEEDS), len(idx))
+            for row, seed in zip(got, self.SEEDS):
+                assert row.tolist() == models.split_uniform(seed, stream, idx).tolist()
+            got = models.split_uniform(np.array(self.SEEDS, dtype=object), stream, 5)
+            assert got.tolist() == [models.split_uniform(seed, stream, 5) for seed in self.SEEDS]
+            gauss = models.gaussian_draw(self.SEEDS, stream, idx, 0.7)
+            for row, seed in zip(gauss, self.SEEDS):
+                assert row.tolist() == models.gaussian_draw(seed, stream, idx, 0.7).tolist()
+        assert models.split_uniform([], models.STREAM_SYK, idx).shape == (0, len(idx))
+        assert models.split_uniform([3, 2 ** 40], models.STREAM_SYK, np.arange(0)).shape == (2, 0)
+        with pytest.raises(ValueError, match="seed"):
+            models.split_uniform([[0, 1]], models.STREAM_SYK, idx)
 
     def test_index_outside_the_pool_rejected(self):
         for bad in (-1, 2 ** 32):

@@ -1439,13 +1439,61 @@ class TestSharedRealization:
         for eig in (a.eig_left, a.eig_right):
             assert not eig.values.flags.writeable
             assert not eig.vectors.flags.writeable
+        # the size level tables are built once per size operator
         other = protocol.Engine(protocol.ProtocolConfig(seed=14))
+        assert other._levels is a._levels and other._column_levels is a._column_levels
+        assert not a._levels.flags.writeable and not a._column_levels.flags.writeable
         assert other.eig_left is not a.eig_left
         scaled = protocol.Engine(protocol.ProtocolConfig(seed=13, j_scale=2.0))
         assert scaled.couplings is not a.couplings
         tfim = protocol.Engine(protocol.ProtocolConfig(seed=13, model="tfim", t=1.0))
         assert tfim.couplings is None
         assert not tfim.eig_right.vectors.flags.writeable
+
+    @pytest.mark.parametrize("n_side", [3, 4])
+    def test_batched_build_has_the_bits_of_lone_builds(self, n_side):
+        # seeds with and without a high word, -1 and its alias 2^64 - 1
+        seeds = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, -1,
+                 8350510533860217964)
+        cfg = protocol.ProtocolConfig(n_side=n_side)
+        grids = ((0.0, 5.0), 1.0, (0.3, 2.0))
+
+        def bits(seed):
+            eng = protocol.Engine(replace(cfg, seed=seed))
+            eigs = (eng.eig_left.values, eng.eig_left.vectors,
+                    eng.eig_right.values, eng.eig_right.vectors)
+            return (list(eng.couplings.entries.values()),
+                    [e.view(float).tobytes() for e in eigs],
+                    eng.curve_basis_z(*grids).tobytes())
+
+        protocol._realization.clear()
+        protocol.build_realizations(cfg, seeds)
+        assert protocol._realization.builds == len(seeds)
+        batched = [bits(seed) for seed in seeds]
+        assert protocol._realization.builds == len(seeds)
+        for seed, want in zip(seeds, batched):
+            protocol._realization.clear()
+            assert bits(seed) == want
+            assert protocol._realization.builds == 1
+        assert batched[5] == batched[6]  # -1 is 2^64 - 1 to the draws
+
+    def test_realization_cache_bounds_a_batch(self):
+        cfg = protocol.ProtocolConfig()
+        with pytest.raises(protocol.ConfigError, match="at most"):
+            protocol.build_realizations(cfg, range(protocol.ENGINE_CACHE_SIZE + 1))
+        protocol._realization.clear()
+        protocol.build_realizations(cfg, (5, 6, 5))
+        assert protocol._realization.builds == 2
+        # a batch of present seeds builds nothing and keeps them the newest
+        protocol.build_realizations(cfg, range(7, 7 + protocol.ENGINE_CACHE_SIZE - 2))
+        protocol.build_realizations(cfg, (5, 6))
+        protocol.build_realizations(cfg, (100, 101))
+        assert protocol._realization.builds == protocol.ENGINE_CACHE_SIZE + 2
+        protocol.Engine(replace(cfg, seed=5))
+        protocol.Engine(replace(cfg, seed=6))
+        assert protocol._realization.builds == protocol.ENGINE_CACHE_SIZE + 2
+        protocol.Engine(replace(cfg, seed=7))
+        assert protocol._realization.builds == protocol.ENGINE_CACHE_SIZE + 3
 
     def test_shared_eigensystems_match_a_fresh_build(self):
         eng = protocol.Engine(protocol.ProtocolConfig(seed=13, swap_variant="delta02"))

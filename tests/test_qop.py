@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sykteleport import qop
+from sykteleport import cli, models, qop
 
 
 def brute_force_kron(a, b):
@@ -149,6 +149,49 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(qop.QopError):
             qop.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # one bad matrix of a stack is enough
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(qop.QopError, match="Hermitian"):
+            qop.hermitian_eig(stack)
+        with pytest.raises(qop.QopError, match="square"):
+            qop.hermitian_eig(np.zeros((2, 2, 3)))
+
+    @staticmethod
+    def _reference(h):
+        """eigh, then each column rotated alone, one scalar phase at a time."""
+        values, vectors = np.linalg.eigh(h)
+        vectors = vectors.copy()
+        for j in range(vectors.shape[1]):
+            col = vectors[:, j]
+            k = int(np.argmax(np.abs(col)))
+            vectors[:, j] = col / (col[k] / abs(col[k]))
+        return values, vectors
+
+    def test_stack_has_the_bits_of_lone_matrices(self):
+        # the 20 disorder realizations of the sq1 preset, both sides, where
+        # np.abs of the top component (not hypot) moves eigenvectors in the
+        # last bit, and random matrices of several sizes
+        seeds = [cli.substream_seed(0, "disorder", i) for i in range(20)]
+        tables = models.sample_syk_couplings(6, 4, 5.0, seeds)
+        stacks = [models.build_syk_side_matrix(tables, side, 3) for side in ("left", "right")]
+        rng = np.random.default_rng(23)
+        stacks += [np.stack([random_hermitian(rng, dim) for _ in range(6)])
+                   for dim in (2, 8, 16)]
+        stacks.append(stacks[-1].reshape(2, 3, 16, 16))
+        for stack in stacks:
+            eig = qop.hermitian_eig(stack)
+            assert eig.values.shape == stack.shape[:-1]
+            assert eig.vectors.shape == stack.shape
+            flat_values = eig.values.reshape(-1, stack.shape[-1])
+            flat_vectors = eig.vectors.reshape((-1,) + stack.shape[-2:])
+            for h, values, vectors in zip(stack.reshape((-1,) + stack.shape[-2:]),
+                                          flat_values, flat_vectors):
+                lone = qop.hermitian_eig(h)
+                ref_values, ref_vectors = self._reference(h)
+                for want in (lone.values, ref_values):
+                    assert values.tobytes() == want.tobytes()
+                for want in (lone.vectors, ref_vectors):
+                    assert vectors.view(float).tobytes() == want.view(float).tobytes()
 
 
 class TestEvolve:
