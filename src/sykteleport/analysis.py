@@ -1,11 +1,15 @@
 """Parameter sweeps, disorder statistics, recovery times and the
-exponential-decay temperature fit."""
+exponential-decay temperature fit.
+
+A serial sweep builds the realizations and Haar messages of each slice of
+seeds in one batch; only a sweep with more than one worker imports the
+process pool, so a serial run loads no multiprocessing.
+"""
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
@@ -212,8 +216,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     are visited in ascending order, the key columns are the grids broadcast
     in that order (the grids are strictly increasing), and no seed repeats.
     A worker returns one seed's value array and builds its seed's
-    realization alone; one process builds the realizations of up to
-    ENGINE_CACHE_SIZE seeds at a time in one batch.  The pool never holds
+    realization and Haar messages alone; one process builds the
+    realizations of up to ENGINE_CACHE_SIZE seeds at a time in one batch,
+    and draws their Haar messages in one batch too.  The pool never holds
     more processes than there are seeds or CPUs.
     """
     spec.validate()
@@ -222,14 +227,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     workers = min(workers, len(spec.seeds), os.cpu_count() or 1)
     seeds = sorted(spec.seeds)
     if workers <= 1:
-        # the realizations of a slice of seeds are one batched build, and
-        # a slice fits the engine and realization caches
+        # the realizations and Haar messages of a slice of seeds are one
+        # batched build each, and a slice fits the engine, realization and
+        # Haar caches
         values = []
         for start in range(0, len(seeds), protocol.ENGINE_CACHE_SIZE):
             chunk = seeds[start:start + protocol.ENGINE_CACHE_SIZE]
             protocol.build_realizations(spec.base, chunk)
+            if spec.metric == "arbitrary_avg":
+                protocol.draw_haar_samples(chunk, spec.n_samples)
             values += [_seed_values(spec, seed) for seed in chunk]
     else:
+        # only a pool run loads the process pool (and multiprocessing)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_seed_values, repeat(spec), seeds))
     keys = np.meshgrid(_seed_column(seeds), *(np.array(grid, dtype=float) for grid in

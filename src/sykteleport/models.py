@@ -8,7 +8,9 @@ many realizations; a side Hamiltonian is built for a stack of tables with
 the bits of each table alone.  The draw of a key equals numpy 2.4's first
 Generator(PCG64(SeedSequence((seed, stream, index)))).integers(0, 2^53),
 but the scheme is pinned by the code here, not by numpy's Generator, whose
-streams NEP 19 does not keep stable across numpy versions.
+streams NEP 19 does not keep stable across numpy versions.  Both the
+seed mixing and PCG64's step are integer array code over every key at
+once, so no batching changes a bit.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ STREAM_HAAR = 303
 # The draw of key (seed, stream, index), for a whole index array at once:
 # numpy's SeedSequence mixing of the words (seed mod 2^64, stream, index)
 # into a 4-word pool, as uint32 arithmetic (carried in uint64 and masked),
-# then PCG64's seeding step and first XSL-RR output (O'Neill, 2014) in
-# Python ints.
+# then PCG64's seeding step and first XSL-RR output (O'Neill, 2014) as
+# 128-bit arithmetic on pairs of uint64 words.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -57,6 +59,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_STATE = _PCG_MULT * _PCG_MULT & _MASK128
 _PCG_INC = (_PCG_STATE + _PCG_MULT + 1) & _MASK128
+# the two as (high, low) uint64 words
+_PCG_STATE_WORDS = (np.uint64(_PCG_STATE >> 64), np.uint64(_PCG_STATE & _MASK64))
+_PCG_INC_WORDS = (np.uint64(_PCG_INC >> 64), np.uint64(_PCG_INC & _MASK64))
 
 
 def _seed_state(words: list) -> list:
@@ -83,19 +88,39 @@ def _seed_state(words: list) -> list:
     return [state[k] | state[k + 1] << 32 for k in range(0, 8, 2)]
 
 
-def _pcg_first_draws(state: list) -> list:
-    """The uniform of each key from the PCG64 its 4 state words seed (as
-    Python ints, one list per word): the first 64-bit XSL-RR output >> 11,
-    which is what Generator.integers(0, 2^53) returns, on the midpoint
-    lattice in (0, 1)."""
-    out = []
-    for s0, s1, s2, s3 in zip(*state):
-        x = ((s0 << 64 | s1) * _PCG_STATE + ((s2 << 64 | s3) << 1 | 1) * _PCG_INC) & _MASK128
-        rot = x >> 122
-        word = ((x >> 64) ^ x) & _MASK64
-        raw = ((word >> rot) | (word << (64 - rot))) & _MASK64
-        out.append(((raw >> 11) + 0.5) / float(1 << 53))
-    return out
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a b of uint64 words, from
+    their 32-bit limbs (every partial product fits in 64 bits)."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & np.uint64(_MASK32), b >> np.uint64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _mul128(a_hi: np.ndarray, a_lo: np.ndarray, b: tuple) -> tuple:
+    """(high, low) uint64 words of a b mod 2^128 for the 128-bit a = (a_hi,
+    a_lo) and the constant b = (high, low); uint64 products wrap mod 2^64."""
+    b_hi, b_lo = b
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _pcg_first_draws(state: list) -> np.ndarray:
+    """The uniform of each key from the PCG64 its 4 state words seed (uint64
+    arrays of one shape): the first 64-bit XSL-RR output >> 11, which is
+    what Generator.integers(0, 2^53) returns, on the midpoint lattice in
+    (0, 1)."""
+    s0, s1, s2, s3 = state
+    # x = (s0 s1) PCG_STATE + (2 (s2 s3) + 1) PCG_INC mod 2^128
+    x_hi, x_lo = _mul128(s0, s1, _PCG_STATE_WORDS)
+    i_hi, i_lo = _mul128((s2 << 1) | (s3 >> 63), (s3 << 1) | 1, _PCG_INC_WORDS)
+    x_lo = x_lo + i_lo
+    x_hi = x_hi + i_hi + (x_lo < i_lo)
+    rot = x_hi >> 58
+    word = x_hi ^ x_lo
+    # a rotation by 0 shifts left by 0, not 64, and ORs word with itself
+    raw = (word >> rot) | (word << ((64 - rot) & 63))
+    return ((raw >> 11).astype(float) + 0.5) / float(1 << 53)
 
 
 def split_uniform(seed, stream: int, index):
@@ -138,8 +163,7 @@ def split_uniform(seed, stream: int, index):
         words = [w[0] if len(w) == 1 else np.array(w, dtype=np.uint64)[:, None]
                  for w in words]
         state = _seed_state(words + [stream, keys])
-        out[rows] = np.reshape(_pcg_first_draws([w.ravel().tolist() for w in state]),
-                               (len(rows), -1))
+        out[rows] = _pcg_first_draws(state).reshape(len(rows), -1)
     out = out.reshape(np.shape(seed) + index.shape)
     return float(out) if out.ndim == 0 else out
 

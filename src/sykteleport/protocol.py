@@ -26,8 +26,10 @@ Omega V_R^*:
   ENGINE_CACHE_SIZE of them; the distinct size levels p (L = 6 at
   n_side = 3) and the factor F of INSERT on the message and left sites
   (INSERT = F (x) I_right, checked exactly once, after which the dense
-  INSERT is dropped).  F, the size eigenbasis B and its level tables are
-  shared by every engine of one register geometry; F in the left
+  INSERT is dropped; `build_insert` scatters the dense INSERT from one
+  signed permutation of the basis states, with no matrix product).  F,
+  the size eigenbasis B and its level tables are shared by every engine
+  of one register geometry; F in the left
   eigenbasis, C (below) and the readout tensor are derived from V_L, V_R
   on first use.  A sweep fills the realization cache for up to
   ENGINE_CACHE_SIZE seeds at once (`build_realizations`): one draw, one
@@ -35,8 +37,11 @@ Omega V_R^*:
   for all of them, each seed with the bits of its build alone; an engine
   whose realization is missing builds it as a batch of one.  The random
   draws behind a realization and behind the Haar messages are one
-  batched `models.split_uniform` call per quantity; their scheme is
-  pinned by `models`, not by numpy's Generator (see there);
+  batched `models.split_uniform` call per quantity, and a serial sweep
+  draws the Haar messages of a whole slice of seeds in one call
+  (`draw_haar_samples`, kept in a cache bounded like the realization
+  cache); their scheme is pinned by `models`, not by numpy's Generator
+  (see there);
 * beta (a batched axis): the thermofield double is exp(-beta H_L/2) on
   the infinite-temperature pair state Omega (J. Maldacena and X.-L. Qi,
   arXiv:1804.00491), so its coefficients over pairs of side eigenvectors
@@ -362,33 +367,39 @@ class InsertOperator:
     matrix: np.ndarray = field(repr=False)
 
 
-def _fermionic_swap(register: layout.RegisterLayout, msg_site: int, left_site: int) -> np.ndarray:
-    """SWAP whose left-side Pauli factors are replaced by their Majorana
-    realizations, which attach a Z string over the remaining left qubits."""
-    n = register.n_qubits
-    k = left_site - register.n_message
-    string = np.eye(2 ** n, dtype=complex)
-    for j in range(k + 1, register.n_side):
-        string = string @ qop.pauli_on(n, register.n_message + j, "Z")
-    xm, ym, zm = (qop.pauli_on(n, msg_site, p) for p in "XYZ")
-    xl, yl, zl = (qop.pauli_on(n, left_site, p) for p in "XYZ")
-    return 0.5 * (np.eye(2 ** n) + xm @ xl @ string + ym @ yl @ string + zm @ zl)
-
-
 def build_insert(cfg: ProtocolConfig) -> InsertOperator:
-    """INSERT as a product of message-to-left swaps in circuit order."""
+    """INSERT as a product of message-to-left swaps in circuit order.
+
+    Every swap maps each basis state to one basis state with a sign, so the
+    product is one signed permutation: the image and sign of each of the
+    2^n basis states through all the swaps, scattered into the dense matrix.
+    The fermionic swap, (I + X X S + Y Y S + Z Z)/2 with S the Z string over
+    the left qubits after the swapped one (the Majorana realizations of the
+    left Pauli factors), keeps a basis state whose two swapped bits agree
+    and swaps the bits of one where they differ, with the sign S takes on
+    it.
+    """
     cfg.validate()
     reg = cfg.register
     pairs = cfg.swap_site_pairs()
     if len({s for p in pairs for s in p}) < 2 * len(pairs):
         raise ConfigError("swap site collision")
-    mat = np.eye(reg.dim, dtype=complex)
-    for (a, b) in pairs:
+    n = reg.n_qubits
+    states = np.arange(reg.dim)
+    image, sign = states.copy(), np.ones(reg.dim)
+    for a, b in pairs:
+        # qubit 0 is the most significant bit
+        shift_a, shift_b = n - 1 - a, n - 1 - b
+        differ = ((image >> shift_a) ^ (image >> shift_b)) & 1
         if cfg.fermionic_insert:
-            step = _fermionic_swap(reg, a, b)
-        else:
-            step = qop.swap_matrix(reg.n_qubits, a, b)
-        mat = step @ mat
+            # the parity of the left bits after the swapped one
+            string = np.zeros(reg.dim, dtype=int)
+            for site in range(b + 1, reg.n_message + reg.n_side):
+                string ^= image >> (n - 1 - site)
+            sign = np.where(differ & string & 1, -sign, sign)
+        image = image ^ (differ << shift_a) ^ (differ << shift_b)
+    mat = np.zeros((reg.dim, reg.dim), dtype=complex)
+    mat[image, states] = sign
     return InsertOperator(matrix=mat)
 
 
@@ -417,7 +428,7 @@ def _shared_insert_factor(message: str, swap_variant: str, n_side: int,
     return factor
 
 
-def _build_realizations(model: str, seeds: list, j_scale: float, n_side: int) -> list:
+def _build_realizations(seeds: list, model: str, j_scale: float, n_side: int) -> list:
     """(couplings, eig_left, eig_right) of each seed's disorder
     realization, with read-only eigensystems: the SYK coupling table (None
     for the kicked Ising baseline) and the side eigensystems (the Floquet
@@ -447,37 +458,38 @@ def _build_realizations(model: str, seeds: list, j_scale: float, n_side: int) ->
     return out
 
 
-class _RealizationCache:
-    """The realizations of the last ENGINE_CACHE_SIZE keys (model, seed,
-    j_scale, n_side) used, shared by the engines that differ only in
-    message, swap variant or insert.  A lookup that misses builds its
-    realization as a batch of one; `fill` builds every missing seed of a
-    sweep slice in one batch.  `builds` counts the realizations built."""
+class _SeedCache:
+    """The values of the last maxsize keys (seed, *params) used, each
+    built by `build(seeds, *params)`, which builds a batch of seeds with
+    the bits each gets alone.  A lookup `cache(seed, *params)` that misses
+    builds its value as a batch of one; `fill` builds every missing seed of
+    a sweep slice in one batch.  `builds` counts the values built."""
 
-    def __init__(self, maxsize: int):
+    def __init__(self, build, maxsize: int):
+        self._build = build
         self.maxsize = maxsize
         self.builds = 0
         self._store = OrderedDict()
 
-    def __call__(self, model: str, seed: int, j_scale: float, n_side: int) -> tuple:
-        self.fill(model, (seed,), j_scale, n_side)
-        return self._store[(model, seed, j_scale, n_side)]
+    def __call__(self, seed, *params):
+        self.fill((seed,), *params)
+        return self._store[(seed,) + params]
 
-    def fill(self, model: str, seeds, j_scale: float, n_side: int) -> None:
-        """Hold the realization of every seed, building the missing ones
-        in one batch; at most maxsize distinct seeds, so that none is
-        evicted before it is used."""
+    def fill(self, seeds, *params) -> None:
+        """Hold the value of every seed, building the missing ones in one
+        batch; at most maxsize distinct seeds, so that none is evicted
+        before it is used."""
         seeds = list(dict.fromkeys(seeds))
         if len(seeds) > self.maxsize:
             raise ConfigError(f"at most {self.maxsize} seeds per batched build, "
                               f"got {len(seeds)}")
-        missing = [s for s in seeds if (model, s, j_scale, n_side) not in self._store]
+        missing = [s for s in seeds if (s,) + params not in self._store]
         if missing:
-            built = _build_realizations(model, missing, j_scale, n_side)
-            self._store.update(((model, s, j_scale, n_side), r) for s, r in zip(missing, built))
+            built = self._build(missing, *params)
+            self._store.update(((s,) + params, v) for s, v in zip(missing, built))
             self.builds += len(missing)
         for seed in seeds:
-            self._store.move_to_end((model, seed, j_scale, n_side))
+            self._store.move_to_end((seed,) + params)
         while len(self._store) > self.maxsize:
             self._store.popitem(last=False)
 
@@ -486,7 +498,9 @@ class _RealizationCache:
         self.builds = 0
 
 
-_realization = _RealizationCache(ENGINE_CACHE_SIZE)
+# the realizations of (seed, model, j_scale, n_side), shared by the engines
+# that differ only in message, swap variant or insert
+_realization = _SeedCache(_build_realizations, ENGINE_CACHE_SIZE)
 
 
 def build_realizations(cfg: ProtocolConfig, seeds) -> None:
@@ -494,7 +508,7 @@ def build_realizations(cfg: ProtocolConfig, seeds) -> None:
     seed in seeds (at most ENGINE_CACHE_SIZE of them) in one batch, so that
     the engines of those seeds find them (see get_engine)."""
     cfg.validate()
-    _realization.fill(cfg.model, seeds, cfg.j_scale, cfg.n_side)
+    _realization.fill(seeds, cfg.model, cfg.j_scale, cfg.n_side)
 
 
 def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperator,
@@ -540,7 +554,7 @@ class Engine:
         self.cfg = cfg
         self.reg = cfg.register
         self.couplings, self.eig_left, self.eig_right = _realization(
-            cfg.model, cfg.seed, cfg.j_scale, cfg.n_side)
+            cfg.seed, cfg.model, cfg.j_scale, cfg.n_side)
         self.size = build_size_operator(self.reg, cfg.resolved_size_modes())
         self._insert_factor = _shared_insert_factor(
             cfg.message, cfg.swap_variant, cfg.n_side, cfg.fermionic_insert)
@@ -1077,17 +1091,30 @@ def haar_qubit(seed: int, index: int):
                           models.split_uniform(seed, models.STREAM_HAAR, 2 * index + 1))
 
 
-@lru_cache(maxsize=16)
-def _haar_samples(seed: int, n_s: int) -> np.ndarray:
-    """The first n_s Haar messages of a seed as a read-only (n_s, 2) array,
-    from one draw of all 2 n_s uniforms; bit for bit haar_qubit(seed, i)
-    for i < n_s (scalar math calls, not numpy ufuncs, whose last bit can
-    differ)."""
-    u = models.split_uniform(seed, models.STREAM_HAAR, np.arange(2 * n_s)).tolist()
-    out = np.array([_bloch_message(u[2 * i], u[2 * i + 1]) for i in range(n_s)],
-                   dtype=complex)
-    out.setflags(write=False)
+def _draw_haar_samples(seeds: list, n_s: int) -> list:
+    """The first n_s Haar messages of each seed as a read-only (n_s, 2)
+    array, from one draw of all seeds' 2 n_s uniforms; bit for bit
+    haar_qubit(seed, i) for i < n_s (scalar math calls, not numpy ufuncs,
+    whose last bit can differ)."""
+    out = []
+    for u in models.split_uniform(seeds, models.STREAM_HAAR, np.arange(2 * n_s)).tolist():
+        samples = np.array([_bloch_message(u[2 * i], u[2 * i + 1]) for i in range(n_s)],
+                           dtype=complex)
+        samples.setflags(write=False)
+        out.append(samples)
     return out
+
+
+# _haar_samples(seed, n_s): the Haar messages of the last ENGINE_CACHE_SIZE
+# (seed, n_s) used; a miss draws a batch of one
+_haar_samples = _SeedCache(_draw_haar_samples, ENGINE_CACHE_SIZE)
+
+
+def draw_haar_samples(seeds, n_s: int) -> None:
+    """Draw the first n_s Haar messages of every seed in seeds (at most
+    ENGINE_CACHE_SIZE of them) in one batch, so that curve_arbitrary_avg
+    finds them."""
+    _haar_samples.fill(seeds, n_s)
 
 
 def run_arbitrary_avg(cfg: ProtocolConfig, n_s: int = 100, seed: int = 0):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -91,10 +92,10 @@ class TestRunSweep:
         batches = []
         build = protocol._build_realizations
 
-        def counted(model, batch, j_scale, n_side):
+        def counted(batch, model, j_scale, n_side):
             batches.append(len(batch))
-            return build(model, batch, j_scale, n_side)
-        monkeypatch.setattr(protocol, "_build_realizations", counted)
+            return build(batch, model, j_scale, n_side)
+        monkeypatch.setattr(protocol._realization, "_build", counted)
         protocol._engine_cached.cache_clear()
         protocol._realization.clear()
         table = analysis.run_sweep(spec)
@@ -106,6 +107,31 @@ class TestRunSweep:
             protocol._realization.clear()
             eng = protocol.get_engine(replace(spec.base, seed=seed))
             want.append(eng.curve_basis_z(spec.beta_grid, spec.t_grid, spec.g_grid).reshape(-1))
+        assert table.value.tobytes() == np.concatenate(want).tobytes()
+
+    def test_haar_messages_are_drawn_once_per_slice(self, monkeypatch):
+        # a serial Haar average draws the messages of each slice of seeds in
+        # one batch, with the bits of each seed's lone draw
+        seeds = tuple(range(200, 203 + protocol.ENGINE_CACHE_SIZE))
+        spec = tiny_spec(metric="arbitrary_avg", n_samples=4, seeds=seeds)
+        batches = []
+        draw = protocol._draw_haar_samples
+
+        def counted(batch, n_s):
+            batches.append(len(batch))
+            return draw(batch, n_s)
+        monkeypatch.setattr(protocol._haar_samples, "_build", counted)
+        protocol._haar_samples.clear()
+        table = analysis.run_sweep(spec)
+        assert batches == [protocol.ENGINE_CACHE_SIZE, 3]
+        want = []
+        for seed in seeds:
+            protocol._haar_samples.clear()
+            eng = protocol.get_engine(replace(spec.base, seed=seed))
+            mean, _ = eng.curve_arbitrary_avg(spec.beta_grid, spec.t_grid, spec.g_grid,
+                                              spec.n_samples, seed)
+            want.append(mean.reshape(-1))
+        assert batches[2:] == [1] * len(seeds)
         assert table.value.tobytes() == np.concatenate(want).tobytes()
 
     def test_records_come_in_key_order(self):
@@ -182,7 +208,7 @@ class TestRunSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
         spec = tiny_spec(seeds=(0, 1, 2, 3, 4))
         records = analysis.run_sweep(spec, workers=workers)

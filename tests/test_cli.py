@@ -449,6 +449,26 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
     assert _fresh_interpreter(code) == "[]"
 
 
+def test_serial_sweeps_load_no_process_pool():
+    # a fresh interpreter: the CLI import and a serial sweep of each metric
+    # load neither the process pool nor multiprocessing (about 2 MB of
+    # resident memory and 11-18 ms of every run's set-up); only a sweep
+    # with more than one worker imports them
+    code = """
+import sys
+from sykteleport import analysis, cli, protocol
+bell = protocol.ProtocolConfig(message="bell_phi_plus", swap_variant="bell_sequential")
+for metric in analysis.METRICS:
+    base = bell if metric == "bell_stabilizer" else protocol.ProtocolConfig()
+    analysis.run_sweep(analysis.SweepSpec(
+        base=base, g_grid=(0.5, 1.0), t_grid=(1.0,), beta_grid=(0.0, 5.0), seeds=(0, 1),
+        metric=metric, n_samples=5), workers=1)
+print(sorted(name for name in ("concurrent.futures.process", "multiprocessing")
+             if name in sys.modules))
+"""
+    assert _fresh_interpreter(code) == "[]"
+
+
 def test_sweep_analysis_loads_no_numpy_ma():
     # a fresh interpreter: a sweep and the analyses that group its records
     # load no numpy.ma (a plain np.unique imports it on numpy 2.4 to test

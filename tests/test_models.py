@@ -14,6 +14,23 @@ from sykteleport import layout, models, protocol, qop
 REG = layout.RegisterLayout(n_message=1, n_side=3)
 
 
+def _pcg_first_draws_reference(state: list) -> list:
+    """PCG64's first draw >> 11 on the midpoint lattice, one key at a time
+    in Python ints: x = S M^2 + (2 I + 1)(M^2 + M + 1) mod 2^128 for the
+    state S and increment I of the 4 state words, then the XSL-RR output."""
+    mult, mask64, mask128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1, (1 << 128) - 1
+    square = mult * mult & mask128
+    inc = (square + mult + 1) & mask128
+    out = []
+    for s0, s1, s2, s3 in zip(*state):
+        x = ((s0 << 64 | s1) * square + ((s2 << 64 | s3) << 1 | 1) * inc) & mask128
+        rot = x >> 122
+        word = ((x >> 64) ^ x) & mask64
+        raw = ((word >> rot) | (word << (64 - rot))) & mask64
+        out.append(((raw >> 11) + 0.5) / float(1 << 53))
+    return out
+
+
 class TestCouplingSampling:
     def test_table_shape(self):
         c = models.sample_syk_couplings(6, 4, 1.0, seed=0)
@@ -277,12 +294,35 @@ class TestBatchedDraws:
                 models.split_uniform(0, bad, 0)
 
     def test_haar_samples_match_haar_qubit(self):
-        for seed in (0, 7, 2 ** 40 + 3):
-            n = 37
-            samples = protocol._haar_samples(seed, n)
+        # one slice draw for seeds with and without a high 32-bit word, then
+        # each seed alone: both have the bits of haar_qubit
+        seeds = (0, 7, 2 ** 40 + 3, 2 ** 64 - 1, 5, 2 ** 32)
+        n = 37
+        protocol._haar_samples.clear()
+        protocol.draw_haar_samples(seeds, n)
+        assert protocol._haar_samples.builds == len(seeds)
+        batched = [protocol._haar_samples(seed, n) for seed in seeds]
+        assert protocol._haar_samples.builds == len(seeds)
+        for seed, samples in zip(seeds, batched):
+            protocol._haar_samples.clear()
+            lone = protocol._haar_samples(seed, n)
+            assert protocol._haar_samples.builds == 1
             want = np.array([protocol.haar_qubit(seed, i) for i in range(n)], dtype=complex)
-            assert np.array_equal(samples.view(np.uint64), want.view(np.uint64))
-            assert not samples.flags.writeable
+            for got in (samples, lone):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert not got.flags.writeable
+
+    def test_pcg_matches_the_python_int_loop(self):
+        # random state words and every combination of the edge words 0, 1,
+        # 2^63 and 2^64 - 1
+        rng = np.random.default_rng(2)
+        words = [rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64) for _ in range(4)]
+        edge = np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+        corners = [w.ravel() for w in np.meshgrid(edge, edge, edge, edge, indexing="ij")]
+        for state in (words, corners):
+            want = _pcg_first_draws_reference([w.tolist() for w in state])
+            got = models._pcg_first_draws(state)
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 class TestInverseNormalCdf:

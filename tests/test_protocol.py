@@ -171,17 +171,28 @@ class TestInsert:
             want[idx] = 1 / math.sqrt(2)
         assert np.abs(out - want).max() <= 1e-12
 
+    # the three swap variants at n_side 3 and 4
+    GEOMETRIES = [dict(swap_variant=v, n_side=n) for n in (3, 4)
+                  for v in ("delta01", "delta02")] + [
+        dict(message="bell_phi_plus", swap_variant="bell_sequential", n_side=n)
+        for n in (3, 4)]
+
     def test_plain_insert_is_swap_product(self):
-        # the Pauli expansion of each swap is checked in test_qop
-        for cfg in (protocol.ProtocolConfig(),
-                    protocol.ProtocolConfig(swap_variant="delta02"),
-                    protocol.ProtocolConfig(message="bell_phi_plus",
-                                            swap_variant="bell_sequential")):
-            n = cfg.register.n_qubits
-            want = np.eye(2 ** n)
-            for a, b in cfg.swap_site_pairs():
-                want = qop.swap_matrix(n, a, b) @ want
-            assert np.array_equal(protocol.build_insert(cfg).matrix, want)
+        # the Pauli expansion of each swap is checked in test_qop; the
+        # signed permutation has the bits of the dense product (compared as
+        # integers, so that -0.0 differs from 0.0)
+        for kw in self.GEOMETRIES:
+            cfg = protocol.ProtocolConfig(**kw)
+            want = _dense_insert_reference(cfg, qop.swap_matrix)
+            got = protocol.build_insert(cfg).matrix
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_fermionic_insert_is_pauli_swap_product(self):
+        for kw in self.GEOMETRIES:
+            cfg = protocol.ProtocolConfig(fermionic_insert=True, **kw)
+            want = _dense_insert_reference(cfg, partial(_fermionic_swap, cfg.register))
+            got = protocol.build_insert(cfg).matrix
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_fermionic_insert_is_signed_swap(self):
         plain = protocol.build_insert(protocol.ProtocolConfig())
@@ -194,6 +205,40 @@ class TestInsert:
         # same permutation support, entries differing at most by sign
         assert np.abs(np.abs(m) - np.abs(plain.matrix)).max() <= 1e-12
         assert np.abs(m - plain.matrix).max() > 0.5
+
+
+def _fermionic_swap(register: layout.RegisterLayout, n_qubits: int, msg_site: int,
+                    left_site: int) -> np.ndarray:
+    """The fermionic SWAP on the first n_qubits sites as its Pauli product:
+    the left-side Pauli factors are replaced by their Majorana realizations,
+    which attach a Z string over the remaining left qubits."""
+    k = left_site - register.n_message
+    string = np.eye(2 ** n_qubits, dtype=complex)
+    for j in range(k + 1, register.n_side):
+        string = string @ qop.pauli_on(n_qubits, register.n_message + j, "Z")
+    xm, ym, zm = (qop.pauli_on(n_qubits, msg_site, p) for p in "XYZ")
+    xl, yl, zl = (qop.pauli_on(n_qubits, left_site, p) for p in "XYZ")
+    return 0.5 * (np.eye(2 ** n_qubits) + xm @ xl @ string + ym @ yl @ string + zm @ zl)
+
+
+def _dense_insert_reference(cfg, swap) -> np.ndarray:
+    """INSERT as the dense product of swap(n, a, b) over the swap pairs in
+    circuit order.  At n_side 3 the product runs on the full register; at
+    n_side 4 on the message and left sites, and it is laid onto the
+    diagonal blocks of I_right by assignment, since a kron multiplies -1 by
+    0 into -0.0."""
+    reg = cfg.register
+    n = reg.n_qubits if cfg.n_side == 3 else reg.n_message + reg.n_side
+    want = np.eye(2 ** n, dtype=complex)
+    for a, b in cfg.swap_site_pairs():
+        want = swap(n, a, b) @ want
+    if n == reg.n_qubits:
+        return want
+    d = 2 ** reg.n_side
+    full = np.zeros((2 ** n, d, 2 ** n, d), dtype=complex)
+    for k in range(d):
+        full[:, k, :, k] = want
+    return full.reshape(reg.dim, reg.dim)
 
 
 class TestWormholeUnitary:

@@ -371,3 +371,39 @@ def test_pauli_string_matrix_properties(letters):
     dim = 2 ** len(letters)
     assert np.abs(m @ m.conj().T - np.eye(dim)).max() <= 1e-12
     assert qop.is_hermitian(m, 1e-12)
+
+
+def _is_hermitian_per_matrix(m, tol):
+    """The per-matrix form of qop.is_hermitian: each matrix against its own
+    bound tol max(1, max |m|)."""
+    m = np.asarray(m)
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return bool(np.all(dev <= tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 4), d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.integers(-12, 12),
+       tol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-8]),
+       against=st.sampled_from(["tol", "bound"]),
+       factor=st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3]),
+       special=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_is_hermitian_matches_the_per_matrix_check(n, d, seed, exponent, tol, against,
+                                                   factor, special):
+    # Hermitian stacks at scales 1e-12 .. 1e12, one entry moved off by a
+    # deviation below, at or above tol or the matrix's own bound, or set
+    # to NaN or inf; empty stacks included (n = 0)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    m = (a + a.conj().swapaxes(-1, -2)) * 10.0 ** exponent
+    if n:
+        k, i, j = rng.integers(n), rng.integers(d), rng.integers(d)
+        bound = tol * max(1.0, float(np.abs(m[k]).max()))
+        m[k, i, j] += factor * (tol if against == "tol" else bound) * (1j if i == j else 1)
+        if special is not None:
+            m[k, rng.integers(d), rng.integers(d)] = special
+    # inf - inf is NaN in both forms
+    with np.errstate(invalid="ignore"):
+        assert qop.is_hermitian(m, tol) == _is_hermitian_per_matrix(m, tol)
+        if n:
+            assert qop.is_hermitian(m[0], tol) == _is_hermitian_per_matrix(m[0], tol)
