@@ -374,45 +374,65 @@ class TfimParams:
     seed: int = 0
 
     @classmethod
-    def sample(cls, n_sites: int, seed: int) -> "TfimParams":
-        hs = tuple(gaussian_draw(seed, STREAM_TFIM, np.arange(n_sites), TFIM_H_WIDTH).tolist())
-        return cls(n_sites=n_sites, h_fields=hs, seed=seed)
+    def sample(cls, n_sites: int, seed):
+        """The fields of one seed, or a tuple of params, one per seed, for a
+        1-D sequence of seeds (one draw for all of them)."""
+        hs = gaussian_draw(seed, STREAM_TFIM, np.arange(n_sites), TFIM_H_WIDTH).tolist()
+        if np.ndim(seed) == 0:
+            return cls(n_sites=n_sites, h_fields=tuple(hs), seed=seed)
+        return tuple(cls(n_sites=n_sites, h_fields=tuple(row), seed=s)
+                     for s, row in zip(seed, hs))
 
 
-def build_tfim_floquet(p: TfimParams) -> np.ndarray:
-    """One Floquet period: exp(i b sum X) exp(i J sum ZZ + i sum h Z).
+def build_tfim_floquet(params) -> np.ndarray:
+    """One Floquet period: exp(i b sum X) exp(i J sum ZZ + i sum h Z); a
+    sequence of params gives the stack of their unitaries, each with the
+    bits of its own build.
 
     Open boundary; the two factors are built in closed form (the
     transverse part is a product of single-site rotations, the
     longitudinal part is diagonal).
     """
-    n = p.n_sites
+    batch = (params,) if isinstance(params, TfimParams) else tuple(params)
+    n = batch[0].n_sites
     if n < 2:
         raise ValueError("need at least two sites")
-    if len(p.h_fields) != n:
-        raise ValueError("h_fields length does not match n_sites")
+    if any(p.n_sites != n or len(p.h_fields) != n for p in batch):
+        raise ValueError("h_fields length does not match n_sites, or chain lengths differ")
+    h = np.array([p.h_fields for p in batch], dtype=float)
     idx = np.arange(2 ** n)
     zbits = np.array([1.0 - 2.0 * ((idx >> (n - 1 - s)) & 1) for s in range(n)])
-    diag = np.zeros(2 ** n)
+    diag = np.zeros((len(batch), 2 ** n))
     for s in range(n - 1):
         diag += TFIM_J_COUPLING * zbits[s] * zbits[s + 1]
     for s in range(n):
-        diag += p.h_fields[s] * zbits[s]
+        diag += h[:, s, None] * zbits[s]
     kick = math.cos(TFIM_B_FIELD) * qop.I2 + 1j * math.sin(TFIM_B_FIELD) * qop.PAULI_X
-    transverse = qop.kron_all([kick] * n)
-    return transverse @ np.diag(np.exp(1j * diag))
+    # the transverse factor times the diagonal one scales its columns
+    u = qop.kron_all([kick] * n) * np.exp(1j * diag)[:, None, :]
+    return u[0] if isinstance(params, TfimParams) else u
 
 
 def floquet_effective_spectrum(u: np.ndarray):
-    """Quasi-energies and eigenvectors with u = exp(-i H_eff), one period.
+    """Quasi-energies (ascending) and eigenvectors with u = exp(-i H_eff),
+    one period, for a unitary or each unitary of a (..., d, d) stack, with
+    the bits it gets alone.  Eigenphases are folded to [-pi, pi).
 
-    Eigenphases are folded to (-pi, pi]; used for thermal weighting of
-    Floquet models where no continuous generator exists.  Schur on a
-    normal matrix yields exactly orthonormal eigenvectors.
+    The eigenvectors are those of the Hermitian Cayley transform
+    i (I - V)(I + V)^{-1} of V = u e^{i a}, orthonormal to round-off also
+    inside a degenerate quasi-energy.  The phase a moves -1 to the middle
+    of the widest gap between u's eigenphases, at least 2 pi/d wide, so
+    ||(I + V)^{-1}|| <= 1/(2 sin(pi/2d)), 2.6 at d = 8.
     """
-    from scipy.linalg import schur
-
-    t, q = schur(np.asarray(u, dtype=complex), output="complex")
-    energies = -np.angle(np.diag(t))
-    order = np.argsort(energies)
-    return energies[order], q[:, order]
+    u = np.asarray(u, dtype=complex)
+    phases = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    gaps = np.diff(phases, axis=-1, append=phases[..., :1] + 2 * np.pi)
+    widest = gaps.argmax(axis=-1)[..., None]
+    middle = np.take_along_axis(phases + gaps / 2, widest, axis=-1)
+    v = u * np.exp(1j * (np.pi - middle))[..., None]
+    eye = np.eye(u.shape[-1])
+    q = qop.hermitian_eig(1j * np.linalg.solve(eye + v, eye - v)).vectors
+    energies = -np.angle((q.conj() * (u @ q)).sum(axis=-2))
+    order = np.argsort(energies, axis=-1)
+    return (np.take_along_axis(energies, order, axis=-1),
+            np.take_along_axis(q, order[..., None, :], axis=-1))

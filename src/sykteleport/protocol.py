@@ -432,25 +432,23 @@ def _build_realizations(seeds: list, model: str, j_scale: float, n_side: int) ->
     """(couplings, eig_left, eig_right) of each seed's disorder
     realization, with read-only eigensystems: the SYK coupling table (None
     for the kicked Ising baseline) and the side eigensystems (the Floquet
-    quasi-energies for the baseline).  The SYK seeds take one draw, one
-    side-matrix sum and one stacked eigendecomposition per side, each
-    seed with the bits of its build alone; the baseline takes one Schur
-    decomposition per seed."""
+    quasi-energies for the baseline).  Either model takes one draw and one
+    stacked eigendecomposition for all seeds, each with the bits of its
+    build alone; the baseline's is a Cayley transform's, with
+    ||(I + V)^{-1}|| <= 1/(2 sin(pi/2d)), 2.6 at d = 8."""
     if model == "syk":
         tables = models.sample_syk_couplings(2 * n_side, 4, j_scale, seeds)
         left, right = (qop.hermitian_eig(models.build_syk_side_matrix(tables, side, n_side))
                        for side in ("left", "right"))
-        out = [(table, qop.EigenSystem(*left_k), qop.EigenSystem(*right_k))
-               for table, left_k, right_k in zip(tables, zip(left.values, left.vectors),
-                                                 zip(right.values, right.vectors))]
     else:
-        out = []
-        for seed in seeds:
-            params = models.TfimParams.sample(n_side, seed)
-            ev, vec = models.floquet_effective_spectrum(models.build_tfim_floquet(params))
-            # the right factor runs the same chain on the mirrored sites
-            out.append((None, qop.EigenSystem(values=ev, vectors=vec),
-                        qop.EigenSystem(values=ev, vectors=vec[layout.mirror_index(n_side)])))
+        tables = [None] * len(seeds)
+        left = qop.EigenSystem(*models.floquet_effective_spectrum(
+            models.build_tfim_floquet(models.TfimParams.sample(n_side, seeds))))
+        # the right factor runs the same chain on the mirrored sites
+        right = qop.EigenSystem(left.values, left.vectors[:, layout.mirror_index(n_side)])
+    out = [(table, qop.EigenSystem(*left_k), qop.EigenSystem(*right_k))
+           for table, left_k, right_k in zip(tables, zip(left.values, left.vectors),
+                                             zip(right.values, right.vectors))]
     for _, *eigs in out:
         for eig in eigs:
             eig.values.setflags(write=False)

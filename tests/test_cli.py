@@ -427,15 +427,17 @@ class TestSanitySuite:
             assert np.isfinite(deviation)
 
 
-def test_syk_path_loads_no_scipy():
-    # a fresh interpreter: the CLI import, SYK engines, one curve of each
-    # metric (the level order and the maps order) and the sanity suite
-    # load no scipy module; only the kicked-Ising Schur form imports it,
-    # and the import alone would add about 0.2 s to every run's set-up
+def test_runtime_loads_no_scipy():
+    # a fresh interpreter: the CLI import, SYK and kicked-Ising engines, one
+    # curve of each metric (the level order and the maps order) and the
+    # sanity suite load no scipy module; its import alone would add about
+    # 0.2 s to every run's set-up
     code = """
 import sys
 from sykteleport import cli, protocol
 eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
+engt = protocol.get_engine(protocol.ProtocolConfig(model="tfim", seed=1, t=1.0))
+engt.curve_basis_z([0.0, 5.0], 1.0, [0.5, 1.0])
 engb = protocol.get_engine(protocol.ProtocolConfig(
     message="bell_phi_plus", swap_variant="bell_sequential", seed=1))
 for gs in ([0.5, 1.0, 1.5, 2.0, 2.5], [0.5]):

@@ -1500,27 +1500,35 @@ class TestSharedRealization:
         # seeds with and without a high word, -1 and its alias 2^64 - 1
         seeds = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, -1,
                  8350510533860217964)
-        cfg = protocol.ProtocolConfig(n_side=n_side)
         grids = ((0.0, 5.0), 1.0, (0.3, 2.0))
 
-        def bits(seed):
+        def bits(cfg, seed):
             eng = protocol.Engine(replace(cfg, seed=seed))
             eigs = (eng.eig_left.values, eng.eig_left.vectors,
                     eng.eig_right.values, eng.eig_right.vectors)
-            return (list(eng.couplings.entries.values()),
-                    [e.view(float).tobytes() for e in eigs],
-                    eng.curve_basis_z(*grids).tobytes())
+            table = None if eng.couplings is None else list(eng.couplings.entries.values())
+            return (table, [e.view(np.uint64).tobytes() for e in eigs],
+                    eng.curve_basis_z(*grids).view(np.uint64).tobytes())
 
-        protocol._realization.clear()
-        protocol.build_realizations(cfg, seeds)
-        assert protocol._realization.builds == len(seeds)
-        batched = [bits(seed) for seed in seeds]
-        assert protocol._realization.builds == len(seeds)
-        for seed, want in zip(seeds, batched):
+        for model in ("syk", "tfim"):
+            cfg = protocol.ProtocolConfig(n_side=n_side, model=model, t=1.0)
             protocol._realization.clear()
-            assert bits(seed) == want
-            assert protocol._realization.builds == 1
-        assert batched[5] == batched[6]  # -1 is 2^64 - 1 to the draws
+            protocol.build_realizations(cfg, seeds)
+            assert protocol._realization.builds == len(seeds)
+            batched = [bits(cfg, seed) for seed in seeds]
+            assert protocol._realization.builds == len(seeds)
+            for seed, want in zip(seeds, batched):
+                protocol._realization.clear()
+                assert bits(cfg, seed) == want
+                assert protocol._realization.builds == 1
+            assert batched[5] == batched[6]  # -1 is 2^64 - 1 to the draws
+        # the baseline's fields: one row per seed, with the bits of its lone draw
+        rows = models.TfimParams.sample(n_side, seeds)
+        assert [p.seed for p in rows] == list(seeds)
+        for seed, row in zip(seeds, rows):
+            lone = models.TfimParams.sample(n_side, seed).h_fields
+            assert np.array_equal(np.array(row.h_fields).view(np.uint64),
+                                  np.array(lone).view(np.uint64))
 
     def test_realization_cache_bounds_a_batch(self):
         cfg = protocol.ProtocolConfig()
