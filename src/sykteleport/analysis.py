@@ -1,14 +1,16 @@
 """Parameter sweeps, disorder statistics, recovery times and the
 exponential-decay temperature fit.
 
-A serial sweep builds the realizations and Haar messages of each slice of
-seeds in one batch; only a sweep with more than one worker imports the
-process pool, so a serial run loads no multiprocessing.
+A sweep's unit of work is a contiguous slice of seeds, whose realizations
+and Haar messages are one batched build each, in one process or spread
+over a pool; only a sweep with more than one worker imports the process
+pool, so a serial run loads no multiprocessing.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -65,8 +67,11 @@ class SweepSpec:
             # ensemble_mean; the draws take seeds mod 2^64, so -1 repeats
             # 2^64 - 1
             raise SweepError("seeds must not repeat (mod 2^64)")
-        if self.metric == "arbitrary_avg" and self.n_samples < 1:
-            raise SweepError("n_samples must be at least 1")
+        if self.metric == "arbitrary_avg":
+            if not isinstance(self.n_samples, numbers.Integral):
+                raise SweepError(f"n_samples must be an integer, got {self.n_samples!r}")
+            if self.n_samples < 1:
+                raise SweepError("n_samples must be at least 1")
         if self.metric == "bell_stabilizer":
             if self.base.message != "bell_phi_plus":
                 raise SweepError("bell_stabilizer needs the Bell message")
@@ -195,18 +200,25 @@ class RecordTable:
         return self.value
 
 
-def _seed_values(spec: SweepSpec, seed: int) -> np.ndarray:
-    """Every value of one seed in key order (beta, g, t): one engine call
-    covers the whole (beta, t, g) grid."""
-    eng = protocol.get_engine(replace(spec.base, seed=seed))
+def _slice_values(spec: SweepSpec, seeds: list) -> np.ndarray:
+    """Every value of a slice of at most ENGINE_CACHE_SIZE seeds in key
+    order (seed, beta, g, t): one batched realization build, one batched
+    Haar draw, and one engine call per seed over the whole grid."""
+    protocol.build_realizations(spec.base, seeds)
     grids = (spec.beta_grid, spec.t_grid, spec.g_grid)
-    if spec.metric == "basis_z":
-        values = eng.curve_basis_z(*grids)
-    elif spec.metric == "bell_stabilizer":
-        values = eng.curve_bell(*grids)
-    else:
-        values, _ = eng.curve_arbitrary_avg(*grids, spec.n_samples, seed)
-    return values.transpose(0, 2, 1).reshape(-1)
+    messages = (protocol.draw_haar_samples(seeds, spec.n_samples)
+                if spec.metric == "arbitrary_avg" else repeat(None))
+    values = []
+    for seed, seed_messages in zip(seeds, messages):
+        eng = protocol.get_engine(replace(spec.base, seed=seed))
+        if spec.metric == "basis_z":
+            out = eng.curve_basis_z(*grids)
+        elif spec.metric == "bell_stabilizer":
+            out = eng.curve_bell(*grids)
+        else:
+            out, _ = eng.curve_arbitrary_avg(*grids, seed_messages)
+        values.append(out.transpose(0, 2, 1).reshape(-1))
+    return np.concatenate(values)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
@@ -215,34 +227,28 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     Rows come in key order (seed, beta, g, t) for any worker count: seeds
     are visited in ascending order, the key columns are the grids broadcast
     in that order (the grids are strictly increasing), and no seed repeats.
-    A worker returns one seed's value array and builds its seed's
-    realization and Haar messages alone; one process builds the
-    realizations of up to ENGINE_CACHE_SIZE seeds at a time in one batch,
-    and draws their Haar messages in one batch too.  The pool never holds
-    more processes than there are seeds or CPUs.
+    Each worker evaluates contiguous slices of at most
+    min(ENGINE_CACHE_SIZE, ceil(n_seeds / workers)) seeds (`_slice_values`).
+    The pool never holds more processes than there are slices or CPUs this
+    process may run on.
     """
     spec.validate()
     if workers < 1:
         raise SweepError(f"workers must be at least 1, got {workers}")
-    workers = min(workers, len(spec.seeds), os.cpu_count() or 1)
     seeds = sorted(spec.seeds)
-    if workers <= 1:
-        # the realizations and Haar messages of a slice of seeds are one
-        # batched build each, and a slice fits the engine, realization and
-        # Haar caches
-        values = []
-        for start in range(0, len(seeds), protocol.ENGINE_CACHE_SIZE):
-            chunk = seeds[start:start + protocol.ENGINE_CACHE_SIZE]
-            protocol.build_realizations(spec.base, chunk)
-            if spec.metric == "arbitrary_avg":
-                protocol.draw_haar_samples(chunk, spec.n_samples)
-            values += [_seed_values(spec, seed) for seed in chunk]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(seeds), cpus)
+    size = min(protocol.ENGINE_CACHE_SIZE, -(-len(seeds) // workers))
+    slices = [seeds[start:start + size] for start in range(0, len(seeds), size)]
+    if workers == 1:
+        values = list(map(_slice_values, repeat(spec), slices))
     else:
         # only a pool run loads the process pool (and multiprocessing)
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_seed_values, repeat(spec), seeds))
+        with ProcessPoolExecutor(max_workers=min(workers, len(slices))) as pool:
+            values = list(pool.map(_slice_values, repeat(spec), slices))
     keys = np.meshgrid(_seed_column(seeds), *(np.array(grid, dtype=float) for grid in
                        (spec.beta_grid, spec.g_grid, spec.t_grid)), indexing="ij")
     return RecordTable(*(k.reshape(-1) for k in keys), np.concatenate(values),

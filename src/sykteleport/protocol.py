@@ -37,11 +37,10 @@ Omega V_R^*:
   for all of them, each seed with the bits of its build alone; an engine
   whose realization is missing builds it as a batch of one.  The random
   draws behind a realization and behind the Haar messages are one
-  batched `models.split_uniform` call per quantity, and a serial sweep
-  draws the Haar messages of a whole slice of seeds in one call
-  (`draw_haar_samples`, kept in a cache bounded like the realization
-  cache); their scheme is pinned by `models`, not by numpy's Generator
-  (see there);
+  batched `models.split_uniform` call per quantity, and a sweep draws
+  the Haar messages of a whole slice of seeds in one call
+  (`draw_haar_samples`), which it passes to `curve_arbitrary_avg`; their
+  scheme is pinned by `models`, not by numpy's Generator (see there);
 * beta (a batched axis): the thermofield double is exp(-beta H_L/2) on
   the infinite-temperature pair state Omega (J. Maldacena and X.-L. Qi,
   arXiv:1804.00491), so its coefficients over pairs of side eigenvectors
@@ -951,15 +950,16 @@ class Engine:
         return self.finish(_BRANCH_INPUTS, beta, g_values, t,
                            self._fidelity_reading(messages))
 
-    def curve_arbitrary_avg(self, beta, t, g_values, n_s: int = 100,
-                            seed: int = 0):
-        """Mean and standard error over n_s Haar-random messages per
-        (beta, t, g), each of shape as curve_basis_z.  Both are taken per
-        slice of about G_BLOCK_BYTES of (point, message) values inside each
-        reading, so no (beta, t, g, message) array is held."""
+    def curve_arbitrary_avg(self, beta, t, g_values, messages):
+        """Mean and standard error over the n_s messages (alpha, beta_msg)
+        of `messages` (a seed's `draw_haar_samples`) per (beta, t, g), each
+        of shape as curve_basis_z.  Both are taken per slice of about
+        G_BLOCK_BYTES of (point, message) values inside each reading, so no
+        (beta, t, g, message) array is held."""
+        n_s = len(messages)
         if n_s < 1:
             raise ConfigError("need at least one sample")
-        fidelity = self._fidelity_reading(_haar_samples(seed, n_s))
+        fidelity = self._fidelity_reading(messages)
 
         def summary(r):
             values = fidelity(r)
@@ -1075,44 +1075,35 @@ def stabilizer_fidelity(rho2: np.ndarray):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _bloch_message(u_phi: float, u_cos: float):
-    """(alpha, beta) at azimuth 2 pi u_phi and cos(theta) = 2 u_cos - 1."""
-    phi = 2 * math.pi * u_phi
-    cos_theta = 2 * u_cos - 1
-    theta = math.acos(cos_theta)
+def haar_qubit(seed: int, index: int):
+    """Bloch-sphere uniform (alpha, beta) from the per-iteration substream:
+    azimuth 2 pi u_phi and cos(theta) = 2 u_cos - 1."""
+    phi = 2 * math.pi * models.split_uniform(seed, models.STREAM_HAAR, 2 * index)
+    theta = math.acos(2 * models.split_uniform(seed, models.STREAM_HAAR, 2 * index + 1) - 1)
     return math.cos(theta / 2), math.sin(theta / 2) * complex(math.cos(phi), math.sin(phi))
 
 
-def haar_qubit(seed: int, index: int):
-    """Bloch-sphere uniform (alpha, beta) from the per-iteration substream."""
-    return _bloch_message(models.split_uniform(seed, models.STREAM_HAAR, 2 * index),
-                          models.split_uniform(seed, models.STREAM_HAAR, 2 * index + 1))
+def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every entry of a float array, by a scalar math call each."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _draw_haar_samples(seeds: list, n_s: int) -> list:
-    """The first n_s Haar messages of each seed as a read-only (n_s, 2)
-    array, from one draw of all seeds' 2 n_s uniforms; bit for bit
-    haar_qubit(seed, i) for i < n_s (scalar math calls, not numpy ufuncs,
-    whose last bit can differ)."""
-    out = []
-    for u in models.split_uniform(seeds, models.STREAM_HAAR, np.arange(2 * n_s)).tolist():
-        samples = np.array([_bloch_message(u[2 * i], u[2 * i + 1]) for i in range(n_s)],
-                           dtype=complex)
-        samples.setflags(write=False)
-        out.append(samples)
-    return out
-
-
-# _haar_samples(seed, n_s): the Haar messages of the last ENGINE_CACHE_SIZE
-# (seed, n_s) used; a miss draws a batch of one
-_haar_samples = _SeedCache(_draw_haar_samples, ENGINE_CACHE_SIZE)
-
-
-def draw_haar_samples(seeds, n_s: int) -> None:
-    """Draw the first n_s Haar messages of every seed in seeds (at most
-    ENGINE_CACHE_SIZE of them) in one batch, so that curve_arbitrary_avg
-    finds them."""
-    _haar_samples.fill(seeds, n_s)
+def draw_haar_samples(seeds, n_s: int) -> list:
+    """The first n_s Haar messages of each seed in seeds as a read-only
+    (n_s, 2) array, from one draw of all seeds' 2 n_s uniforms; bit for bit
+    haar_qubit(seed, i) for i < n_s: acos, cos and sin are scalar math
+    calls, as numpy's ufuncs can differ in the last bit, and sin(theta/2) >
+    0, so two real products give the bits of Python's complex one."""
+    u = models.split_uniform(seeds, models.STREAM_HAAR, np.arange(2 * n_s))
+    phi = 2 * math.pi * u[:, 0::2]
+    half_theta = _scalar_map(math.acos, 2 * u[:, 1::2] - 1) / 2
+    sin_half = _scalar_map(math.sin, half_theta)
+    out = np.empty(phi.shape + (2,), dtype=complex)
+    out[..., 0] = _scalar_map(math.cos, half_theta)
+    out[..., 1].real = sin_half * _scalar_map(math.cos, phi)
+    out[..., 1].imag = sin_half * _scalar_map(math.sin, phi)
+    out.setflags(write=False)
+    return list(out)
 
 
 def run_arbitrary_avg(cfg: ProtocolConfig, n_s: int = 100, seed: int = 0):
@@ -1121,5 +1112,6 @@ def run_arbitrary_avg(cfg: ProtocolConfig, n_s: int = 100, seed: int = 0):
     if cfg.message == "bell_phi_plus":
         raise ConfigError("run_arbitrary_avg expects a single-qubit message")
     cfg.validate()
-    mean, stderr = get_engine(cfg).curve_arbitrary_avg(cfg.beta, cfg.t, (cfg.g,), n_s, seed)
+    mean, stderr = get_engine(cfg).curve_arbitrary_avg(
+        cfg.beta, cfg.t, (cfg.g,), draw_haar_samples([seed], n_s)[0])
     return float(mean[0]), float(stderr[0])

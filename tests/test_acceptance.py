@@ -172,8 +172,9 @@ class TestCriterion4:
             a = eng.curve_basis_z(beta, T1, half)
             b = eng.curve_basis_z(beta, T1, half + 2 * math.pi)
             worst[f"basis_z/{variant}"] = float(np.abs(a - b).max())
-            av_a = eng.curve_arbitrary_avg(beta, T1, half[::4], 100, seed)[0]
-            av_b = eng.curve_arbitrary_avg(beta, T1, half[::4] + 2 * math.pi, 100, seed)[0]
+            haar = protocol.draw_haar_samples([seed], 100)[0]
+            av_a = eng.curve_arbitrary_avg(beta, T1, half[::4], haar)[0]
+            av_b = eng.curve_arbitrary_avg(beta, T1, half[::4] + 2 * math.pi, haar)[0]
             worst[f"arbitrary_avg/{variant}"] = float(np.abs(av_a - av_b).max())
         cfgb = protocol.ProtocolConfig(message="bell_phi_plus",
                                        swap_variant="bell_sequential", seed=seed)
@@ -360,7 +361,8 @@ class TestCriterion11:
                                                   beta=beta)
                     eng = protocol.get_engine(cfg)
                     basis_rows.append(eng.curve_basis_z(beta, T1, G_GRID))
-                    avg_rows.append(eng.curve_arbitrary_avg(beta, T1, G_GRID, 100, seed)[0])
+                    haar = protocol.draw_haar_samples([seed], 100)[0]
+                    avg_rows.append(eng.curve_arbitrary_avg(beta, T1, G_GRID, haar)[0])
                 basis_all = np.concatenate(basis_rows)
                 avg_all = np.concatenate(avg_rows)
                 r = float(np.corrcoef(basis_all, avg_all)[0, 1])

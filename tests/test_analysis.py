@@ -16,6 +16,29 @@ def tiny_spec(**overrides):
     return replace(spec, **overrides)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The max_workers of every process pool made, by a stand-in pool that
+    runs its tasks in this process, in order."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
 def synth_records(values, **common):
     fields = dict(seed=0, beta=0.0, g=0.0, t=0.0, metric="basis_z",
                   variant="delta01")
@@ -58,9 +81,11 @@ class TestRunSweep:
             tiny_spec(metric="nope").validate()
         with pytest.raises(analysis.SweepError):
             tiny_spec(metric="bell_stabilizer").validate()
-        for n_samples in (0, -3):
+        # a non-integer count is named here, not deep in the Haar draw
+        for n_samples in (0, -3, 2.5, 3.0, "4", None):
             with pytest.raises(analysis.SweepError, match="n_samples"):
                 tiny_spec(metric="arbitrary_avg", n_samples=n_samples).validate()
+        tiny_spec(metric="arbitrary_avg", n_samples=np.int64(3)).validate()
         tiny_spec(n_samples=0).validate()  # read by arbitrary_avg only
 
     def test_rejects_worker_counts_below_one(self):
@@ -115,23 +140,20 @@ class TestRunSweep:
         seeds = tuple(range(200, 203 + protocol.ENGINE_CACHE_SIZE))
         spec = tiny_spec(metric="arbitrary_avg", n_samples=4, seeds=seeds)
         batches = []
-        draw = protocol._draw_haar_samples
+        draw = protocol.draw_haar_samples
 
         def counted(batch, n_s):
             batches.append(len(batch))
             return draw(batch, n_s)
-        monkeypatch.setattr(protocol._haar_samples, "_build", counted)
-        protocol._haar_samples.clear()
+        monkeypatch.setattr(protocol, "draw_haar_samples", counted)
         table = analysis.run_sweep(spec)
         assert batches == [protocol.ENGINE_CACHE_SIZE, 3]
         want = []
         for seed in seeds:
-            protocol._haar_samples.clear()
             eng = protocol.get_engine(replace(spec.base, seed=seed))
             mean, _ = eng.curve_arbitrary_avg(spec.beta_grid, spec.t_grid, spec.g_grid,
-                                              spec.n_samples, seed)
+                                              draw([seed], spec.n_samples)[0])
             want.append(mean.reshape(-1))
-        assert batches[2:] == [1] * len(seeds)
         assert table.value.tobytes() == np.concatenate(want).tobytes()
 
     def test_records_come_in_key_order(self):
@@ -179,8 +201,9 @@ class TestRunSweep:
                         elif metric == "bell_stabilizer":
                             values = eng.curve_bell(beta, t, spec.g_grid)
                         else:
-                            values, _ = eng.curve_arbitrary_avg(beta, t, spec.g_grid,
-                                                                spec.n_samples, seed)
+                            values, _ = eng.curve_arbitrary_avg(
+                                beta, t, spec.g_grid,
+                                protocol.draw_haar_samples([seed], spec.n_samples)[0])
                         want.extend(analysis.FidelityRecord(
                             seed=seed, beta=beta, g=g, t=t, metric=metric,
                             variant=base.swap_variant, value=float(v))
@@ -189,31 +212,59 @@ class TestRunSweep:
             assert analysis.run_sweep(spec) == want
 
     @pytest.mark.parametrize("workers, cpus, want", [
-        (64, 3, [3]), (64, None, []), (2, 8, [2]), (8, 8, [5]), (1, 8, [])])
-    def test_worker_pool_is_clamped(self, monkeypatch, workers, cpus, want):
-        seen = []
-
-        class RecordingPool:
-            """Records max_workers and runs the tasks in this process."""
-
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        (64, 3, [3]), (64, None, []), (2, 8, [2]), (8, 8, [5]), (1, 8, []), (2, 1, []),
+        (4, 8, [3])])
+    def test_worker_pool_is_clamped(self, monkeypatch, recording_pool, workers, cpus, want):
+        # cpus is the size of this process's affinity mask, on a machine
+        # of twice as many CPUs (taskset -c 0 on two CPUs is cpus = 1);
+        # None is a platform without affinity masks whose CPU count is
+        # unknown.  Five seeds in four workers are three slices of at most
+        # two, so three processes.
+        if cpus is None:
+            monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(analysis.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus and 2 * cpus)
         spec = tiny_spec(seeds=(0, 1, 2, 3, 4))
         records = analysis.run_sweep(spec, workers=workers)
-        assert seen == want
+        assert recording_pool == want
         assert records == analysis.run_sweep(spec, workers=1)
+
+    def test_worker_pool_without_affinity_masks(self, monkeypatch, recording_pool):
+        monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+        analysis.run_sweep(tiny_spec(seeds=(0, 1, 2, 3, 4)), workers=64)
+        assert recording_pool == [3]
+
+    def test_pool_workers_take_contiguous_slices(self, monkeypatch, recording_pool):
+        # each task is a slice of seeds, built and drawn in one batch each,
+        # with the rows of a serial run
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        build, draw = protocol._build_realizations, protocol.draw_haar_samples
+        builds, draws = [], []
+
+        def counted_build(batch, *params):
+            builds.append(len(batch))
+            return build(batch, *params)
+
+        def counted_draw(batch, n_s):
+            draws.append(len(batch))
+            return draw(batch, n_s)
+        monkeypatch.setattr(protocol._realization, "_build", counted_build)
+        monkeypatch.setattr(protocol, "draw_haar_samples", counted_draw)
+        seeds = tuple(range(300, 305))
+        for metric in ("basis_z", "arbitrary_avg"):
+            spec = tiny_spec(metric=metric, n_samples=3, seeds=seeds, g_grid=(0.5, 2.0))
+            protocol._engine_cached.cache_clear()
+            protocol._realization.clear()
+            del builds[:], draws[:]
+            pooled = analysis.run_sweep(spec, workers=2)
+            assert recording_pool[-1] == 2
+            assert builds == [3, 2]
+            assert draws == ([3, 2] if metric == "arbitrary_avg" else [])
+            assert pooled == analysis.run_sweep(spec, workers=1)
 
     def test_arbitrary_avg_metric(self):
         spec = tiny_spec(metric="arbitrary_avg")

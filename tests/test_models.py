@@ -311,17 +311,13 @@ class TestBatchedDraws:
         # each seed alone: both have the bits of haar_qubit
         seeds = (0, 7, 2 ** 40 + 3, 2 ** 64 - 1, 5, 2 ** 32)
         n = 37
-        protocol._haar_samples.clear()
-        protocol.draw_haar_samples(seeds, n)
-        assert protocol._haar_samples.builds == len(seeds)
-        batched = [protocol._haar_samples(seed, n) for seed in seeds]
-        assert protocol._haar_samples.builds == len(seeds)
+        batched = protocol.draw_haar_samples(seeds, n)
+        assert len(batched) == len(seeds)
         for seed, samples in zip(seeds, batched):
-            protocol._haar_samples.clear()
-            lone = protocol._haar_samples(seed, n)
-            assert protocol._haar_samples.builds == 1
+            (lone,) = protocol.draw_haar_samples([seed], n)
             want = np.array([protocol.haar_qubit(seed, i) for i in range(n)], dtype=complex)
             for got in (samples, lone):
+                assert got.shape == (n, 2)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 assert not got.flags.writeable
 

@@ -207,6 +207,12 @@ class TestInsert:
         assert np.abs(m - plain.matrix).max() > 0.5
 
 
+def _haar(n_s: int, seed: int = 0) -> np.ndarray:
+    """The first n_s Haar messages of seed, as a sweep passes them to
+    curve_arbitrary_avg."""
+    return protocol.draw_haar_samples([seed], n_s)[0]
+
+
 def _fermionic_swap(register: layout.RegisterLayout, n_qubits: int, msg_site: int,
                     left_site: int) -> np.ndarray:
     """The fermionic SWAP on the first n_qubits sites as its Pauli product:
@@ -548,8 +554,9 @@ class TestPipelineAgainstDense:
             curve = eng.curve_basis_z(cfg.beta, cfg.t, gs)
             single = [eng.curve_basis_z(cfg.beta, cfg.t, [g])[0] for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
-            mean, _ = eng.curve_arbitrary_avg(cfg.beta, cfg.t, gs, 20, 1)
-            single = [eng.curve_arbitrary_avg(cfg.beta, cfg.t, [g], 20, 1)[0][0] for g in gs]
+            haar = _haar(20, 1)
+            mean, _ = eng.curve_arbitrary_avg(cfg.beta, cfg.t, gs, haar)
+            single = [eng.curve_arbitrary_avg(cfg.beta, cfg.t, [g], haar)[0][0] for g in gs]
             assert np.abs(mean - single).max() <= 1e-13
             curve = engb.curve_bell(cfgb.beta, cfgb.t, gs)
             single = [engb.curve_bell(cfgb.beta, cfgb.t, [g])[0] for g in gs]
@@ -671,8 +678,9 @@ class TestLevelFactoredCoupling:
             curve = eng.curve_basis_z(beta, 1.0, gs)
             single = [eng.curve_basis_z(beta, 1.0, (g,))[0] for g in gs]
             assert np.abs(curve - single).max() <= 1e-13
-            mean, stderr = eng.curve_arbitrary_avg(beta, 1.0, gs, 20, 1)
-            single = np.array([eng.curve_arbitrary_avg(beta, 1.0, (g,), 20, 1)
+            haar = _haar(20, 1)
+            mean, stderr = eng.curve_arbitrary_avg(beta, 1.0, gs, haar)
+            single = np.array([eng.curve_arbitrary_avg(beta, 1.0, (g,), haar)
                                for g in gs])[:, :, 0]
             assert np.abs(mean - single[:, 0]).max() <= 1e-13
             assert np.abs(stderr - single[:, 1]).max() <= 1e-13
@@ -692,7 +700,7 @@ class TestGBlockMemory:
         engb = protocol.get_engine(_bell_cfg(seed=5, n_side=n_side))
         # the Haar average over 100 messages takes its mean and standard
         # error per g block, so it holds no (t, g, message) array either
-        haar = partial(eng.curve_arbitrary_avg, n_s=100)
+        haar = partial(eng.curve_arbitrary_avg, messages=_haar(100))
         for curve in (eng.curve_basis_z, engb.curve_bell, haar):
             peaks = []
             for n_g in (201, 1608):
@@ -728,7 +736,7 @@ class TestTGridMemory:
     def test_peak_does_not_grow_with_the_t_grid(self):
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=5))
         engb = protocol.get_engine(_bell_cfg(seed=5))
-        haar = partial(eng.curve_arbitrary_avg, n_s=100)
+        haar = partial(eng.curve_arbitrary_avg, messages=_haar(100))
         short, long = np.linspace(2.0, 20.0, 73), np.linspace(2.0, 20.0, 1000)
         for beta in (7.0, np.array(analysis.DEFAULT_BETA_GRID)):
             for curve in (eng.curve_basis_z, engb.curve_bell, haar):
@@ -767,7 +775,7 @@ class TestBatchedReadings:
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=8))
         betas = np.array(analysis.DEFAULT_BETA_GRID)
         window = np.array(analysis.BELL_T_WINDOW)
-        curves = (eng.curve_basis_z, lambda *a: eng.curve_arbitrary_avg(*a, 100, 2))
+        curves = (eng.curve_basis_z, lambda *a: eng.curve_arbitrary_avg(*a, _haar(100, 2)))
         batched = [curve(betas, window, [1.9]) for curve in curves]
         # one chunk per reading, and Haar slices of two points
         monkeypatch.setattr(protocol, "G_BLOCK_BYTES", 1)
@@ -871,7 +879,7 @@ class TestTBatching:
 
     def test_arbitrary_avg(self):
         def mean(eng, beta, t, gs):
-            return eng.curve_arbitrary_avg(beta, t, gs, 10, 2)[0]
+            return eng.curve_arbitrary_avg(beta, t, gs, _haar(10, 2))[0]
         for cfg in (protocol.ProtocolConfig(seed=4, swap_variant="delta02"),
                     protocol.ProtocolConfig(seed=5, thermal_readout=False),
                     protocol.ProtocolConfig(seed=6, model="tfim", t=1.0)):
@@ -885,7 +893,7 @@ class TestTBatching:
         assert eng.curve_basis_z(2.0, 1.0, gs).shape == (len(gs),)
         assert engb.curve_bell(2.0, 2.0, gs).shape == (len(gs),)
         assert eng.arbitrary_fidelity(2.0, 1.0, gs, msgs).shape == (len(gs), 3)
-        mean, stderr = eng.curve_arbitrary_avg(2.0, 1.0, gs, 5)
+        mean, stderr = eng.curve_arbitrary_avg(2.0, 1.0, gs, _haar(5))
         assert mean.shape == stderr.shape == (len(gs),)
         # finish keeps the axes of beta and t before g and the reading's own
         msg = eng.message_vector()
@@ -901,7 +909,7 @@ class TestTBatching:
         engb = protocol.get_engine(_bell_cfg(seed=1))
         calls = (lambda t: eng.curve_basis_z(0.0, t, [0.5]),
                  lambda t: engb.curve_bell(0.0, t, [0.5]),
-                 lambda t: eng.curve_arbitrary_avg(0.0, t, [0.5], 5),
+                 lambda t: eng.curve_arbitrary_avg(0.0, t, [0.5], _haar(5)),
                  lambda t: eng.arbitrary_fidelity(0.0, t, [0.5], [(1.0, 0.0)]))
         for call in calls:
             for bad in ([1.0, math.nan], [math.inf, 1.0], [[1.0, 2.0]], []):
@@ -917,7 +925,7 @@ class TestTBatching:
         calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
                  lambda beta: engb.curve_bell(beta, 2.0, [0.5]),
                  lambda beta: eng.arbitrary_fidelity(beta, 1.0, [0.5], [(1.0, 0.0)]),
-                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, [0.5], 5),
+                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, [0.5], _haar(5)),
                  lambda beta: eng.finish(eng.message_vector(), beta, [0.5], 1.0,
                                          eng.basis_z_value))
         for call in calls:
@@ -979,7 +987,7 @@ class TestTBatching:
         engb = protocol.get_engine(_bell_cfg(seed=9))
         curves = (eng.curve_basis_z, engb.curve_bell,
                   lambda beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs),
-                  lambda beta, t, gs: np.stack(eng.curve_arbitrary_avg(beta, t, gs, 20, 1),
+                  lambda beta, t, gs: np.stack(eng.curve_arbitrary_avg(beta, t, gs, _haar(20, 1)),
                                                axis=-1))
         for gs in ([2.3], [0.4, 2.3, 5.1]):
             for curve in curves:
@@ -1021,8 +1029,8 @@ class TestBetaBatching:
             return {"bell": eng.curve_bell}
         msgs = [protocol.haar_qubit(2, i) for i in range(3)]
         return {"basis_z": eng.curve_basis_z,
-                "avg_mean": lambda *a: eng.curve_arbitrary_avg(*a, 10, 3)[0],
-                "avg_stderr": lambda *a: eng.curve_arbitrary_avg(*a, 10, 3)[1],
+                "avg_mean": lambda *a: eng.curve_arbitrary_avg(*a, _haar(10, 3))[0],
+                "avg_stderr": lambda *a: eng.curve_arbitrary_avg(*a, _haar(10, 3))[1],
                 "fidelity": lambda *a: eng.arbitrary_fidelity(*a, msgs)}
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: (
@@ -1055,7 +1063,7 @@ class TestBetaBatching:
         calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
                  lambda beta: engb.curve_bell(beta, [2.0, 3.0], [0.5]),
                  lambda beta: eng.arbitrary_fidelity(beta, 1.0, [0.5], [(1.0, 0.0)]),
-                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, np.arange(9.0), 5))
+                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, np.arange(9.0), _haar(5)))
         for call in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
