@@ -10,7 +10,6 @@ pool, so a serial run loads no multiprocessing.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -60,15 +59,19 @@ class SweepSpec:
                 raise SweepError(f"{name} must be strictly increasing")
         if self.beta_grid[0] < 0:
             raise SweepError("beta_grid values must be nonnegative")
+        if self.base.model == "tfim":
+            protocol._check_step_counts(self.t_grid, SweepError)
         if len(self.seeds) == 0:
             raise SweepError("need at least one seed")
+        if not all(map(protocol._is_integer, self.seeds)):
+            raise SweepError("seeds must be integers")
         if len({int(s) % 2 ** 64 for s in self.seeds}) != len(self.seeds):
             # a repeated seed would weigh one realization twice in
             # ensemble_mean; the draws take seeds mod 2^64, so -1 repeats
             # 2^64 - 1
             raise SweepError("seeds must not repeat (mod 2^64)")
         if self.metric == "arbitrary_avg":
-            if not isinstance(self.n_samples, numbers.Integral):
+            if not protocol._is_integer(self.n_samples):
                 raise SweepError(f"n_samples must be an integer, got {self.n_samples!r}")
             if self.n_samples < 1:
                 raise SweepError("n_samples must be at least 1")
@@ -255,6 +258,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
                        spec.metric, spec.base.swap_variant)
 
 
+def _first_max(items):
+    """The key of the largest value of the (key, value) pairs, taken in
+    order: a value must exceed the largest so far by more than 1e-15 to
+    replace it, so a rise within round-off resolves to the first key.
+    SweepError when no value exceeds -inf (every value NaN)."""
+    best_key, best = None, -math.inf
+    for key, value in items:
+        if value > best + 1e-15:
+            best_key, best = key, value
+    if best_key is None:
+        raise SweepError("no fidelity value to maximize")
+    return best_key
+
+
 def ensemble_mean(records, group_by=("beta", "g", "t")):
     """Mean and standard error per group, keyed by ascending group key;
     stderr is 0 for singletons.
@@ -276,15 +293,13 @@ def ensemble_mean(records, group_by=("beta", "g", "t")):
         same &= col[1:] == col[:-1]
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
     sizes = np.diff(np.append(starts, len(values)))
-    means, stderrs = np.empty(len(starts)), np.zeros(len(starts))
+    means, stderrs = np.empty(len(starts)), np.empty(len(starts))
     # the groups of one size as the rows of one array: a row's mean and
     # std have the bits of the same calls on the group alone
     for n in np.flatnonzero(np.bincount(sizes)).tolist():
         which = np.flatnonzero(sizes == n)
-        groups = values[starts[which, None] + np.arange(n)]
-        means[which] = groups.mean(axis=1)
-        if n > 1:
-            stderrs[which] = groups.std(axis=1, ddof=1) / math.sqrt(n)
+        means[which], stderrs[which] = protocol._mean_stderr(
+            values[starts[which, None] + np.arange(n)])
     keys = zip(*(col[starts].tolist() for col in columns))
     return {key: (mean, stderr, n) for key, mean, stderr, n in
             zip(keys, means.tolist(), stderrs.tolist(), sizes.tolist())}
@@ -300,11 +315,7 @@ def recovery_time(records) -> float:
         if (column != column[0]).any():
             raise SweepError(f"records differ in {a}; recovery_time needs a pure t-sweep")
     order = np.argsort(table.t, kind="stable")
-    best_t, best_v = None, -math.inf
-    for t, value in zip(table.t[order].tolist(), table.value[order].tolist()):
-        if value > best_v + 1e-15:
-            best_t, best_v = t, value
-    return float(best_t)
+    return float(_first_max(zip(table.t[order].tolist(), table.value[order].tolist())))
 
 
 @dataclass(frozen=True)
@@ -381,9 +392,8 @@ def peak_statistics(records, beta: float):
     _, first, group = np.unique(seeds, return_index=True, return_inverse=True)
     peaks = np.full(len(first), -math.inf)
     np.maximum.at(peaks, group, values)
-    arr = peaks[np.argsort(first)]
-    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return float(arr.mean()), stderr
+    mean, stderr = protocol._mean_stderr(peaks[np.argsort(first)])
+    return float(mean), float(stderr)
 
 
 def compare_models(spec_syk: SweepSpec, spec_tfim: SweepSpec, workers: int = 1):
@@ -429,12 +439,8 @@ def fixed_point_temperature_curve(records):
     """
     means = ensemble_mean(records, group_by=("beta", "t", "g"))
     betas = sorted({k[0] for k in means})
-    b0 = betas[0]
-    best = None
-    for (b, t, g), (mean, _, _) in means.items():
-        if b == b0 and (best is None or mean > best[0] + 1e-15):
-            best = (mean, t, g)
-    _, t_star, g_star = best
+    t_star, g_star = _first_max(((t, g), mean) for (b, t, g), (mean, _, _) in means.items()
+                                if b == betas[0])
     points = []
     for b in betas:
         points.append((b, means[(b, t_star, g_star)][0]))
@@ -448,10 +454,4 @@ def optimal_g(records, beta: float):
     if not len(at_beta):
         raise SweepError(f"no records at beta={beta}")
     means = ensemble_mean(at_beta, group_by=("beta", "t", "g"))
-    best_g, best_v = None, -math.inf
-    for (_, _, g), (value, _, _) in means.items():
-        if value > best_v + 1e-15:
-            best_g, best_v = g, value
-    if best_g is None:
-        raise SweepError(f"no records at beta={beta}")
-    return float(best_g)
+    return float(_first_max((g, value) for (_, _, g), (value, _, _) in means.items()))

@@ -37,10 +37,12 @@ Omega V_R^*:
   for all of them, each seed with the bits of its build alone; an engine
   whose realization is missing builds it as a batch of one.  The random
   draws behind a realization and behind the Haar messages are one
-  batched `models.split_uniform` call per quantity, and a sweep draws
-  the Haar messages of a whole slice of seeds in one call
-  (`draw_haar_samples`), which it passes to `curve_arbitrary_avg`; their
-  scheme is pinned by `models`, not by numpy's Generator (see there);
+  batched `models.split_uniform` call per quantity.  The Haar messages
+  have one draw, of any indices for a stack of seeds (`_haar_messages`):
+  a sweep takes the first n_s of a whole slice of seeds in one call
+  (`draw_haar_samples`) and passes them to `curve_arbitrary_avg`, and
+  `haar_qubit` is one seed's message at one index.  Their scheme is
+  pinned by `models`, not by numpy's Generator (see there);
 * beta (a batched axis): the thermofield double is exp(-beta H_L/2) on
   the infinite-temperature pair state Omega (J. Maldacena and X.-L. Qi,
   arXiv:1804.00491), so its coefficients over pairs of side eigenvectors
@@ -206,6 +208,8 @@ class ProtocolConfig:
         for name in ("g", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if not _is_integer(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not (math.isfinite(self.j_scale) and self.j_scale > 0):
             raise ConfigError("j_scale must be finite and positive")
         _check_beta(self.beta)
@@ -250,6 +254,11 @@ class ProtocolConfig:
         return self.register.default_readout()
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_beta(beta) -> None:
     """beta, a scalar or an array, must be finite and nonnegative."""
     beta = np.asarray(beta, dtype=float)
@@ -268,14 +277,14 @@ def _beta_axis(beta) -> np.ndarray:
     return beta.reshape(-1)
 
 
-def _check_step_counts(t) -> None:
+def _check_step_counts(t, error=ConfigError) -> None:
     """Kicked-Ising evolution takes nonnegative integer step counts; t is
-    a scalar or an array of them."""
+    a scalar or an array of them, and `error` is raised otherwise."""
     t = np.asarray(t, dtype=float)
     if np.abs(t - np.round(t)).max() > 1e-9:
-        raise ConfigError("tfim evolution takes integer step counts")
+        raise error("tfim evolution takes integer step counts")
     if (np.round(t) < 0).any():
-        raise ConfigError("negative step count")
+        raise error("negative step count")
 
 
 def default_size_modes(n_majorana: int) -> tuple:
@@ -297,37 +306,28 @@ class SizeOperator:
         phases = np.exp(1j * g * self.eigenvalues)
         return (self.basis * phases) @ self.basis.conj().T
 
-    def levels(self) -> tuple:
-        """(p, columns) per distinct eigenvalue p, ascending, where
-        basis[:, columns] spans level p.  hermitian_eig sorts the
-        eigenvalues, so every level's columns are contiguous; this is
-        checked, not assumed."""
+    @cached_property
+    def level_tables(self) -> tuple:
+        """(levels, columns, column levels), built once per operator: the
+        distinct eigenvalues p ascending, the column slice of basis that
+        spans each, and the level of every column; the arrays are
+        read-only.  hermitian_eig sorts the eigenvalues, so every level's
+        columns are contiguous; this is checked, not assumed."""
         values = self.eigenvalues
         if (np.diff(values) < 0).any():
             raise qop.QopError("size eigenvalues are not in ascending order")
         levels, starts = np.unique(values, return_index=True)
         stops = np.append(starts[1:], len(values))
-        return tuple((int(p), slice(int(a), int(b)))
-                     for p, a, b in zip(levels, starts, stops))
-
-    @cached_property
-    def level_tables(self) -> tuple:
-        """(levels, columns, column levels) of levels(), built once per
-        operator: the distinct levels p as an array, the column slice of
-        each, and the level of every column; the arrays are read-only."""
-        levels = self.levels()
-        values = np.array([p for p, _ in levels])
-        column_levels = np.concatenate([np.full(cols.stop - cols.start, p)
-                                        for p, cols in levels])
-        for array in (values, column_levels):
+        column_levels = np.repeat(levels, stops - starts)
+        for array in (levels, column_levels):
             array.setflags(write=False)
-        return values, tuple(cols for _, cols in levels), column_levels
+        return levels, tuple(map(slice, starts.tolist(), stops.tolist())), column_levels
 
     def projectors(self) -> np.ndarray:
         """Spectral projectors Pi_p = B_p B_p^dagger, one per level,
         shape (L, d, d): exp(i g upsilon) = sum_p exp(i g p) Pi_p."""
         return np.stack([self.basis[:, cols] @ self.basis[:, cols].conj().T
-                         for _, cols in self.levels()])
+                         for cols in self.level_tables[1]])
 
     def exp_ig_embedded(self, register: layout.RegisterLayout, g: float) -> np.ndarray:
         return qop.kron(np.eye(2 ** register.n_message), self.exp_ig(g))
@@ -621,7 +621,7 @@ class Engine:
 
     def message_vector(self) -> np.ndarray:
         """The Bell pair, or |0> for both single-qubit messages: arbitrary
-        amplitudes reach only arbitrary_fidelity, as get_engine assumes."""
+        amplitudes reach only curve_arbitrary_avg, as get_engine assumes."""
         if self.cfg.message == "bell_phi_plus":
             v = np.zeros(4, dtype=complex)
             v[0] = v[3] = 1 / math.sqrt(2)
@@ -798,9 +798,9 @@ class Engine:
         if n_in & (n_in - 1):
             raise ConfigError("a reading needs a power-of-two number of inputs")
         weights = self.tfd_weights(betas)
-        thermal = None
-        if self.cfg.thermal_readout and betas.any():
-            thermal = self.thermal_weight_right(betas)[:, None, :]
+        # W_R(beta) is 1.0 exactly at beta = 0, so its multiply keeps every bit
+        thermal = (self.thermal_weight_right(betas) if self.cfg.thermal_readout
+                   else np.ones((n_b, d)))[:, None, :]
         order = self._coupling_order(len(g))
         target = self._to_size
         if order == "maps":
@@ -813,11 +813,7 @@ class Engine:
         for j in range(0, n_t, t_step):
             ts = t_values[j:j + t_step]
             # W_R(beta) U_R(t) per (beta, t) row
-            right = self.side_evolution(ts, "right")
-            if thermal is not None:
-                right = (right * thermal).reshape(-1, d)
-            elif n_b > 1:
-                right = np.tile(right, (n_b, 1))
+            right = (self.side_evolution(ts, "right") * thermal).reshape(-1, d)
             x = self._rows(self.dressed_state(msgs, ts), weights, target)
             if order == "levels":
                 out.append(self._level_readout(x.reshape(-1, d * d), right, n_in, g,
@@ -939,17 +935,6 @@ class Engine:
             return (overlap / norm2).real.reshape(lead + (-1,))
         return reading
 
-    def arbitrary_fidelity(self, beta, t, g_values, messages) -> np.ndarray:
-        """<m| rho_out(m) |m> for every (beta, t, g) and every message m =
-        (alpha, beta_msg) in `messages`; shape np.shape(beta) + np.shape(t)
-        + (n_g, len(messages)).
-
-        rho_out(m) is assembled from the two basis-input branches, so any
-        number of messages costs one protocol run per branch.
-        """
-        return self.finish(_BRANCH_INPUTS, beta, g_values, t,
-                           self._fidelity_reading(messages))
-
     def curve_arbitrary_avg(self, beta, t, g_values, messages):
         """Mean and standard error over the n_s messages (alpha, beta_msg)
         of `messages` (a seed's `draw_haar_samples`) per (beta, t, g), each
@@ -962,11 +947,7 @@ class Engine:
         fidelity = self._fidelity_reading(messages)
 
         def summary(r):
-            values = fidelity(r)
-            if n_s == 1:
-                return np.stack((values[..., 0], np.zeros(values.shape[:-1])), axis=-1)
-            return np.stack((values.mean(axis=-1),
-                             values.std(axis=-1, ddof=1) / math.sqrt(n_s)), axis=-1)
+            return np.stack(_mean_stderr(fidelity(r)), axis=-1)
 
         def reading(r):
             # the (point, message) values in slices of about G_BLOCK_BYTES,
@@ -985,6 +966,15 @@ class Engine:
 def _boltzmann(values: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """exp(-beta (E - E_min)/2) per beta and level, shape (n_b, len(values))."""
     return np.exp(-0.5 * betas[:, None] * (values - values.min()))
+
+
+def _mean_stderr(values: np.ndarray) -> tuple:
+    """Mean and standard error (ddof 1) along the last axis; the standard
+    error of one value is 0."""
+    n = values.shape[-1]
+    if n == 1:
+        return values[..., 0], np.zeros(values.shape[:-1])
+    return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1075,26 +1065,14 @@ def stabilizer_fidelity(rho2: np.ndarray):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def haar_qubit(seed: int, index: int):
-    """Bloch-sphere uniform (alpha, beta) from the per-iteration substream:
-    azimuth 2 pi u_phi and cos(theta) = 2 u_cos - 1."""
-    phi = 2 * math.pi * models.split_uniform(seed, models.STREAM_HAAR, 2 * index)
-    theta = math.acos(2 * models.split_uniform(seed, models.STREAM_HAAR, 2 * index + 1) - 1)
-    return math.cos(theta / 2), math.sin(theta / 2) * complex(math.cos(phi), math.sin(phi))
-
-
-def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
-    """fn of every entry of a float array, by a scalar math call each."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def draw_haar_samples(seeds, n_s: int) -> list:
-    """The first n_s Haar messages of each seed in seeds as a read-only
-    (n_s, 2) array, from one draw of all seeds' 2 n_s uniforms; bit for bit
-    haar_qubit(seed, i) for i < n_s: acos, cos and sin are scalar math
-    calls, as numpy's ufuncs can differ in the last bit, and sin(theta/2) >
-    0, so two real products give the bits of Python's complex one."""
-    u = models.split_uniform(seeds, models.STREAM_HAAR, np.arange(2 * n_s))
+def _haar_messages(seeds, indices: np.ndarray) -> np.ndarray:
+    """The Bloch-sphere uniform messages (alpha, beta) of every seed at the
+    indices, read-only, shape (n_seeds, n_indices, 2): azimuth 2 pi u_phi
+    and cos(theta) = 2 u_cos - 1 from one draw of the index substreams.
+    acos, cos and sin are scalar math calls, as numpy's ufuncs can differ
+    in the last bit."""
+    u = models.split_uniform(seeds, models.STREAM_HAAR,
+                             (2 * indices[:, None] + np.arange(2)).reshape(-1))
     phi = 2 * math.pi * u[:, 0::2]
     half_theta = _scalar_map(math.acos, 2 * u[:, 1::2] - 1) / 2
     sin_half = _scalar_map(math.sin, half_theta)
@@ -1103,7 +1081,24 @@ def draw_haar_samples(seeds, n_s: int) -> list:
     out[..., 1].real = sin_half * _scalar_map(math.cos, phi)
     out[..., 1].imag = sin_half * _scalar_map(math.sin, phi)
     out.setflags(write=False)
-    return list(out)
+    return out
+
+
+def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every entry of a float array, by a scalar math call each."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def haar_qubit(seed: int, index: int) -> np.ndarray:
+    """The Haar message (alpha, beta) of one seed and index, as a read-only
+    complex array of two."""
+    return _haar_messages([seed], np.array([index]))[0, 0]
+
+
+def draw_haar_samples(seeds, n_s: int) -> list:
+    """The first n_s Haar messages of each seed in seeds as a read-only
+    (n_s, 2) array, from one draw of all seeds' 2 n_s uniforms."""
+    return list(_haar_messages(seeds, np.arange(n_s)))
 
 
 def run_arbitrary_avg(cfg: ProtocolConfig, n_s: int = 100, seed: int = 0):

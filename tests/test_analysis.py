@@ -88,6 +88,45 @@ class TestRunSweep:
         tiny_spec(metric="arbitrary_avg", n_samples=np.int64(3)).validate()
         tiny_spec(n_samples=0).validate()  # read by arbitrary_avg only
 
+    def test_seeds_and_sample_counts_are_integers(self):
+        # a float or bool seed would run as int(seed) and write that seed in
+        # the seed column; True samples would run one message
+        for seeds in ((1.5,), (True,), (0, 2.0), (np.float64(3.0),), (np.bool_(True),)):
+            with pytest.raises(analysis.SweepError, match="seeds must be integers"):
+                tiny_spec(seeds=seeds).validate()
+            with pytest.raises(analysis.SweepError, match="seeds must be integers"):
+                analysis.run_sweep(tiny_spec(seeds=seeds))
+        tiny_spec(seeds=(np.int64(3), np.uint32(4), 5)).validate()
+        for n_samples in (True, False, np.bool_(True)):
+            with pytest.raises(analysis.SweepError, match="n_samples"):
+                tiny_spec(metric="arbitrary_avg", n_samples=n_samples).validate()
+
+    def test_tfim_t_grid_is_checked_before_any_build(self, monkeypatch):
+        # kicked-Ising evolution takes nonnegative integer step counts; a
+        # sweep that breaks this is named by validate, before run_sweep
+        # builds a realization
+        builds = []
+        build = protocol._build_realizations
+
+        def counted(batch, *params):
+            builds.append(list(batch))
+            return build(batch, *params)
+        monkeypatch.setattr(protocol._realization, "_build", counted)
+        protocol._engine_cached.cache_clear()
+        protocol._realization.clear()
+        base = protocol.ProtocolConfig(model="tfim", seed=0)
+        for t_grid in ((0.5,), (1.0, 2.5), (-1.0, 0.0)):
+            spec = tiny_spec(base=base, t_grid=t_grid)
+            with pytest.raises(analysis.SweepError, match="step count"):
+                spec.validate()
+            with pytest.raises(analysis.SweepError, match="step count"):
+                analysis.run_sweep(spec)
+        assert builds == []
+        # whole step counts given as floats run; the SYK model takes any t
+        assert len(analysis.run_sweep(tiny_spec(base=base, t_grid=(0.0, 2.0)))) == 2
+        assert builds == [[0]]
+        tiny_spec(t_grid=(0.5,)).validate()
+
     def test_rejects_worker_counts_below_one(self):
         for workers in (0, -3):
             with pytest.raises(analysis.SweepError, match="workers"):
@@ -461,6 +500,11 @@ class TestRecoveryTime:
         scaled = synth_records([({"t": float(t)}, v) for t, v in enumerate(mapped)])
         assert analysis.recovery_time(recs) == analysis.recovery_time(scaled)
 
+    def test_no_value_to_maximize_raises(self):
+        recs = synth_records([({"t": 0.0}, math.nan), ({"t": 1.0}, math.nan)])
+        with pytest.raises(analysis.SweepError, match="no fidelity value"):
+            analysis.recovery_time(recs)
+
     def test_tie_tolerance_is_absolute(self):
         # a rise of 1e-14 counts, the same rise scaled by 0.0625 (6.25e-16)
         # is a tie and resolves to the smaller t
@@ -470,6 +514,29 @@ class TestRecoveryTime:
                                 for t, v in enumerate(values)])
         assert analysis.recovery_time(recs) == 1.0
         assert analysis.recovery_time(scaled) == 0.0
+
+
+class TestOptimalG:
+    def test_rise_within_round_off_resolves_to_the_first_g(self):
+        # a rise of 5e-16 over the first g is a tie; a rise of 1e-14 counts
+        recs = (synth_records([({"g": 0.0}, 0.5), ({"g": 1.0}, 0.5 + 5e-16)])
+                + synth_records([({"g": 0.0}, 0.5), ({"g": 1.0}, 0.5 + 5e-16),
+                                 ({"g": 2.0}, 0.5 + 1e-14)], beta=5.0))
+        assert analysis.optimal_g(recs, 0.0) == 0.0
+        assert analysis.optimal_g(recs, 5.0) == 2.0
+
+    def test_maximizes_the_ensemble_mean(self):
+        recs = synth_records([({"g": 0.0, "seed": 0}, 0.9), ({"g": 0.0, "seed": 1}, 0.1),
+                              ({"g": 1.0, "seed": 0}, 0.6), ({"g": 1.0, "seed": 1}, 0.6)])
+        assert analysis.optimal_g(recs, 0.0) == 1.0
+
+    def test_no_value_to_maximize_raises(self):
+        recs = (synth_records([({"g": 0.0}, 0.5)])
+                + synth_records([({"g": 0.0}, math.nan), ({"g": 1.0}, math.nan)], beta=7.0))
+        with pytest.raises(analysis.SweepError, match="no records at beta"):
+            analysis.optimal_g(recs, 1.0)
+        with pytest.raises(analysis.SweepError):
+            analysis.optimal_g(recs, 7.0)
 
 
 class TestFitBetaC:
@@ -554,3 +621,18 @@ class TestFixedPointCurve:
         points, g_star, t_star = analysis.fixed_point_temperature_curve(recs)
         assert g_star == 1.0
         assert points == [(0.0, 2.0), (5.0, 1.0)]
+
+    def test_rise_within_round_off_resolves_to_the_first_setting(self):
+        # at the smallest beta, (t, g) = (1, 0) rises above (0, 2) by 5e-16
+        # only: a tie, which resolves to the first key in (t, g) order
+        recs = synth_records([({"t": 0.0, "g": 2.0}, 0.5), ({"t": 1.0, "g": 0.0}, 0.5 + 5e-16),
+                              ({"t": 0.0, "g": 2.0, "beta": 5.0}, 0.2),
+                              ({"t": 1.0, "g": 0.0, "beta": 5.0}, 0.4)])
+        points, g_star, t_star = analysis.fixed_point_temperature_curve(recs)
+        assert (g_star, t_star) == (2.0, 0.0)
+        assert points == [(0.0, 0.5), (5.0, 0.2)]
+        # a rise of 1e-14 counts
+        recs[1] = recs[1]._replace(value=0.5 + 1e-14)
+        points, g_star, t_star = analysis.fixed_point_temperature_curve(recs)
+        assert (g_star, t_star) == (0.0, 1.0)
+        assert points == [(0.0, 0.5 + 1e-14), (5.0, 0.4)]

@@ -443,7 +443,7 @@ engb = protocol.get_engine(protocol.ProtocolConfig(
 for gs in ([0.5, 1.0, 1.5, 2.0, 2.5], [0.5]):
     eng.curve_basis_z([0.0, 5.0], 1.0, gs)
     engb.curve_bell(5.0, [1.0, 2.0], gs)
-    eng.arbitrary_fidelity(5.0, 1.0, gs, [(0.6, 0.8)])
+    eng.curve_arbitrary_avg(5.0, 1.0, gs, [(0.6, 0.8)])
     eng.curve_arbitrary_avg(5.0, 1.0, gs, protocol.draw_haar_samples([0], 10)[0])
 assert cli.sanity_suite()[0]
 print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))

@@ -27,6 +27,15 @@ def _pcg_first_draws_reference(state: list) -> list:
     return out
 
 
+def _haar_qubit_reference(seed: int, index: int) -> tuple:
+    """The Haar message (alpha, beta) of one seed and index by scalar math
+    calls: azimuth phi = 2 pi u_phi and cos(theta) = 2 u_cos - 1 from the
+    index's two Haar substream draws."""
+    phi = 2 * math.pi * models.split_uniform(seed, models.STREAM_HAAR, 2 * index)
+    theta = math.acos(2 * models.split_uniform(seed, models.STREAM_HAAR, 2 * index + 1) - 1)
+    return math.cos(theta / 2), math.sin(theta / 2) * complex(math.cos(phi), math.sin(phi))
+
+
 class TestCouplingSampling:
     def test_table_shape(self):
         c = models.sample_syk_couplings(6, 4, 1.0, seed=0)
@@ -307,19 +316,24 @@ class TestBatchedDraws:
                 models.split_uniform(0, bad, 0)
 
     def test_haar_samples_match_haar_qubit(self):
-        # one slice draw for seeds with and without a high 32-bit word, then
-        # each seed alone: both have the bits of haar_qubit
+        # one slice draw for seeds with and without a high 32-bit word, each
+        # seed alone, and haar_qubit: all have the bits of the scalar formula
         seeds = (0, 7, 2 ** 40 + 3, 2 ** 64 - 1, 5, 2 ** 32)
         n = 37
         batched = protocol.draw_haar_samples(seeds, n)
         assert len(batched) == len(seeds)
         for seed, samples in zip(seeds, batched):
             (lone,) = protocol.draw_haar_samples([seed], n)
-            want = np.array([protocol.haar_qubit(seed, i) for i in range(n)], dtype=complex)
-            for got in (samples, lone):
+            want = np.array([_haar_qubit_reference(seed, i) for i in range(n)], dtype=complex)
+            single = np.array([protocol.haar_qubit(seed, i) for i in range(n)])
+            for got in (samples, lone, single):
                 assert got.shape == (n, 2)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for got in (samples, lone, protocol.haar_qubit(seed, n)):
                 assert not got.flags.writeable
+        # an index past the first n_s draws its own substream
+        assert np.array_equal(protocol.haar_qubit(3, 1000).view(np.uint64),
+                              np.array(_haar_qubit_reference(3, 1000)).view(np.uint64))
 
     def test_pcg_matches_the_python_int_loop(self):
         # random state words and every combination of the edge words 0, 1,

@@ -72,6 +72,16 @@ class TestConfig:
             with pytest.raises(protocol.ConfigError, match="paired"):
                 protocol.ProtocolConfig(right_basis=bad).validate()
 
+    def test_seed_must_be_an_integer(self):
+        # a float or bool seed would be drawn as int(seed)
+        for bad in (1.5, 2.0, True, np.bool_(False), np.float64(1.0), "1"):
+            with pytest.raises(protocol.ConfigError, match="seed must be an integer"):
+                protocol.ProtocolConfig(seed=bad).validate()
+            with pytest.raises(protocol.ConfigError, match="seed must be an integer"):
+                protocol.run_arbitrary_avg(protocol.ProtocolConfig(seed=bad), 2)
+        for seed in (3, np.int64(3), np.uint64(2 ** 63), -1, 2 ** 70):
+            protocol.ProtocolConfig(seed=seed).validate()
+
     def test_tfim_integer_steps(self):
         with pytest.raises(protocol.ConfigError):
             protocol.ProtocolConfig(model="tfim", t=1.5).validate()
@@ -211,6 +221,14 @@ def _haar(n_s: int, seed: int = 0) -> np.ndarray:
     """The first n_s Haar messages of seed, as a sweep passes them to
     curve_arbitrary_avg."""
     return protocol.draw_haar_samples([seed], n_s)[0]
+
+
+def _fidelities(eng, beta, t, g_values, messages) -> np.ndarray:
+    """<m| rho_out(m) |m> per (beta, t, g) and message m, shape
+    np.shape(beta) + np.shape(t) + (n_g, len(messages)): the reading that
+    curve_arbitrary_avg averages, over the two basis-input branches."""
+    return eng.finish(protocol._BRANCH_INPUTS, beta, g_values, t,
+                      eng._fidelity_reading(messages))
 
 
 def _fermionic_swap(register: layout.RegisterLayout, n_qubits: int, msg_site: int,
@@ -532,8 +550,10 @@ class TestPipelineAgainstDense:
                 proj = qop.kron_all([np.outer(msg, msg.conj()) if k == site else qop.I2
                                      for k in range(n)])
                 fid = float(np.real(qop.expectation(psi, proj)))
-                got = protocol.get_engine(cfg).arbitrary_fidelity(beta, t, [g], [(a, b)])
-                assert abs(got[0, 0] - fid) <= 1e-12
+                mean, stderr = protocol.get_engine(cfg).curve_arbitrary_avg(
+                    beta, t, [g], [(a, b)])
+                assert abs(mean[0] - fid) <= 1e-12
+                assert stderr[0] == 0.0
 
     def test_batch_matches_single_points(self, monkeypatch):
         # with 8 KiB g blocks, 9 g at n_side 3 are one block for the basis
@@ -612,15 +632,20 @@ class TestLevelFactoredCoupling:
     def test_projectors_resolve_the_coupling(self):
         for reg, modes in ((REG1, None), (REG2, None), (REG1, (0, 3, 5))):
             size = protocol.build_size_operator(reg, modes)
-            levels = size.levels()
-            assert [p for p, _ in levels] == sorted(set(size.eigenvalues.tolist()))
-            for p, cols in levels:
+            levels, columns, column_levels = size.level_tables
+            assert levels.tolist() == sorted(set(size.eigenvalues.tolist()))
+            assert len(columns) == len(levels)
+            # the column slices tile the basis in order
+            assert [c.start for c in columns] == [0] + [c.stop for c in columns[:-1]]
+            assert columns[-1].stop == len(size.eigenvalues)
+            for p, cols in zip(levels, columns):
                 assert (size.eigenvalues[cols] == p).all()
+                assert (column_levels[cols] == p).all()
             proj = size.projectors()
             assert len(proj) == len(levels)
             assert np.abs(proj.sum(axis=0) - np.eye(size.matrix.shape[0])).max() <= 1e-13
             for g in (0.0, 0.8, -2.3, 11.0):
-                phased = sum(np.exp(1j * g * p) * pp for (p, _), pp in zip(levels, proj))
+                phased = sum(np.exp(1j * g * p) * pp for p, pp in zip(levels, proj))
                 assert np.abs(phased - size.exp_ig(g)).max() <= 1e-13
 
     def test_unsorted_levels_rejected(self, monkeypatch):
@@ -632,7 +657,9 @@ class TestLevelFactoredCoupling:
         # the spectrum and the coupling are unchanged, the column order is not
         assert np.abs(shuffled.exp_ig(1.3) - size.exp_ig(1.3)).max() <= 1e-13
         with pytest.raises(qop.QopError, match="ascending"):
-            shuffled.levels()
+            shuffled.level_tables
+        with pytest.raises(qop.QopError, match="ascending"):
+            shuffled.projectors()
         monkeypatch.setattr(protocol, "build_size_operator", lambda reg, modes: shuffled)
         with pytest.raises(qop.QopError, match="ascending"):
             protocol.Engine(protocol.ProtocolConfig(seed=1))
@@ -892,7 +919,7 @@ class TestTBatching:
         msgs = [protocol.haar_qubit(0, i) for i in range(3)]
         assert eng.curve_basis_z(2.0, 1.0, gs).shape == (len(gs),)
         assert engb.curve_bell(2.0, 2.0, gs).shape == (len(gs),)
-        assert eng.arbitrary_fidelity(2.0, 1.0, gs, msgs).shape == (len(gs), 3)
+        assert _fidelities(eng, 2.0, 1.0, gs, msgs).shape == (len(gs), 3)
         mean, stderr = eng.curve_arbitrary_avg(2.0, 1.0, gs, _haar(5))
         assert mean.shape == stderr.shape == (len(gs),)
         # finish keeps the axes of beta and t before g and the reading's own
@@ -902,7 +929,7 @@ class TestTBatching:
                           ).shape == (1, 3, 2)
         # a 1-D t of one value keeps its axis
         assert eng.curve_basis_z(2.0, [1.0], gs).shape == (1, len(gs))
-        assert eng.arbitrary_fidelity(2.0, [1.0, 2.0], gs, msgs).shape == (2, len(gs), 3)
+        assert _fidelities(eng, 2.0, [1.0, 2.0], gs, msgs).shape == (2, len(gs), 3)
 
     def test_non_finite_t_in_array_raises(self):
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
@@ -910,7 +937,7 @@ class TestTBatching:
         calls = (lambda t: eng.curve_basis_z(0.0, t, [0.5]),
                  lambda t: engb.curve_bell(0.0, t, [0.5]),
                  lambda t: eng.curve_arbitrary_avg(0.0, t, [0.5], _haar(5)),
-                 lambda t: eng.arbitrary_fidelity(0.0, t, [0.5], [(1.0, 0.0)]))
+                 lambda t: eng.curve_arbitrary_avg(0.0, t, [0.5], [(1.0, 0.0)]))
         for call in calls:
             for bad in ([1.0, math.nan], [math.inf, 1.0], [[1.0, 2.0]], []):
                 with pytest.raises(protocol.ConfigError):
@@ -924,7 +951,7 @@ class TestTBatching:
         engb = protocol.Engine(_bell_cfg(seed=1))
         calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
                  lambda beta: engb.curve_bell(beta, 2.0, [0.5]),
-                 lambda beta: eng.arbitrary_fidelity(beta, 1.0, [0.5], [(1.0, 0.0)]),
+                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, [0.5], [(1.0, 0.0)]),
                  lambda beta: eng.curve_arbitrary_avg(beta, 1.0, [0.5], _haar(5)),
                  lambda beta: eng.finish(eng.message_vector(), beta, [0.5], 1.0,
                                          eng.basis_z_value))
@@ -966,7 +993,7 @@ class TestTBatching:
                 (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z, 1, 11),
                 (_bell_cfg(seed=9), protocol.Engine.curve_bell, 1, 22),
                 (protocol.ProtocolConfig(seed=9, swap_variant="delta02"),
-                 lambda eng, beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs), 2, 22)):
+                 lambda eng, beta, t, gs: _fidelities(eng, beta, t, gs, msgs), 2, 22)):
             eng = protocol.get_engine(cfg)
             assert -(-len(ts) // eng._chunk(1, n_in, 1, "maps")) == n_chunks
             for beta in (0.0, 6.0):
@@ -986,7 +1013,7 @@ class TestTBatching:
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=9))
         engb = protocol.get_engine(_bell_cfg(seed=9))
         curves = (eng.curve_basis_z, engb.curve_bell,
-                  lambda beta, t, gs: eng.arbitrary_fidelity(beta, t, gs, msgs),
+                  lambda beta, t, gs: _fidelities(eng, beta, t, gs, msgs),
                   lambda beta, t, gs: np.stack(eng.curve_arbitrary_avg(beta, t, gs, _haar(20, 1)),
                                                axis=-1))
         for gs in ([2.3], [0.4, 2.3, 5.1]):
@@ -1031,7 +1058,7 @@ class TestBetaBatching:
         return {"basis_z": eng.curve_basis_z,
                 "avg_mean": lambda *a: eng.curve_arbitrary_avg(*a, _haar(10, 3))[0],
                 "avg_stderr": lambda *a: eng.curve_arbitrary_avg(*a, _haar(10, 3))[1],
-                "fidelity": lambda *a: eng.arbitrary_fidelity(*a, msgs)}
+                "fidelity": lambda *a: _fidelities(eng, *a, msgs)}
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: (
         f"{c.message}-{c.model}-{'thermal' if c.thermal_readout else 'bare'}"))
@@ -1062,7 +1089,7 @@ class TestBetaBatching:
         engb = protocol.Engine(_bell_cfg(seed=1))
         calls = (lambda beta: eng.curve_basis_z(beta, 1.0, [0.5, 1.0]),
                  lambda beta: engb.curve_bell(beta, [2.0, 3.0], [0.5]),
-                 lambda beta: eng.arbitrary_fidelity(beta, 1.0, [0.5], [(1.0, 0.0)]),
+                 lambda beta: eng.curve_arbitrary_avg(beta, 1.0, [0.5], [(1.0, 0.0)]),
                  lambda beta: eng.curve_arbitrary_avg(beta, 1.0, np.arange(9.0), _haar(5)))
         for call in calls:
             with warnings.catch_warnings():
@@ -1190,8 +1217,8 @@ class TestDegeneracyInvariance:
                     assert np.abs(rot.tfd_vector(beta) - ref.tfd_vector(beta)).max() <= 1e-12
                     assert np.abs(rot.curve_basis_z(beta, ts, gs)
                                   - ref.curve_basis_z(beta, ts, gs)).max() <= 1e-12
-                    assert np.abs(rot.arbitrary_fidelity(beta, ts, gs, msgs)
-                                  - ref.arbitrary_fidelity(beta, ts, gs, msgs)).max() <= 1e-12
+                    assert np.abs(_fidelities(rot, beta, ts, gs, msgs)
+                                  - _fidelities(ref, beta, ts, gs, msgs)).max() <= 1e-12
             ref, rot = self._pair(_bell_cfg(seed=seed), rng)
             for beta in (0.0, 5.0, 20.0):
                 assert np.abs(rot.curve_bell(beta, ts, gs)
@@ -1269,8 +1296,8 @@ class TestCouplingOrdersUnderDegeneracy:
                 for beta in (0.0, 5.0, 20.0):
                     assert np.abs(rot.curve_basis_z(beta, ts, gs)
                                   - ref.curve_basis_z(beta, ts, gs)).max() <= 1e-12
-                    assert np.abs(rot.arbitrary_fidelity(beta, ts, gs, msgs)
-                                  - ref.arbitrary_fidelity(beta, ts, gs, msgs)).max() <= 1e-12
+                    assert np.abs(_fidelities(rot, beta, ts, gs, msgs)
+                                  - _fidelities(ref, beta, ts, gs, msgs)).max() <= 1e-12
                     assert np.abs(rotb.curve_bell(beta, ts, gs)
                                   - refb.curve_bell(beta, ts, gs)).max() <= 1e-12
 
@@ -1360,27 +1387,29 @@ class TestArbitraryState:
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=1))
         for beta in (0.0, 9.0):
             fz = eng.curve_basis_z(beta, 1.0, [1.9])[0]
-            fa = eng.arbitrary_fidelity(beta, 1.0, [1.9], [(1.0 + 0j, 0.0 + 0j)])[0, 0]
-            assert abs(fa - 0.5 * (1.0 + fz)) <= 1e-10
+            fa, stderr = eng.curve_arbitrary_avg(beta, 1.0, [1.9], [(1.0 + 0j, 0.0 + 0j)])
+            assert abs(fa[0] - 0.5 * (1.0 + fz)) <= 1e-10
+            assert stderr[0] == 0.0
 
     def test_one_state_uncoupled_point(self):
         eng = protocol.get_engine(protocol.ProtocolConfig(message="arbitrary", seed=0))
         # readout qubit is maximally mixed before any coupling
-        val = eng.arbitrary_fidelity(0.0, 0.0, [0.0], [(0.0 + 0j, 1.0 + 0j)])[0, 0]
-        assert abs(val - 0.5) <= 1e-12
+        val, stderr = eng.curve_arbitrary_avg(0.0, 0.0, [0.0], [(0.0 + 0j, 1.0 + 0j)])
+        assert abs(val[0] - 0.5) <= 1e-12
+        assert stderr[0] == 0.0
 
     def test_global_phase_invariance(self):
         eng = protocol.get_engine(protocol.ProtocolConfig(message="arbitrary", seed=3))
         phase = np.exp(1j * 1.234)
         msgs = [(0.6 + 0j, 0.8 + 0j), (0.6 * phase, 0.8 * phase)]
-        base, rot = eng.arbitrary_fidelity(2.0, 1.0, [1.2], msgs)[0]
+        base, rot = _fidelities(eng, 2.0, 1.0, [1.2], msgs)[0]
         assert abs(base - rot) <= 1e-12
 
     def test_value_range(self):
         rng = np.random.default_rng(4)
         eng = protocol.get_engine(protocol.ProtocolConfig(message="arbitrary", seed=2))
         msgs = [protocol.haar_qubit(7, int(rng.integers(100))) for _ in range(5)]
-        for val in eng.arbitrary_fidelity(5.0, 1.0, [2.0], msgs)[0]:
+        for val in _fidelities(eng, 5.0, 1.0, [2.0], msgs)[0]:
             assert -1e-12 <= val <= 1.0 + 1e-12
 
 
@@ -1388,8 +1417,8 @@ class TestArbitraryAverage:
     def test_single_sample_equals_single_run(self):
         cfg = protocol.ProtocolConfig(seed=2, beta=1.0, g=0.9, t=1.0)
         mean, stderr = protocol.run_arbitrary_avg(cfg, n_s=1, seed=11)
-        single = protocol.get_engine(cfg).arbitrary_fidelity(
-            cfg.beta, cfg.t, [cfg.g], [protocol.haar_qubit(11, 0)])[0, 0]
+        single = _fidelities(protocol.get_engine(cfg), cfg.beta, cfg.t, [cfg.g],
+                             [protocol.haar_qubit(11, 0)])[0, 0]
         assert mean == pytest.approx(single, abs=1e-14)
         assert stderr == 0.0
 
@@ -1429,7 +1458,7 @@ class TestArbitraryAverage:
                 replace(cfg, **{name: [5]}).validate()
 
     def test_arbitrary_message_curves_do_not_depend_on_the_lookup(self):
-        # the amplitudes reach only arbitrary_fidelity, so an engine built
+        # the amplitudes reach only curve_arbitrary_avg, so an engine built
         # for an arbitrary message reads the |0> input, as the cached one
         cfg = protocol.ProtocolConfig(message="arbitrary", seed=3, alpha=0.6 + 0j,
                                       beta_msg=0.8 + 0j, g=0.5, t=1.0)
@@ -1476,7 +1505,7 @@ class TestArbitraryAverage:
                 norm2 = np.einsum("gaibi,sa,sb->gs", r.reshape(-1, 2, 2, 2, 2),
                                   msgs, msgs.conj())
                 want = (overlap / norm2).real.reshape(len(ts), len(gs), -1)
-                got = eng.arbitrary_fidelity(beta, ts, gs, msgs)
+                got = _fidelities(eng, beta, ts, gs, msgs)
                 assert np.abs(got - want).max() <= 1e-14
 
 
