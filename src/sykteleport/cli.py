@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
 3 I/O failure.  Every output file starts with a comment header carrying the
-master seed, grid hashes and the package version, so equal headers imply
-byte-equal bodies.  A file is written under a temporary name and moved onto
-its own only once complete, so a failed run leaves no partial file.
+master seed, grid hashes and the package version.  The header does not name
+the protocol settings (model, message, j_scale, ...), so equal headers do
+not imply equal bodies; one config gives byte-equal files at any worker
+count.  A file is written under a temporary name and moved onto its own
+only once complete, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations

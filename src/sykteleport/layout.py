@@ -3,10 +3,11 @@
 Sites are ordered [message..., left..., right...].  The right block is
 stored mirrored: left qubit k is maximally entangled with the right
 qubit sitting at register site ``n - 1 - k`` (nested pairing), so the
-partner of the first left qubit is the last register site.  The Majorana
-modes of both sides are realized through a single Jordan-Wigner ordering
-over the full left+right block, which makes left and right fermions
-genuinely anticommute.
+partner of the first left qubit is the last register site.  One
+Jordan-Wigner Majorana family on n_side qubits realizes the left modes,
+and every right-side object is its register mirror (`mirror`).  On the
+left+right block the left modes carry a Z string over the right factor,
+which makes left and right fermions genuinely anticommute.
 """
 
 from __future__ import annotations
@@ -72,16 +73,21 @@ def mirror_index(n_side: int) -> np.ndarray:
     return index
 
 
-def left_majorana_block(n_side: int, j: int) -> np.ndarray:
-    """Left-side Majorana j on the 2*n_side-qubit block."""
-    return qop.majorana(2 * n_side, j)
-
-
-def right_majorana_block(n_side: int, j: int) -> np.ndarray:
-    """Right-side Majorana j on the block; right mode j//2 lives at the
-    mirrored position, Jordan-Wigner ordering shared with the left side."""
-    mode = 2 * n_side - 1 - j // 2
-    return qop.majorana(2 * n_side, 2 * mode + (j % 2))
+def mirror(a: np.ndarray, n_side: int) -> np.ndarray:
+    """The right-factor image U a U^T of a left-factor operator a, or of
+    each matrix of a (..., d, d) stack, as a new C-contiguous array, with
+    U = diag(s) P for the bit reversal P (`mirror_index`) and the signs
+    s_x = (-1)^(N(N-1)/2) for the popcount N of x.  It takes left Majorana
+    j to right Majorana j (the right factor's Jordan-Wigner mode
+    n_side - 1 - j//2), and so a left Hamiltonian to the right one of the
+    same couplings; an entry with s_a s_b = -1 is 0 - a_ab, so a zero
+    stays +0, as in a sum of terms."""
+    count = np.array([bin(x).count("1") for x in range(2 ** n_side)])
+    negative = count * (count - 1) // 2 % 2
+    p = mirror_index(n_side)
+    out = np.ascontiguousarray(np.asarray(a)[..., p[:, None], p])
+    np.subtract(0.0, out, out=out, where=negative[:, None] != negative)
+    return out
 
 
 def left_majorana_local(n_side: int, j: int) -> np.ndarray:
@@ -89,20 +95,16 @@ def left_majorana_local(n_side: int, j: int) -> np.ndarray:
     return qop.majorana(n_side, j)
 
 
-def right_majorana_local(n_side: int, j: int) -> np.ndarray:
-    """Right Majorana restricted to the right factor, in register site order."""
-    mode = n_side - 1 - j // 2
-    return qop.majorana(n_side, 2 * mode + (j % 2))
-
-
 @lru_cache(maxsize=None)
 def _pair_number_ops(n_side: int) -> tuple:
-    dim = 4 ** n_side
+    # on the block, left Majorana j is L_j (x) Z^(x n_side) and right
+    # Majorana j is I (x) R_j, so gL_j gR_j = L_j (x) Z^(x n_side) R_j
+    parity = qop.kron_all([qop.PAULI_Z] * n_side)
     ops = []
     for j in range(2 * n_side):
-        gl = left_majorana_block(n_side, j)
-        gr = right_majorana_block(n_side, j)
-        ops.append(0.5 * (np.eye(dim) + 1j * (gl @ gr)))
+        gamma = left_majorana_local(n_side, j)
+        pair = qop.kron(gamma, parity @ mirror(gamma, n_side))
+        ops.append(0.5 * (np.eye(4 ** n_side) + 1j * pair))
     return tuple(ops)
 
 

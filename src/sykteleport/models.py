@@ -1,5 +1,6 @@
-"""Model builders: random quartic Majorana (SYK) Hamiltonians and the
-self-dual Floquet transverse-field Ising baseline.
+"""Model builders: random quartic Majorana (SYK) Hamiltonians, whose right
+side is the register mirror of the left one, and the self-dual Floquet
+transverse-field Ising baseline.
 
 Every random number comes from a counter-based substream keyed by (seed,
 stream, index), and each drawn quantity is one batched call over its index
@@ -313,23 +314,22 @@ def build_syk_hamiltonian(couplings: SykCouplings, side: str,
 
 
 @lru_cache(maxsize=None)
-def _side_majoranas(side: str, n_side: int) -> tuple:
-    """The 2 n_side Majorana matrices of one side on its own factor,
-    read-only and built once per (side, n_side)."""
-    local = layout.left_majorana_local if side == "left" else layout.right_majorana_local
-    gammas = tuple(local(n_side, j) for j in range(2 * n_side))
+def _side_majoranas(n_side: int) -> tuple:
+    """The 2 n_side left Majorana matrices on their own factor, read-only
+    and built once per n_side."""
+    gammas = tuple(layout.left_majorana_local(n_side, j) for j in range(2 * n_side))
     for gamma in gammas:
         gamma.setflags(write=False)
     return gammas
 
 
 @lru_cache(maxsize=None)
-def _side_quartics(side: str, n_side: int) -> dict:
-    """g_i g_j g_k g_l for every i < j < k < l of one side, keyed by the
-    quadruple: C(2 n_side, 4) read-only matrices, built once per (side,
-    n_side) (15 KB at n_side 3, 287 KB at 4).  Their entries are 0, +-1 or
+def _side_quartics(n_side: int) -> dict:
+    """g_i g_j g_k g_l of the left Majoranas for every i < j < k < l, keyed
+    by the quadruple: C(2 n_side, 4) read-only matrices, built once per
+    n_side (15 KB at n_side 3, 287 KB at 4).  Their entries are 0, +-1 or
     +-i, so each product is exact whatever the order of multiplication."""
-    gammas = _side_majoranas(side, n_side)
+    gammas = _side_majoranas(n_side)
     quads = list(combinations(range(2 * n_side), 4))
     products = np.stack([gammas[i] @ gammas[j] @ gammas[k] @ gammas[l]
                          for i, j, k, l in quads])
@@ -340,13 +340,14 @@ def _side_quartics(side: str, n_side: int) -> dict:
 def build_syk_side_matrix(couplings, side: str, n_side: int) -> np.ndarray:
     """The side Hamiltonian restricted to its own n_side-qubit factor; a
     sequence of tables gives the stack of their Hamiltonians, each with the
-    bits of its own build."""
+    bits of its own build.  The right side is the mirror of the left one
+    (`layout.mirror`), with the bits of the sum over the right Majoranas."""
     batch = (couplings,) if isinstance(couplings, SykCouplings) else tuple(couplings)
     if not batch or any(c.n_majorana != 2 * n_side for c in batch):
         raise ValueError("coupling table does not match the register side size")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    products = _side_quartics(side, n_side)
+    products = _side_quartics(n_side)
     quads = list(batch[0].entries)
     values = np.array([[c.entries[quad] for quad in quads] for c in batch], dtype=float)
     h = np.zeros((len(batch), 2 ** n_side, 2 ** n_side), dtype=complex)
@@ -354,6 +355,8 @@ def build_syk_side_matrix(couplings, side: str, n_side: int) -> np.ndarray:
     # one term at a time in table order, as a lone table sums them
     for k, quad in enumerate(quads):
         h -= (pref * values[:, k])[:, None, None] * products[quad]
+    if side == "right":
+        h = layout.mirror(h, n_side)
     return h[0] if isinstance(couplings, SykCouplings) else h
 
 

@@ -223,6 +223,8 @@ class ProtocolConfig:
                 raise ConfigError("size mode set must not be empty")
             if any(not 0 <= m < reg.n_majorana for m in self.size_modes):
                 raise ConfigError("size mode outside the register")
+            if len(set(self.size_modes)) != len(self.size_modes):
+                raise ConfigError("size modes must not repeat")
         if self.readout_sites is not None:
             if any(s not in reg.right_sites for s in self.readout_sites):
                 raise ConfigError("readout sites must lie in the right block")
@@ -266,15 +268,6 @@ def _check_beta(beta) -> None:
         raise ConfigError("beta must be finite")
     if (beta < 0).any():
         raise ConfigError("beta must be nonnegative")
-
-
-def _beta_axis(beta) -> np.ndarray:
-    """A scalar or 1-D beta as a checked 1-D float array."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim > 1 or beta.size == 0:
-        raise ConfigError("beta must be a scalar or a nonempty 1-D array")
-    _check_beta(beta)
-    return beta.reshape(-1)
 
 
 def _check_step_counts(t, error=ConfigError) -> None:
@@ -428,31 +421,28 @@ def _shared_insert_factor(message: str, swap_variant: str, n_side: int,
 
 
 def _build_realizations(seeds: list, model: str, j_scale: float, n_side: int) -> list:
-    """(couplings, eig_left, eig_right) of each seed's disorder
-    realization, with read-only eigensystems: the SYK coupling table (None
-    for the kicked Ising baseline) and the side eigensystems (the Floquet
-    quasi-energies for the baseline).  Either model takes one draw and one
-    stacked eigendecomposition for all seeds, each with the bits of its
-    build alone; the baseline's is a Cayley transform's, with
+    """(eig_left, eig_right) of each seed's disorder realization, read-only
+    (the Floquet quasi-energies for the kicked Ising baseline).  Either
+    model takes one draw and one left build for all seeds, each with the
+    bits of its build alone, mirrored onto the right factor: SYK's right
+    side is the mirror of the left sum (`layout.mirror`), diagonalized on
+    its own; the baseline's eigenvectors are a Cayley transform's, with
     ||(I + V)^{-1}|| <= 1/(2 sin(pi/2d)), 2.6 at d = 8."""
     if model == "syk":
         tables = models.sample_syk_couplings(2 * n_side, 4, j_scale, seeds)
-        left, right = (qop.hermitian_eig(models.build_syk_side_matrix(tables, side, n_side))
-                       for side in ("left", "right"))
+        h_left = models.build_syk_side_matrix(tables, "left", n_side)
+        left, right = (qop.hermitian_eig(h) for h in (h_left, layout.mirror(h_left, n_side)))
     else:
-        tables = [None] * len(seeds)
         left = qop.EigenSystem(*models.floquet_effective_spectrum(
             models.build_tfim_floquet(models.TfimParams.sample(n_side, seeds))))
         # the right factor runs the same chain on the mirrored sites
         right = qop.EigenSystem(left.values, left.vectors[:, layout.mirror_index(n_side)])
-    out = [(table, qop.EigenSystem(*left_k), qop.EigenSystem(*right_k))
-           for table, left_k, right_k in zip(tables, zip(left.values, left.vectors),
-                                             zip(right.values, right.vectors))]
-    for _, *eigs in out:
-        for eig in eigs:
-            eig.values.setflags(write=False)
-            eig.vectors.setflags(write=False)
-    return out
+    for eig in (left, right):
+        eig.values.setflags(write=False)
+        eig.vectors.setflags(write=False)
+    return [(qop.EigenSystem(*left_k), qop.EigenSystem(*right_k))
+            for left_k, right_k in zip(zip(left.values, left.vectors),
+                                       zip(right.values, right.vectors))]
 
 
 class _SeedCache:
@@ -529,11 +519,11 @@ def wormhole_unitary(h_left: np.ndarray, h_right: np.ndarray, ins: InsertOperato
 class Engine:
     """Staged, cached evaluation of the protocol for one realization.
 
-    The realization stage (couplings and side eigensystems, shared with
-    the engines of the same (model, seed, j_scale, n_side) and built as a
-    batch of one unless a sweep built them with its other seeds; the size
-    level tables and the message (x) left factor of INSERT, shared per
-    register geometry) is looked up or built here; the tensors derived from
+    The realization stage (the side eigensystems, shared with the engines
+    of the same (model, seed, j_scale, n_side) and built as a batch of one
+    unless a sweep built them with its other seeds; the size level tables
+    and the message (x) left factor of INSERT, shared per register
+    geometry) is looked up or built here; the tensors derived from
     `eig_left`/`eig_right` are built from them on first use.  Nothing with
     a beta, t or g axis is kept: every metric takes a whole beta array, a
     whole t array and a whole g array, and `finish` takes all betas of the
@@ -550,7 +540,7 @@ class Engine:
         cfg.validate()
         self.cfg = cfg
         self.reg = cfg.register
-        self.couplings, self.eig_left, self.eig_right = _realization(
+        self.eig_left, self.eig_right = _realization(
             cfg.seed, cfg.model, cfg.j_scale, cfg.n_side)
         self.size = build_size_operator(self.reg, cfg.resolved_size_modes())
         self._insert_factor = _shared_insert_factor(
@@ -596,21 +586,27 @@ class Engine:
         return _boltzmann(self.eig_right.values, betas)
 
     # -- t stage ----------------------------------------------------------
-    # finish, which every metric calls, checks beta once with _beta_axis, t
-    # once with _t_axis and g, before any stage is built; the stages below
-    # take the checked values.
-    def _t_axis(self, t) -> np.ndarray:
-        """A scalar or 1-D t as a checked 1-D float array."""
-        t = np.asarray(t, dtype=float)
-        if t.ndim > 1 or t.size == 0:
-            raise ConfigError("t must be a scalar or a nonempty 1-D array")
-        t = t.reshape(-1)
-        if not np.isfinite(t).all():
-            raise ConfigError("t must be finite")
+    # finish, which every metric calls, checks beta, t and g once with
+    # _axes, before any stage is built; the stages below take the checked
+    # values.
+    def _axes(self, beta, t, g_values) -> tuple:
+        """beta, t and g as 1-D float arrays, each from a nonempty, finite
+        scalar or 1-D array; beta must be nonnegative, and t integer step
+        counts for the kicked-Ising model."""
+        axes = []
+        for name, values in (("beta", beta), ("t", t), ("g", g_values)):
+            values = np.asarray(values, dtype=float)
+            if values.ndim > 1 or values.size == 0:
+                raise ConfigError(f"{name} must be a scalar or a nonempty 1-D array")
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{name} must be finite")
+            axes.append(values.reshape(-1))
+        betas, t_values, g = axes
+        _check_beta(betas)
         if self.cfg.model == "tfim":
-            _check_step_counts(t)
-            t = np.round(t)
-        return t
+            _check_step_counts(t_values)
+            t_values = np.round(t_values)
+        return betas, t_values, g
 
     def side_evolution(self, t_values: np.ndarray, side: str) -> np.ndarray:
         """Forward evolution exp(-i H t) on the "left" or "right" factor in
@@ -777,7 +773,9 @@ class Engine:
     def finish(self, msgs, beta, g_values, t, reading) -> np.ndarray:
         """`reading` of the protocol for the messages `msgs` (one vector or
         a stack (n_in, 2^n_msg)) at every (beta, t, g) of a scalar or 1-D
-        beta and t, all betas at once and the t axis in chunks of _chunk.
+        beta, t and g, all betas at once and the t axis in chunks of
+        _chunk.  Each axis must be nonempty and finite, beta nonnegative,
+        and t integer step counts for the kicked Ising model.
 
         reading maps the unnormalized readout densities of n_s (beta, t)
         rows and a run of n_r values of g, shape (n_s, n_r, n_in 2^k, n_in
@@ -788,10 +786,7 @@ class Engine:
         of g at once.  The result is those arrays joined, shape
         np.shape(beta) + np.shape(t) + (n_g, ...).
         """
-        betas, t_values = _beta_axis(beta), self._t_axis(t)
-        g = np.asarray(g_values, dtype=float).reshape(-1)
-        if not np.isfinite(g).all():
-            raise ConfigError("g must be finite")
+        betas, t_values, g = self._axes(beta, t, g_values)
         d, m = 2 ** self.reg.n_side, 2 ** self.reg.n_message
         msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
         n_b, n_t, n_in = len(betas), len(t_values), len(msgs)

@@ -544,6 +544,14 @@ class TestMain:
         assert "repeat" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_repeated_size_mode_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "modes.cfg"
+        cfg.write_text("[sweep]\ng_grid = [0.0]\nbeta_grid = [0]\nseeds = [0]\n"
+                       "[protocol]\nsize_modes = [0, 0]\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "size modes must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_seeds_equal_mod_2_64_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "alias.cfg"
         cfg.write_text("[sweep]\ng_grid = [0.0]\nbeta_grid = [0]\n"

@@ -10,6 +10,22 @@ from sykteleport import layout, models, protocol, qop
 REG = layout.RegisterLayout(n_message=1, n_side=3)
 
 
+def _right_majorana_jw(n_side: int, j: int) -> np.ndarray:
+    """Right Majorana j on its own factor by Jordan-Wigner, in register
+    site order: the factor's mode n_side - 1 - j//2."""
+    return qop.majorana(n_side, 2 * (n_side - 1 - j // 2) + j % 2)
+
+
+def _block_majoranas_jw(n_side: int) -> tuple:
+    """The left and the right Majoranas on the 2 n_side-qubit block from
+    one Jordan-Wigner ordering over it: left j is block mode j//2, right j
+    the mirrored block mode 2 n_side - 1 - j//2."""
+    n = 2 * n_side
+    left = [qop.majorana(n, j) for j in range(n)]
+    right = [qop.majorana(n, 2 * (n - 1 - j // 2) + j % 2) for j in range(n)]
+    return left, right
+
+
 def _pcg_first_draws_reference(state: list) -> list:
     """PCG64's first draw >> 11 on the midpoint lattice, one key at a time
     in Python ints: x = S M^2 + (2 I + 1)(M^2 + M + 1) mod 2^128 for the
@@ -113,8 +129,9 @@ class TestSykHamiltonian:
 
     def test_cached_majoranas_give_identical_bits(self):
         # the side matrix from the cached quartic products equals the
-        # four-fold product loop over freshly made Majoranas, bit for bit
-        local = {"left": layout.left_majorana_local, "right": layout.right_majorana_local}
+        # four-fold product loop over freshly made Majoranas, bit for bit:
+        # the left ones, and the Jordan-Wigner right ones for the mirror
+        local = {"left": layout.left_majorana_local, "right": _right_majorana_jw}
         for n_side in (2, 3, 4):
             for seed in (0, 1, 5):
                 c = models.sample_syk_couplings(2 * n_side, 4, 1.0, seed=seed)
@@ -123,14 +140,14 @@ class TestSykHamiltonian:
                     fresh = np.zeros((2 ** n_side, 2 ** n_side), dtype=complex)
                     for (i, j, k, l), val in c.entries.items():
                         fresh -= (1.0 / 24 * val) * (g[i] @ g[j] @ g[k] @ g[l])
-                    assert np.array_equal(models.build_syk_side_matrix(c, side, n_side), fresh)
-            for side in local:
-                products = models._side_quartics(side, n_side)
-                assert products is models._side_quartics(side, n_side)
-                assert len(products) == math.comb(2 * n_side, 4)
-                assert not any(p.flags.writeable for p in products.values())
-                gammas = models._side_majoranas(side, n_side)
-                assert not any(g.flags.writeable for g in gammas)
+                    got = models.build_syk_side_matrix(c, side, n_side)
+                    assert got.tobytes() == fresh.tobytes()
+            products = models._side_quartics(n_side)
+            assert products is models._side_quartics(n_side)
+            assert len(products) == math.comb(2 * n_side, 4)
+            assert not any(p.flags.writeable for p in products.values())
+            gammas = models._side_majoranas(n_side)
+            assert not any(g.flags.writeable for g in gammas)
         with pytest.raises(ValueError, match="side"):
             models.build_syk_side_matrix(c, "middle", 4)
 
@@ -384,9 +401,45 @@ class TestInverseNormalCdf:
 
 
 class TestMajoranaEmbeddings:
+    @staticmethod
+    def _layout_block(n_side: int) -> tuple:
+        """The block Majoranas from the layout's one family: left j is
+        L_j (x) Z^(x n_side), right j is I (x) R_j with R_j the mirror of
+        L_j."""
+        parity = qop.kron_all([qop.PAULI_Z] * n_side)
+        local = [layout.left_majorana_local(n_side, j) for j in range(2 * n_side)]
+        left = [np.kron(g, parity) for g in local]
+        right = [np.kron(np.eye(2 ** n_side), layout.mirror(g, n_side)) for g in local]
+        return left, right
+
+    def test_mirror_is_the_jordan_wigner_right_majorana(self):
+        for n_side in range(1, 6):
+            for j in range(2 * n_side):
+                got = layout.mirror(layout.left_majorana_local(n_side, j), n_side)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, _right_majorana_jw(n_side, j))
+        # a stack mirrors matrix by matrix
+        stack = np.stack([layout.left_majorana_local(3, j) for j in range(6)])
+        got = layout.mirror(stack, 3)
+        assert got.flags.c_contiguous
+        for j in range(6):
+            assert np.array_equal(got[j], _right_majorana_jw(3, j))
+
+    def test_block_majoranas_are_the_jordan_wigner_ones(self):
+        # and so are the pair occupations (1 + i gL_j gR_j)/2 built from them
+        for n_side in (1, 2, 3, 4):
+            left, right = _block_majoranas_jw(n_side)
+            for got, want in zip(self._layout_block(n_side), (left, right)):
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+            eye = np.eye(4 ** n_side)
+            for j in range(2 * n_side):
+                want = 0.5 * (eye + 1j * (left[j] @ right[j]))
+                assert np.array_equal(layout.pair_number_op(n_side, j), want)
+
     def test_block_anticommutation(self):
-        ops = [layout.left_majorana_block(3, j) for j in range(6)]
-        ops += [layout.right_majorana_block(3, j) for j in range(6)]
+        left, right = self._layout_block(3)
+        ops = left + right
         for a, ga in enumerate(ops):
             for b, gb in enumerate(ops):
                 target = 2.0 * np.eye(64) if a == b else 0.0
@@ -394,7 +447,7 @@ class TestMajoranaEmbeddings:
 
     def test_quartic_left_is_block_local(self):
         c = models.sample_syk_couplings(6, 4, 1.0, seed=1)
-        gl = [layout.left_majorana_block(3, j) for j in range(6)]
+        gl = _block_majoranas_jw(3)[0]
         h = np.zeros((64, 64), dtype=complex)
         for (i, j, k, l), v in c.entries.items():
             h -= (v / 24.0) * (gl[i] @ gl[j] @ gl[k] @ gl[l])
@@ -403,7 +456,7 @@ class TestMajoranaEmbeddings:
 
     def test_quartic_right_is_block_local(self):
         c = models.sample_syk_couplings(6, 4, 1.0, seed=1)
-        gr = [layout.right_majorana_block(3, j) for j in range(6)]
+        gr = _block_majoranas_jw(3)[1]
         h = np.zeros((64, 64), dtype=complex)
         for (i, j, k, l), v in c.entries.items():
             h -= (v / 24.0) * (gr[i] @ gr[j] @ gr[k] @ gr[l])

@@ -60,6 +60,14 @@ class TestConfig:
             protocol.get_engine(protocol.ProtocolConfig(
                 message="arbitrary", readout_sites=(5, 6)))
 
+    def test_size_modes_must_not_repeat(self):
+        # the size operator counts each pair once, so a repeated mode would
+        # run as if given once
+        for modes in ((0, 0), (2, 1, 2)):
+            with pytest.raises(protocol.ConfigError, match="size modes must not repeat"):
+                protocol.ProtocolConfig(size_modes=modes).validate()
+        protocol.ProtocolConfig(size_modes=(2, 1)).validate()
+
     def test_list_fields_are_config_errors(self):
         # the engine cache hashes these fields, and a list cannot be hashed
         for name, value in (("size_modes", [5]), ("readout_sites", [6])):
@@ -299,7 +307,7 @@ class TestWormholeUnitary:
         cfg = protocol.ProtocolConfig(seed=3, beta=4.0, g=1.3, t=0.9,
                                       thermal_readout=False)
         eng = protocol.Engine(cfg)
-        c = eng.couplings
+        c = models.sample_syk_couplings(6, 4, cfg.j_scale, cfg.seed)
         h_l = models.build_syk_hamiltonian(c, "left", REG1)
         h_r = models.build_syk_hamiltonian(c, "right", REG1)
         u = protocol.wormhole_unitary(h_l, h_r, protocol.build_insert(cfg), eng.size,
@@ -943,6 +951,24 @@ class TestTBatching:
                 with pytest.raises(protocol.ConfigError):
                     call(bad)
 
+    def test_bad_g_raises_before_any_stage(self, monkeypatch):
+        # g has the rule of beta and t: a nonempty, finite scalar or 1-D
+        # array, checked before any stage is built
+        stages = _record_stages(monkeypatch)
+        eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
+        engb = protocol.Engine(_bell_cfg(seed=1))
+        calls = (lambda g: eng.curve_basis_z(0.0, 1.0, g),
+                 lambda g: engb.curve_bell(0.0, 2.0, g),
+                 lambda g: eng.curve_arbitrary_avg(0.0, 1.0, g, _haar(5)),
+                 lambda g: eng.finish(eng.message_vector(), 0.0, g, 1.0,
+                                      eng.basis_z_value))
+        for call in calls:
+            for bad in ([], np.zeros((0,)), [[0.5, 1.0]], np.zeros((2, 2)),
+                        [0.5, math.nan], [math.inf]):
+                with pytest.raises(protocol.ConfigError, match="g must"):
+                    call(bad)
+        assert stages == []
+
     def test_bad_beta_raises_before_any_stage(self, monkeypatch):
         # beta is checked at every public entry point, before the TFD or
         # the thermal weights are built, so no stage warns on it first
@@ -1162,8 +1188,9 @@ class TestSharedInsert:
         cfg = protocol.ProtocolConfig(seed=3, beta=4.0, g=1.3, t=0.9,
                                       thermal_readout=False, fermionic_insert=True)
         eng = protocol.Engine(cfg)
-        h_l = models.build_syk_hamiltonian(eng.couplings, "left", REG1)
-        h_r = models.build_syk_hamiltonian(eng.couplings, "right", REG1)
+        c = models.sample_syk_couplings(6, 4, cfg.j_scale, cfg.seed)
+        h_l = models.build_syk_hamiltonian(c, "left", REG1)
+        h_r = models.build_syk_hamiltonian(c, "right", REG1)
         u = protocol.wormhole_unitary(h_l, h_r, protocol.build_insert(cfg), eng.size,
                                       cfg.g, cfg.t, REG1)
         tfd_state = eng.tfd_vector(cfg.beta)
@@ -1516,7 +1543,6 @@ class TestSharedRealization:
                   protocol.Engine(protocol.ProtocolConfig(seed=13, fermionic_insert=True)),
                   protocol.Engine(_bell_cfg(seed=13)))
         for eng in shared:
-            assert eng.couplings is a.couplings
             assert eng.eig_left is a.eig_left and eng.eig_right is a.eig_right
         for eig in (a.eig_left, a.eig_right):
             assert not eig.values.flags.writeable
@@ -1527,10 +1553,15 @@ class TestSharedRealization:
         assert not a._levels.flags.writeable and not a._column_levels.flags.writeable
         assert other.eig_left is not a.eig_left
         scaled = protocol.Engine(protocol.ProtocolConfig(seed=13, j_scale=2.0))
-        assert scaled.couplings is not a.couplings
+        assert scaled.eig_left is not a.eig_left
         tfim = protocol.Engine(protocol.ProtocolConfig(seed=13, model="tfim", t=1.0))
-        assert tfim.couplings is None
         assert not tfim.eig_right.vectors.flags.writeable
+        # a realization of either model is its two side eigensystems
+        for eng in (a, tfim):
+            cfg = eng.cfg
+            realization = protocol._realization(cfg.seed, cfg.model, cfg.j_scale, cfg.n_side)
+            assert len(realization) == 2
+            assert realization[0] is eng.eig_left and realization[1] is eng.eig_right
 
     @pytest.mark.parametrize("n_side", [3, 4])
     def test_batched_build_has_the_bits_of_lone_builds(self, n_side):
@@ -1543,8 +1574,7 @@ class TestSharedRealization:
             eng = protocol.Engine(replace(cfg, seed=seed))
             eigs = (eng.eig_left.values, eng.eig_left.vectors,
                     eng.eig_right.values, eng.eig_right.vectors)
-            table = None if eng.couplings is None else list(eng.couplings.entries.values())
-            return (table, [e.view(np.uint64).tobytes() for e in eigs],
+            return ([e.view(np.uint64).tobytes() for e in eigs],
                     eng.curve_basis_z(*grids).view(np.uint64).tobytes())
 
         for model in ("syk", "tfim"):
@@ -1567,6 +1597,20 @@ class TestSharedRealization:
             assert np.array_equal(np.array(row.h_fields).view(np.uint64),
                                   np.array(lone).view(np.uint64))
 
+    def test_one_side_sum_per_slice(self, monkeypatch):
+        # the right side is the mirror of the left sum, not a second sum
+        sums, build = [], models.build_syk_side_matrix
+
+        def counted(couplings, side, n_side):
+            sums.append(side)
+            return build(couplings, side, n_side)
+
+        monkeypatch.setattr(models, "build_syk_side_matrix", counted)
+        protocol._realization.clear()
+        protocol.build_realizations(protocol.ProtocolConfig(), range(20))
+        assert protocol._realization.builds == 20
+        assert sums == ["left"]
+
     def test_realization_cache_bounds_a_batch(self):
         cfg = protocol.ProtocolConfig()
         with pytest.raises(protocol.ConfigError, match="at most"):
@@ -1588,7 +1632,6 @@ class TestSharedRealization:
     def test_shared_eigensystems_match_a_fresh_build(self):
         eng = protocol.Engine(protocol.ProtocolConfig(seed=13, swap_variant="delta02"))
         c = models.sample_syk_couplings(6, 4, protocol.DEFAULT_J_SCALE, 13)
-        assert c.entries == eng.couplings.entries
         for side, eig in (("left", eng.eig_left), ("right", eng.eig_right)):
             fresh = qop.hermitian_eig(models.build_syk_side_matrix(c, side, 3))
             assert np.array_equal(fresh.values, eig.values)
@@ -1679,12 +1722,20 @@ class TestBell:
             engb.curve_bell(math.inf, protocol.DEFAULT_T_BELL, [0.5])
 
 
+def _block_majorana(side: str, j: int) -> np.ndarray:
+    """Majorana j of one side on the doubled 6-qubit block, by one
+    Jordan-Wigner ordering over the block: left j is block mode j//2,
+    right j the mirrored block mode 5 - j//2."""
+    mode = j // 2 if side == "left" else 5 - j // 2
+    return qop.majorana(6, 2 * mode + j % 2)
+
+
 def _two_sided_correlator(i: int, j: int, beta: float, h_side: np.ndarray) -> complex:
     """<TFD(beta)| gL_i gR_j |TFD(beta)> on the doubled block, the TFD
     built by tfd.build_tfd from the side Hamiltonian's eigensystem."""
     reg = layout.RegisterLayout(n_message=1, n_side=3)
     state = tfd.build_tfd(qop.hermitian_eig(h_side), beta, reg)
-    op = layout.left_majorana_block(3, i) @ layout.right_majorana_block(3, j)
+    op = _block_majorana("left", i) @ _block_majorana("right", j)
     return complex(qop.expectation(state, op))
 
 
@@ -1706,7 +1757,8 @@ class TestThermalCorrelation:
         # restrict block operators to the factors they act on
         a = eig.vectors.conj().T @ layout.left_majorana_local(3, 1) @ eig.vectors
         string = qop.kron_all([qop.PAULI_Z] * 3)
-        b = v_pair.conj().T @ (string @ layout.right_majorana_local(3, 4)) @ v_pair
+        right = layout.mirror(layout.left_majorana_local(3, 4), 3)
+        b = v_pair.conj().T @ (string @ right) @ v_pair
         want = (a * b).sum() / 8.0
         got = _two_sided_correlator(1, 4, 0.0, h)
         assert abs(got - want) <= 1e-10
@@ -1718,7 +1770,7 @@ class TestThermalCorrelation:
         eng = protocol.Engine(protocol.ProtocolConfig(seed=1))
         k = eng.tfd_weights(np.array([beta]))[0][:, None] * _pair_coefficients(eng)
         state = (eng.eig_left.vectors @ k @ eng.eig_right.vectors.T).reshape(-1)
-        op = layout.left_majorana_block(3, 0) @ layout.right_majorana_block(3, 2)
+        op = _block_majorana("left", 0) @ _block_majorana("right", 2)
         want = np.vdot(state, op @ state)
         assert abs(_two_sided_correlator(0, 2, beta, self._h(1)) - want) <= 1e-12
 
