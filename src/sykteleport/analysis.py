@@ -1,17 +1,18 @@
 """Parameter sweeps, disorder statistics, recovery times and the
 exponential-decay temperature fit.
 
-A sweep's unit of work is a contiguous slice of seeds, whose realizations
-and Haar messages are one batched build each, in one process or spread
-over a pool; only a sweep with more than one worker imports the process
-pool, so a serial run loads no multiprocessing.
+A sweep's unit of work is a contiguous slice of seeds: one engine over
+the slice's seed axis, whose realizations and Haar messages are one
+batched build each, and one engine call, in one process or spread over a
+pool; only a sweep with more than one worker imports the process pool,
+so a serial run loads no multiprocessing.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -205,23 +206,19 @@ class RecordTable:
 
 def _slice_values(spec: SweepSpec, seeds: list) -> np.ndarray:
     """Every value of a slice of at most ENGINE_CACHE_SIZE seeds in key
-    order (seed, beta, g, t): one batched realization build, one batched
-    Haar draw, and one engine call per seed over the whole grid."""
-    protocol.build_realizations(spec.base, seeds)
+    order (seed, beta, g, t): one engine over the slice's seed axis (one
+    batched realization build), one batched Haar draw, and one engine call
+    over the whole grid."""
+    eng = protocol.get_engine(spec.base, seeds)
     grids = (spec.beta_grid, spec.t_grid, spec.g_grid)
-    messages = (protocol.draw_haar_samples(seeds, spec.n_samples)
-                if spec.metric == "arbitrary_avg" else repeat(None))
-    values = []
-    for seed, seed_messages in zip(seeds, messages):
-        eng = protocol.get_engine(replace(spec.base, seed=seed))
-        if spec.metric == "basis_z":
-            out = eng.curve_basis_z(*grids)
-        elif spec.metric == "bell_stabilizer":
-            out = eng.curve_bell(*grids)
-        else:
-            out, _ = eng.curve_arbitrary_avg(*grids, seed_messages)
-        values.append(out.transpose(0, 2, 1).reshape(-1))
-    return np.concatenate(values)
+    if spec.metric == "basis_z":
+        out = eng.curve_basis_z(*grids)
+    elif spec.metric == "bell_stabilizer":
+        out = eng.curve_bell(*grids)
+    else:
+        out, _ = eng.curve_arbitrary_avg(
+            *grids, protocol.draw_haar_samples(seeds, spec.n_samples))
+    return out.transpose(0, 1, 3, 2).reshape(-1)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
@@ -236,6 +233,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> RecordTable:
     process may run on.
     """
     spec.validate()
+    if not protocol._is_integer(workers):
+        raise SweepError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise SweepError(f"workers must be at least 1, got {workers}")
     seeds = sorted(spec.seeds)

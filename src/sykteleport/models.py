@@ -205,16 +205,17 @@ _NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
-def _polevl(x: float, coef: tuple) -> float:
+def _polevl(x, coef: tuple):
     """Cephes polevl: the polynomial with coefficients coef, highest
-    degree first, by Horner's rule."""
+    degree first, by Horner's rule, at a float or at each entry of an
+    array."""
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _p1evl(x: float, coef: tuple) -> float:
+def _p1evl(x, coef: tuple):
     """Cephes p1evl: as _polevl with a leading coefficient 1 prepended."""
     ans = x + coef[0]
     for c in coef[1:]:
@@ -222,32 +223,46 @@ def _p1evl(x: float, coef: tuple) -> float:
     return ans
 
 
-def _ndtri(y: float) -> float:
-    """Inverse of the standard normal CDF on [0, 1], operation for
-    operation the Cephes routine, so bit for bit scipy.special.ndtri."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log of every entry of a 1-D float array: numpy's log can differ
+    from it in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
+
+
+def _ndtri(y):
+    """Inverse of the standard normal CDF on [0, 1] of a float or of every
+    entry of an array, operation for operation the Cephes routine, so bit
+    for bit scipy.special.ndtri: the arithmetic as array code, whose
+    +, -, *, / and sqrt round as the scalar ones do, and the logarithms
+    by math.log."""
+    y = np.asarray(y, dtype=float)
+    flat = y.reshape(-1)
+    if not ((flat >= 0.0) & (flat <= 1.0)).all():
         raise ValueError(f"ndtri needs 0 <= y <= 1, got {y!r}")
-    upper = y > 1.0 - _NDTRI_EXPM2
-    if upper:
-        y = 1.0 - y
-    if y > _NDTRI_EXPM2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
-        return x * _NDTRI_S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
+    out = np.empty_like(flat)
+    upper = flat > 1.0 - _NDTRI_EXPM2
+    v = np.where(upper, 1.0 - flat, flat)
+    central = v > _NDTRI_EXPM2
+    c = v[central] - 0.5
+    c2 = c * c
+    out[central] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))
+                    ) * _NDTRI_S2PI
+    # the tails, where 0 and 1 are -inf and inf
+    ends = v == 0.0
+    tail = ~(central | ends)
+    x = np.sqrt(-2.0 * _log(v[tail]))
+    x0 = x - _log(x) / x
     z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    near = x < 8.0
+    x1 = np.empty_like(x)
+    x1[near] = z[near] * _polevl(z[near], _NDTRI_P1) / _p1evl(z[near], _NDTRI_Q1)
+    far = ~near
+    x1[far] = z[far] * _polevl(z[far], _NDTRI_P2) / _p1evl(z[far], _NDTRI_Q2)
     x = x0 - x1
-    return x if upper else -x
+    out[tail] = np.where(upper[tail], x, -x)
+    out[ends] = np.where(upper[ends], math.inf, -math.inf)
+    out = out.reshape(y.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_draw(seed, stream: int, index: np.ndarray, sigma: float) -> np.ndarray:
@@ -256,8 +271,7 @@ def gaussian_draw(seed, stream: int, index: np.ndarray, sigma: float) -> np.ndar
     sequence of seeds (see split_uniform)."""
     if np.ndim(index) != 1:
         raise ValueError("index must be a 1-D integer array")
-    u = split_uniform(seed, stream, index)
-    return np.array([sigma * _ndtri(v) for v in u.ravel().tolist()]).reshape(u.shape)
+    return sigma * _ndtri(split_uniform(seed, stream, index))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,12 @@ class TestRunSweep:
                 tiny_spec(metric="arbitrary_avg", n_samples=n_samples).validate()
         tiny_spec(metric="arbitrary_avg", n_samples=np.int64(3)).validate()
         tiny_spec(n_samples=0).validate()  # read by arbitrary_avg only
+        # a worker count is an integer, checked as the seeds are
+        for workers in (1.5, "2", 2.0, True, None):
+            with pytest.raises(analysis.SweepError, match="workers must be an integer"):
+                analysis.run_sweep(tiny_spec(), workers=workers)
+        assert len(analysis.run_sweep(tiny_spec(), workers=np.int64(1))) == len(
+            analysis.run_sweep(tiny_spec()))
 
     def test_seeds_and_sample_counts_are_integers(self):
         # a float or bool seed would run as int(seed) and write that seed in

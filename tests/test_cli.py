@@ -629,21 +629,29 @@ class TestMain:
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_timeevol_builds_one_engine_per_seed(self, tmp_path, monkeypatch):
-        # the engine cache holds every seed of a preset, so the t sweeps of
-        # the second stage find the engines of the g sweep
+    def test_timeevol_builds_one_engine_per_slice(self, tmp_path, monkeypatch):
+        # the 20 seeds of a preset are one slice, whose engine the engine
+        # cache holds, so the t sweeps of the second stage find the engine
+        # of the g sweep, and each engine call takes the whole slice
         protocol._engine_cached.cache_clear()
         protocol._realization.clear()
-        seeds = []
-        init = protocol.Engine.__init__
+        slices, calls = [], []
+        init, finish = protocol.Engine.__init__, protocol.Engine.finish
 
-        def counted(self, cfg):
-            seeds.append(cfg.seed)
-            init(self, cfg)
+        def counted(self, cfg, seeds=None):
+            slices.append(seeds)
+            init(self, cfg, seeds)
+
+        def counted_finish(self, *args):
+            calls.append(self.seeds)
+            return finish(self, *args)
         monkeypatch.setattr(protocol.Engine, "__init__", counted)
+        monkeypatch.setattr(protocol.Engine, "finish", counted_finish)
         cli.run_figure("timeevol", manifest(tmp_path, master_seed=0))
-        assert len(seeds) == len(set(seeds)) == 20
+        assert len(slices) == 1 and len(set(slices[0])) == 20
         assert protocol._realization.builds == 20
+        # the g sweep and one t sweep per beta
+        assert calls == [tuple(slices[0])] * (1 + len(analysis.DEFAULT_BETA_GRID))
 
     def test_unknown_figure_raises(self, tmp_path):
         with pytest.raises(cli.CliError, match="sq3"):

@@ -365,6 +365,33 @@ class TestBatchedDraws:
             assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
+def _ndtri_reference(y: float) -> float:
+    """The Cephes ndtri one float at a time, with Python float arithmetic
+    and math.log, the reference models._ndtri is checked against."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    upper = y > 1.0 - models._NDTRI_EXPM2
+    if upper:
+        y = 1.0 - y
+    if y > models._NDTRI_EXPM2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * models._polevl(y2, models._NDTRI_P0)
+                     / models._p1evl(y2, models._NDTRI_Q0))
+        return x * models._NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * models._polevl(z, models._NDTRI_P1) / models._p1evl(z, models._NDTRI_Q1)
+    else:
+        x1 = z * models._polevl(z, models._NDTRI_P2) / models._p1evl(z, models._NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
 class TestInverseNormalCdf:
     def test_matches_scipy_bit_for_bit(self):
         # every branch: the central range, both tails with
@@ -387,6 +414,27 @@ class TestInverseNormalCdf:
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
                 models._ndtri(bad)
+
+    def test_array_route_matches_the_scalar_routine(self):
+        # 10^5 split_uniform draws, both tails with sqrt(-2 log y) below
+        # and above 8, the branch edges and the ends 0 and 1, in one call
+        edge = models._NDTRI_EXPM2
+        y = np.concatenate([
+            models.split_uniform([3, 2 ** 40], models.STREAM_SYK,
+                                 np.arange(50_000)).reshape(-1),
+            np.logspace(-323, -0.5, 5000), 1.0 - np.logspace(-16.5, -0.5, 5000),
+            np.nextafter(edge, [0.0, 1.0]), np.nextafter(1.0 - edge, [0.0, 1.0]),
+            [0.0, 1.0, edge, 1.0 - edge, 0.5, 5e-324],
+        ])
+        want = np.array([_ndtri_reference(v) for v in y.tolist()])
+        got = models._ndtri(y)
+        assert got.shape == y.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got[-6:-4].tolist() == [-math.inf, math.inf]
+        # a 2-D array keeps its shape; a float gives a float
+        assert np.array_equal(models._ndtri(y[:10].reshape(2, 5)), got[:10].reshape(2, 5))
+        assert isinstance(models._ndtri(0.25), float)
+        assert models._ndtri(0.25) == _ndtri_reference(0.25)
 
     def test_couplings_match_scipy_route(self):
         for seed in range(20):

@@ -151,6 +151,17 @@ class TestSizeOperator:
         with pytest.raises(qop.QopError):
             protocol.build_size_operator(REG1, modes=())
 
+    def test_repeated_modes_rejected(self):
+        # the rule of ProtocolConfig.validate: a repeated mode is an error,
+        # not a mode counted once
+        for modes in ((0, 0), (1, 0, 1)):
+            with pytest.raises(qop.QopError, match="repeat"):
+                protocol.build_size_operator(REG1, modes=modes)
+        # the order of distinct modes does not matter: one cached operator
+        assert (protocol.build_size_operator(REG1, modes=(1, 0))
+                is protocol.build_size_operator(REG1, modes=(0, 1)))
+        assert protocol.build_size_operator(REG1, modes=(1, 0)).modes == (0, 1)
+
 
 class TestInsert:
     def test_swap_moves_message(self):
@@ -1536,6 +1547,166 @@ class TestArbitraryAverage:
                 assert np.abs(got - want).max() <= 1e-14
 
 
+def _seed_axis_metrics(cfg) -> dict:
+    """name -> curve(engine, messages, beta, t, g_values) for every metric
+    of cfg's message; the Haar average takes its mean and standard error
+    as one array and each seed's messages."""
+    if cfg.message == "bell_phi_plus":
+        return {"bell": lambda eng, msgs, *axes: eng.curve_bell(*axes)}
+    return {"basis_z": lambda eng, msgs, *axes: eng.curve_basis_z(*axes),
+            "haar": lambda eng, msgs, *axes: np.stack(
+                eng.curve_arbitrary_avg(*axes, msgs), axis=-1)}
+
+
+def _check_seed_axis(cfg, seeds, calls):
+    """Every metric of an engine over the seed axis `seeds` at every
+    (beta, t, g_values) of `calls` holds, for each seed, the bits of that
+    seed's lone engine."""
+    stacked = protocol.Engine(cfg, seeds)
+    lone = [protocol.Engine(replace(cfg, seed=seed)) for seed in seeds]
+    messages = protocol.draw_haar_samples(seeds, 10)
+    for name, curve in _seed_axis_metrics(cfg).items():
+        for beta, t, g_values in calls:
+            got = curve(stacked, messages, beta, t, g_values)
+            assert got.shape[0] == len(seeds), name
+            for eng, msgs, values in zip(lone, messages, got):
+                want = curve(eng, msgs, beta, t, g_values)
+                assert values.shape == want.shape, (name, beta, t)
+                assert values.tobytes() == want.tobytes(), (name, beta, t, len(g_values))
+
+
+class TestSeedAxis:
+    """An engine over a 1-D seed axis gives each seed the bits of the
+    seed's lone engine: every metric, every geometry and both models, in
+    both coupling orders, with one-beta, one-t and one-g calls."""
+
+    SEEDS = (3, 11, 2 ** 40 + 5)
+    BETAS = np.array([0.0, 5.0, 100.0])
+    G_SWEEP = np.linspace(0.0, 4 * math.pi, 25)
+
+    @pytest.mark.parametrize("n_side", [3, 4])
+    @pytest.mark.parametrize("fermionic", [False, True])
+    @pytest.mark.parametrize("variant", protocol.VARIANTS)
+    def test_slice_matches_lone_engines(self, variant, fermionic, n_side):
+        bell = variant == "bell_sequential"
+        cfg = protocol.ProtocolConfig(message="bell_phi_plus" if bell else "basis_zero",
+                                      swap_variant=variant, fermionic_insert=fermionic,
+                                      n_side=n_side)
+        t = 2.0 if bell else 1.0
+        _check_seed_axis(cfg, self.SEEDS, (
+            (self.BETAS, t, self.G_SWEEP),           # the level order
+            (5.0, [0.5, 1.5, t], [1.3]),             # the maps order, one beta and g
+            (self.BETAS, [0.5, t], [0.4, 1.3]),
+            (100.0, t, [1.3]),                       # one point
+            (0.0, [t], self.G_SWEEP[:9])))           # one t
+
+    def test_kicked_ising_slice(self):
+        cfg = protocol.ProtocolConfig(model="tfim", t=1.0)
+        _check_seed_axis(cfg, self.SEEDS, (
+            (self.BETAS, 1.0, self.G_SWEEP), (5.0, [1.0, 2.0, 3.0], [1.3]),
+            (100.0, 2.0, [0.4, 1.3]), (0.0, [1.0], self.G_SWEEP[:9])))
+
+    def test_slice_straddles_chunks(self, monkeypatch):
+        # small budgets: the level order puts whole seeds of the slice in
+        # chunks of two or four, the last one short, and its groups take
+        # two seeds' rows at one beta; the maps order cuts each seed's t
+        # axis into chunks of one t and reads consecutive chunks across
+        # seeds; a g sweep's y(g) comes in several blocks
+        monkeypatch.setattr(protocol, "G_BLOCK_BYTES", 2 ** 15)
+        monkeypatch.setattr(protocol, "BATCH_BYTES", 2 ** 15)
+        seeds = (5, 6, 7, 8, 9)
+        ts = np.linspace(0.5, 4.0, 8)
+        for cfg, t in ((protocol.ProtocolConfig(), 1.0), (_bell_cfg(), 2.0)):
+            _check_seed_axis(cfg, seeds, (
+                (self.BETAS, t, self.G_SWEEP), (0.0, t, self.G_SWEEP),
+                (self.BETAS, ts, [1.3]), (5.0, ts, [0.4, 1.3])))
+
+    def test_shapes_and_checks(self):
+        eng = protocol.Engine(protocol.ProtocolConfig(), self.SEEDS)
+        gs = self.G_SWEEP
+        assert eng.seeds == self.SEEDS
+        assert eng.eig_left.values.shape == (3, 8) and eng.eig_right.vectors.shape == (3, 8, 8)
+        assert not eng.eig_left.vectors.flags.writeable
+        # the seed axis comes first, then the axes of beta and t, then g
+        assert eng.curve_basis_z(0.0, 1.0, gs).shape == (3, len(gs))
+        assert eng.curve_basis_z(self.BETAS, [1.0, 2.0], gs).shape == (3, 3, 2, len(gs))
+        assert eng.tfd_weights(self.BETAS).shape == (3, 3, 8)
+        assert eng.dressed_state(eng.message_vector(), np.array([1.0, 2.0])).shape == (
+            3, 8, 4, 8)
+        mean, stderr = eng.curve_arbitrary_avg(0.0, 1.0, gs,
+                                               protocol.draw_haar_samples(self.SEEDS, 4))
+        assert mean.shape == stderr.shape == (3, len(gs))
+        # each seed takes its own messages
+        for bad in (protocol.draw_haar_samples(self.SEEDS[:2], 4),
+                    protocol.draw_haar_samples(self.SEEDS[:1], 4)[0]):
+            with pytest.raises(protocol.ConfigError, match="messages"):
+                eng.curve_arbitrary_avg(0.0, 1.0, gs, bad)
+        with pytest.raises(protocol.ConfigError, match="one reading per seed"):
+            eng.finish(protocol._BRANCH_INPUTS, 0.0, gs, 1.0, [lambda r: r])
+        # a sequence of readings hands each seed's rows to its own, in both
+        # coupling orders
+        readings = [lambda r, k=k: np.full(r.shape[:2], float(k)) for k in range(3)]
+        for g_values in (gs, [1.3]):
+            got = eng.finish(eng.message_vector(), self.BETAS, g_values, [1.0, 2.0], readings)
+            assert got.shape == (3, 3, 2, len(g_values))
+            assert (got == np.arange(3.0)[:, None, None, None]).all()
+        for seeds in ((), [[1, 2]], (1.5, 2), (True,), 3):
+            with pytest.raises(protocol.ConfigError, match="seeds"):
+                protocol.Engine(protocol.ProtocolConfig(), seeds)
+            with pytest.raises(protocol.ConfigError, match="seeds"):
+                protocol.get_engine(protocol.ProtocolConfig(), seeds)
+        with pytest.raises(protocol.ConfigError, match="at most"):
+            protocol.Engine(protocol.ProtocolConfig(), range(protocol.ENGINE_CACHE_SIZE + 1))
+
+    def test_engine_cache_counts_seeds(self):
+        # get_engine keeps engines of at most ENGINE_CACHE_SIZE seeds in all
+        protocol._engine_cached.cache_clear()
+        cfg = protocol.ProtocolConfig()
+        first = protocol.get_engine(cfg, range(20))
+        assert protocol.get_engine(cfg, tuple(range(20))) is first
+        lone = protocol.get_engine(replace(cfg, seed=40))
+        assert protocol.get_engine(replace(cfg, seed=40)) is lone
+        protocol.get_engine(cfg, range(20, 32))  # 33 seeds: the oldest goes
+        assert protocol.get_engine(replace(cfg, seed=40)) is lone
+        assert protocol.get_engine(cfg, range(20)) is not first
+
+
+class TestSeedAxisMemory:
+    """A chunk takes whole seeds only as far as G_BLOCK_BYTES holds their
+    t stage and dressed rows, the d products of the t stage are formed a
+    few seeds at a time, the maps order takes one seed per chunk, each
+    group's values go straight to the output, and a Haar reading is made
+    for one seed at a time, so that beyond its result, which has a seed
+    axis, a 32-seed call holds about what a one-seed call holds."""
+
+    @pytest.mark.parametrize("n_side", [3, 4])
+    def test_32_seed_peak_near_one(self, n_side):
+        seeds = tuple(range(100, 132))
+        betas = np.array(analysis.DEFAULT_BETA_GRID)
+        gs = np.linspace(0.0, 4 * math.pi, 201)
+        window = np.array(analysis.BELL_T_WINDOW)[::4 if n_side == 3 else 18]
+        basis = protocol.ProtocolConfig(n_side=n_side)
+        bell = _bell_cfg(n_side=n_side)
+        messages = protocol.draw_haar_samples(seeds, 100)
+        # the shapes of sq1, fig34, the first stage of heatmap-t and
+        # neofidelity, and the second stage of heatmap-t
+        calls = (
+            (basis, lambda eng, msgs: eng.curve_basis_z(betas, 1.0, gs)),
+            (bell, lambda eng, msgs: eng.curve_bell(betas, 2.0, gs)),
+            (bell, lambda eng, msgs: eng.curve_bell(0.0, 2.0, gs)),
+            (basis, lambda eng, msgs: eng.curve_arbitrary_avg((0.0, 20.0), 1.0, gs[::4], msgs)),
+            (bell, lambda eng, msgs: eng.curve_bell(betas, window, [1.9])))
+        for cfg, call in calls:
+            peaks = []
+            for eng, msgs in ((protocol.Engine(replace(cfg, seed=seeds[0])), messages[0]),
+                              (protocol.Engine(cfg, seeds), messages)):
+                result = call(eng, msgs)  # warm: the engine's tensors are built
+                result_bytes = sum(np.asarray(r).nbytes for r in
+                                   (result if isinstance(result, tuple) else (result,)))
+                peaks.append(_peak(lambda: call(eng, msgs)) - result_bytes)
+            assert peaks[1] <= 1.25 * peaks[0], (cfg.message, peaks)
+
+
 class TestSharedRealization:
     def test_variants_share_read_only_eigensystems(self):
         a = protocol.Engine(protocol.ProtocolConfig(seed=13))
@@ -1580,7 +1751,7 @@ class TestSharedRealization:
         for model in ("syk", "tfim"):
             cfg = protocol.ProtocolConfig(n_side=n_side, model=model, t=1.0)
             protocol._realization.clear()
-            protocol.build_realizations(cfg, seeds)
+            protocol.Engine(cfg, seeds)
             assert protocol._realization.builds == len(seeds)
             batched = [bits(cfg, seed) for seed in seeds]
             assert protocol._realization.builds == len(seeds)
@@ -1607,21 +1778,21 @@ class TestSharedRealization:
 
         monkeypatch.setattr(models, "build_syk_side_matrix", counted)
         protocol._realization.clear()
-        protocol.build_realizations(protocol.ProtocolConfig(), range(20))
+        protocol.Engine(protocol.ProtocolConfig(), range(20))
         assert protocol._realization.builds == 20
         assert sums == ["left"]
 
     def test_realization_cache_bounds_a_batch(self):
         cfg = protocol.ProtocolConfig()
         with pytest.raises(protocol.ConfigError, match="at most"):
-            protocol.build_realizations(cfg, range(protocol.ENGINE_CACHE_SIZE + 1))
+            protocol.Engine(cfg, range(protocol.ENGINE_CACHE_SIZE + 1))
         protocol._realization.clear()
-        protocol.build_realizations(cfg, (5, 6, 5))
+        protocol.Engine(cfg, (5, 6, 5))
         assert protocol._realization.builds == 2
         # a batch of present seeds builds nothing and keeps them the newest
-        protocol.build_realizations(cfg, range(7, 7 + protocol.ENGINE_CACHE_SIZE - 2))
-        protocol.build_realizations(cfg, (5, 6))
-        protocol.build_realizations(cfg, (100, 101))
+        protocol.Engine(cfg, range(7, 7 + protocol.ENGINE_CACHE_SIZE - 2))
+        protocol.Engine(cfg, (5, 6))
+        protocol.Engine(cfg, (100, 101))
         assert protocol._realization.builds == protocol.ENGINE_CACHE_SIZE + 2
         protocol.Engine(replace(cfg, seed=5))
         protocol.Engine(replace(cfg, seed=6))
