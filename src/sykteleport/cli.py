@@ -340,19 +340,6 @@ def emit_csv(records, path, manifest: RunManifest, spec: analysis.SweepSpec):
     _write_atomic(path, head, blocks)
 
 
-def read_csv(path):
-    """Round-trip reader for emitted record files."""
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#") or line == CSV_HEADER or not line.strip():
-            continue
-        seed, beta, g, t, metric, variant, value, _ = line.split(",")
-        records.append(analysis.FidelityRecord(
-            seed=int(seed), beta=float(beta), g=float(g), t=float(t),
-            metric=metric, variant=variant, value=float(value)))
-    return records
-
-
 def emit_json(obj, path, manifest: RunManifest):
     payload = {
         "version": __version__,

@@ -784,7 +784,10 @@ class Engine:
         a little longer than one block is not split into a full block and a
         short one.  Rows whose whole g axis takes at most two thirds of
         G_BLOCK_BYTES share a block, as many as G_BLOCK_BYTES holds,
-        rounded."""
+        rounded.  The block width, the N dimension of `r @ phases` in
+        `_block_densities`, decides the bits of the values; the rows per
+        block do not: a product cut into column blocks can round otherwise
+        than the uncut one, and one cut into row blocks does not."""
         k = len(self.readout)
         width = n_in * 2 ** k
         rank = min(self.reg.dim >> k, width * len(self._levels))

@@ -198,10 +198,10 @@ class TestTfim:
         assert np.array_equal(u1, u2)
 
     def test_field_statistics(self):
-        hs = []
-        for seed in range(4000):
-            hs.extend(models.TfimParams.sample(3, seed=seed).h_fields)
-        hs = np.asarray(hs)
+        # 4000 seeds in one draw, each with the fields of its lone draw
+        params = models.TfimParams.sample(3, seed=range(4000))
+        assert params[1234] == models.TfimParams.sample(3, seed=1234)
+        hs = np.array([p.h_fields for p in params]).reshape(-1)
         n = len(hs)
         assert abs(hs.mean()) <= 3.0 * 0.5 / math.sqrt(n)
         assert abs(hs.var(ddof=1) - 0.25) <= 3.0 * 0.25 * math.sqrt(2.0 / (n - 1))
@@ -406,7 +406,9 @@ class TestInverseNormalCdf:
             [edge, 1.0 - edge, 0.5, 5e-324],
             (np.arange(64) + 0.5) / float(1 << 53), 1.0 - (np.arange(64) + 0.5) / float(1 << 53),
         ])
-        got = np.array([models._ndtri(v) for v in y.tolist()])
+        # the array route in one call; the scalar one is checked against
+        # the reference routine below
+        got = models._ndtri(y)
         assert np.array_equal(got, ndtri(y))
         assert np.signbit(got).tolist() == np.signbit(ndtri(y)).tolist()
 

@@ -55,8 +55,14 @@ def _exact_inputs():
         sides.append(([values[i] for i in range(values.rows)], vectors))
     d = 2 ** n_side
     vacuum = _mp(np.round(layout.bell_vacuum(n_side) * math.sqrt(d))).reshape(d, d)
-    modes = protocol.default_size_modes(2 * n_side)
-    occupations = [_mp(layout.pair_number_op(n_side, j)) for j in modes]
+    # each pair occupation (1 + i gL gR)/2 has at most two nonzero entries
+    # a row, kept as (row, column, value), so that applying one skips the
+    # products with its exact zeros
+    occupations = []
+    for j in protocol.default_size_modes(2 * n_side):
+        n_j = layout.pair_number_op(n_side, j)
+        occupations.append([(i, k, mpmath.mpc(complex(n_j[i, k])))
+                            for i, k in zip(*np.nonzero(n_j))])
     return sides, vacuum, occupations
 
 
@@ -89,7 +95,10 @@ def _exact_point(beta: float, g: float):
     phase = mpmath.expj(g) - 1
     psi = psi.reshape(2, d * d)
     for n_j in occupations:
-        psi = psi + phase * (psi @ n_j.T)
+        applied = np.full_like(psi, mpmath.mpc(0))
+        for i, k, value in n_j:
+            applied[:, i] += psi[:, k] * value
+        psi = psi + phase * applied
     psi = psi.reshape(2, d, d)
     weight = _function(right, lambda e: mpmath.exp(-beta * (e - e_right) / 2)
                        * mpmath.expj(-t * e))

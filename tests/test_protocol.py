@@ -361,8 +361,10 @@ def _dense_model_pieces(seed: int, beta: float, j_scale: float, n_side: int,
     """Full-register H_L, H_R and W_R, the TFD, and the eigensystem
     (values, vectors) of H_R, of one SYK realization at beta: W_R is built
     from that eigensystem and the TFD from a dense exponential of the side
-    matrix.  Read-only and built once per key, since at n_side 4 each
-    build takes a 1024-square eigensolve."""
+    matrix.  H_R is the identity on the message qubits, so a second message
+    qubit takes the eigensystem and W_R of the one-qubit register with an
+    identity in front.  Read-only and built once per key, since at n_side 4
+    a build takes a 512-square eigensolve."""
     reg = layout.RegisterLayout(n_message=n_message, n_side=n_side)
     c = models.sample_syk_couplings(2 * n_side, 4, j_scale, seed)
     h_l = models.build_syk_hamiltonian(c, "left", reg)
@@ -372,8 +374,12 @@ def _dense_model_pieces(seed: int, beta: float, j_scale: float, n_side: int,
     weight = expm(-0.5 * beta * (h_side - shift))
     vac = np.kron(weight, np.eye(2 ** n_side)) @ layout.bell_vacuum(n_side)
     tfd_state = vac / np.linalg.norm(vac)
-    e_r, v_r = np.linalg.eigh(h_r)
-    w_r = (v_r * np.exp(-0.5 * beta * (e_r - e_r.min()))) @ v_r.conj().T
+    if n_message > 1:
+        *_, w_r, _, e_r, v_r = _dense_model_pieces(seed, beta, j_scale, n_side, n_message - 1)
+        e_r, v_r, w_r = np.tile(e_r, 2), np.kron(np.eye(2), v_r), np.kron(np.eye(2), w_r)
+    else:
+        e_r, v_r = np.linalg.eigh(h_r)
+        w_r = (v_r * np.exp(-0.5 * beta * (e_r - e_r.min()))) @ v_r.conj().T
     pieces = (h_l, h_r, w_r, tfd_state, e_r, v_r)
     for piece in pieces:
         piece.setflags(write=False)
@@ -388,26 +394,33 @@ def _dense_geometry(n_side: int, n_message: int, swap_pairs: tuple, modes: tuple
     ins = np.eye(reg.dim)
     for a, b in swap_pairs:
         ins = qop.swap_matrix(reg.n_qubits, a, b) @ ins
+    return protocol.InsertOperator(matrix=ins), _dense_size_operator(n_side, modes)
+
+
+@lru_cache(maxsize=None)
+def _dense_size_operator(n_side: int, modes: tuple):
+    """The size operator on the two sides' 2 n_side qubits, shared by
+    every geometry of the same modes."""
     mat = sum(layout.pair_number_op(n_side, j) for j in modes).astype(complex)
     values, basis = eigh(mat)
-    size = protocol.SizeOperator(n_side=n_side, modes=modes, matrix=mat,
+    return protocol.SizeOperator(n_side=n_side, modes=modes, matrix=mat,
                                  eigenvalues=values, basis=basis)
-    return protocol.InsertOperator(matrix=ins), size
 
 
 def _dense_t_batch(cfg, message, t_values):
     """Normalized (thermally weighted when cfg says so) U(t) |m> (x) |TFD>
-    for every t on the full register, each side's evolution from a dense
-    eigendecomposition of its register Hamiltonian."""
+    for every t on the full register, each side's evolution applied
+    through a dense eigendecomposition of its register Hamiltonian."""
     h_l, _, ins, size, w_r, tfd_state, (e_r, v_r) = TestPipelineAgainstDense._dense_pieces(cfg)
     e_l, v_l = np.linalg.eigh(h_l)
     coupling = size.exp_ig_embedded(cfg.register, cfg.g)
     psi0 = np.kron(message, tfd_state)
     states = []
     for t in t_values:
-        u_l = (v_l * np.exp(-1j * e_l * t)) @ v_l.conj().T
-        u_r = (v_r * np.exp(-1j * e_r * t)) @ v_r.conj().T
-        psi = u_r @ (coupling @ (u_l @ (ins.matrix @ (u_l.conj().T @ psi0))))
+        phase_l, phase_r = np.exp(-1j * e_l * t), np.exp(-1j * e_r * t)
+        psi = v_l @ (phase_l.conj() * (v_l.conj().T @ psi0))
+        psi = v_l @ (phase_l * (v_l.conj().T @ (ins.matrix @ psi)))
+        psi = v_r @ (phase_r * (v_r.conj().T @ (coupling @ psi)))
         if cfg.thermal_readout:
             psi = w_r @ psi
         states.append(psi / np.linalg.norm(psi))
@@ -422,13 +435,31 @@ def _bell_stabilizer(n_qubits: int, a: int, b: int) -> np.ndarray:
     return 0.5 * (np.eye(2 ** n_qubits) + sum(pairs))
 
 
+def _dense_unitary(cfg, g: float) -> np.ndarray:
+    """protocol.wormhole_unitary at g of cfg's realization, register
+    geometry and t, read-only.  Built once per cfg at g with its readout
+    settings reset, as the unitary does not depend on them: at n_side 4
+    one build diagonalizes and multiplies 1024-square register matrices."""
+    return _dense_unitary_cached(replace(cfg, g=g, readout_sites=None, thermal_readout=True))
+
+
+@lru_cache(maxsize=None)
+def _dense_unitary_cached(cfg) -> np.ndarray:
+    h_l, h_r, ins, size, *_ = TestPipelineAgainstDense._dense_pieces(cfg)
+    u = protocol.wormhole_unitary(h_l, h_r, ins, size, cfg.g, cfg.t, cfg.register)
+    u.setflags(write=False)
+    return u
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _release_dense_model_pieces():
-    """The cached pieces take about 90 MB at n_side 4; drop them with the
+    """The cached pieces take about 130 MB at n_side 4; drop them with the
     module."""
     yield
     _dense_model_pieces.cache_clear()
     _dense_geometry.cache_clear()
+    _dense_size_operator.cache_clear()
+    _dense_unitary_cached.cache_clear()
 
 
 class TestPipelineAgainstDense:
@@ -438,11 +469,9 @@ class TestPipelineAgainstDense:
 
     @staticmethod
     def _dense_states(cfg, messages):
-        """Thermally weighted, unnormalized W_R U |m> (x) |TFD> per message,
-        from dense matrix exponentials on the full register."""
-        h_l, h_r, ins, size, w_r, tfd_state, _ = TestPipelineAgainstDense._dense_pieces(cfg)
-        u = protocol.wormhole_unitary(h_l, h_r, ins, size, cfg.g, cfg.t, cfg.register)
-        return [w_r @ u @ np.kron(m, tfd_state) for m in messages]
+        """Thermally weighted, unnormalized W_R U |m> (x) |TFD> per message
+        at cfg.g, from the dense protocol unitary on the full register."""
+        return TestPipelineAgainstDense._dense_g_batch(cfg, messages, [cfg.g])[0]
 
     @staticmethod
     def _dense_pieces(cfg):
@@ -457,20 +486,18 @@ class TestPipelineAgainstDense:
         return h_l, h_r, ins, size, w_r, tfd_state, eig_r
 
     @staticmethod
-    def _dense_g_batch(cfg, message, g_values):
-        """Normalized W_R U(g) |m> (x) |TFD> for every g from one dense
-        wormhole_unitary at g = 0: U(g) = U_R exp(i g upsilon) U_R^dagger U(0)."""
-        reg = cfg.register
-        h_l, h_r, ins, size, w_r, tfd_state, (e_r, v_r) = (
-            TestPipelineAgainstDense._dense_pieces(cfg))
-        u0 = protocol.wormhole_unitary(h_l, h_r, ins, size, 0.0, cfg.t, reg)
-        u_r = (v_r * np.exp(-1j * e_r * cfg.t)) @ v_r.conj().T
-        before = u_r.conj().T @ (u0 @ np.kron(message, tfd_state))
-        states = []
-        for g in g_values:
-            psi = w_r @ (u_r @ (size.exp_ig_embedded(reg, g) @ before))
-            states.append(psi / np.linalg.norm(psi))
-        return states
+    def _dense_g_batch(cfg, messages, g_values):
+        """Thermally weighted, unnormalized W_R U(g) |m> (x) |TFD>, one row
+        per message, for every g from the cached dense wormhole_unitary at
+        g = 0: U(g) = U_R exp(i g upsilon) U_R^dagger U(0), U_R applied
+        through the eigensystem of H_R."""
+        _, _, _, size, w_r, tfd_state, (e_r, v_r) = TestPipelineAgainstDense._dense_pieces(cfg)
+        u0 = _dense_unitary(cfg, 0.0)
+        phase = np.exp(-1j * e_r * cfg.t)[:, None]
+        psi0 = np.stack([np.kron(m, tfd_state) for m in messages], axis=1)
+        before = v_r @ (phase.conj() * (v_r.conj().T @ (u0 @ psi0)))
+        return [(w_r @ (v_r @ (phase * (v_r.conj().T @ (
+            size.exp_ig_embedded(cfg.register, g) @ before))))).T for g in g_values]
 
     def _cases(self, n=6):
         rng = np.random.default_rng(20250)
@@ -530,10 +557,11 @@ class TestPipelineAgainstDense:
             n = cfg.register.n_qubits
             z = qop.pauli_on(n, cfg.resolved_readout()[0], "Z")
             stab = _bell_stabilizer(n + 1, *bell.resolved_readout())
-            want_z = [float(np.real(qop.expectation(psi, z))) for psi in
-                      self._dense_g_batch(cfg, np.array([1, 0], dtype=complex), gs)]
-            want_bell = [float(np.real(qop.expectation(psi, stab))) for psi in
-                         self._dense_g_batch(bell, BELLS["phi_plus"], gs)]
+            basis_msg = np.array([1, 0], dtype=complex)
+            want_z = [float(np.real(qop.expectation(psi / np.linalg.norm(psi), z)))
+                      for (psi,) in self._dense_g_batch(cfg, [basis_msg], gs)]
+            want_bell = [float(np.real(qop.expectation(psi / np.linalg.norm(psi), stab)))
+                         for (psi,) in self._dense_g_batch(bell, [BELLS["phi_plus"]], gs)]
             eng, engb = protocol.get_engine(cfg), protocol.get_engine(bell)
             assert len(eng._levels) == len(engb._levels) == n_levels
             for order in (None, "maps", "levels"):
@@ -622,9 +650,8 @@ class TestReadoutSites:
         msg = BELLS["phi_plus"] if bell else np.array([1, 0], dtype=complex)
         n = cfg.register.n_qubits
         op = _bell_stabilizer(n, *sites) if bell else qop.pauli_on(n, sites[0], "Z")
-        h_l, h_r, ins, size, w_r, tfd_state, _ = TestPipelineAgainstDense._dense_pieces(cfg)
-        u = protocol.wormhole_unitary(h_l, h_r, ins, size, cfg.g, cfg.t, cfg.register)
-        psi = u @ np.kron(msg, tfd_state)
+        *_, w_r, tfd_state, _ = TestPipelineAgainstDense._dense_pieces(cfg)
+        psi = _dense_unitary(cfg, cfg.g) @ np.kron(msg, tfd_state)
         psi = w_r @ psi if thermal else psi
         want = float(np.real(qop.expectation(psi / np.linalg.norm(psi), op)))
         eng = protocol.get_engine(cfg)
@@ -1461,13 +1488,14 @@ class TestArbitraryAverage:
         assert stderr == 0.0
 
     def test_haar_sampling_is_bloch_uniform(self):
-        zs = []
-        for i in range(4000):
-            a, b = protocol.haar_qubit(0, i)
-            assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12
-            zs.append(abs(a) ** 2 - abs(b) ** 2)
+        # 4000 messages of seed 0 in one draw, each with the bits of
+        # haar_qubit(0, i) (TestBatchedDraws checks that bit for bit)
+        (msgs,) = protocol.draw_haar_samples([0], 4000)
+        assert np.array_equal(msgs[1234], protocol.haar_qubit(0, 1234))
+        p0, p1 = np.abs(msgs[:, 0]) ** 2, np.abs(msgs[:, 1]) ** 2
+        assert np.abs(p0 + p1 - 1.0).max() <= 1e-12
         # <z> = 0 and Var(z) = 1/3 on the uniform sphere
-        zs = np.asarray(zs)
+        zs = p0 - p1
         assert abs(zs.mean()) <= 3.0 / math.sqrt(3 * len(zs))
         assert abs(zs.var() - 1.0 / 3.0) <= 0.02
 
@@ -1689,13 +1717,18 @@ class TestSeedAxisMemory:
         bell = _bell_cfg(n_side=n_side)
         messages = protocol.draw_haar_samples(seeds, 100)
         # the shapes of sq1, fig34, the first stage of heatmap-t and
-        # neofidelity, and the second stage of heatmap-t
+        # neofidelity, and the second stage of heatmap-t; the two Bell
+        # sweeps in the level order (fig34 and heatmap-t's first stage),
+        # about 60 % of the n_side-4 case's time, are traced at n_side 3
+        # only, and sq1's shape takes the level order at n_side 4
         calls = (
             (basis, lambda eng, msgs: eng.curve_basis_z(betas, 1.0, gs)),
             (bell, lambda eng, msgs: eng.curve_bell(betas, 2.0, gs)),
             (bell, lambda eng, msgs: eng.curve_bell(0.0, 2.0, gs)),
             (basis, lambda eng, msgs: eng.curve_arbitrary_avg((0.0, 20.0), 1.0, gs[::4], msgs)),
             (bell, lambda eng, msgs: eng.curve_bell(betas, window, [1.9])))
+        if n_side == 4:
+            calls = calls[:1] + calls[3:]
         for cfg, call in calls:
             peaks = []
             for eng, msgs in ((protocol.Engine(replace(cfg, seed=seeds[0])), messages[0]),
@@ -1975,6 +2008,31 @@ class TestTfimModel:
             peaks.append(eng.curve_basis_z(0.0, 1.0, gs).max())
         assert np.mean(peaks) < 0.3
 
+    def test_zero_below_n_side_kicks_at_beta_zero(self, monkeypatch):
+        # at beta 0 the self-dual chain reads <Z> = 0 to round-off after
+        # 1 to n_side - 1 kicks, for 20 seeds at every g of the default
+        # grid, and not after n_side kicks; off the self-dual point one kick
+        # reads it.  That this is the light cone of a dual-unitary circuit
+        # at infinite temperature (Bertini, Kos and Prosen, PRL 123, 210601
+        # (2019)) is a hypothesis; it is not derived here.
+        seeds, gs = range(20), analysis.DEFAULT_G_GRID
+        for n_side in (2, 3, 4):
+            eng = protocol.Engine(protocol.ProtocolConfig(model="tfim", n_side=n_side), seeds)
+            z = np.abs(eng.curve_basis_z(0.0, np.arange(1.0, n_side + 1), gs))
+            assert z.shape == (len(seeds), n_side, len(gs))
+            assert z[:, :-1].max() <= 1e-13
+            assert z[:, -1].max() > 0.1
+        # the control: (J, b) = (0.3, 0.7), with the realizations built anew
+        monkeypatch.setattr(models, "TFIM_J_COUPLING", 0.3)
+        monkeypatch.setattr(models, "TFIM_B_FIELD", 0.7)
+        protocol._realization.clear()
+        try:
+            for n_side in (2, 3, 4):
+                cfg = protocol.ProtocolConfig(model="tfim", n_side=n_side)
+                assert np.abs(protocol.Engine(cfg, seeds).curve_basis_z(0.0, 1.0, gs)).max() > 0.05
+        finally:
+            protocol._realization.clear()
+
     @pytest.mark.parametrize("thermal", [True, False])
     def test_pipeline_matches_floquet_steps(self, thermal):
         # dense route: k Floquet periods as matrix powers on the full
@@ -1990,17 +2048,18 @@ class TestTfimModel:
             ins = qop.swap_matrix(REG1.n_qubits, 0, 1)
             eng = protocol.Engine(protocol.ProtocolConfig(
                 model="tfim", seed=seed, thermal_readout=thermal))
+            powers = [(np.linalg.matrix_power(u_l, k), np.linalg.matrix_power(u_r, k))
+                      for k in range(5)]
+            couplings = [(g, eng.size.exp_ig_embedded(REG1, g)) for g in (0.0, 1.3)]
             for beta in (0.0, 5.0):
-                vac = np.kron(expm(-0.5 * beta * h1), i8) @ layout.bell_vacuum(3)
+                weight = expm(-0.5 * beta * h1)
+                vac = np.kron(weight, i8) @ layout.bell_vacuum(3)
                 tfd_state = vac / np.linalg.norm(vac)
-                w_r = qop.kron_all([qop.I2, i8, mirror @ expm(-0.5 * beta * h1) @ mirror])
+                w_r = qop.kron_all([qop.I2, i8, mirror @ weight @ mirror])
                 if not thermal:
                     w_r = np.eye(REG1.dim)
-                for k in range(5):
-                    for g in (0.0, 1.3):
-                        ul_k = np.linalg.matrix_power(u_l, k)
-                        u = (w_r @ np.linalg.matrix_power(u_r, k)
-                             @ eng.size.exp_ig_embedded(REG1, g)
-                             @ ul_k @ ins @ ul_k.conj().T)
+                for k, (ul_k, ur_k) in enumerate(powers):
+                    for g, coupling in couplings:
+                        u = w_r @ ur_k @ coupling @ ul_k @ ins @ ul_k.conj().T
                         _check_readouts(eng, beta, g, float(k),
                                         lambda m: u @ np.kron(m, tfd_state), 1e-12)
