@@ -239,17 +239,36 @@ def _value_bytes(values: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
-def _key_bytes(column: np.ndarray, fmt) -> np.ndarray:
-    """fmt of every entry of column as the rows of a NUL-padded uint8
-    array, called once per distinct entry and gathered by index.  Floats are
-    told apart by their bits, so -0.0 and 0.0 keep their own text."""
-    if column.dtype == float:
-        keys = np.ascontiguousarray(column).view(np.uint64)
-    else:
-        keys = column
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([fmt(v) for v in column[first].tolist()], dtype="S")
-    return text.take(index).view(np.uint8).reshape(len(index), text.itemsize)
+class _KeyText:
+    """fmt of every entry of one key column as the rows of a NUL-padded
+    uint8 array, block by block: each distinct entry is formatted once per
+    file, in the first block that holds it, and its text is gathered by
+    its position among the distinct entries seen so far.  Floats are told
+    apart by their bits, so -0.0 and 0.0 keep their own text."""
+
+    def __init__(self, fmt):
+        self._fmt = fmt
+        # the distinct keys seen, ascending, and their text
+        self._keys = self._text = None
+
+    def __call__(self, column: np.ndarray) -> np.ndarray:
+        if column.dtype == float:
+            keys = np.ascontiguousarray(column).view(np.uint64)
+        else:
+            keys = column
+        if self._keys is None:
+            self._keys, self._text = keys[:0], np.array([], dtype="S1")
+        index = np.searchsorted(self._keys, keys)
+        seen = index < len(self._keys)
+        seen[seen] = self._keys[index[seen]] == keys[seen]
+        if not seen.all():
+            new, first = np.unique(keys[~seen], return_index=True)
+            text = np.array([self._fmt(v) for v in column[~seen][first].tolist()], dtype="S")
+            merged = np.concatenate((self._keys, new))
+            order = np.argsort(merged)
+            self._keys, self._text = merged[order], np.concatenate((self._text, text))[order]
+            index = np.searchsorted(self._keys, keys)
+        return self._text.take(index).view(np.uint8).reshape(len(index), self._text.itemsize)
 
 
 def _joined_rows(fields, n_rows: int) -> bytearray:
@@ -270,9 +289,10 @@ def _joined_rows(fields, n_rows: int) -> bytearray:
 
 
 # rows per CSV body block: a block's fields, its byte matrix and the
-# value formatter's temporaries peak at about 400 bytes a row, so the
-# writer holds about 3 * protocol.BATCH_BYTES however long the table is
-_BLOCK_ROWS = protocol.BATCH_BYTES // 128
+# value formatter's temporaries peak at about 400 bytes a row, so beyond
+# the table and the text of its distinct keys the writer holds about
+# 1.6 MB however long the table is
+_BLOCK_ROWS = 2 ** 12
 
 
 def _csv_blocks(records, manifest: RunManifest, spec: analysis.SweepSpec):
@@ -289,11 +309,11 @@ def _csv_blocks(records, manifest: RunManifest, spec: analysis.SweepSpec):
     ]
     yield ("\n".join(lines) + "\n").encode()
     pair = np.frombuffer(f"{table.metric},{table.variant}".encode(), np.uint8)[None]
+    key_text = [_KeyText(str)] + [_KeyText(_fmt) for _ in analysis.KEY_COLUMNS[1:]]
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS]
         value, unit = block.value, block.unit_interval_value()
-        fields = [_key_bytes(block.seed, str)]
-        fields += [_key_bytes(getattr(block, c), _fmt) for c in ("beta", "g", "t")]
+        fields = [text(getattr(block, c)) for text, c in zip(key_text, analysis.KEY_COLUMNS)]
         fields.append(pair)
         fields.append(_value_bytes(value))
         fields.append(fields[-1] if unit is value else _value_bytes(unit))

@@ -26,11 +26,11 @@ V_R^*:
   one (model, seed, j_scale, n_side) through a cache of the last
   ENGINE_CACHE_SIZE of them; the distinct size levels p (L = 6 at
   n_side = 3) and the factor F of INSERT on the message and left sites
-  (INSERT = F (x) I_right, checked exactly once, after which the dense
-  INSERT is dropped; `build_insert` scatters the dense INSERT from one
-  signed permutation of the basis states, with no matrix product).  F,
-  the size eigenbasis B and its level tables are shared by every engine
-  of one register geometry; F in the left
+  (INSERT = F (x) I_right), built on those 2^(n_msg + n_side) sites
+  alone by the signed permutation that `build_insert` scatters into the
+  dense INSERT, the reference (no matrix product, and no dense INSERT is
+  built for an engine).  F, the size eigenbasis B and its level tables
+  are shared by every engine of one register geometry; F in the left
   eigenbasis, C (below) and the readout tensor are derived from V_L, V_R
   on first use.  The missing realizations of an engine's seeds are built
   at once: one draw, one side-matrix sum per side and one stacked
@@ -138,9 +138,13 @@ DEFAULT_TFIM_STEPS = 1
 # Engine._chunk): per t, input and message row, the t stage's products for
 # the d TFD levels and the rows of every beta, 1 KiB each at n_side 3, n_g
 # times as many in the maps order.  The 73-t Bell window of heatmap-t at
-# one g and 8 betas is 10 chunks of 8 t per seed, read in 3 readings per
-# seed.
-BATCH_BYTES = 2 ** 19
+# one g and 8 betas is 5 chunks of 16 t (the last of 9) per seed, read in
+# 3 readings per seed.  Each chunk pays the fixed cost of its stages'
+# calls, and its arrays should stay in a core's L2 cache (K. Goto and
+# R. A. van de Geijn, ACM TOMS 34(3), 2008): on a 2 MiB L2, warm 20-seed
+# windows took 45.4 ms at 512 KiB, 43.0 ms at 1 MiB and 46.7 ms at 2 MiB
+# (medians of 15).
+BATCH_BYTES = 2 ** 20
 # bytes of compressed readout coordinates y(g) per g block of
 # Engine.finish's level order (see Engine._g_block), of level components
 # per group of (seed, beta, t) rows there, and of the t stage and dressed
@@ -156,7 +160,7 @@ BATCH_BYTES = 2 ** 19
 # a 201-g call at n_side 3 and 4; at 128 KiB the 1608-g basis sweep at
 # n_side 3 peaked 1.65 times higher.  The maps order hands one reading
 # the readout densities of as many consecutive chunks as
-# G_BLOCK_BYTES holds (see Engine._chunks_per_reading; 4 chunks of the
+# G_BLOCK_BYTES holds (see Engine._chunks_per_reading; 2 chunks of the
 # heatmap-t window), and the Haar average takes its (point, message)
 # values in slices of about G_BLOCK_BYTES.
 G_BLOCK_BYTES = 2 ** 16
@@ -381,62 +385,59 @@ class InsertOperator:
 
 
 def build_insert(cfg: ProtocolConfig) -> InsertOperator:
-    """INSERT as a product of message-to-left swaps in circuit order.
+    """INSERT as a product of message-to-left swaps in circuit order, on
+    the whole register (see _signed_swaps)."""
+    return InsertOperator(matrix=_signed_swaps(cfg, cfg.register.n_qubits))
+
+
+def _signed_swaps(cfg: ProtocolConfig, n_sites: int) -> np.ndarray:
+    """The swaps of INSERT on the first n_sites qubits of the register,
+    which hold the message and left sites, as a dense matrix.
 
     Every swap maps each basis state to one basis state with a sign, so the
     product is one signed permutation: the image and sign of each of the
-    2^n basis states through all the swaps, scattered into the dense matrix.
-    The fermionic swap, (I + X X S + Y Y S + Z Z)/2 with S the Z string over
-    the left qubits after the swapped one (the Majorana realizations of the
-    left Pauli factors), keeps a basis state whose two swapped bits agree
-    and swaps the bits of one where they differ, with the sign S takes on
-    it.
+    2^n_sites basis states through all the swaps, scattered into the
+    matrix.  The fermionic swap, (I + X X S + Y Y S + Z Z)/2 with S the Z
+    string over the left qubits after the swapped one (the Majorana
+    realizations of the left Pauli factors), keeps a basis state whose two
+    swapped bits agree and swaps the bits of one where they differ, with
+    the sign S takes on it.  No swap or string reaches a right site, so
+    INSERT on the whole register is the matrix on the message and left
+    sites (x) I_right.
     """
     cfg.validate()
     reg = cfg.register
     pairs = cfg.swap_site_pairs()
     if len({s for p in pairs for s in p}) < 2 * len(pairs):
         raise ConfigError("swap site collision")
-    n = reg.n_qubits
-    states = np.arange(reg.dim)
-    image, sign = states.copy(), np.ones(reg.dim)
+    dim = 2 ** n_sites
+    states = np.arange(dim)
+    image, sign = states.copy(), np.ones(dim)
     for a, b in pairs:
         # qubit 0 is the most significant bit
-        shift_a, shift_b = n - 1 - a, n - 1 - b
+        shift_a, shift_b = n_sites - 1 - a, n_sites - 1 - b
         differ = ((image >> shift_a) ^ (image >> shift_b)) & 1
         if cfg.fermionic_insert:
             # the parity of the left bits after the swapped one
-            string = np.zeros(reg.dim, dtype=int)
+            string = np.zeros(dim, dtype=int)
             for site in range(b + 1, reg.n_message + reg.n_side):
-                string ^= image >> (n - 1 - site)
+                string ^= image >> (n_sites - 1 - site)
             sign = np.where(differ & string & 1, -sign, sign)
         image = image ^ (differ << shift_a) ^ (differ << shift_b)
-    mat = np.zeros((reg.dim, reg.dim), dtype=complex)
+    mat = np.zeros((dim, dim), dtype=complex)
     mat[image, states] = sign
-    return InsertOperator(matrix=mat)
-
-
-def _message_left_factor(matrix: np.ndarray, register: layout.RegisterLayout) -> np.ndarray:
-    """The factor F on the message and left sites with matrix = F (x) I_right
-    exactly, shape (2^n_msg 2^n_side, 2^n_msg 2^n_side); raises when the
-    matrix acts on a right site."""
-    d = 2 ** register.n_side
-    md = register.dim // d
-    factor = np.ascontiguousarray(np.asarray(matrix).reshape(md, d, md, d)[:, 0, :, 0])
-    if not np.array_equal(qop.kron(factor, np.eye(d)), matrix):
-        raise qop.QopError("INSERT does not act on the message and left sites alone")
-    return factor
+    return mat
 
 
 @lru_cache(maxsize=None)
 def _shared_insert_factor(message: str, swap_variant: str, n_side: int,
                           fermionic_insert: bool) -> np.ndarray:
-    """The factor F on the message and left sites of build_insert for one
-    register geometry, read-only and built once; INSERT = F (x) I_right is
-    checked here, and the dense INSERT is not kept."""
+    """The factor F of INSERT = F (x) I_right on the message and left sites
+    for one register geometry, built on those sites alone, read-only and
+    built once."""
     cfg = ProtocolConfig(message=message, swap_variant=swap_variant,
                          n_side=n_side, fermionic_insert=fermionic_insert)
-    factor = _message_left_factor(build_insert(cfg).matrix, cfg.register)
+    factor = _signed_swaps(cfg, cfg.n_message + n_side)
     factor.setflags(write=False)
     return factor
 
@@ -689,27 +690,37 @@ class Engine:
 
     # -- pipeline ---------------------------------------------------------
     # The stages below take stacks over the k seeds of one chunk in front.
-    def dressed_state(self, msgs, t_values: np.ndarray, seeds=slice(None)) -> np.ndarray:
-        """Everything left of the coupling, U_L INSERT U_L^dagger |m>|TFD>,
-        factored over the TFD's left level a' for every beta at once:
-        z[a', (t, input, message), a] = exp(i (E_a' - E_a) t) F~[(message,
-        a), a'], shape (d, n_t n_in 2^n_msg, d) for d = 2^n_side and the
-        INSERT factor F~ in the left eigenbasis, for one message vector or
-        a stack (n_in, 2^n_msg) of them, behind the seed axis or the k
-        positions `seeds` of it.  The dressed row over (a, right
-        eigenvector k) at (beta, t) is sum_a' w_a'(beta) z[a', (t, ...), a]
-        K0[a', k] (see tfd_weights and _rows)."""
+    def insert_messages(self, msgs, seeds=slice(None)) -> np.ndarray:
+        """INSERT on one message vector or each of a stack (n_in, 2^n_msg)
+        of them in the left eigenbasis, F~[(message, a), a'] over (a',
+        input, message, a), shape (d, n_in, 2^n_msg, d) for d = 2^n_side
+        and the INSERT factor F~ in the left eigenbasis, behind the seed
+        axis or the k positions `seeds` of it: the input of dressed_state,
+        which finish builds once per seed."""
         d = 2 ** self.reg.n_side
         m = 2 ** self.reg.n_message
         msgs = np.asarray(msgs, dtype=complex).reshape(-1, m)
         insert = self._insert_left[seeds]
-        # INSERT on each message: (seed, a', input, message, a)
         ins = (msgs @ insert).reshape(len(insert), len(msgs), d, m, d).transpose(0, 2, 1, 3, 4)
+        return ins if self._seed_shape else ins[0]
+
+    def dressed_state(self, inserted: np.ndarray, t_values: np.ndarray,
+                      seeds=slice(None)) -> np.ndarray:
+        """Everything left of the coupling, U_L INSERT U_L^dagger |m>|TFD>,
+        factored over the TFD's left level a' for every beta at once:
+        z[a', (t, input, message), a] = exp(i (E_a' - E_a) t) F~[(message,
+        a), a'], shape (d, n_t n_in 2^n_msg, d), from INSERT on the
+        messages `inserted` (insert_messages) of the seed axis or of its k
+        positions `seeds`, behind the same seed axis.  The dressed row over
+        (a, right eigenvector k) at (beta, t) is sum_a' w_a'(beta) z[a',
+        (t, ...), a] K0[a', k] (see tfd_weights and _rows)."""
+        d = 2 ** self.reg.n_side
+        ins = inserted.reshape((-1,) + inserted.shape[-4:])
         # U_L^dagger on the TFD's level a', U_L on the output level a:
         # (seed, a', t, a)
-        phases = self.side_evolution(t_values, "left", seeds).reshape(len(insert), -1, d)
+        phases = self.side_evolution(t_values, "left", seeds).reshape(len(ins), -1, d)
         pair = phases.transpose(0, 2, 1).conj()[..., None] * phases[:, None]
-        z = (ins[:, :, None] * pair[:, :, :, None, None, :]).reshape(len(insert), d, -1, d)
+        z = (ins[:, :, None] * pair[:, :, :, None, None, :]).reshape(len(ins), d, -1, d)
         return z if self._seed_shape else z[0]
 
     @cached_property
@@ -898,8 +909,15 @@ class Engine:
             phases = np.exp(1j * g[:, None, None] * self._column_levels)
             per_read = self._chunks_per_reading(n_b, n_in, len(g), t_step)
         else:
-            # exp(i g) and the g blocks, for every group of rows
-            g_blocks = (np.exp(1j * g),) + self._g_block(n_in, len(g))
+            # the level phases of each g block, made once per call and kept
+            # for every group of rows where the whole grid's take at most
+            # G_BLOCK_BYTES, else only the last block's are kept
+            n_rows, step = self._g_block(n_in, len(g))
+            unit = np.exp(1j * g)
+            keep = 16 * len(self._levels) * len(g) <= G_BLOCK_BYTES
+            level_phases = lru_cache(maxsize=None if keep else 1)(
+                lambda start: self._level_phases(unit[start:start + step]))
+            g_blocks = (level_phases, range(0, len(g), step), n_rows)
         if order == "maps" or t_step < n_t:
             # one seed per chunk, cut as it is cut alone; in the maps order
             # a seed's coupling maps serve all its chunks
@@ -911,34 +929,41 @@ class Engine:
             # the d products a few seeds at a time)
             kept = 16 * n_in * m * d * d * (1 + n_b)
             chunks = _tiles(n_s, n_t, n_t * max(1, G_BLOCK_BYTES // (n_t * kept)))
-        out, held, mapped = None, [], None
-        # a chunk's arrays are gone before the next chunk's are made
+        out, held, inserted = None, [], None
         for i, (ss, ts) in enumerate(chunks):
-            stage = (msgs, t_values[ts], ss, weights, thermal)
+            if inserted is None:
+                # the first chunk of its seeds: INSERT on their messages and,
+                # in the maps order, the coupling maps, once for all their
+                # chunks
+                inserted = self.insert_messages(msgs, ss)
+                if order == "maps":
+                    target = None
+                    target = self._right_eigen(
+                        (self._to_size[ss, None] * phases) @ self.size.basis.T, ss)
+            x, right = self._chunk_rows(inserted, t_values[ts], ss, weights, thermal,
+                                        self._to_size[ss] if order == "levels" else target)
+            if ts.stop == n_t:
+                inserted = None  # the last chunk of its seeds
             if order == "levels":
                 for group_seeds, rows, values in self._level_readout(
-                        *self._chunk_rows(*stage, self._to_size[ss]), n_in, g_blocks,
-                        reading, ss):
+                        x, right, n_in, g_blocks, reading, ss):
                     out = _place(out, (n_s, n_b, n_t), group_seeds, ts, rows, values)
-                continue
-            if ss != mapped:
-                target = None  # one seed's coupling maps at a time
-                target = self._right_eigen(
-                    (self._to_size[ss, None] * phases) @ self.size.basis.T, ss)
-                mapped = ss
-            held.append((ss, ts, self._gram_readout(*self._chunk_rows(*stage, target),
-                                                    n_in, ss)))
-            if len(held) == per_read or i + 1 == len(chunks):
+            else:
+                held.append((ss, ts, self._gram_readout(x, right, n_in, ss)))
+            # a chunk's arrays are gone before the next chunk's are made
+            x = right = None
+            if order == "maps" and (len(held) == per_read or i + 1 == len(chunks)):
                 # the densities of consecutive chunks, rows (seed, beta, t)
                 for chunk_seeds, chunk_ts, values in _read_chunks(reading, held):
                     out = _place(out, (n_s, n_b, n_t), chunk_seeds, chunk_ts, None, values)
                 held = []
         return out.reshape(self._seed_shape + np.shape(beta) + np.shape(t) + out.shape[3:])
 
-    def _chunk_rows(self, msgs, t_values: np.ndarray, seeds: slice, weights: np.ndarray,
-                    thermal: np.ndarray, target: np.ndarray) -> tuple:
+    def _chunk_rows(self, inserted: np.ndarray, t_values: np.ndarray, seeds: slice,
+                    weights: np.ndarray, thermal: np.ndarray, target: np.ndarray) -> tuple:
         """The dressed rows (see _rows) of the k seed positions `seeds` and
-        the t values of one chunk through `target`, and their right stage
+        the t values of one chunk, from INSERT on their messages `inserted`,
+        through `target`, and their right stage
         W_R(beta) U_R(t), shape (k, n_b, n_t, 2^n_side), from the TFD and
         thermal weights of every seed, (n_s, n_b, d) and (n_s, n_b, 1,
         d)."""
@@ -946,7 +971,7 @@ class Engine:
         stage_seeds = (seeds,) if self._seed_shape else ()
         right = (self.side_evolution(t_values, "right", *stage_seeds).reshape(
             -1, 1, len(t_values), d) * thermal[seeds])
-        z = self.dressed_state(msgs, t_values, *stage_seeds)
+        z = self.dressed_state(inserted, t_values, *stage_seeds)
         return self._rows(z.reshape(len(right), d, -1, d), weights[seeds], target), right
 
     def _level_readout(self, x: np.ndarray, right: np.ndarray, n_in: int,
@@ -975,8 +1000,9 @@ class Engine:
         """reading over the g axis, block by block, from the R factors `r`
         (n_bt, k_R, n_in 2^k L) of the level components of n_in inputs, with
         k_R = min(dim / 2^k, n_in 2^k L) for k readout sites, whose rows
-        belong to the seed positions `row_seeds`; g_blocks is (exp(i g),
-        rows per block, values of g per block), see _g_block.  The final
+        belong to the seed positions `row_seeds`; g_blocks is (the level
+        phases of the g block at a start, the starts, rows per block), see
+        _g_block.  The final
         states at g are Q R phi(g) with A = QR (`_readout_matrix`), so
         rho(g) is a sum over the k_R coordinates y(g) = R phi(g) alone (see
         the module docstring; any sum_pq exp(i g (p - q)) M_pq would lose
@@ -984,14 +1010,11 @@ class Engine:
         width = n_in * 2 ** len(self.readout)
         # rows (coordinate j, input and readout value c), columns level p
         r = r.reshape(len(r), -1, len(self._levels))
-        unit, n_rows, step = g_blocks
-        out = []
-        for i in range(0, len(unit), step):
-            phases = self._level_phases(unit[i:i + step])
-            out.append(np.concatenate([
-                _read(reading, _block_densities(r[j:j + n_rows], phases, width),
-                      row_seeds[j:j + n_rows])
-                for j in range(0, len(r), n_rows)]))
+        level_phases, starts, n_rows = g_blocks
+        out = [np.concatenate([
+            _read(reading, _block_densities(r[j:j + n_rows], level_phases(start), width),
+                  row_seeds[j:j + n_rows])
+            for j in range(0, len(r), n_rows)]) for start in starts]
         return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
     def _chunk(self, n_b: int, n_in: int, n_g: int, order: str) -> int:

@@ -279,17 +279,22 @@ class TestCsvBlocks:
         one_block = cli.csv_text(table, man, SPEC)
         assert ",-0," in one_block and ",0," in one_block and ",nan," in one_block
         assert ",inf," in one_block and ",-inf," in one_block
-        sorts = []
+        sorts, formatted = [], []
         sorted_rows = analysis.RecordTable.sorted
         monkeypatch.setattr(analysis.RecordTable, "sorted",
                             lambda tab: sorts.append(1) or sorted_rows(tab))
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda value: formatted.append(value) or fmt(value))
         # 1 puts -0.0 and 0.0 keys in blocks of their own; 63 rows are no
         # multiple of 4 or 10
         for rows in (1, 4, 10):
             monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
             sorts.clear()
+            formatted.clear()
             assert cli.csv_text(table, man, SPEC) == one_block
             assert len(sorts) == 1
+            # each distinct beta, g and t text once per file: 2 + 4 + 2
+            assert len(formatted) == 8
             path = tmp_path / f"blocks{rows}.csv"
             cli.emit_csv(table, path, man, SPEC)
             assert path.read_bytes() == one_block.encode()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -840,9 +841,24 @@ class TestBatchedReadings:
         calls.clear()
         monkeypatch.setattr(protocol, "G_BLOCK_BYTES", 1)
         single = engb.curve_bell(betas, window, [1.9])
-        assert len(calls) == -(-len(window) // engb._chunk(len(betas), 1, 1, "maps")) == 10
+        assert len(calls) == -(-len(window) // engb._chunk(len(betas), 1, 1, "maps")) == 5
         assert batched.shape == single.shape == (len(betas), len(window), 1)
         assert np.array_equal(batched, single)
+
+    def test_bell_window_at_every_budget(self, monkeypatch):
+        # heatmap-t's second stage, 73 t x 8 betas at one g over a seed
+        # axis, with maps chunks of 4 to 32 t: the chunk budget moves no
+        # value
+        engb = protocol.Engine(_bell_cfg(), (8, 9))
+        betas = np.array(analysis.DEFAULT_BETA_GRID)
+        window = np.array(analysis.BELL_T_WINDOW)
+        chunks = _record_t_chunks(monkeypatch)
+        default = engb.curve_bell(betas, window, [1.9])
+        for budget in (2 ** 18, 2 ** 19, 2 ** 20, 2 ** 21):
+            monkeypatch.setattr(protocol, "BATCH_BYTES", budget)
+            chunks.clear()
+            assert np.array_equal(engb.curve_bell(betas, window, [1.9]), default)
+            assert len(chunks) == 2 * -(-len(window) // (budget // 2 ** 16))
 
     def test_basis_and_haar_window(self, monkeypatch):
         eng = protocol.get_engine(protocol.ProtocolConfig(seed=8))
@@ -887,9 +903,9 @@ def _record_t_chunks(monkeypatch) -> list:
     chunks = []
     stage = protocol.Engine.dressed_state
 
-    def recorded(self, msgs, t_values):
+    def recorded(self, inserted, t_values, *seeds):
         chunks.append(t_values)
-        return stage(self, msgs, t_values)
+        return stage(self, inserted, t_values, *seeds)
     monkeypatch.setattr(protocol.Engine, "dressed_state", recorded)
     return chunks
 
@@ -1045,8 +1061,8 @@ class TestTBatching:
             assert np.abs(batched - single).max() <= 1e-13
 
     def test_one_g_over_several_chunks(self, monkeypatch):
-        # 300 t at one g is 11 chunks of protocol.BATCH_BYTES (basis
-        # message) or 22 (Bell message, two branches), in order, through one
+        # 300 t at one g is 6 chunks of protocol.BATCH_BYTES (basis
+        # message) or 11 (Bell message, two branches), in order, through one
         # coupling map; one t at a time takes the same order, and no value
         # depends on what shares its call
         ts = np.linspace(0.0, 7.0, 300)
@@ -1054,10 +1070,10 @@ class TestTBatching:
         orders = _record_coupling_orders(monkeypatch)
         chunks = _record_t_chunks(monkeypatch)
         for cfg, curve, n_in, n_chunks in (
-                (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z, 1, 11),
-                (_bell_cfg(seed=9), protocol.Engine.curve_bell, 1, 22),
+                (protocol.ProtocolConfig(seed=9), protocol.Engine.curve_basis_z, 1, 6),
+                (_bell_cfg(seed=9), protocol.Engine.curve_bell, 1, 11),
                 (protocol.ProtocolConfig(seed=9, swap_variant="delta02"),
-                 lambda eng, beta, t, gs: _fidelities(eng, beta, t, gs, msgs), 2, 22)):
+                 lambda eng, beta, t, gs: _fidelities(eng, beta, t, gs, msgs), 2, 11)):
             eng = protocol.get_engine(cfg)
             assert -(-len(ts) // eng._chunk(1, n_in, 1, "maps")) == n_chunks
             for beta in (0.0, 6.0):
@@ -1206,21 +1222,20 @@ class TestSharedInsert:
             assert eng._insert_factor is protocol.Engine(cfg)._insert_factor
 
     def test_factor_rebuilds_the_insert(self):
-        for fermionic in (False, True):
+        # F, built on the message and left sites alone, against the dense
+        # INSERT of the same signed permutation on the whole register, in
+        # all 12 (message, variant, fermionic, n_side) geometries
+        for n_side, fermionic in itertools.product((3, 4), (False, True)):
             for cfg in (protocol.ProtocolConfig(fermionic_insert=fermionic),
                         protocol.ProtocolConfig(swap_variant="delta02",
                                                 fermionic_insert=fermionic),
                         _bell_cfg(fermionic_insert=fermionic)):
+                cfg = replace(cfg, n_side=n_side)
                 eng = protocol.Engine(cfg)
                 assert not eng._insert_factor.flags.writeable
-                rebuilt = np.kron(eng._insert_factor, np.eye(2 ** cfg.n_side))
+                assert eng._insert_factor.shape == (2 ** (cfg.n_message + n_side),) * 2
+                rebuilt = np.kron(eng._insert_factor, np.eye(2 ** n_side))
                 assert np.array_equal(rebuilt, protocol.build_insert(cfg).matrix)
-
-    def test_factor_check_rejects_a_right_site(self):
-        for reg in (REG1, REG2):
-            swap = qop.swap_matrix(reg.n_qubits, 0, reg.right_sites[0])
-            with pytest.raises(qop.QopError, match="left sites"):
-                protocol._message_left_factor(swap, reg)
 
     def test_fermionic_insert_matches_dense_path(self):
         cfg = protocol.ProtocolConfig(seed=3, beta=4.0, g=1.3, t=0.9,
@@ -1659,7 +1674,8 @@ class TestSeedAxis:
         assert eng.curve_basis_z(0.0, 1.0, gs).shape == (3, len(gs))
         assert eng.curve_basis_z(self.BETAS, [1.0, 2.0], gs).shape == (3, 3, 2, len(gs))
         assert eng.tfd_weights(self.BETAS).shape == (3, 3, 8)
-        assert eng.dressed_state(eng.message_vector(), np.array([1.0, 2.0])).shape == (
+        assert eng.dressed_state(eng.insert_messages(eng.message_vector()),
+                                 np.array([1.0, 2.0])).shape == (
             3, 8, 4, 8)
         mean, stderr = eng.curve_arbitrary_avg(0.0, 1.0, gs,
                                                protocol.draw_haar_samples(self.SEEDS, 4))
